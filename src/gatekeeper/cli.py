@@ -68,7 +68,6 @@ class RunConfig:
     config: dict
     out_dir: Path
     seed: Optional[int] = None
-    jobs: int = 1
 
     def seeded(self, default: int = 0) -> int:
         if self.seed is not None:
@@ -92,10 +91,7 @@ def _comments(cfg: RunConfig) -> list[str]:
 
 def _run_solve(cfg: RunConfig) -> list[str]:
     inst = _load_instance(cfg.config)
-    try:
-        pol, ev = solve_average_reward(inst)
-    except RuntimeError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    pol, ev = solve_average_reward(inst)
     comments = _comments(cfg)
 
     rows = []
@@ -204,7 +200,7 @@ def _run_threshold_study(cfg: RunConfig) -> list[str]:
     gen_cfg = GeneratorConfig(seed=seed, **{k: _tupled(v) for k, v in gen.items() if k != "seed"})
     n = int(cfg.config.get("n_instances", 100))
     s_list = [int(s) for s in cfg.config.get("S_list", [3])]
-    report = structure.run_heuristic_study(gen_cfg, n, s_list, jobs=cfg.jobs)
+    report = structure.run_heuristic_study(gen_cfg, n, s_list)
     rows = [
         (row.S, row.n_instances, row.frac_threshold_opt, row.mean_gap_pct,
          row.max_gap_pct, row.seed_lo, row.seed_hi)
@@ -364,7 +360,7 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
 def usage() -> str:
     return (
         "usage: gatekeeper SUBCOMMAND --config PATH [--out DIR] [--seed U64] "
-        "[--set key=value ...] [--jobs N]\n"
+        "[--set key=value ...]\n"
         "subcommands: " + ", ".join(SUBCOMMANDS)
     )
 
@@ -400,7 +396,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config entry (dotted keys)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     args = parser.parse_args(argv[1:])
 
     config_path = Path(args.config)
@@ -419,7 +414,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         config=config,
         out_dir=Path(args.out),
         seed=args.seed,
-        jobs=max(1, args.jobs),
     )
     return run(cfg)
 

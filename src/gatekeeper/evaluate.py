@@ -27,6 +27,7 @@ from .model import (
 I0, I1, W0, W1 = 0, 1, 2, 3
 
 _RESIDUAL_TOL = 1e-10
+_MIN_PI = -1e-12   # most negative stationary probability accepted as round-off
 
 
 class EvaluationError(RuntimeError):
@@ -156,13 +157,17 @@ def stationary_distribution(P: np.ndarray, labels: Optional[tuple[str, ...]] = N
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = np.max(np.abs(A @ pi - b))
-    if resid > _RESIDUAL_TOL or np.min(pi) < -1e-12:
-        lbl = labels or tuple(str(i) for i in range(n))
-        raise EvaluationError(
-            f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
-            f"states unreachable from {lbl[I0]}: {_unreachable_states(P, lbl)}"
-        )
-    return np.clip(pi, 0.0, None)
+    low = int(np.argmin(pi))
+    lbl = labels or tuple(str(i) for i in range(n))
+    if resid > _RESIDUAL_TOL:
+        failed = f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}"
+    elif pi[low] < _MIN_PI:
+        failed = f"stationary probability of {lbl[low]} is {pi[low]:.2e}, below {_MIN_PI:.0e}"
+    else:
+        return np.clip(pi, 0.0, None)
+    raise EvaluationError(
+        f"{failed}; states unreachable from {lbl[I0]}: {_unreachable_states(P, lbl)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -298,19 +303,25 @@ def policy_actions(pol: StationaryPolicy) -> np.ndarray:
     return np.array([[int(act) for act in rule.actions] for rule in pol.rules], dtype=np.int8)
 
 
+def renewal_times(inst: ProblemInstance) -> tuple[float, np.ndarray, np.ndarray]:
+    """Expected periods to the next admission: after a release, and per
+    observed (Q, A) after a warm and after a cold transfer."""
+    q, a = inst.traffic.q, inst.traffic.a
+    idle_tail = (1 - q) / q                       # E[idle periods after release]
+    idle_by_state = np.array([1 / q, 0.0, 1 / q, 0.0])   # given observed Q
+    warm_by_state = np.array([1 / a, 1 / a, 0.0, 0.0]) + inst.econ.tau_w + idle_tail
+    return idle_tail, warm_by_state, idle_by_state
+
+
 def average_reward_batch(inst: ProblemInstance, actions: np.ndarray) -> np.ndarray:
     """Average reward for a batch of policies given as an (P, S-1, 4) action array."""
     S = inst.S
     if actions.ndim != 3 or actions.shape[1] != S - 1 or actions.shape[2] != 4:
         raise ValueError(f"actions array must have shape (n, {S - 1}, 4)")
-    q, a = inst.traffic.q, inst.traffic.a
     tau, rho = inst.profile.tau, inst.profile.rho
-    r, c_w, c_c, tau_w = inst.econ.r, inst.econ.c_w, inst.econ.c_c, inst.econ.tau_w
+    r, c_w, c_c = inst.econ.r, inst.econ.c_w, inst.econ.c_c
     p_qa = congestion_probs(inst)
-
-    idle_tail = (1 - q) / q                       # E[idle periods after release]
-    idle_by_state = np.array([1 / q, 0.0, 1 / q, 0.0])   # given observed Q
-    warm_by_state = np.array([1 / a, 1 / a, 0.0, 0.0]) + tau_w + idle_tail
+    idle_tail, warm_by_state, idle_by_state = renewal_times(inst)
 
     n_pol = actions.shape[0]
     W = np.full(n_pol, r)

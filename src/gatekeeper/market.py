@@ -32,7 +32,7 @@ from .model import (
     rules_table,
     uniform_policy,
 )
-from .solve import canonical_policy, solve_average_reward
+from .solve import solve_average_reward
 
 MIN_GRID = 100
 _Q_FLOOR = 1e-6
@@ -231,12 +231,6 @@ def _profit(
     return profit, parts
 
 
-def _policy_for(label: str, inst: ProblemInstance) -> StationaryPolicy:
-    if label == "OPT":
-        return solve_average_reward(inst)[0]
-    return uniform_policy(label, inst.S)
-
-
 def solve_equilibrium(
     template: ProblemInstance,
     design: DesignPoint,
@@ -290,8 +284,11 @@ def solve_equilibrium(
     for iters in range(1, max_iter + 1):
         inst = template.with_q(q)
         if perf_override is None:
-            policy = _policy_for(design.policy, inst)
-            ev = evaluate_policy(inst, policy)
+            if design.policy == "OPT":
+                policy, ev = solve_average_reward(inst)
+            else:
+                policy = uniform_policy(design.policy, inst.S)
+                ev = evaluate_policy(inst, policy)
             perf = ev.perf
         else:
             perf = perf_override
@@ -315,7 +312,7 @@ def solve_equilibrium(
     profit, parts = _profit(k, agent_reward, wage, q_bot, bot, template.econ)
     return EquilibriumResult(
         design=design, q_per_agent=q, q_bot_effective=q_bot, shares=shares,
-        perf=perf, policy=canonical_policy(policy) if policy is not None else None,
+        perf=perf, policy=policy,
         agent_reward=agent_reward, profit=profit, profit_parts=parts,
         converged=converged, iterations=iters, residual=residual,
     )

@@ -122,14 +122,18 @@ def dominance_admissible(rule: DecisionRule) -> bool:
     return True
 
 
+_ALL_RULES = tuple(
+    _RULE_BY_LETTERS.get("".join(a.letter for a in combo)) or DecisionRule(combo)
+    for combo in itertools.product(Action, repeat=4)
+)
+
+
 def all_decision_rules() -> list[DecisionRule]:
-    """All 81 action vectors; the 11 table rules keep their labels."""
-    rules = []
-    for combo in itertools.product(Action, repeat=4):
-        letters = "".join(a.letter for a in combo)
-        table_rule = _RULE_BY_LETTERS.get(letters)
-        rules.append(table_rule if table_rule is not None else DecisionRule(tuple(combo)))
-    return rules
+    """All 81 action vectors; the 11 table rules keep their labels.
+
+    Rule i has actions the base-3 digits of i, first congestion state first.
+    """
+    return list(_ALL_RULES)
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,14 @@ def policy_from_names(names: Sequence[str]) -> StationaryPolicy:
         else:
             rules.append(DecisionRule.from_letters(name))
     return StationaryPolicy(tuple(rules))
+
+
+def policy_from_actions(actions) -> StationaryPolicy:
+    """Policy from per-attempt rows of four actions; table rules keep their labels."""
+    return StationaryPolicy(tuple(
+        _ALL_RULES[((int(a0) * 3 + int(a1)) * 3 + int(a2)) * 3 + int(a3)]
+        for a0, a1, a2, a3 in actions
+    ))
 
 
 @dataclass(frozen=True)

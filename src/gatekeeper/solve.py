@@ -1,11 +1,13 @@
 """Optimal stationary policies and the finite-horizon recursion.
 
-Policy iteration maximizes the long-run average reward over stationary
-policies.  Its gain R* and relative values G also provide horizon-closing
-terminal values, affine in R*, under which the finite-horizon optimal action
-at every decision node is the stationary one for all t: the shift effectively
-hands unfinished work to the next shift at a pro-rated value R*(T+1-t) +
-G(state).
+Dinkelbach's ratio iteration over a backward dynamic program on the renewal
+recursion finds the policy with the largest long-run average reward R*.  Its
+exact chain evaluation gives R* and the relative values G, which also provide
+horizon-closing terminal values, affine in R*, under which the
+finite-horizon optimal action at every decision node is the stationary one
+for all t: the shift effectively hands unfinished work to the next shift at a
+pro-rated value R*(T+1-t) + G(state).  Exhaustive enumeration is kept as the
+oracle.
 """
 from __future__ import annotations
 
@@ -26,17 +28,17 @@ from .evaluate import (
     congestion_probs,
     evaluate_policy,
     n_states,
+    renewal_times,
     state_labels,
 )
 from .model import (
-    Action,
     CONGESTION_STATES,
     DecisionRule,
     ProblemInstance,
     StationaryPolicy,
     all_decision_rules,
+    policy_from_actions,
     rules_table,
-    uniform_policy,
     validate_instance,
 )
 
@@ -45,68 +47,60 @@ class EnumerationCapError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the configured cap."""
 
 
-def _action_values(inst: ProblemInstance, R: float, G: np.ndarray, x: int, qa: int):
-    """(continue, warm, cold) values after failed attempt x in congestion state qa."""
-    qf, af = CONGESTION_STATES[qa]
-    p_qa = congestion_probs(inst)
-    econ = inst.econ
-    cont = -R * inst.profile.tau[x] + float(p_qa @ G[c_index(x + 1, 0):c_index(x + 1, 0) + 4])
-    warm = (econ.r - econ.c_w) + float(G[W1 if af else W0])
-    cold = (econ.r - econ.c_c) + float(G[I1 if qf else I0])
-    return cont, warm, cold
+def optimal_policy(inst: ProblemInstance) -> tuple[StationaryPolicy, float]:
+    """Optimal stationary policy and its average reward, by Dinkelbach's iteration.
 
-
-def solve_average_reward(
-    inst: ProblemInstance, tol: float = 1e-10, max_iter: int = 500
-) -> tuple[StationaryPolicy, PolicyEvaluation]:
-    """Policy iteration on the embedded decision chain.
-
-    Starts from the always-cold policy (feasible and irreducible for any
-    instance), alternates exact evaluation with greedy improvement at every
-    failed-attempt node, and stops at an unimprovable policy.  Actions switch
-    only on strict improvement; ties break Continue > Warm > Cold, so the
-    iteration cannot cycle.
+    R = W_1 / D_1, where W_x and D_x are the expected reward and periods from
+    the start of attempt x to the next admission (see `average_reward_batch`).
+    At a fixed R, W_1 - R D_1 separates over attempts, so one backward pass
+    maximizes it by taking, in every congestion state, the first maximum of
+    continue / warm / cold on W - R D; the pass also accumulates W and D of
+    the chosen actions, whose ratio is the next R.  From R = 0 the ratio rises
+    strictly until the chosen actions repeat (Dinkelbach 1967), so over the
+    finite set of policies the loop always ends, at the optimum.  The policy
+    returned is the maximizer at the final R, so even attempts it never
+    reaches carry their best action.
     """
     bad = validate_instance(inst)
     if bad:
         raise ValueError("invalid instance: " + "; ".join(bad))
     S = inst.S
-    if S == 1:
-        pol = StationaryPolicy(())
-        return pol, evaluate_policy(inst, pol)
+    tau, rho = inst.profile.tau, inst.profile.rho
+    r, c_w, c_c = inst.econ.r, inst.econ.c_w, inst.econ.c_c
+    p_qa = congestion_probs(inst)
+    idle_tail, warm_by_state, idle_by_state = renewal_times(inst)
+    # rows continue / warm / cold, columns the congestion states; row 0 is set per attempt
+    w_opt = np.array([np.zeros(4), np.full(4, r - c_w), np.full(4, r - c_c)])
+    d_opt = np.array([np.zeros(4), warm_by_state, idle_by_state])
+    cols = np.arange(4)
 
-    pol = uniform_policy("T5", S)
-    for _ in range(max_iter):
-        ev = evaluate_policy(inst, pol)
-        new_rules: list[DecisionRule] = []
-        changed = False
-        for x in range(1, S):
-            rule = pol.rule_after(x)
-            actions = list(rule.actions)
-            for qa in range(4):
-                vals = _action_values(inst, ev.R, ev.G, x, qa)
-                cur = vals[int(actions[qa])]
-                best_act = int(np.argmax(vals))  # argmax takes the first max: Continue > Warm > Cold
-                if vals[best_act] > cur + tol:
-                    actions[qa] = Action(best_act)
-                    changed = True
-            new_rules.append(DecisionRule(tuple(actions)) if tuple(actions) != rule.actions else rule)
-        if not changed:
-            return pol, ev
-        pol = StationaryPolicy(tuple(new_rules))
-    raise RuntimeError("policy iteration did not converge; improvement cycled")
-
-
-def _relabeled(rule: DecisionRule) -> DecisionRule:
-    """Attach the canonical table label when the action vector has one."""
-    for lbl, table_rule in rules_table().items():
-        if table_rule.actions == rule.actions:
-            return table_rule
-    return rule
+    R = 0.0
+    while True:
+        W, D = r, tau[S - 1] + idle_tail
+        chosen = np.zeros((S - 1, 4), dtype=np.int8)
+        for x in range(S - 1, 0, -1):
+            w_opt[0], d_opt[0] = W, D
+            act = np.argmax(w_opt - R * d_opt, axis=0)   # first max: Continue > Warm > Cold
+            chosen[x - 1] = act
+            p_fail = 1 - rho[x - 1]
+            W = rho[x - 1] * r + p_fail * (w_opt[act, cols] @ p_qa)
+            D = tau[x - 1] + rho[x - 1] * idle_tail + p_fail * (d_opt[act, cols] @ p_qa)
+        if W / D <= R:   # R stopped rising; repeated actions give the same ratio
+            return policy_from_actions(chosen), W / D
+        R = W / D
 
 
-def canonical_policy(pol: StationaryPolicy) -> StationaryPolicy:
-    return StationaryPolicy(tuple(_relabeled(r) for r in pol.rules))
+def solve_average_reward(inst: ProblemInstance) -> tuple[StationaryPolicy, PolicyEvaluation]:
+    """Optimal stationary policy (see `optimal_policy`) and its exact chain evaluation."""
+    pol, _ = optimal_policy(inst)
+    return pol, evaluate_policy(inst, pol)
+
+
+def policy_grid(rules: list[DecisionRule], S: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every policy over a rule list: (P, S-1) rule indices and (P, S-1, 4) actions."""
+    rule_acts = np.array([[int(a) for a in rule.actions] for rule in rules], dtype=np.int8)
+    combos = np.array(list(itertools.product(range(len(rules)), repeat=S - 1)), dtype=np.int32)
+    return combos, rule_acts[combos]
 
 
 def enumerate_policies(
@@ -136,13 +130,7 @@ def enumerate_policies(
             f"raise the cap to at least {n_pol} to proceed"
         )
 
-    if S == 1:
-        pol = StationaryPolicy(())
-        return [(pol, float(average_reward_batch(inst, np.zeros((1, 0, 4), dtype=np.int8))[0]))]
-
-    rule_acts = np.array([[int(a) for a in rule.actions] for rule in rules], dtype=np.int8)
-    combos = np.array(list(itertools.product(range(len(rules)), repeat=S - 1)), dtype=np.int32)
-    acts = rule_acts[combos]  # (n_pol, S-1, 4)
+    combos, acts = policy_grid(rules, S)
     R = average_reward_batch(inst, acts)
 
     order = sorted(range(n_pol), key=lambda i: (-R[i], tuple(rules[j].name for j in combos[i])))

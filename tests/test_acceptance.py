@@ -13,7 +13,8 @@ import numpy as np
 import gatekeeper as gk
 from gatekeeper.evaluate import I0, I1, W0, W1, average_reward_batch
 from gatekeeper.model import rng_stream
-from gatekeeper.structure import _study_one, _table1_grid
+from gatekeeper.solve import policy_grid
+from gatekeeper.structure import _study_one
 
 from conftest import random_instance, random_policy
 
@@ -157,7 +158,8 @@ def test_criterion_06_wspt_certificate():
         if not gk.check_wspt(inst).holds:
             continue
         found += 1
-        r_opt = float(average_reward_batch(inst, _table1_grid(inst.S)).max())
+        _, table1_acts = policy_grid(list(gk.rules_table().values()), inst.S)
+        r_opt = float(average_reward_batch(inst, table1_acts).max())
         _, r_thr = gk.search_threshold_policies(inst)
         worst = max(worst, (r_opt - r_thr) / max(1.0, r_opt))
     report(

@@ -182,10 +182,25 @@ def test_solve_single_attempt_instance(tmp_path):
     assert lines == ["X,Q,A,action,rule"]
 
 
-def test_threshold_study_jobs_flag(tmp_path):
-    payload = {"generator": {"S": 3}, "n_instances": 12, "S_list": [3], "seed": 2}
-    cfg = write_config(tmp_path, payload)
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(["threshold-study", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-    assert main(["threshold-study", "--config", str(cfg), "--out", str(out2), "--jobs", "2"]) == EXIT_OK
-    assert (out1 / "study.csv").read_bytes() == (out2 / "study.csv").read_bytes()
+def test_solve_rule_column_carries_table_labels(tmp_path):
+    # every rule of the optimum is printed by its table label (H4, not ncnc),
+    # and the evaluation is that of the same (H4, T5) policy as before
+    from gatekeeper import evaluate_policy, policy_from_names
+    from gatekeeper.artifacts import fmt
+
+    from conftest import random_instance
+
+    inst = random_instance(0, 3)
+    code, out = run_cli(tmp_path, "solve", {"instance": inst.to_json_dict()})
+    assert code == EXIT_OK
+    rows = (out / "policy.csv").read_text().splitlines()[3:]
+    assert [row.split(",")[-1] for row in rows] == ["H4"] * 4 + ["T5"] * 4
+
+    ev = evaluate_policy(inst, policy_from_names(["H4", "T5"]))
+    expect = [("summary", "R", ev.R)]
+    expect += [("summary", key, val) for key, val in ev.perf.to_json_dict().items()]
+    expect += [("pi", lbl, p) for lbl, p, _ in ev.state_rows()]
+    expect += [("G", lbl, g) for lbl, _, g in ev.state_rows()]
+    lines = (out / "evaluation.csv").read_text().splitlines()[3:]
+    assert lines == [",".join(fmt(v) for v in row) for row in expect]
+    assert lines[0] == "summary,R,19.2875939299"

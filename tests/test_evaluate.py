@@ -5,13 +5,27 @@ import numpy as np
 import pytest
 
 from gatekeeper import (
+    EconomicParams,
+    EvaluationError,
+    ProblemInstance,
+    ResolutionProfile,
     StationaryPolicy,
+    TrafficParams,
     average_reward,
     build_chain,
     evaluate_policy,
     uniform_policy,
 )
-from gatekeeper.evaluate import I0, I1, W0, W1, average_reward_batch, c_index, policy_actions
+from gatekeeper.evaluate import (
+    I0,
+    I1,
+    W0,
+    W1,
+    average_reward_batch,
+    c_index,
+    policy_actions,
+    stationary_distribution,
+)
 
 from conftest import random_instance, random_policy
 
@@ -137,6 +151,23 @@ class TestEvaluateProperties:
         batch = average_reward_batch(inst, acts)
         for p, r in zip(pols, batch):
             assert r == pytest.approx(average_reward(inst, p), rel=1e-12)
+
+
+def test_stationary_errors_name_the_failing_check():
+    # q = 1e-8 under T5: W0 is unreachable and lstsq puts a small negative
+    # probability on it while the residual stays at round-off
+    inst = ProblemInstance(
+        profile=ResolutionProfile((6, 15, 40), (0.7, 0.2, 1.0)),
+        econ=EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3),
+        traffic=TrafficParams(q=1e-8, a=1e-6),
+    )
+    with pytest.raises(EvaluationError, match=r"probability of W0 is -[0-9.e-]+, below -1e-12") as exc:
+        evaluate_policy(inst, uniform_policy("T5", 3))
+    assert "residual" not in str(exc.value)
+
+    # rows that do not sum to one admit no exact stationary vector
+    with pytest.raises(EvaluationError, match=r"residual [0-9.e-]+ exceeds 1e-10"):
+        stationary_distribution(np.array([[0.5, 0.2], [0.3, 0.7]]))
 
 
 def test_evaluation_export(saturated_two_attempt):

@@ -17,7 +17,8 @@ from gatekeeper import (
     verify_stationarity,
     zero_terminals,
 )
-from gatekeeper.evaluate import I0, I1, W0, W1
+from gatekeeper.evaluate import I0, I1, W0, W1, average_reward
+from gatekeeper.solve import optimal_policy
 
 from conftest import random_instance
 
@@ -29,12 +30,25 @@ def test_single_attempt_has_no_decisions(single_attempt):
     assert ev.R == pytest.approx(r / (tau1 + (1 - q) / q), rel=1e-12)
 
 
-def test_policy_iteration_matches_exhaustive_enumeration():
-    for seed in range(60):
-        inst = random_instance(seed, 2 + seed % 2)
+def test_optimiser_matches_exhaustive_enumeration():
+    cases = [(random_instance(seed, 2 + seed % 2), "all-81") for seed in range(60)]
+    cases += [(random_instance(seed, S), "table-1") for S in (4, 5) for seed in range(10)]
+    for inst, ruleset in cases:
         _, ev = solve_average_reward(inst)
-        ranked = enumerate_policies(inst, ruleset="all-81")
+        ranked = enumerate_policies(inst, ruleset=ruleset)
         assert ev.R == pytest.approx(ranked[0][1], abs=1e-9 * max(1, ev.R))
+
+    # at the edges of the (q, a) box the chain solve loses digits (or fails
+    # its round-off guard at q = 1), so the renewal route is the reference
+    for seed in range(10):
+        for q in (1e-6, 1.0):
+            for a in (1e-6, 1.0):
+                inst = random_instance(seed, 3)
+                inst = dataclasses.replace(inst, traffic=TrafficParams(q=q, a=a))
+                pol, R = optimal_policy(inst)
+                ranked = enumerate_policies(inst, ruleset="all-81")
+                assert R == pytest.approx(ranked[0][1], rel=1e-12)
+                assert average_reward(inst, pol) == R
 
 
 def test_optimum_lies_in_admissible_rules():
@@ -57,7 +71,8 @@ def test_warm_never_chosen_when_it_saves_nothing():
 
 
 class TestEnumerate:
-    def test_counts(self, saturated_two_attempt):
+    def test_counts(self, saturated_two_attempt, single_attempt):
+        assert len(enumerate_policies(single_attempt, "all-81")) == 1
         assert len(enumerate_policies(saturated_two_attempt, "all-81")) == 81
         assert len(enumerate_policies(saturated_two_attempt, "table-1")) == 11
 
@@ -122,8 +137,10 @@ class TestBackwardInduction:
         assert sol.V[1, I0] == pytest.approx(expect, rel=1e-12)
 
     def test_horizon_argmax_matches_stationary_policy(self):
-        for seed in range(15):
-            inst = random_instance(seed + 300, 3)
+        # at S = 20 (11^19 table policies) backward induction is the only check
+        cases = [random_instance(seed + 300, 3) for seed in range(15)]
+        cases += [random_instance(seed + 300, 20) for seed in range(5)]
+        for inst in cases:
             pol, ev = solve_average_reward(inst)
             sol = backward_induction(inst, 30, stationary_terminals(inst, pol, ev))
             acts = np.array([[int(a) for a in rule.actions] for rule in pol.rules])

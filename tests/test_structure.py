@@ -19,6 +19,7 @@ from gatekeeper import (
     run_heuristic_study,
     search_threshold_policies,
     solve_average_reward,
+    uniform_policy,
 )
 from gatekeeper.evaluate import I0, I1, W0, W1
 
@@ -258,15 +259,8 @@ class TestStudy:
         assert set(grid) == threshold_acts
 
         pol, r_thr = search_threshold_policies(inst)
-        assert flat([r.actions for r in pol.rules]) == flat([r.actions for r in best_thr[1].rules])
+        assert pol == best_thr[1] == uniform_policy("T5", 3)
         assert r_thr == pytest.approx(best_thr[0], rel=1e-12)
         opt, study_gap = _study_one(inst)
         assert not opt
         assert study_gap == pytest.approx(gap, rel=1e-12)
-
-    def test_parallel_merge_matches_serial(self):
-        # chunked aggregation is order-independent (sums and a max)
-        cfg = GeneratorConfig(seed=31)
-        serial = run_heuristic_study(cfg, 30, [3], jobs=1)
-        parallel = run_heuristic_study(cfg, 30, [3], jobs=2)
-        assert serial == parallel

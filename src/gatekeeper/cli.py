@@ -19,8 +19,10 @@ from . import structure, waiting_room
 from .artifacts import config_hash, fmt, write_csv, write_manifest
 from .model import (
     CONGESTION_STATES,
+    EconomicParams,
     GeneratorConfig,
     ProblemInstance,
+    ResolutionProfile,
     instance_from_json,
     policy_from_names,
     validate_instance,
@@ -40,19 +42,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_USAGE = 64
-
-SUBCOMMANDS = (
-    "solve",
-    "enumerate",
-    "stationarity",
-    "classify",
-    "wspt",
-    "threshold-study",
-    "queue-sweep",
-    "design",
-    "simulate",
-)
-
 
 class ValidationFailure(Exception):
     pass
@@ -108,15 +97,21 @@ def _run_solve(cfg: RunConfig) -> list[str]:
     ev_rows += [("G", lbl, g) for lbl, _, g in ev.state_rows()]
     write_csv(cfg.out_dir / "evaluation.csv", ("section", "key", "value"), ev_rows, comments)
 
-    cls = structure.classify_case(inst, ev.R)
+    _write_classification(cfg, inst, ev.R)
+    return ["policy.csv", "evaluation.csv", "classification.csv"]
+
+
+def _write_classification(cfg: RunConfig, inst: ProblemInstance,
+                          r_star: float) -> structure.CaseClassification:
+    cls = structure.classify_case(inst, r_star)
     th = structure.compute_thresholds(inst)
-    cls_rows = [
+    rows = [
         (qf, af, th.value(qf, af), cls.mode(qf, af), cls.case_label)
         for (qf, af) in CONGESTION_STATES
     ]
     write_csv(cfg.out_dir / "classification.csv",
-              ("Q", "A", "Rth", "preferred_mode", "case_label"), cls_rows, comments)
-    return ["policy.csv", "evaluation.csv", "classification.csv"]
+              ("Q", "A", "Rth", "preferred_mode", "case_label"), rows, _comments(cfg))
+    return cls
 
 
 def _run_enumerate(cfg: RunConfig) -> list[str]:
@@ -171,14 +166,7 @@ def _run_classify(cfg: RunConfig) -> list[str]:
         r_star = float(cfg.config["r_star"])
     else:
         r_star = solve_average_reward(inst)[1].R
-    cls = structure.classify_case(inst, r_star)
-    th = structure.compute_thresholds(inst)
-    rows = [
-        (qf, af, th.value(qf, af), cls.mode(qf, af), cls.case_label)
-        for (qf, af) in CONGESTION_STATES
-    ]
-    write_csv(cfg.out_dir / "classification.csv",
-              ("Q", "A", "Rth", "preferred_mode", "case_label"), rows, _comments(cfg))
+    cls = _write_classification(cfg, inst, r_star)
     print(f"case {cls.case_label}; admissible rules: {', '.join(cls.admissible)}")
     return ["classification.csv"]
 
@@ -221,8 +209,6 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
         raise ValidationFailure("config must contain a 'queue' object")
     spec = config["queue"]
     base = waiting_room.default_queue_model()
-    from .model import EconomicParams, ResolutionProfile
-
     model = waiting_room.QueueModel(
         N=int(spec.get("N", base.N)),
         profile=ResolutionProfile(tuple(spec.get("tau", base.profile.tau)),
@@ -276,12 +262,13 @@ def _run_design(cfg: RunConfig) -> list[str]:
     rows = [
         (res.design.k_agent, res.design.policy or "", res.design.p_succ, res.profit,
          res.q_per_agent, res.q_bot_effective, res.shares.agent, res.shares.bot_direct,
-         res.shares.balk, res.converged)
+         res.shares.balk, res.converged, res.iterations, res.residual)
         for res in search.results
     ]
     write_csv(cfg.out_dir / "design.csv",
               ("k", "policy", "p_succ", "profit", "q_agent", "q_bot",
-               "share_agent", "share_bot", "share_balk", "converged"),
+               "share_agent", "share_bot", "share_balk", "converged",
+               "iterations", "residual"),
               rows, _comments(cfg))
     best = search.best
     print(
@@ -338,6 +325,7 @@ _RUNNERS = {
     "design": _run_design,
     "simulate": _run_simulate,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def _apply_overrides(config: dict, overrides: list[str]) -> dict:

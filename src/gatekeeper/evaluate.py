@@ -135,9 +135,9 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
     return EmbeddedChain(P=P, reward=reward, duration=duration, labels=state_labels(S))
 
 
-def _unreachable_states(P: np.ndarray, labels: tuple[str, ...], start: int = I0) -> list[str]:
-    n = P.shape[0]
-    seen = np.zeros(n, dtype=bool)
+def _reachable(P: np.ndarray, start: int) -> np.ndarray:
+    """Boolean mask of the states reachable from `start`, itself included."""
+    seen = np.zeros(P.shape[0], dtype=bool)
     stack = [start]
     seen[start] = True
     while stack:
@@ -146,23 +146,44 @@ def _unreachable_states(P: np.ndarray, labels: tuple[str, ...], start: int = I0)
             if not seen[j]:
                 seen[j] = True
                 stack.append(int(j))
-    return [labels[i] for i in range(n) if not seen[i]]
+    return seen
 
 
-def stationary_distribution(P: np.ndarray, labels: Optional[tuple[str, ...]] = None) -> np.ndarray:
-    """Stationary distribution of a unichain transition matrix."""
+def _unreachable_states(P: np.ndarray, labels: tuple[str, ...], start: int = I0) -> list[str]:
+    return [lbl for lbl, ok in zip(labels, _reachable(P, start)) if not ok]
+
+
+def _lstsq_stationary(P: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares solution of pi P = pi, sum(pi) = 1, and its max residual."""
     n = P.shape[0]
     A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = np.max(np.abs(A @ pi - b))
+    return pi, float(np.max(np.abs(A @ pi - b)))
+
+
+def stationary_distribution(P: np.ndarray, labels: Optional[tuple[str, ...]] = None) -> np.ndarray:
+    """Stationary distribution of a unichain transition matrix.
+
+    Transient states can take small negative lstsq values; when that guard
+    fires, the system is solved again on the closed class (the states
+    reachable from the most probable one), and every other state gets
+    probability exactly 0.
+    """
+    lbl = labels or tuple(str(i) for i in range(P.shape[0]))
+    pi, resid = _lstsq_stationary(P)
     low = int(np.argmin(pi))
-    lbl = labels or tuple(str(i) for i in range(n))
     if resid > _RESIDUAL_TOL:
         failed = f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}"
     elif pi[low] < _MIN_PI:
         failed = f"stationary probability of {lbl[low]} is {pi[low]:.2e}, below {_MIN_PI:.0e}"
+        cls = _reachable(P, int(np.argmax(pi)))
+        sub, sub_resid = _lstsq_stationary(P[np.ix_(cls, cls)])
+        if sub_resid <= _RESIDUAL_TOL and sub.min() >= _MIN_PI:
+            pi = np.zeros_like(pi)
+            pi[cls] = np.clip(sub, 0.0, None)
+            return pi
     else:
         return np.clip(pi, 0.0, None)
     raise EvaluationError(

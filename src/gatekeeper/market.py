@@ -5,10 +5,12 @@ service, observe the announced performance of each channel (admission
 probability, transfer mix, expected time in channel) and pick the channel, or
 the outside option, maximizing expected utility.  The firm in turn picks
 staffing, a resolution policy, and a chatbot training level.  Demand and
-performance are reconciled by a damped fixed point on the per-agent arrival
-probability: the firm delivers exactly the service levels customers acted
-on.  The design optimizer scans the full (staffing x policy x training) grid
-and reports the profit surface.
+performance are reconciled by a fixed point on the per-agent arrival
+probability, found by bisection on [Q_FLOOR, 1]: the firm delivers exactly the
+service levels customers acted on, or the cell reports the jump of the
+lattice-share step function that leaves no exact fixed point.  The design
+optimizer scans the full (staffing x policy x training) grid and reports the
+profit surface.
 
 The chatbot resolves a request with probability p_succ bought through a
 convex per-period training cost a_bot * (100 p_succ)^b_bot; failures are
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluate import PerformanceMeasures, PolicyEvaluation, evaluate_policy
+from .evaluate import PerformanceMeasures, evaluate_policy
 from .model import (
     EconomicParams,
     ProblemInstance,
@@ -36,6 +38,7 @@ from .solve import solve_average_reward
 
 MIN_GRID = 100
 _Q_FLOOR = 1e-6
+_FP_TOL = 1e-6   # |F(q) - q| below which the demand fixed point has converged
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,6 @@ def compute_demand_shares(
     bot: Optional[BotChannel],
     prefs: CustomerPrefs,
     p_admit: float,
-    grid_n: Optional[int] = None,
 ) -> Shares:
     """Channel shares by deterministic midpoint-grid integration.
 
@@ -149,7 +151,7 @@ def compute_demand_shares(
     affine in the agent valuation, so each bot-valuation column reduces to a
     closed-form lattice count.
     """
-    n = grid_n if grid_n is not None else prefs.grid_n
+    n = prefs.grid_n
     if n < MIN_GRID:
         raise ValueError(f"grid resolution {n} below the minimum {MIN_GRID}")
     h = prefs.v_max / n
@@ -237,20 +239,18 @@ def solve_equilibrium(
     market: MarketParams,
     prefs: CustomerPrefs,
     bot_curve: Optional[BotChannel] = None,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    theta: float = 0.5,
-    perf_override: Optional[PerformanceMeasures] = None,
 ) -> EquilibriumResult:
-    """Self-consistent demand split for one design.
+    """Self-consistent demand split for one design, by bisection.
 
-    Iterates q -> (1-theta) q + theta * lam * share_agent(q) / k from
-    q = lam/k, damping halved whenever the update direction flips without
-    shrinking; stops when the raw update moves less than `tol`.  The bot's
-    effective demand adds blocked live-channel customers who still prefer the
-    bot over balking.  With `perf_override` the announced performance is held
-    fixed (demand then has no congestion feedback and the fixed point is
-    immediate), which is also how k_agent = 0 designs are handled.
+    At per-agent arrival probability q the announced performance sets demand
+    F(q) = clip(lam * share_agent(q) / k, Q_FLOOR, 1).  The clip makes
+    g(q) = F(q) - q nonnegative at Q_FLOOR and nonpositive at 1, so bisection
+    on that bracket, keeping g(lo) >= 0 >= g(hi), always ends: converged at
+    the first midpoint with |g| < FP_TOL, or unconverged once the bracket can
+    no longer be halved, which marks a jump of the lattice-share step function
+    with no exact fixed point; q and |g| are then those of the last midpoint.
+    The bot's effective demand adds blocked live-channel customers who still
+    prefer the bot over balking.
     """
     bot = None
     if design.p_succ > 0.0:
@@ -271,50 +271,38 @@ def solve_equilibrium(
         )
 
     k = design.k_agent
-    q = min(max(market.lam / k, _Q_FLOOR), 1.0)
-    if perf_override is not None:
-        theta = 1.0
-    policy: Optional[StationaryPolicy] = None
-    ev: Optional[PolicyEvaluation] = None
-    shares = None
-    residual = np.inf
-    prev_delta = None
-    converged = False
+    lo, hi = _Q_FLOOR, 1.0
     iters = 0
-    for iters in range(1, max_iter + 1):
+    while True:
+        q = 0.5 * (lo + hi)
+        iters += 1
         inst = template.with_q(q)
-        if perf_override is None:
-            if design.policy == "OPT":
-                policy, ev = solve_average_reward(inst)
-            else:
-                policy = uniform_policy(design.policy, inst.S)
-                ev = evaluate_policy(inst, policy)
-            perf = ev.perf
+        if design.policy == "OPT":
+            policy, ev = solve_average_reward(inst)
         else:
-            perf = perf_override
-        shares = compute_demand_shares(perf, bot, prefs, perf.p_admit)
-        q_new = min(max(market.lam * shares.agent / k, _Q_FLOOR), 1.0)
-        delta = q_new - q
-        residual = abs(delta)
-        if residual < tol:
-            converged = True
+            policy = uniform_policy(design.policy, inst.S)
+            ev = evaluate_policy(inst, policy)
+        shares = compute_demand_shares(ev.perf, bot, prefs, ev.perf.p_admit)
+        g = min(max(market.lam * shares.agent / k, _Q_FLOOR), 1.0) - q
+        if abs(g) < _FP_TOL:
             break
-        if prev_delta is not None and delta * prev_delta < 0 and abs(delta) >= abs(prev_delta):
-            theta = max(theta / 2, 1 / 16)
-        prev_delta = delta
-        q = (1 - theta) * q + theta * q_new
+        if g > 0:
+            lo = q
+        else:
+            hi = q
+        if not lo < 0.5 * (lo + hi) < hi:
+            break
 
-    perf = perf_override if perf_override is not None else ev.perf
-    agent_reward = ev.R if ev is not None else 0.0
+    perf = ev.perf
     q_bot = market.lam * (
         shares.bot_direct + shares.agent * (1 - perf.p_admit) * shares.fallback_fraction
     )
-    profit, parts = _profit(k, agent_reward, wage, q_bot, bot, template.econ)
+    profit, parts = _profit(k, ev.R, wage, q_bot, bot, template.econ)
     return EquilibriumResult(
         design=design, q_per_agent=q, q_bot_effective=q_bot, shares=shares,
         perf=perf, policy=policy,
-        agent_reward=agent_reward, profit=profit, profit_parts=parts,
-        converged=converged, iterations=iters, residual=residual,
+        agent_reward=ev.R, profit=profit, profit_parts=parts,
+        converged=abs(g) < _FP_TOL, iterations=iters, residual=abs(g),
     )
 
 
@@ -354,25 +342,22 @@ def optimize_design(
     prefs: CustomerPrefs,
     bot_curve: BotChannel,
     wage: Optional[float] = None,
-    policies: Optional[list[str]] = None,
 ) -> DesignSearch:
     """Profit over the full staffing x policy x training grid, ranked.
 
     The policy grid holds every admissible decision rule applied uniformly
     across attempts plus "OPT", which re-solves the optimal stationary policy
-    at each demand iterate.  p_succ = 0 means the bot channel is absent.
+    at each bisection midpoint.  p_succ = 0 means the bot channel is absent.
     Cells are independent; ranking ties break on the (k, policy, p_succ) key.
     """
     if wage is not None:
         template = replace(template, econ=replace(template.econ, c_wage=wage))
-    if policies is None:
-        policies = list(rules_table()) + ["OPT"]
+    policies: list[Optional[str]] = list(rules_table()) + ["OPT"]
     p_values = [0.0] + [p for p in market.p_grid if p > 0.0]
 
     results = []
     for k in range(0, market.k_max + 1):
-        labels: list[Optional[str]] = [None] if k == 0 else list(policies)
-        for label in labels:
+        for label in [None] if k == 0 else policies:
             for p in p_values:
                 design = DesignPoint(k_agent=k, policy=label, p_succ=p)
                 results.append(solve_equilibrium(template, design, market, prefs, bot_curve))

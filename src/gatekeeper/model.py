@@ -83,7 +83,6 @@ def _build_rules_table() -> dict[str, DecisionRule]:
 
 
 _RULES = _build_rules_table()
-RULE_LABELS: tuple[str, ...] = tuple(_RULES)  # C first, T5 last (quality order)
 _RULE_BY_LETTERS = {r.letters: r for r in _RULES.values()}
 
 
@@ -95,10 +94,6 @@ def rules_table() -> dict[str, DecisionRule]:
     last.
     """
     return dict(_RULES)
-
-
-def rule_quality_index(label: str) -> int:
-    return RULE_LABELS.index(label)
 
 
 def dominance_admissible(rule: DecisionRule) -> bool:

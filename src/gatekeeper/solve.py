@@ -133,7 +133,10 @@ def enumerate_policies(
     combos, acts = policy_grid(rules, S)
     R = average_reward_batch(inst, acts)
 
-    order = sorted(range(n_pol), key=lambda i: (-R[i], tuple(rules[j].name for j in combos[i])))
+    names = [rule.name for rule in rules]
+    name_rank = np.argsort(sorted(range(len(rules)), key=names.__getitem__))
+    # lexsort's last key is the primary one: -R, then the rule names by attempt
+    order = np.lexsort(tuple(name_rank[combos[:, x]] for x in reversed(range(S - 1))) + (-R,))
     return [
         (StationaryPolicy(tuple(rules[j] for j in combos[i])), float(R[i]))
         for i in order

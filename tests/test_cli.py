@@ -148,6 +148,7 @@ def test_design_smoke(tmp_path, capsys):
     assert "best design" in capsys.readouterr().out
     lines = [l for l in (out / "design.csv").read_text().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("k,policy,p_succ,profit")
+    assert lines[0].endswith(",converged,iterations,residual")
     assert len(lines) == 1 + 2 + 12 * 2  # k=0 x {0,0.3} plus k=1 x 12 policies x 2
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from gatekeeper import (
     default_design_instance,
     optimize_design,
     solve_equilibrium,
+    uniform_policy,
 )
-from gatekeeper.evaluate import PerformanceMeasures
+from gatekeeper.evaluate import PerformanceMeasures, evaluate_policy
 from gatekeeper.market import agent_service_cost
 
 
@@ -69,15 +72,15 @@ class TestDemandShares:
 
     def test_matches_dense_grid_reference(self):
         # column counting must reproduce the literal two-dimensional lattice
-        prefs = CustomerPrefs()
+        prefs = CustomerPrefs(grid_n=250)
         rng = np.random.default_rng(11)
         for _ in range(25):
             p_admit = rng.uniform(0.05, 1.0)
             outcome = rng.dirichlet([1, 1, 1])
             perf = PerformanceMeasures(0.1, p_admit, *outcome, rng.uniform(1, 30))
             bot = None if rng.random() < 0.25 else BotChannel(rng.uniform(0, 0.95), rng.uniform(1, 10))
-            n = 250
-            shares = compute_demand_shares(perf, bot, prefs, p_admit, grid_n=n)
+            n = prefs.grid_n
+            shares = compute_demand_shares(perf, bot, prefs, p_admit)
             h = prefs.v_max / n
             v = (np.arange(n) + 0.5) * h
             if bot is None:
@@ -108,7 +111,7 @@ class TestDemandShares:
 
     def test_grid_floor_enforced(self):
         with pytest.raises(ValueError):
-            compute_demand_shares(perfect_agent_perf(), None, CustomerPrefs(), 1.0, grid_n=10)
+            compute_demand_shares(perfect_agent_perf(), None, CustomerPrefs(grid_n=10), 1.0)
 
     def test_blocked_never_choose_agent(self):
         shares = compute_demand_shares(perfect_agent_perf(), BotChannel(0.5, 6.0),
@@ -131,14 +134,6 @@ class TestEquilibrium:
         assert res.q_bot_effective == pytest.approx(0.9 * res.shares.bot_direct)
         assert res.profit_parts["bot_training"] > 0
 
-    def test_congestion_free_demand_converges_immediately(self):
-        res = solve_equilibrium(
-            default_design_instance(), DesignPoint(2, "T5", 0.0), MarketParams(),
-            CustomerPrefs(), perf_override=perfect_agent_perf(),
-        )
-        assert res.converged
-        assert res.iterations <= 2
-
     def test_hybrid_equilibrium_converges_and_is_consistent(self):
         market = MarketParams()
         prefs = CustomerPrefs()
@@ -150,6 +145,21 @@ class TestEquilibrium:
                                        prefs, res.perf.p_admit)
         q_back = market.lam * shares.agent / 2
         assert q_back == pytest.approx(res.q_per_agent, abs=1e-5)
+
+    def test_jump_ends_unconverged_at_a_sign_change(self):
+        inst, market, prefs = default_design_instance(), MarketParams(), CustomerPrefs()
+        res = solve_equilibrium(inst, DesignPoint(1, "C", 0.0), market, prefs)
+        assert not res.converged
+        assert res.iterations <= 60
+
+        def g(q):
+            perf = evaluate_policy(inst.with_q(q), uniform_policy("C", inst.S)).perf
+            share = compute_demand_shares(perf, None, prefs, perf.p_admit).agent
+            return min(max(market.lam * share, 1e-6), 1.0) - q
+
+        q = res.q_per_agent
+        assert g(q - 1e-9) > 0 > g(q + 1e-9)
+        assert res.residual == pytest.approx(abs(g(q)), rel=1e-12)
 
     def test_design_point_invariants(self):
         with pytest.raises(ValueError):
@@ -174,6 +184,19 @@ class TestOptimizeDesign:
         assert len(search.results) == 3 + 2 * 12 * 3
         profits = [r.profit for r in search.results]
         assert profits == sorted(profits, reverse=True)
+
+    def test_converged_cells_are_fixed_points(self):
+        market, prefs = MarketParams(k_max=2, p_grid=(0.3, 0.6)), CustomerPrefs()
+        curve = BotChannel(0.0, 6.0, 9e-5, 2.6)
+        search = optimize_design(default_design_instance(), market, prefs, curve)
+        for res in search.results:
+            assert res.iterations <= 60
+            k, p = res.design.k_agent, res.design.p_succ
+            if k == 0 or not res.converged:
+                continue
+            bot = replace(curve, p_succ=p) if p > 0 else None
+            share = compute_demand_shares(res.perf, bot, prefs, res.perf.p_admit).agent
+            assert abs(min(max(market.lam * share / k, 1e-6), 1.0) - res.q_per_agent) < 1e-6
 
     def test_cell_lookup(self):
         market = MarketParams(k_max=1, p_grid=(0.4,))

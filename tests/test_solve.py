@@ -38,15 +38,19 @@ def test_optimiser_matches_exhaustive_enumeration():
         ranked = enumerate_policies(inst, ruleset=ruleset)
         assert ev.R == pytest.approx(ranked[0][1], abs=1e-9 * max(1, ev.R))
 
-    # at the edges of the (q, a) box the chain solve loses digits (or fails
-    # its round-off guard at q = 1), so the renewal route is the reference
+    # at q = 1e-6 the chain solve loses digits, so the renewal route is the
+    # reference there; at q = 1 the chain route agrees to 1e-9
     for seed in range(10):
         for q in (1e-6, 1.0):
             for a in (1e-6, 1.0):
                 inst = random_instance(seed, 3)
                 inst = dataclasses.replace(inst, traffic=TrafficParams(q=q, a=a))
-                pol, R = optimal_policy(inst)
                 ranked = enumerate_policies(inst, ruleset="all-81")
+                if q == 1.0:
+                    _, ev = solve_average_reward(inst)
+                    assert ev.R == pytest.approx(ranked[0][1], abs=1e-9 * max(1, ev.R))
+                    continue
+                pol, R = optimal_policy(inst)
                 assert R == pytest.approx(ranked[0][1], rel=1e-12)
                 assert average_reward(inst, pol) == R
 
@@ -85,6 +89,18 @@ class TestEnumerate:
         ranked = enumerate_policies(inst, "table-1")
         values = [r for _, r in ranked]
         assert values == sorted(values, reverse=True)
+
+    def test_exact_ties_rank_by_rule_names(self):
+        # rho_1 = 1: attempt 1 always resolves, so all 81 rules tie exactly
+        inst = ProblemInstance(
+            profile=ResolutionProfile((4, 9), (1.0, 1.0)),
+            econ=EconomicParams(r=20.0, c_w=3.0, c_c=6.0, tau_w=2),
+            traffic=TrafficParams(q=0.4, a=0.6),
+        )
+        ranked = enumerate_policies(inst, "all-81")
+        assert len({R for _, R in ranked}) == 1
+        names = [pol.names for pol, _ in ranked]
+        assert len(names) == 81 and names == sorted(names)
 
     def test_cap_refusal_names_requirement(self):
         inst = random_instance(4, 4)

@@ -153,39 +153,52 @@ def _unreachable_states(P: np.ndarray, labels: tuple[str, ...], start: int = I0)
     return [lbl for lbl, ok in zip(labels, _reachable(P, start)) if not ok]
 
 
-def _lstsq_stationary(P: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares solution of pi P = pi, sum(pi) = 1, and its max residual."""
+def _solve_stationary(P: np.ndarray) -> tuple[Optional[np.ndarray], str]:
+    """pi P = pi, sum(pi) = 1 by one LU solve, and the check that failed ("" if none).
+
+    The balance matrix is P's off-diagonal part, transposed, with minus each
+    row's off-diagonal sum on the diagonal, so a state left with probability
+    q keeps exactly q, not (1 - q) - 1; sum(pi) = 1 replaces its last
+    equation.  The residual is taken on P itself.
+    """
     n = P.shape[0]
-    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
+    A = P.T.copy()
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=0))
+    A[-1] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return pi, float(np.max(np.abs(A @ pi - b)))
+    try:
+        pi = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return None, "singular balance matrix (more than one closed class)"
+    resid = max(float(np.max(np.abs(pi @ P - pi))), abs(float(pi.sum()) - 1.0))
+    if resid > _RESIDUAL_TOL:
+        return pi, f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}"
+    return pi, ""
 
 
 def stationary_distribution(P: np.ndarray, labels: Optional[tuple[str, ...]] = None) -> np.ndarray:
     """Stationary distribution of a unichain transition matrix.
 
-    Transient states can take small negative lstsq values; when that guard
-    fires, the system is solved again on the closed class (the states
-    reachable from the most probable one), and every other state gets
-    probability exactly 0.
+    Transient states can take small negative values; when that guard fires,
+    the system is solved again on the closed class (the states reachable
+    from the most probable one), and every other state gets probability
+    exactly 0.
     """
     lbl = labels or tuple(str(i) for i in range(P.shape[0]))
-    pi, resid = _lstsq_stationary(P)
-    low = int(np.argmin(pi))
-    if resid > _RESIDUAL_TOL:
-        failed = f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}"
-    elif pi[low] < _MIN_PI:
+    pi, failed = _solve_stationary(P)
+    if not failed:
+        low = int(np.argmin(pi))
+        if pi[low] >= _MIN_PI:
+            return np.clip(pi, 0.0, None)
         failed = f"stationary probability of {lbl[low]} is {pi[low]:.2e}, below {_MIN_PI:.0e}"
         cls = _reachable(P, int(np.argmax(pi)))
-        sub, sub_resid = _lstsq_stationary(P[np.ix_(cls, cls)])
-        if sub_resid <= _RESIDUAL_TOL and sub.min() >= _MIN_PI:
+        sub, sub_failed = _solve_stationary(P[np.ix_(cls, cls)])
+        if not sub_failed and sub.min() >= _MIN_PI:
             pi = np.zeros_like(pi)
             pi[cls] = np.clip(sub, 0.0, None)
             return pi
-    else:
-        return np.clip(pi, 0.0, None)
     raise EvaluationError(
         f"{failed}; states unreachable from {lbl[I0]}: {_unreachable_states(P, lbl)}"
     )

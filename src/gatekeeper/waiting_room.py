@@ -171,30 +171,30 @@ class QueueEvaluation:
     resolve_rate: float
 
 
-def evaluate_queue_policy(model: QueueModel, pol: QueuePolicy) -> QueueEvaluation:
-    """Stationary per-period profit and rates of one admissible policy."""
+def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """States, transition matrices and rates of a period with (index 1) and
+    without (index 0) an arrival; the chain at q is q P[1] + (1 - q) P[0].
+
+    The rate rows follow QueueEvaluation: reward, admissions, transfers,
+    blocked arrivals and resolutions per period.
+    """
     bad = validate_queue_model(model)
     if bad:
         raise ValueError("invalid queue model: " + "; ".join(bad))
     _check_policy(model, pol)
-    states = queue_states(model)
+    states = tuple(queue_states(model))
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
-    q, r, c_c = model.q, model.econ.r, model.econ.c_c
+    r, c_c = model.econ.r, model.econ.c_c
     rho1, tau1, tau2 = model.rho1, model.tau1, model.tau2
-
-    P = np.zeros((n, n))
-    reward = np.zeros(n)
-    admit = np.zeros(n)
-    transfer = np.zeros(n)
-    block = np.zeros(n)
-    resolve = np.zeros(n)
+    P = np.zeros((2, n, n))
+    rates = np.zeros((2, 5, n))
 
     def apply(i: int, p: float, activity: tuple, n_wait: int, arrival: bool,
               rew: float, res: int, tra: int) -> None:
+        branch = int(arrival)   # fixed before the arrival is consumed below
         adm = blk = 0
-        free = activity == IDLE
-        if free:
+        if activity == IDLE:
             if n_wait > 0:
                 n_wait -= 1
                 activity = _start_service(tau1, 1)
@@ -208,52 +208,51 @@ def evaluate_queue_policy(model: QueueModel, pol: QueuePolicy) -> QueueEvaluatio
                 adm = 1
             else:
                 blk = 1
-        P[i, index[(activity, n_wait)]] += p
-        reward[i] += p * rew
-        admit[i] += p * adm
-        transfer[i] += p * tra
-        block[i] += p * blk
-        resolve[i] += p * res
+        P[branch, i, index[(activity, n_wait)]] += p
+        rates[branch, :, i] += p * np.array([rew, adm, tra, blk, res])
 
     for i, (activity, n_wait) in enumerate(states):
-        for arrival, p_arr in ((True, q), (False, 1 - q)):
-            if p_arr == 0.0:
-                continue
+        for arrival in (True, False):
             if activity == IDLE:
-                apply(i, p_arr, IDLE, n_wait, arrival, 0.0, 0, 0)
+                apply(i, 1.0, IDLE, n_wait, arrival, 0.0, 0, 0)
             elif activity[0] == "pend" and activity[1] == 1:
                 if rho1 > 0:
-                    apply(i, p_arr * rho1, IDLE, n_wait, arrival, r, 1, 0)
+                    apply(i, rho1, IDLE, n_wait, arrival, r, 1, 0)
                 if rho1 < 1:
                     q_obs = n_wait + (1 if arrival else 0)
                     if pol.transfers(q_obs):
-                        apply(i, p_arr * (1 - rho1), IDLE, n_wait, arrival, r - c_c, 0, 1)
+                        apply(i, 1 - rho1, IDLE, n_wait, arrival, r - c_c, 0, 1)
                     else:
-                        apply(i, p_arr * (1 - rho1), _start_service(tau2, 2), n_wait,
+                        apply(i, 1 - rho1, _start_service(tau2, 2), n_wait,
                               arrival, 0.0, 0, 0)
             elif activity[0] == "pend":
-                apply(i, p_arr, IDLE, n_wait, arrival, r, 1, 0)
+                apply(i, 1.0, IDLE, n_wait, arrival, r, 1, 0)
             else:
                 _, k, j = activity
                 nxt = ("pend", k) if j == 1 else ("busy", k, j - 1)
-                apply(i, p_arr, nxt, n_wait, arrival, 0.0, 0, 0)
+                apply(i, 1.0, nxt, n_wait, arrival, 0.0, 0, 0)
+    return states, P, rates
 
-    if q == 0.0:
-        pi = np.zeros(n)
-        pi[index[(IDLE, 0)]] = 1.0
-    else:
-        labels = tuple(f"{act}/{w}" for act, w in states)
-        pi = stationary_distribution(P, labels)
 
-    return QueueEvaluation(
-        pi=pi,
-        states=tuple(states),
-        profit=float(pi @ reward),
-        throughput=float(pi @ admit),
-        transfer_rate=float(pi @ transfer),
-        blocking_rate=float(pi @ block),
-        resolve_rate=float(pi @ resolve),
-    )
+def _evaluate_on_grid(model: QueueModel, pol: QueuePolicy,
+                      q_grid: tuple[float, ...]) -> list[QueueEvaluation]:
+    """One policy's evaluations across q, from one assembly of its branches."""
+    states, P, rates = _branch_chains(model, pol)
+    labels = tuple(f"{act}/{w}" for act, w in states)
+    out = []
+    for q in q_grid:
+        if q == 0.0:
+            pi = np.zeros(len(states))
+            pi[states.index((IDLE, 0))] = 1.0
+        else:
+            pi = stationary_distribution(q * P[1] + (1 - q) * P[0], labels)
+        out.append(QueueEvaluation(pi, states, *((q * rates[1] + (1 - q) * rates[0]) @ pi).tolist()))
+    return out
+
+
+def evaluate_queue_policy(model: QueueModel, pol: QueuePolicy) -> QueueEvaluation:
+    """Stationary per-period profit and rates of one admissible policy."""
+    return _evaluate_on_grid(model, pol, (model.q,))[0]
 
 
 @dataclass(frozen=True)
@@ -273,27 +272,14 @@ def sweep_queue_policies(model: QueueModel, q_grid: Iterable[float]) -> SweepRes
     if any(not 0.0 < v <= 1.0 for v in grid):
         raise ValueError("q_grid values must lie in (0, 1]")
     pols = admissible_queue_policies(model)
-    profit = np.zeros((len(pols), len(grid)))
-    records = []
-    for pi_, pol in enumerate(pols):
-        for qi, qv in enumerate(grid):
-            ev = evaluate_queue_policy(
-                QueueModel(N=model.N, profile=model.profile, econ=model.econ, q=qv), pol
-            )
-            profit[pi_, qi] = ev.profit
-            records.append(
-                {
-                    "policy": pol.label,
-                    "q": qv,
-                    "profit": ev.profit,
-                    "throughput": ev.throughput,
-                    "transfer_rate": ev.transfer_rate,
-                    "blocking_rate": ev.blocking_rate,
-                }
-            )
+    records = tuple(
+        {"policy": pol.label, "q": qv, "profit": ev.profit, "throughput": ev.throughput,
+         "transfer_rate": ev.transfer_rate, "blocking_rate": ev.blocking_rate}
+        for pol in pols for qv, ev in zip(grid, _evaluate_on_grid(model, pol, grid))
+    )
     return SweepResult(
         policies=tuple(p.label for p in pols),
         q_grid=grid,
-        profit=profit,
-        records=tuple(records),
+        profit=np.array([rec["profit"] for rec in records]).reshape(len(pols), len(grid)),
+        records=records,
     )

@@ -154,8 +154,7 @@ class TestEvaluateProperties:
 
 
 def test_stationary_errors_name_the_failing_check():
-    # q = 1e-8 under T5: W0 is unreachable and lstsq puts a small negative
-    # probability on it; the re-solve on the closed class gives it exactly 0
+    # q = 1e-8 under T5: W0 is unreachable and gets probability exactly 0
     inst = ProblemInstance(
         profile=ResolutionProfile((6, 15, 40), (0.7, 0.2, 1.0)),
         econ=EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3),
@@ -164,11 +163,36 @@ def test_stationary_errors_name_the_failing_check():
     pol = uniform_policy("T5", 3)
     ev = evaluate_policy(inst, pol)
     assert ev.pi[W0] == 0.0
-    assert ev.R == pytest.approx(average_reward(inst, pol), rel=8.2e-9)
+    assert ev.R == pytest.approx(average_reward(inst, pol), rel=1e-12, abs=0.0)
 
     # rows that do not sum to one admit no exact stationary vector
     with pytest.raises(EvaluationError, match=r"residual [0-9.e-]+ exceeds 1e-10"):
         stationary_distribution(np.array([[0.5, 0.2], [0.3, 0.7]]))
+
+
+def test_stationary_keeps_a_small_exit_probability_exact():
+    # the balance matrix takes -q from the off-diagonal row sum, not (1 - q) - 1
+    q = 1e-12
+    pi = stationary_distribution(np.array([[1 - q, q], [1.0, 0.0]]))
+    assert pi == pytest.approx([1 / (1 + q), q / (1 + q)], rel=1e-15, abs=0.0)
+
+
+def test_two_closed_classes_make_a_singular_balance_matrix():
+    with pytest.raises(EvaluationError, match="singular balance matrix"):
+        stationary_distribution(np.eye(2))
+
+
+@pytest.mark.parametrize("q,a", [(1e-8, 0.5), (1.0, 1e-8), (1e-8, 1e-8)])
+@pytest.mark.parametrize("S", [2, 3, 4])
+def test_chain_matches_renewal_at_traffic_edges(S, q, a):
+    # abs=0: R is near 1e-7 at q = 1e-8, where approx's default abs=1e-12
+    # would allow a relative error of 1e-5
+    for seed in range(5):
+        inst = dataclasses.replace(random_instance(seed, S), traffic=TrafficParams(q=q, a=a))
+        for rule in ("T5", "H4", "C"):
+            pol = uniform_policy(rule, S)
+            R = evaluate_policy(inst, pol).R
+            assert R == pytest.approx(average_reward(inst, pol), rel=1e-12, abs=0.0), (seed, rule)
 
 
 def test_evaluation_export(saturated_two_attempt):

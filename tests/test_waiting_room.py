@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from gatekeeper import (
 from gatekeeper.waiting_room import queue_policy_from_label, validate_queue_model
 
 GRID = [round(0.05 * i, 2) for i in range(1, 21)]
+RECORDED_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "expected" / "sweep.csv"
 
 
 def test_model_validation():
@@ -123,6 +128,21 @@ class TestSweep:
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
             sweep_queue_policies(default_queue_model(), [0.0, 0.5])
+
+    def test_canonical_sweep_matches_recorded_profits(self):
+        # the queue-sweep CLI output for N = 6 over q = 0.01..1.00, as recorded
+        with open(RECORDED_SWEEP, encoding="utf-8", newline="") as fh:
+            want = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        model = default_queue_model(N=6)
+        sweep = sweep_queue_policies(model, [round(0.01 * i, 10) for i in range(1, 101)])
+        assert len(sweep.records) == len(want) == 800
+        for rec, row in zip(sweep.records, want):
+            assert (rec["policy"], rec["q"]) == (row["policy"], float(row["q"]))
+            assert rec["profit"] == pytest.approx(float(row["profit"]), abs=1e-9)
+            ev = evaluate_queue_policy(dataclasses.replace(model, q=rec["q"]),
+                                       queue_policy_from_label(rec["policy"]))
+            assert (rec["profit"], rec["throughput"], rec["transfer_rate"], rec["blocking_rate"]) == (
+                ev.profit, ev.throughput, ev.transfer_rate, ev.blocking_rate)
 
     def test_records_match_matrix(self):
         sweep = sweep_queue_policies(default_queue_model(N=2), [0.2, 0.5])

@@ -58,7 +58,6 @@ from .solve import (
 from .structure import (
     CaseClassification,
     StudyReport,
-    ThresholdPolicy,
     TransferThresholds,
     WsptCheck,
     check_wspt,

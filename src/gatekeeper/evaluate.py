@@ -12,7 +12,7 @@ anchored at G(I0) = 0 give the relative state values G.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +51,8 @@ def state_labels(S: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def congestion_probs(inst: ProblemInstance) -> np.ndarray:
+def congestion_probs(q: float, a: float) -> np.ndarray:
     """Fresh-draw probabilities of the four (Q, A) states, canonical order."""
-    q, a = inst.traffic.q, inst.traffic.a
     return np.array([(1 - q) * (1 - a), q * (1 - a), (1 - q) * a, q * a])
 
 
@@ -86,7 +85,7 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
     q, a = inst.traffic.q, inst.traffic.a
     tau, rho = inst.profile.tau, inst.profile.rho
     r, c_w, c_c, tau_w = inst.econ.r, inst.econ.c_w, inst.econ.c_c, inst.econ.tau_w
-    p_qa = congestion_probs(inst)
+    p_qa = congestion_probs(q, a)
 
     n = n_states(S)
     P = np.zeros((n, n))
@@ -326,10 +325,9 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
 # Fast renewal-cycle evaluator.
 #
 # Anchoring cycles at entries into I1 gives a closed recursion over attempts:
-# starting attempt X earns expected reward W_X and consumes expected time D_X
-# until the next admission, with transfers and resolutions followed by a
-# geometric idle tail.  R = W_1 / D_1 exactly equals the chain ratio above;
-# it is used for bulk policy enumeration where full evaluations would be slow.
+# starting attempt X earns expected reward W_X in expected time D_X until the
+# next admission.  R = W_1 / D_1 exactly equals the chain ratio above; it
+# serves the optimisers and bulk enumeration, where chains would be slow.
 # ---------------------------------------------------------------------------
 
 def policy_actions(pol: StationaryPolicy) -> np.ndarray:
@@ -337,45 +335,65 @@ def policy_actions(pol: StationaryPolicy) -> np.ndarray:
     return np.array([[int(act) for act in rule.actions] for rule in pol.rules], dtype=np.int8)
 
 
-def renewal_times(inst: ProblemInstance) -> tuple[float, np.ndarray, np.ndarray]:
-    """Expected periods to the next admission: after a release, and per
-    observed (Q, A) after a warm and after a cold transfer."""
-    q, a = inst.traffic.q, inst.traffic.a
-    idle_tail = (1 - q) / q                       # E[idle periods after release]
-    idle_by_state = np.array([1 / q, 0.0, 1 / q, 0.0])   # given observed Q
-    warm_by_state = np.array([1 / a, 1 / a, 0.0, 0.0]) + inst.econ.tau_w + idle_tail
-    return idle_tail, warm_by_state, idle_by_state
+class RenewalTerms(NamedTuple):
+    """Renewal-recursion inputs of N instances with one S, instance axis last:
+    (W, D) of attempt x's own part (rho_x r, tau_x + rho_x E[idle]) and of a
+    warm / cold transfer per observed (Q, A); fail[x-1] = (1 - rho_x) p(Q, A)."""
+
+    r_never: np.ndarray   # (N,) average reward of never transferring
+    head: np.ndarray      # (S, 2, N)
+    fail: np.ndarray      # (S, 4, N)
+    trans: np.ndarray     # (2, 2, 4, N): W/D, warm/cold, (Q, A), instance
+
+
+def renewal_terms(insts: Sequence[ProblemInstance]) -> RenewalTerms:
+    """Validated inputs of instances with one S, each instance's in Python
+    floats: the same IEEE operations, bit for bit, as on arrays."""
+    S, rows = insts[0].S, []
+    for inst in insts:
+        bad = validate_instance(inst) or ([] if inst.S == S else [f"S = {inst.S} in a block of S = {S}"])
+        if bad:
+            raise ValueError("invalid instance: " + "; ".join(bad))
+        tau, rho, econ = inst.profile.tau, inst.profile.rho, inst.econ
+        q, a = inst.traffic.q, inst.traffic.a
+        idle = (1 - q) / q                       # E[idle periods after release]
+        head = [(rho_x * econ.r, tau_x + rho_x * idle) for tau_x, rho_x in zip(tau, rho)]
+        d_never = 0.0
+        for (_, d_x), rho_x in zip(reversed(head), reversed(rho)):
+            d_never = d_x + (1 - rho_x) * d_never
+        p = congestion_probs(q, a).tolist()
+        rows.append([
+            econ.r / d_never, *(v for pair in head for v in pair),
+            *((1 - rho_x) * p_j for rho_x in rho for p_j in p),
+            *[econ.r - econ.c_w] * 4, *[econ.r - econ.c_c] * 4,
+            *[1 / a + econ.tau_w + idle] * 2, *[econ.tau_w + idle] * 2,   # warm, given A
+            1 / q, 0.0, 1 / q, 0.0,                                       # cold, given Q
+        ])
+    cols = np.ascontiguousarray(np.array(rows).T)
+    N, k = len(rows), 1 + 2 * S
+    return RenewalTerms(cols[0], cols[1:k].reshape(S, 2, N), cols[k:k + 4 * S].reshape(S, 4, N),
+                        cols[k + 4 * S:].reshape(2, 2, 4, N))
+
+
+def renewal_step(head, fail, cont, nxt, trans) -> np.ndarray:
+    """(W, D) from an attempt's start: head + sum_j fail_j (nxt if cont_j else trans_j),
+    summed in state order without BLAS, so no lane depends on the others."""
+    return head + np.add.accumulate(np.where(cont, nxt[:, None], trans) * fail, axis=1)[:, 3]
 
 
 def average_reward_batch(inst: ProblemInstance, actions: np.ndarray) -> np.ndarray:
     """Average reward for a batch of policies given as an (P, S-1, 4) action array."""
-    S = inst.S
-    if actions.ndim != 3 or actions.shape[1] != S - 1 or actions.shape[2] != 4:
-        raise ValueError(f"actions array must have shape (n, {S - 1}, 4)")
-    tau, rho = inst.profile.tau, inst.profile.rho
-    r, c_w, c_c = inst.econ.r, inst.econ.c_w, inst.econ.c_c
-    p_qa = congestion_probs(inst)
-    idle_tail, warm_by_state, idle_by_state = renewal_times(inst)
-
-    n_pol = actions.shape[0]
-    W = np.full(n_pol, r)
-    D = np.full(n_pol, tau[S - 1] + idle_tail, dtype=float)
-    for x in range(S - 1, 0, -1):
-        act = actions[:, x - 1, :]
-        w_act = np.where(act == 0, W[:, None], np.where(act == 1, r - c_w, r - c_c))
-        d_act = np.where(act == 0, D[:, None],
-                         np.where(act == 1, warm_by_state[None, :], idle_by_state[None, :]))
-        p_fail = 1 - rho[x - 1]
-        W = rho[x - 1] * r + p_fail * (w_act @ p_qa)
-        D = tau[x - 1] + rho[x - 1] * idle_tail + p_fail * (d_act @ p_qa)
-    return W / D
+    if actions.ndim != 3 or actions.shape[1:] != (inst.S - 1, 4):
+        raise ValueError(f"actions array must have shape (n, {inst.S - 1}, 4)")
+    t = renewal_terms([inst])
+    WD = np.repeat(t.head[-1], actions.shape[0], axis=1)
+    for act, head, fail in zip(actions.transpose(1, 2, 0)[::-1], t.head[-2::-1], t.fail[-2::-1]):
+        trans = np.where(act == Action.WARM, t.trans[:, 0], t.trans[:, 1])
+        WD = renewal_step(head, fail, act == Action.CONTINUE, WD, trans)
+    return WD[0] / WD[1]
 
 
 def average_reward(inst: ProblemInstance, pol: StationaryPolicy) -> float:
     """Scalar renewal-cycle average reward of one policy."""
     _check_policy(inst, pol)
-    if inst.S == 1:
-        acts = np.zeros((1, 0, 4), dtype=np.int8)
-    else:
-        acts = policy_actions(pol)[None, :, :]
-    return float(average_reward_batch(inst, acts)[0])
+    return float(average_reward_batch(inst, policy_actions(pol).reshape(1, -1, 4))[0])

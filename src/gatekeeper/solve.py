@@ -1,8 +1,9 @@
 """Optimal stationary policies and the finite-horizon recursion.
 
-Dinkelbach's ratio iteration over a backward dynamic program on the renewal
-recursion finds the policy with the largest long-run average reward R*.  Its
-exact chain evaluation gives R* and the relative values G, which also provide
+Dinkelbach's ratio iteration over a backward DP on the renewal recursion
+finds, for a block of instances at once, the stationary (or threshold)
+policy with the largest long-run average reward R*.  Its exact chain
+evaluation gives R* and the relative values G, which also provide
 horizon-closing terminal values, affine in R*, under which the
 finite-horizon optimal action at every decision node is the stationary one
 for all t: the shift effectively hands unfinished work to the next shift at a
@@ -11,7 +12,7 @@ oracle.
 """
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,12 +24,14 @@ from .evaluate import (
     W0,
     W1,
     PolicyEvaluation,
+    RenewalTerms,
     average_reward_batch,
     c_index,
     congestion_probs,
     evaluate_policy,
     n_states,
-    renewal_times,
+    renewal_step,
+    renewal_terms,
     state_labels,
 )
 from .model import (
@@ -47,47 +50,78 @@ class EnumerationCapError(RuntimeError):
     """Raised when an exhaustive enumeration would exceed the configured cap."""
 
 
-def optimal_policy(inst: ProblemInstance) -> tuple[StationaryPolicy, float]:
-    """Optimal stationary policy and its average reward, by Dinkelbach's iteration.
+_MEMBER = (np.arange(16) >> np.arange(4)[:, None]) & 1 == 1   # [j, C]: state j in set C
 
-    R = W_1 / D_1, where W_x and D_x are the expected reward and periods from
-    the start of attempt x to the next admission (see `average_reward_batch`).
-    At a fixed R, W_1 - R D_1 separates over attempts, so one backward pass
-    maximizes it by taking, in every congestion state, the first maximum of
-    continue / warm / cold on W - R D; the pass also accumulates W and D of
-    the chosen actions, whose ratio is the next R.  From R = 0 the ratio rises
-    strictly until the chosen actions repeat (Dinkelbach 1967), so over the
-    finite set of policies the loop always ends, at the optimum.  The policy
-    returned is the maximizer at the final R, so even attempts it never
-    reaches carry their best action.
+
+def _subset_argmax(f: np.ndarray) -> np.ndarray:
+    """Per set C (bit j = state j) and lane of a (16, N) array, the subset of C
+    with the largest f; only a strictly better set wins, so ties go to the largest."""
+    f, arg = f.copy(), np.repeat(np.arange(16)[:, None], f.shape[1], axis=1)
+    for j in range(4):
+        shape = (8 >> j, 2, 1 << j, f.shape[1])   # axis 1 is bit j of the set
+        fv, av = f.reshape(shape), arg.reshape(shape)
+        np.copyto(av[:, 1], av[:, 0], where=fv[:, 0] > fv[:, 1])
+        np.maximum(fv[:, 1], fv[:, 0], out=fv[:, 1])
+    return arg
+
+
+def _free_pass(t: RenewalTerms, R, value, trans):
+    """Continue where the next attempt's W - R D is at least the transfer's."""
+    WD, cont = t.head[-1], []
+    for head, fail in zip(t.head[-2::-1], t.fail[-2::-1]):
+        cont.append(WD[0] - R * WD[1] >= value)
+        WD = renewal_step(head, fail, cont[-1], WD, trans)
+    return WD, np.array(cont[::-1]).reshape(-1, *value.shape)
+
+
+def _nested_pass(t: RenewalTerms, R, value, trans):
+    """Attempt x's (W, D) per set C the previous attempt continued in: the
+    best over subsets C' of C of continuing in C' at attempt x."""
+    lanes, WD, args = np.arange(len(R)), t.head[-1][:, None], []   # attempt S decides nothing
+    for head, fail in zip(t.head[-2::-1], t.fail[-2::-1]):
+        WD = renewal_step(head[:, None], fail[:, None], _MEMBER[..., None], WD, trans[:, :, None])
+        args.append(_subset_argmax(WD[0] - R * WD[1]))
+        WD = WD[:, args[-1], lanes]
+    C, cont = np.full(len(R), 15), []   # attempt 1 may continue in any set
+    for arg in reversed(args):
+        C = arg[C, lanes]
+        cont.append(_MEMBER[:, C])
+    return WD[:, -1], np.array(cont).reshape(-1, *value.shape)
+
+
+def dinkelbach(t: RenewalTerms, nested: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Largest average reward per instance and its (S-1, 4) actions, over all
+    stationary policies or, if `nested`, over threshold policies.
+
+    Dinkelbach (1967): at a fixed R one backward pass maximizes W_1 - R D_1
+    (see `average_reward_batch`), and its maximizer's W_1 / D_1 is the next R.
+    A transfer's W - R D does not depend on the attempt, so each state's mode
+    is the better of warm and cold (warm on ties).  Over all policies
+    continuing wins ties (Continue > Warm > Cold).  A threshold policy
+    continues in shrinking sets C_1 >= C_2 >= ..., taken as subset maxima
+    with ties to the largest bitmask (bit j = state j of CONGESTION_STATES).
+    R starts at never transferring (the maximizer at R = 0) and rises until
+    the actions repeat; an instance whose ratio stops rising keeps its R, so
+    its result is bit-identical alone or in a block.
     """
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
-    S = inst.S
-    tau, rho = inst.profile.tau, inst.profile.rho
-    r, c_w, c_c = inst.econ.r, inst.econ.c_w, inst.econ.c_c
-    p_qa = congestion_probs(inst)
-    idle_tail, warm_by_state, idle_by_state = renewal_times(inst)
-    # rows continue / warm / cold, columns the congestion states; row 0 is set per attempt
-    w_opt = np.array([np.zeros(4), np.full(4, r - c_w), np.full(4, r - c_c)])
-    d_opt = np.array([np.zeros(4), warm_by_state, idle_by_state])
-    cols = np.arange(4)
-
-    R = 0.0
+    R, run = t.r_never, _nested_pass if nested else _free_pass
     while True:
-        W, D = r, tau[S - 1] + idle_tail
-        chosen = np.zeros((S - 1, 4), dtype=np.int8)
-        for x in range(S - 1, 0, -1):
-            w_opt[0], d_opt[0] = W, D
-            act = np.argmax(w_opt - R * d_opt, axis=0)   # first max: Continue > Warm > Cold
-            chosen[x - 1] = act
-            p_fail = 1 - rho[x - 1]
-            W = rho[x - 1] * r + p_fail * (w_opt[act, cols] @ p_qa)
-            D = tau[x - 1] + rho[x - 1] * idle_tail + p_fail * (d_opt[act, cols] @ p_qa)
-        if W / D <= R:   # R stopped rising; repeated actions give the same ratio
-            return policy_from_actions(chosen), W / D
-        R = W / D
+        v = t.trans[0] - R * t.trans[1]
+        cold = v[1] > v[0]
+        WD, cont = run(t, R, np.maximum(v[0], v[1]), np.where(cold, t.trans[:, 1], t.trans[:, 0]))
+        ratio = WD[0] / WD[1]
+        rising = ratio > R
+        if not np.count_nonzero(rising):
+            break
+        R = np.where(rising, ratio, R)
+    acts = np.where(cont, 0, cold + 1).astype(np.int8)   # Action codes: continue, warm, cold
+    return ratio, acts.transpose(2, 0, 1)
+
+
+def optimal_policy(inst: ProblemInstance) -> tuple[StationaryPolicy, float]:
+    """Optimal stationary policy and its average reward (see `dinkelbach`)."""
+    R, acts = dinkelbach(renewal_terms([inst]))
+    return policy_from_actions(acts[0].tolist()), float(R[0])
 
 
 def solve_average_reward(inst: ProblemInstance) -> tuple[StationaryPolicy, PolicyEvaluation]:
@@ -99,18 +133,33 @@ def solve_average_reward(inst: ProblemInstance) -> tuple[StationaryPolicy, Polic
 def policy_grid(rules: list[DecisionRule], S: int) -> tuple[np.ndarray, np.ndarray]:
     """Every policy over a rule list: (P, S-1) rule indices and (P, S-1, 4) actions."""
     rule_acts = np.array([[int(a) for a in rule.actions] for rule in rules], dtype=np.int8)
-    combos = np.array(list(itertools.product(range(len(rules)), repeat=S - 1)), dtype=np.int32)
+    combos = np.indices((len(rules),) * (S - 1)).reshape(S - 1, len(rules) ** (S - 1)).T
     return combos, rule_acts[combos]
+
+
+class RankedPolicies(Sequence):
+    """Read-only (policy, R) pairs in rank order; a pair is built when read."""
+
+    def __init__(self, rules: list[DecisionRule], combos: np.ndarray, R: np.ndarray):
+        self._rules, self._combos, self._R = rules, combos, R
+
+    def __len__(self) -> int:
+        return len(self._R)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return RankedPolicies(self._rules, self._combos[i], self._R[i])
+        return StationaryPolicy(tuple(self._rules[j] for j in self._combos[i])), float(self._R[i])
 
 
 def enumerate_policies(
     inst: ProblemInstance, ruleset: str = "table-1", cap: int = 10_000_000
-) -> list[tuple[StationaryPolicy, float]]:
+) -> RankedPolicies:
     """Exhaustively evaluate every stationary policy over a rule set.
 
     ruleset "table-1" uses the 11 dominance-admissible rules; "all-81" uses
-    every action vector.  Returns (policy, R) pairs ranked by R descending,
-    ties broken lexicographically on the per-attempt rule names.
+    every action vector.  Returns (policy, R) pairs, built when read, ranked
+    by R descending, ties broken lexicographically on the per-attempt rule names.
     """
     bad = validate_instance(inst)
     if bad:
@@ -137,10 +186,7 @@ def enumerate_policies(
     name_rank = np.argsort(sorted(range(len(rules)), key=names.__getitem__))
     # lexsort's last key is the primary one: -R, then the rule names by attempt
     order = np.lexsort(tuple(name_rank[combos[:, x]] for x in reversed(range(S - 1))) + (-R,))
-    return [
-        (StationaryPolicy(tuple(rules[j] for j in combos[i])), float(R[i]))
-        for i in order
-    ]
+    return RankedPolicies(rules, combos[order], R[order])
 
 
 @dataclass(frozen=True)
@@ -216,7 +262,7 @@ def backward_induction(
     tau = inst.profile.tau
     rho = inst.profile.rho
     r, c_w, c_c, tau_w = inst.econ.r, inst.econ.c_w, inst.econ.c_c, inst.econ.tau_w
-    p_qa = congestion_probs(inst)
+    p_qa = congestion_probs(q, a)
 
     n = n_states(S)
     V = np.zeros((T + 2, n))

@@ -7,20 +7,20 @@ transfer is preferred, at or above it a cold transfer.  Sorting the four
 thresholds partitions instances into five cases, each with a small set of
 admissible decision rules.  This module also provides the threshold-policy
 heuristic (continue up to a per-state attempt index, then transfer with a
-per-state mode), a sufficient optimality condition with a risk-adjusted
+per-state mode; its best policy comes from a polynomial DP over nested sets
+of continuing states), a sufficient optimality condition with a risk-adjusted
 shortest-processing-time flavor, and the study harness measuring the
-heuristic's optimality gap on random instances.
+heuristic's optimality gap on random instances, one array block per S.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .evaluate import average_reward_batch
+from .evaluate import renewal_terms
 from .model import (
     Action,
     CONGESTION_STATES,
@@ -32,7 +32,7 @@ from .model import (
     rules_table,
     validate_instance,
 )
-from .solve import optimal_policy
+from .solve import dinkelbach
 
 GAP_TOL = 1e-9  # relative gap below which the heuristic counts as optimal
 
@@ -156,98 +156,37 @@ def check_wspt(inst: ProblemInstance) -> WsptCheck:
     return WsptCheck(condition=cond, holds=True, first_violation=None)
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Continue through attempt n(Q,A)-1, then transfer with mode(Q,A).
-
-    n = S means never transfer in that state (the final attempt resolves).
-    """
-
-    n: tuple[int, int, int, int]          # canonical (Q, A) order
-    mode: tuple[Action, Action, Action, Action]
-
-    def as_policy(self, S: int) -> StationaryPolicy:
-        return policy_from_actions(
-            [self.mode[qa] if x >= self.n[qa] else Action.CONTINUE for qa in range(4)]
-            for x in range(1, S)
-        )
-
-
 def is_threshold_policy(pol: StationaryPolicy) -> bool:
     """True iff per state the actions are Continue then a single fixed mode."""
-    for qa in range(4):
-        seen_transfer: Optional[Action] = None
-        for rule in pol.rules:
-            act = rule.actions[qa]
-            if seen_transfer is None:
-                if act is not Action.CONTINUE:
-                    seen_transfer = act
-            elif act is not seen_transfer:
-                return False
+    for acts in zip(*(rule.actions for rule in pol.rules)):   # one state's actions by attempt
+        first = next((x for x, act in enumerate(acts) if act is not Action.CONTINUE), len(acts))
+        if len(set(acts[first:])) > 1:
+            return False
     return True
 
 
-@lru_cache(maxsize=None)
-def _threshold_options(S: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct (n, mode) choices per congestion state: 2(S-1) + 1 of them."""
-    ns, modes = [], []
-    for n in range(1, S):
-        for mode in (Action.WARM, Action.COLD):
-            ns.append(n)
-            modes.append(int(mode))
-    ns.append(S)               # never transfer; mode irrelevant
-    modes.append(int(Action.COLD))
-    return np.array(ns), np.array(modes)
-
-
-@lru_cache(maxsize=None)
-def _threshold_grid(S: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All distinct threshold policies as an (P, S-1, 4) action array."""
-    ns, modes = _threshold_options(S)
-    k = len(ns)
-    idx = np.indices((k, k, k, k)).reshape(4, -1).T  # (P, 4) option per state
-    n_grid = ns[idx]
-    mode_grid = modes[idx]
-    P = idx.shape[0]
-    acts = np.zeros((P, S - 1, 4), dtype=np.int8)
-    for x in range(1, S):
-        acts[:, x - 1, :] = np.where(x >= n_grid, mode_grid, int(Action.CONTINUE))
-    return acts, n_grid, mode_grid
-
-
 def search_threshold_policies(inst: ProblemInstance) -> tuple[StationaryPolicy, float]:
-    """Best threshold policy by exhaustive search over S^4 indices x 2^4 modes.
+    """Best threshold policy and its average reward, by `solve.dinkelbach`: per
+    (Q, A) continue through attempt n - 1, then transfer in one mode (n = S
+    never does).  Each pass is a DP over the 16 sets of states still
+    continuing, so the search is polynomial in S, unlike full enumeration."""
+    R, acts = dinkelbach(renewal_terms([inst]), nested=True)
+    return policy_from_actions(acts[0].tolist()), float(R[0])
 
-    Duplicate (index, mode) combinations that induce the same policy are
-    collapsed before evaluation, so at most (2S-1)^4 <= 16 S^4 policies are
-    evaluated.  Runs in polynomial time in S, unlike the exponential
-    enumeration of unrestricted policies.
-    """
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
-    S = inst.S
-    acts, n_grid, mode_grid = _threshold_grid(S)
-    R = average_reward_batch(inst, acts)
-    best = int(np.argmax(R))  # first max: deterministic in the enumeration order
-    tp = ThresholdPolicy(
-        n=tuple(int(v) for v in n_grid[best]),
-        mode=tuple(Action(int(v)) for v in mode_grid[best]),
-    )
-    return tp.as_policy(S), float(R[best])
+
+def _study_gaps(insts: list[ProblemInstance]) -> np.ndarray:
+    """Relative gap of the best threshold policy to the optimum, per instance
+    of a block; within GAP_TOL it is 0 (the two maximizations round apart)."""
+    terms = renewal_terms(insts)
+    (r_opt, _), (r_thr, _) = dinkelbach(terms), dinkelbach(terms, nested=True)
+    gap = (r_opt - r_thr) / r_opt
+    return np.where(gap <= GAP_TOL, 0.0, gap)
 
 
 def _study_one(inst: ProblemInstance) -> tuple[bool, float]:
-    """(threshold-optimal?, relative gap) against the optimal stationary policy.
-
-    A gap within GAP_TOL counts as zero: the two rates come from different
-    floating-point routes and may differ by rounding alone.
-    """
-    _, r_opt = optimal_policy(inst)
-    acts, _, _ = _threshold_grid(inst.S)
-    r_thr = float(average_reward_batch(inst, acts).max())
-    gap = (r_opt - r_thr) / r_opt
-    return (True, 0.0) if gap <= GAP_TOL else (False, gap)
+    """(threshold-optimal?, relative gap) of one instance, as in the study."""
+    gap = float(_study_gaps([inst])[0])
+    return gap == 0.0, gap
 
 
 @dataclass(frozen=True)
@@ -274,8 +213,8 @@ def run_heuristic_study(
 ) -> StudyReport:
     """Threshold-heuristic quality over random instances, per attempt count.
 
-    For each S, draws n_instances instances on consecutive seeds, compares
-    the best threshold policy against the optimal stationary policy, and
+    For each S, draws n_instances instances on consecutive seeds, solves the
+    block for the best threshold and the optimal stationary policy, and
     reports the optimal fraction plus mean and max relative gap in percent.
     Seed blocks are disjoint across S values.
     """
@@ -284,19 +223,16 @@ def run_heuristic_study(
     rows = []
     for si, S in enumerate(S_list):
         seed_lo = cfg.seed + si * n_instances
-        n_opt, gap_sum, gap_max = 0, 0.0, 0.0
-        for seed in range(seed_lo, seed_lo + n_instances):
-            opt, gap = _study_one(generate_instance(replace(cfg, S=S, seed=seed)))
-            n_opt += opt
-            gap_sum += gap
-            gap_max = max(gap_max, gap)
+        gaps = _study_gaps([generate_instance(replace(cfg, S=S, seed=seed))
+                            for seed in range(seed_lo, seed_lo + n_instances)])
         rows.append(
             StudyRow(
                 S=S,
                 n_instances=n_instances,
-                frac_threshold_opt=n_opt / n_instances,
-                mean_gap_pct=100.0 * gap_sum / n_instances,
-                max_gap_pct=100.0 * gap_max,
+                frac_threshold_opt=int(np.count_nonzero(gaps == 0.0)) / n_instances,
+                # a running sum in seed order, as one instance at a time would give
+                mean_gap_pct=100.0 * float(np.add.accumulate(gaps)[-1]) / n_instances,
+                max_gap_pct=100.0 * float(gaps.max()),
                 seed_lo=seed_lo,
                 seed_hi=seed_lo + n_instances - 1,
             )

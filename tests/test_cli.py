@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from gatekeeper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
@@ -127,6 +128,20 @@ def test_threshold_study_smoke(tmp_path):
     lines = [l for l in (out / "study.csv").read_text().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("S,n,frac_threshold_opt")
     assert len(lines) == 2
+
+
+def test_threshold_study_runs_at_large_S(tmp_path):
+    payload = {"n_instances": 50, "S_list": [10, 20, 30], "seed": 3}
+    t0 = time.perf_counter()
+    code, out = run_cli(tmp_path, "threshold-study", payload)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_OK
+    lines = [l for l in (out / "study.csv").read_text().splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in lines[1:]]
+    assert [int(row[0]) for row in rows] == [10, 20, 30]
+    for row in rows:
+        assert 0.0 <= float(row[2]) <= 1.0
+        assert 0.0 <= float(row[3]) <= float(row[4])
 
 
 def test_queue_sweep_smoke(tmp_path):

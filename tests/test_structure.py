@@ -22,8 +22,10 @@ from gatekeeper import (
     uniform_policy,
 )
 from gatekeeper.evaluate import I0, I1, W0, W1
+from gatekeeper.solve import optimal_policy
 
 from conftest import random_instance
+from threshold_grid import threshold_grid
 
 
 def reference_instance(q=0.5, a=0.8, tau_w=3, c_w=2.0, c_c=5.0):
@@ -182,10 +184,29 @@ class TestThresholdSearch:
 
     def test_two_attempt_search_is_small(self):
         # S=2: at most 16 index vectors x 16 mode vectors, deduplicated
-        from gatekeeper.structure import _threshold_grid
-
-        acts, _, _ = _threshold_grid(2)
+        acts, _, _ = threshold_grid(2)
         assert acts.shape[0] <= 256
+
+    def test_large_S_search_stays_below_the_optimum(self):
+        # S = 20: the exhaustive threshold grid would hold 39^4 = 2.3e6 policies
+        for seed in range(5):
+            inst = random_instance(300 + seed, 20)
+            pol, r_thr = search_threshold_policies(inst)
+            assert is_threshold_policy(pol)
+            assert r_thr <= optimal_policy(inst)[1] * (1 + 1e-9)
+
+    def test_exact_under_certificate_at_ten_attempts(self):
+        # the optimum continues through attempt 2 when Q = 0, then transfers cold
+        inst = ProblemInstance(
+            profile=ResolutionProfile((1, 1, 1, 2, 2, 2, 3, 3, 3, 5), (0.7,) * 9 + (1.0,)),
+            econ=EconomicParams(r=50.0, c_w=5.0, c_c=15.0, tau_w=3),
+            traffic=TrafficParams(q=0.5, a=0.4),
+        )
+        assert check_wspt(inst).holds
+        pol, r_thr = search_threshold_policies(inst)
+        assert [rule.letters for rule in pol.rules[:3]] == ["ncnc", "ncnc", "cccc"]
+        _, ev = solve_average_reward(inst)
+        assert r_thr == pytest.approx(ev.R, rel=1e-9, abs=0.0)
 
     def test_single_attempt(self, single_attempt):
         pol, r = search_threshold_policies(single_attempt)
@@ -230,9 +251,9 @@ class TestStudy:
         # The worst S=3 draw of criterion 7's seed block: transferring early and
         # continuing late (H4 then C) beats every threshold policy by 6.457 %.
         # Chain evaluation of all 81^2 rule pairs is independent of the renewal
-        # batch behind the threshold search and the study.
+        # DP behind the threshold search and the study.
         from gatekeeper.model import all_decision_rules
-        from gatekeeper.structure import _study_one, _threshold_grid
+        from gatekeeper.structure import _study_one
 
         def flat(actions):
             return tuple(int(v) for v in np.ravel(actions))
@@ -253,8 +274,8 @@ class TestStudy:
         gap = (best[0] - best_thr[0]) / best[0]
         assert 100 * gap == pytest.approx(6.45693929002, rel=1e-9)
 
-        # the search grid holds every threshold policy once and nothing else
-        grid = [flat(acts) for acts in _threshold_grid(3)[0]]
+        # the oracle grid holds every threshold policy once and nothing else
+        grid = [flat(acts) for acts in threshold_grid(3)[0]]
         assert len(grid) == len(threshold_acts) == 625
         assert set(grid) == threshold_acts
 

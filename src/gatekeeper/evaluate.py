@@ -205,7 +205,8 @@ def stationary_distribution(P: np.ndarray, labels: Optional[tuple[str, ...]] = N
 
 @dataclass(frozen=True)
 class PerformanceMeasures:
-    """Customer-facing measures of a policy, per the embedded chain."""
+    """Customer-facing measures of a policy, per the embedded chain (floats)
+    or per lane of the renewal recursion (arrays, see `cycle_performance`)."""
 
     throughput: float   # admitted customers per period
     p_admit: float      # fraction of arrivals admitted
@@ -294,9 +295,10 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
 
     R is the ratio of expected reward to expected duration under the embedded
     stationary distribution; G solves G = reward - R * duration + P G with
-    G(I0) = 0.  Decisions depend only on differences of G, so the anchor is
-    arbitrary; this one makes the idle/holding identities G(I1) - G(I0) = R/q
-    and G(W1) - G(W0) = R/a read directly off the vector.
+    G(I0) = 0, by one LU solve in which R is an unknown too.  Decisions depend
+    only on differences of G, so the anchor is arbitrary; this one makes the
+    idle/holding identities G(I1) - G(I0) = R/q and G(W1) - G(W0) = R/a read
+    directly off the vector.
     """
     chain = build_chain(inst, pol)
     pi = stationary_distribution(chain.P, chain.labels)
@@ -305,12 +307,16 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
         raise EvaluationError("chain has zero mean duration; no recurrent time-consuming state")
     R = float(pi @ chain.reward) / mean_dur
 
-    n = chain.P.shape[0]
-    A = np.vstack([np.eye(n) - chain.P, np.zeros((1, n))])
-    A[-1, I0] = 1.0
-    b = np.concatenate([chain.reward - R * chain.duration, [0.0]])
-    G, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = np.max(np.abs(A @ G - b))
+    # (I - P) G + R' duration = reward with G(I0) = 0, square in (G, R'): R'
+    # takes G(I0)'s column, and I - P has each row's off-diagonal sum on its
+    # diagonal, so a holding probability a keeps exactly a, not 1 - (1 - a).
+    A = -chain.P
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    A[:, I0] = chain.duration
+    G = np.linalg.solve(A, chain.reward)
+    resid = np.max(np.abs(A @ G - chain.reward))
+    G[I0] = 0.0
     if resid > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(G)))):
         raise EvaluationError(
             f"relative-value system residual {resid:.2e}; "
@@ -327,7 +333,9 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
 # Anchoring cycles at entries into I1 gives a closed recursion over attempts:
 # starting attempt X earns expected reward W_X in expected time D_X until the
 # next admission.  R = W_1 / D_1 exactly equals the chain ratio above; it
-# serves the optimisers and bulk enumeration, where chains would be slow.
+# serves the optimisers, bulk enumeration and, with the performance measures
+# carried along (`cycle_performance`), the design layer, where chains would
+# be slow.
 # ---------------------------------------------------------------------------
 
 def policy_actions(pol: StationaryPolicy) -> np.ndarray:
@@ -346,33 +354,47 @@ class RenewalTerms(NamedTuple):
     trans: np.ndarray     # (2, 2, 4, N): W/D, warm/cold, (Q, A), instance
 
 
+def _terms(tau, rho, r, c_w, c_c, tau_w, q, a) -> RenewalTerms:
+    """Renewal terms from per-lane parameters: tau and rho (S, N), the rest (N,)."""
+    idle = (1 - q) / q                       # E[idle periods after release]
+    head = np.stack([rho * r, tau + rho * idle], axis=1)
+    d_never = np.zeros_like(q)
+    for d_x, rho_x in zip(head[::-1, 1], rho[::-1]):
+        d_never = d_x + (1 - rho_x) * d_never
+    warm_d, cold_d = [1 / a + tau_w + idle] * 2 + [tau_w + idle] * 2, [1 / q, 0 * q] * 2   # given A, Q
+    trans = np.array([[[r - c_w] * 4, [r - c_c] * 4], [warm_d, cold_d]])
+    return RenewalTerms(r / d_never, head, (1 - rho)[:, None] * congestion_probs(q, a), trans)
+
+
 def renewal_terms(insts: Sequence[ProblemInstance]) -> RenewalTerms:
-    """Validated inputs of instances with one S, each instance's in Python
-    floats: the same IEEE operations, bit for bit, as on arrays."""
-    S, rows = insts[0].S, []
+    """Validated inputs of instances with one S, each lane's the same IEEE
+    operations, bit for bit, whatever the block."""
+    S = insts[0].S
     for inst in insts:
         bad = validate_instance(inst) or ([] if inst.S == S else [f"S = {inst.S} in a block of S = {S}"])
         if bad:
             raise ValueError("invalid instance: " + "; ".join(bad))
-        tau, rho, econ = inst.profile.tau, inst.profile.rho, inst.econ
-        q, a = inst.traffic.q, inst.traffic.a
-        idle = (1 - q) / q                       # E[idle periods after release]
-        head = [(rho_x * econ.r, tau_x + rho_x * idle) for tau_x, rho_x in zip(tau, rho)]
-        d_never = 0.0
-        for (_, d_x), rho_x in zip(reversed(head), reversed(rho)):
-            d_never = d_x + (1 - rho_x) * d_never
-        p = congestion_probs(q, a).tolist()
-        rows.append([
-            econ.r / d_never, *(v for pair in head for v in pair),
-            *((1 - rho_x) * p_j for rho_x in rho for p_j in p),
-            *[econ.r - econ.c_w] * 4, *[econ.r - econ.c_c] * 4,
-            *[1 / a + econ.tau_w + idle] * 2, *[econ.tau_w + idle] * 2,   # warm, given A
-            1 / q, 0.0, 1 / q, 0.0,                                       # cold, given Q
-        ])
-    cols = np.ascontiguousarray(np.array(rows).T)
-    N, k = len(rows), 1 + 2 * S
-    return RenewalTerms(cols[0], cols[1:k].reshape(S, 2, N), cols[k:k + 4 * S].reshape(S, 4, N),
-                        cols[k + 4 * S:].reshape(2, 2, 4, N))
+    tau = np.array([inst.profile.tau for inst in insts], dtype=float).T
+    rho = np.array([inst.profile.rho for inst in insts]).T
+    econ = np.array([(i.econ.r, i.econ.c_w, i.econ.c_c, i.econ.tau_w, i.traffic.q, i.traffic.a)
+                     for i in insts]).T
+    return _terms(tau, rho, *econ)
+
+
+def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:
+    """Renewal terms of `inst` at each arrival probability in q: `inst` passes
+    every check of validate_instance but the one on q, made on each lane."""
+    q = np.asarray(q, dtype=float)
+    bad = validate_instance(inst.with_q(1.0))
+    if not np.all((0.0 < q) & (q <= 1.0)):
+        bad.append("q must lie in (0, 1]")
+    if bad:
+        raise ValueError("invalid instance: " + "; ".join(bad))
+    lane = np.ones_like(q)
+    tau, rho = (np.array(v, dtype=float)[:, None] * lane for v in (inst.profile.tau, inst.profile.rho))
+    econ = inst.econ
+    return _terms(tau, rho, *(v * lane for v in (econ.r, econ.c_w, econ.c_c, econ.tau_w)),
+                  q, inst.traffic.a * lane)
 
 
 def renewal_step(head, fail, cont, nxt, trans) -> np.ndarray:
@@ -381,16 +403,51 @@ def renewal_step(head, fail, cont, nxt, trans) -> np.ndarray:
     return head + np.add.accumulate(np.where(cont, nxt[:, None], trans) * fail, axis=1)[:, 3]
 
 
+def _policy_pass(head, fail, trans, actions) -> np.ndarray:
+    """Per-cycle expectations, one row per row of head and trans, of each
+    lane's (S-1, 4) actions: the recursion from attempt S back to attempt 1."""
+    out = np.broadcast_to(head[-1], (head.shape[1], len(actions)))
+    for act, h, f in zip(actions.transpose(1, 2, 0)[::-1], head[-2::-1], fail[-2::-1]):
+        out = renewal_step(h, f, act == Action.CONTINUE, out,
+                           np.where(act == Action.WARM, trans[:, 0], trans[:, 1]))
+    return out
+
+
 def average_reward_batch(inst: ProblemInstance, actions: np.ndarray) -> np.ndarray:
     """Average reward for a batch of policies given as an (P, S-1, 4) action array."""
     if actions.ndim != 3 or actions.shape[1:] != (inst.S - 1, 4):
         raise ValueError(f"actions array must have shape (n, {inst.S - 1}, 4)")
     t = renewal_terms([inst])
-    WD = np.repeat(t.head[-1], actions.shape[0], axis=1)
-    for act, head, fail in zip(actions.transpose(1, 2, 0)[::-1], t.head[-2::-1], t.fail[-2::-1]):
-        trans = np.where(act == Action.WARM, t.trans[:, 0], t.trans[:, 1])
-        WD = renewal_step(head, fail, act == Action.CONTINUE, WD, trans)
-    return WD[0] / WD[1]
+    W, D = _policy_pass(t.head, t.fail, t.trans, actions)
+    return W / D
+
+
+def cycle_performance(inst: ProblemInstance, q: np.ndarray,
+                      actions: np.ndarray) -> tuple[np.ndarray, PerformanceMeasures]:
+    """Average reward and performance measures per lane, without a chain.
+
+    Lane i runs `inst` at arrival probability q[i] under the (S-1, 4) actions
+    actions[i]; the measures' fields are arrays over lanes.  Along with W and
+    D the recursion carries each cycle's busy time and the probabilities that
+    its one admitted customer is resolved, warm or cold transferred.  A cycle
+    is one admission, so R = W_1/D_1, throughput = 1/D_1, p_admit = 1/(q D_1),
+    the outcome probabilities are the per-cycle ones and t_channel is the busy
+    time, carried directly because D_1 - E[idle] cancels at small q.
+    """
+    t = lane_terms(inst, q)
+    S, N, tau_w, a = inst.S, len(q), inst.econ.tau_w, inst.traffic.a
+    # rows: busy, resolve, warm, cold; an attempt's own part, then a transfer's given (Q, A)
+    head = [[tau_x, rho_x, 0.0, 0.0] for tau_x, rho_x in zip(inst.profile.tau, inst.profile.rho)]
+    trans = [[[1 / a + tau_w] * 2 + [tau_w] * 2, [0.0] * 4], [[0.0] * 4] * 2,
+             [[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]]
+    W, D, busy, res, warm, cold = _policy_pass(
+        np.concatenate([t.head, np.broadcast_to(np.array(head)[..., None], (S, 4, N))], axis=1),
+        t.fail,
+        np.concatenate([t.trans, np.broadcast_to(np.array(trans)[..., None], (4, 2, 4, N))]),
+        actions,
+    )
+    return W / D, PerformanceMeasures(throughput=1 / D, p_admit=1 / (q * D), p_resolve=res,
+                                      p_warm=warm, p_cold=cold, t_channel=busy)
 
 
 def average_reward(inst: ProblemInstance, pol: StationaryPolicy) -> float:

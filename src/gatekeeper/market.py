@@ -7,10 +7,13 @@ the outside option, maximizing expected utility.  The firm in turn picks
 staffing, a resolution policy, and a chatbot training level.  Demand and
 performance are reconciled by a fixed point on the per-agent arrival
 probability, found by bisection on [Q_FLOOR, 1]: the firm delivers exactly the
-service levels customers acted on, or the cell reports the jump of the
-lattice-share step function that leaves no exact fixed point.  The design
-optimizer scans the full (staffing x policy x training) grid and reports the
-profit surface.
+service levels customers acted on, or the cell reports the lower end of the
+jump of the lattice-share step function that leaves no exact fixed point.  The
+design optimizer scans the full (staffing x policy x training) grid and
+reports the profit surface; all its cells bisect together as arrays.  The
+announced measures come from the renewal recursion
+(`evaluate.cycle_performance`), not from the embedded chain, which stays the
+independent oracle in the tests.
 
 The chatbot resolves a request with probability p_succ bought through a
 convex per-period training cost a_bot * (100 p_succ)^b_bot; failures are
@@ -19,22 +22,24 @@ never congested.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .evaluate import PerformanceMeasures, evaluate_policy
+# evaluate_policy is not called here: the benchmark harness's tracing
+# self-test installs and removes a span on `market.evaluate_policy`.
+from .evaluate import PerformanceMeasures, cycle_performance, evaluate_policy, lane_terms  # noqa: F401
 from .model import (
     EconomicParams,
     ProblemInstance,
     ResolutionProfile,
     StationaryPolicy,
     TrafficParams,
+    policy_from_actions,
     rules_table,
-    uniform_policy,
 )
-from .solve import solve_average_reward
+from .solve import dinkelbach
 
 MIN_GRID = 100
 _Q_FLOOR = 1e-6
@@ -123,8 +128,17 @@ class Shares:
         }
 
 
-def _bot_utilities(bot: BotChannel, prefs: CustomerPrefs, v: np.ndarray) -> np.ndarray:
-    return v - prefs.c_time * bot.tau_bot - (1 - bot.p_succ) * prefs.delta_cold * prefs.tau_exp_cold
+def _alternatives(bot: Optional[BotChannel], prefs: CustomerPrefs) -> tuple[np.ndarray, np.ndarray]:
+    """Per bot-valuation column of the lattice: the best alternative to the
+    live channel, max(U_bot, U0), and whether the bot beats the outside option."""
+    n = prefs.grid_n
+    if n < MIN_GRID:
+        raise ValueError(f"grid resolution {n} below the minimum {MIN_GRID}")
+    v = (np.arange(n) + 0.5) * (prefs.v_max / n)
+    if bot is None:
+        return np.full(n, prefs.u0), np.zeros(n, dtype=bool)
+    u_bot = v - prefs.c_time * bot.tau_bot - (1 - bot.p_succ) * prefs.delta_cold * prefs.tau_exp_cold
+    return np.maximum(u_bot, prefs.u0), u_bot > prefs.u0
 
 
 def agent_service_cost(perf: PerformanceMeasures, prefs: CustomerPrefs) -> float:
@@ -134,6 +148,28 @@ def agent_service_cost(perf: PerformanceMeasures, prefs: CustomerPrefs) -> float
         + perf.p_warm * prefs.delta_warm * prefs.tau_exp_warm
         + perf.p_cold * prefs.delta_cold * prefs.tau_exp_cold
     )
+
+
+def _lane_shares(alt: tuple[np.ndarray, np.ndarray], cost: np.ndarray, p_admit: np.ndarray,
+                 prefs: CustomerPrefs) -> tuple[np.ndarray, ...]:
+    """Shares (agent, bot_direct, balk, fallback) of lanes facing one bot;
+    cost and p_admit are arrays over lanes, each lane a row of the lattice."""
+    best_alt, bot_ok = alt
+    n = prefs.grid_n
+    # U_agent(v_a, v_b) = p_admit (v_a - t_cost) + (1-p_admit)(-c_na + best_alt)
+    # >= best_alt  iff  v_a >= best_alt + t_cost + c_na (1-p_admit)/p_admit.
+    x = best_alt + cost[:, None]
+    x += (prefs.c_not_admit * (1 - p_admit) / p_admit)[:, None]
+    x /= prefs.v_max / n
+    x -= 0.5
+    count = n - np.clip(np.ceil(x, out=x), 0, n, out=x)   # per column, agents among n rows
+    picked = count.sum(axis=1)
+    fallback = count[:, bot_ok].sum(axis=1)
+    total = n * n
+    agent = picked / total
+    bot_direct = (n * np.count_nonzero(bot_ok) - fallback) / total
+    return (agent, bot_direct, 1.0 - agent - bot_direct,
+            np.where(picked > 0, fallback / np.maximum(picked, 1), 0.0))
 
 
 def compute_demand_shares(
@@ -151,36 +187,12 @@ def compute_demand_shares(
     affine in the agent valuation, so each bot-valuation column reduces to a
     closed-form lattice count.
     """
-    n = prefs.grid_n
-    if n < MIN_GRID:
-        raise ValueError(f"grid resolution {n} below the minimum {MIN_GRID}")
-    h = prefs.v_max / n
-    v = (np.arange(n) + 0.5) * h
-
-    if bot is not None:
-        u_bot = _bot_utilities(bot, prefs, v)
-        best_alt = np.maximum(u_bot, prefs.u0)   # per column: max(U_bot, U0)
-        bot_ok = u_bot > prefs.u0
-    else:
-        best_alt = np.full(n, prefs.u0)
-        bot_ok = np.zeros(n, dtype=bool)
-
+    alt = _alternatives(bot, prefs)
     if perf is None or p_admit <= 0.0:
-        count_agent = np.zeros(n, dtype=np.int64)
-    else:
-        # U_agent(v_a, v_b) = p_admit (v_a - t_cost) + (1-p_admit)(-c_na + best_alt)
-        # >= best_alt  iff  v_a >= best_alt + t_cost + c_na (1-p_admit)/p_admit.
-        x = best_alt + agent_service_cost(perf, prefs) + prefs.c_not_admit * (1 - p_admit) / p_admit
-        first = np.ceil(x / h - 0.5).astype(np.int64).clip(0, n)
-        count_agent = n - first
-
-    total = n * n
-    agent = float(count_agent.sum()) / total
-    bot_direct = float(((n - count_agent) * bot_ok).sum()) / total
-    balk = 1.0 - agent - bot_direct
-    picked = count_agent.sum()
-    fallback = float((count_agent * bot_ok).sum() / picked) if picked and bot is not None else 0.0
-    return Shares(agent=agent, bot_direct=bot_direct, balk=balk, fallback_fraction=fallback)
+        bot_direct = float(np.count_nonzero(alt[1])) / prefs.grid_n
+        return Shares(agent=0.0, bot_direct=bot_direct, balk=1.0 - bot_direct, fallback_fraction=0.0)
+    shares = _lane_shares(alt, np.array([agent_service_cost(perf, prefs)]), np.array([p_admit]), prefs)
+    return Shares(*(float(s[0]) for s in shares))
 
 
 @dataclass(frozen=True)
@@ -233,6 +245,105 @@ def _profit(
     return profit, parts
 
 
+def _bot(p_succ: float, bot_curve: Optional[BotChannel]) -> Optional[BotChannel]:
+    if p_succ == 0.0:
+        return None
+    return BotChannel(p_succ=p_succ) if bot_curve is None else replace(bot_curve, p_succ=p_succ)
+
+
+def _solve_cells(
+    template: ProblemInstance,
+    designs: list[DesignPoint],
+    market: MarketParams,
+    prefs: CustomerPrefs,
+    bot_curve: Optional[BotChannel],
+) -> list[EquilibriumResult]:
+    """Every design's demand fixed point; the staffed ones bisect in lockstep.
+
+    Each staffed cell is a lane with its own bracket [lo, hi] and stopping
+    rule (see `solve_equilibrium`); one pass evaluates every active lane's
+    midpoint at once.  Uniform-rule lanes carry their rule's actions, "OPT"
+    lanes take theirs from `dinkelbach` at the midpoint, and the measures
+    come from the renewal recursion (`cycle_performance`), not the chain.
+    The lattice shares are taken per bot, whose per-column best alternative
+    does not depend on q.  Every step is elementwise over lanes, so a cell's
+    result does not depend on which other cells share the block.
+    """
+    S, econ, table = template.S, template.econ, rules_table()
+    bots = {d.p_succ: _bot(d.p_succ, bot_curve) for d in designs}
+    alts = {p: _alternatives(bot, prefs) for p, bot in bots.items()}
+    staffed = [d for d in designs if d.k_agent > 0]
+    k = np.array([d.k_agent for d in staffed], dtype=float)
+    p_lane = np.array([d.p_succ for d in staffed])
+    opt = np.array([d.policy == "OPT" for d in staffed], dtype=bool)
+    acts = np.zeros((len(staffed), S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
+    for j, d in enumerate(staffed):
+        if not opt[j]:
+            acts[j] = table[d.policy].actions
+
+    # The reported evaluation of each lane: the converged midpoint, or else
+    # the lower end lo of the collapsed bracket, the last midpoint with g > 0.
+    # A lane whose lo never left Q_FLOOR converges: g >= Q_FLOOR - q there.
+    lo, hi = np.full(len(staffed), _Q_FLOOR), np.ones(len(staffed))
+    iters = np.zeros(len(staffed), dtype=int)
+    converged = np.zeros(len(staffed), dtype=bool)
+    rep = np.zeros((13, len(staffed)))   # q, R, g, the six measures, the four shares
+    rep_acts = acts.copy()
+    active = np.arange(len(staffed))
+    while active.size:
+        q = 0.5 * (lo[active] + hi[active])
+        iters[active] += 1
+        if opt[active].any():
+            acts[active[opt[active]]] = dinkelbach(lane_terms(template, q[opt[active]]))[1]
+        R, perf = cycle_performance(template, q, acts[active])
+        cost = agent_service_cost(perf, prefs)
+        shares = np.empty((4, active.size))
+        for p, alt in alts.items():
+            m = p_lane[active] == p
+            if m.any():
+                shares[:, m] = _lane_shares(alt, cost[m], perf.p_admit[m], prefs)
+        g = np.minimum(np.maximum(market.lam * shares[0] / k[active], _Q_FLOOR), 1.0) - q
+        done, up = np.abs(g) < _FP_TOL, g > 0
+        keep = done | up
+        measures = [getattr(perf, f.name) for f in fields(perf)]
+        rep[:, active[keep]] = np.vstack([q, R, g, *measures, *shares])[:, keep]
+        rep_acts[active[keep]] = acts[active[keep]]
+        converged[active[done]] = True
+        lo[active[up]] = q[up]
+        hi[active[~up]] = q[~up]
+        mid = 0.5 * (lo[active] + hi[active])
+        halves = (lo[active] < mid) & (mid < hi[active])
+        active = active[~done & halves]
+
+    results, lane = [], 0
+    for d in designs:
+        bot = bots[d.p_succ]
+        if d.k_agent == 0:
+            shares = compute_demand_shares(None, bot, prefs, 0.0)
+            q_bot = market.lam * shares.bot_direct
+            profit, parts = _profit(0, 0.0, econ.c_wage, q_bot, bot, econ)
+            results.append(EquilibriumResult(
+                design=d, q_per_agent=0.0, q_bot_effective=q_bot, shares=shares,
+                perf=None, policy=None, agent_reward=0.0, profit=profit,
+                profit_parts=parts, converged=True, iterations=0, residual=0.0,
+            ))
+            continue
+        q, R, g, *rest = rep[:, lane].tolist()
+        perf, shares = PerformanceMeasures(*rest[:6]), Shares(*rest[6:])
+        q_bot = market.lam * (
+            shares.bot_direct + shares.agent * (1 - perf.p_admit) * shares.fallback_fraction
+        )
+        profit, parts = _profit(d.k_agent, R, econ.c_wage, q_bot, bot, econ)
+        results.append(EquilibriumResult(
+            design=d, q_per_agent=q, q_bot_effective=q_bot, shares=shares, perf=perf,
+            policy=policy_from_actions(rep_acts[lane]), agent_reward=R, profit=profit,
+            profit_parts=parts, converged=bool(converged[lane]), iterations=int(iters[lane]),
+            residual=abs(g),
+        ))
+        lane += 1
+    return results
+
+
 def solve_equilibrium(
     template: ProblemInstance,
     design: DesignPoint,
@@ -248,62 +359,13 @@ def solve_equilibrium(
     on that bracket, keeping g(lo) >= 0 >= g(hi), always ends: converged at
     the first midpoint with |g| < FP_TOL, or unconverged once the bracket can
     no longer be halved, which marks a jump of the lattice-share step function
-    with no exact fixed point; q and |g| are then those of the last midpoint.
-    The bot's effective demand adds blocked live-channel customers who still
-    prefer the bot over balking.
+    with no exact fixed point.  Such a cell is reported at the bracket's lower
+    end lo, the largest evaluated q with g > 0: its measures, shares, reward,
+    profit and residual g(lo) are those of that evaluation.  The bot's
+    effective demand adds blocked live-channel customers who still prefer the
+    bot over balking.  One cell of `optimize_design`'s lockstep block.
     """
-    bot = None
-    if design.p_succ > 0.0:
-        if bot_curve is None:
-            bot = BotChannel(p_succ=design.p_succ)
-        else:
-            bot = replace(bot_curve, p_succ=design.p_succ)
-
-    wage = template.econ.c_wage
-    if design.k_agent == 0:
-        shares = compute_demand_shares(None, bot, prefs, 0.0)
-        q_bot = market.lam * shares.bot_direct
-        profit, parts = _profit(0, 0.0, wage, q_bot, bot, template.econ)
-        return EquilibriumResult(
-            design=design, q_per_agent=0.0, q_bot_effective=q_bot, shares=shares,
-            perf=None, policy=None, agent_reward=0.0, profit=profit,
-            profit_parts=parts, converged=True, iterations=0, residual=0.0,
-        )
-
-    k = design.k_agent
-    lo, hi = _Q_FLOOR, 1.0
-    iters = 0
-    while True:
-        q = 0.5 * (lo + hi)
-        iters += 1
-        inst = template.with_q(q)
-        if design.policy == "OPT":
-            policy, ev = solve_average_reward(inst)
-        else:
-            policy = uniform_policy(design.policy, inst.S)
-            ev = evaluate_policy(inst, policy)
-        shares = compute_demand_shares(ev.perf, bot, prefs, ev.perf.p_admit)
-        g = min(max(market.lam * shares.agent / k, _Q_FLOOR), 1.0) - q
-        if abs(g) < _FP_TOL:
-            break
-        if g > 0:
-            lo = q
-        else:
-            hi = q
-        if not lo < 0.5 * (lo + hi) < hi:
-            break
-
-    perf = ev.perf
-    q_bot = market.lam * (
-        shares.bot_direct + shares.agent * (1 - perf.p_admit) * shares.fallback_fraction
-    )
-    profit, parts = _profit(k, ev.R, wage, q_bot, bot, template.econ)
-    return EquilibriumResult(
-        design=design, q_per_agent=q, q_bot_effective=q_bot, shares=shares,
-        perf=perf, policy=policy,
-        agent_reward=ev.R, profit=profit, profit_parts=parts,
-        converged=abs(g) < _FP_TOL, iterations=iters, residual=abs(g),
-    )
+    return _solve_cells(template, [design], market, prefs, bot_curve)[0]
 
 
 def default_design_instance(wage: float = 0.9) -> ProblemInstance:
@@ -348,19 +410,20 @@ def optimize_design(
     The policy grid holds every admissible decision rule applied uniformly
     across attempts plus "OPT", which re-solves the optimal stationary policy
     at each bisection midpoint.  p_succ = 0 means the bot channel is absent.
-    Cells are independent; ranking ties break on the (k, policy, p_succ) key.
+    All cells bisect in one lockstep block, each independent of the others
+    (see `solve_equilibrium`); ranking ties break on the (k, policy, p_succ)
+    key, and an unconverged cell ranks by its profit at its reported lo.
     """
     if wage is not None:
         template = replace(template, econ=replace(template.econ, c_wage=wage))
     policies: list[Optional[str]] = list(rules_table()) + ["OPT"]
     p_values = [0.0] + [p for p in market.p_grid if p > 0.0]
 
-    results = []
-    for k in range(0, market.k_max + 1):
-        for label in [None] if k == 0 else policies:
-            for p in p_values:
-                design = DesignPoint(k_agent=k, policy=label, p_succ=p)
-                results.append(solve_equilibrium(template, design, market, prefs, bot_curve))
+    designs = [DesignPoint(k_agent=k, policy=label, p_succ=p)
+               for k in range(0, market.k_max + 1)
+               for label in ([None] if k == 0 else policies)
+               for p in p_values]
+    results = _solve_cells(template, designs, market, prefs, bot_curve)
     results.sort(key=lambda res: (-res.profit, res.design.k_agent,
                                   res.design.policy or "", res.design.p_succ))
     return DesignSearch(results=tuple(results))

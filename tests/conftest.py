@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from gatekeeper import (
     EconomicParams,
@@ -46,3 +47,24 @@ def random_policy(seed: int, S: int, labels=None):
     from gatekeeper import StationaryPolicy
 
     return StationaryPolicy(tuple(table[i] for i in idx))
+
+
+# q and a at the edges of the valid box, or inside it
+EDGE = st.sampled_from([1e-8, 1.0]) | st.floats(0.01, 1.0)
+
+
+@st.composite
+def instances(draw, S=None, traffic=EDGE):
+    """Instances over S = 1..7 (or the given S) whose attempts may always
+    resolve (rho = 1) before the last one, with q and a drawn from `traffic`."""
+    S = draw(st.integers(1, 7)) if S is None else S
+    rho = draw(st.lists(st.sampled_from([1.0]) | st.floats(0.05, 0.95), min_size=S - 1, max_size=S - 1))
+    c_w = draw(st.sampled_from([0.0]) | st.floats(0.5, 10.0))
+    return ProblemInstance(
+        profile=ResolutionProfile(
+            tuple(draw(st.lists(st.integers(1, 20), min_size=S, max_size=S))), tuple(rho) + (1.0,)
+        ),
+        econ=EconomicParams(r=draw(st.floats(5.0, 50.0)), c_w=c_w,
+                            c_c=c_w + draw(st.floats(0.1, 20.0)), tau_w=draw(st.integers(1, 5))),
+        traffic=TrafficParams(q=draw(traffic), a=draw(traffic)),
+    )

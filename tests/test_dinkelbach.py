@@ -14,10 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatekeeper import (
-    EconomicParams,
-    ProblemInstance,
-    ResolutionProfile,
-    TrafficParams,
     enumerate_policies,
     is_threshold_policy,
     search_threshold_policies,
@@ -26,25 +22,8 @@ from gatekeeper.evaluate import average_reward, renewal_terms
 from gatekeeper.model import all_decision_rules, rules_table
 from gatekeeper.solve import dinkelbach, optimal_policy
 
-from conftest import random_instance
+from conftest import instances, random_instance
 from threshold_grid import best_threshold_reward
-
-EDGE = st.sampled_from([1e-8, 1.0]) | st.floats(0.01, 1.0)
-
-
-@st.composite
-def instances(draw, S=None):
-    S = draw(st.integers(1, 7)) if S is None else S
-    rho = draw(st.lists(st.sampled_from([1.0]) | st.floats(0.05, 0.95), min_size=S - 1, max_size=S - 1))
-    c_w = draw(st.sampled_from([0.0]) | st.floats(0.5, 10.0))
-    return ProblemInstance(
-        profile=ResolutionProfile(
-            tuple(draw(st.lists(st.integers(1, 20), min_size=S, max_size=S))), tuple(rho) + (1.0,)
-        ),
-        econ=EconomicParams(r=draw(st.floats(5.0, 50.0)), c_w=c_w,
-                            c_c=c_w + draw(st.floats(0.1, 20.0)), tau_w=draw(st.integers(1, 5))),
-        traffic=TrafficParams(q=draw(EDGE), a=draw(EDGE)),
-    )
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)

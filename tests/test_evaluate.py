@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatekeeper import (
     EconomicParams,
@@ -14,6 +16,8 @@ from gatekeeper import (
     average_reward,
     build_chain,
     evaluate_policy,
+    policy_from_names,
+    rules_table,
     uniform_policy,
 )
 from gatekeeper.evaluate import (
@@ -23,11 +27,14 @@ from gatekeeper.evaluate import (
     W1,
     average_reward_batch,
     c_index,
+    cycle_performance,
+    lane_terms,
     policy_actions,
+    renewal_terms,
     stationary_distribution,
 )
 
-from conftest import random_instance, random_policy
+from conftest import instances, random_instance, random_policy
 
 
 class TestChainStructure:
@@ -186,13 +193,15 @@ def test_two_closed_classes_make_a_singular_balance_matrix():
 @pytest.mark.parametrize("S", [2, 3, 4])
 def test_chain_matches_renewal_at_traffic_edges(S, q, a):
     # abs=0: R is near 1e-7 at q = 1e-8, where approx's default abs=1e-12
-    # would allow a relative error of 1e-5
+    # would allow a relative error of 1e-5.  G(W1) - G(W0) = R/a is not
+    # checked: at q = 1e-8 it is a difference of values near R/q.
     for seed in range(5):
         inst = dataclasses.replace(random_instance(seed, S), traffic=TrafficParams(q=q, a=a))
         for rule in ("T5", "H4", "C"):
             pol = uniform_policy(rule, S)
-            R = evaluate_policy(inst, pol).R
-            assert R == pytest.approx(average_reward(inst, pol), rel=1e-12, abs=0.0), (seed, rule)
+            ev = evaluate_policy(inst, pol)
+            assert ev.R == pytest.approx(average_reward(inst, pol), rel=1e-12, abs=0.0), (seed, rule)
+            assert ev.G[I1] - ev.G[I0] == pytest.approx(ev.R / q, rel=1e-12, abs=0.0), (seed, rule)
 
 
 def test_evaluation_export(saturated_two_attempt):
@@ -203,3 +212,49 @@ def test_evaluation_export(saturated_two_attempt):
     rows = ev.state_rows()
     assert [r[0] for r in rows[:4]] == ["I0", "I1", "W0", "W1"]
     assert rows[4][0] == "C(1,0,0)"
+
+
+def test_lane_terms_check_the_instance_and_every_q():
+    inst = random_instance(0, 3)
+    bad = dataclasses.replace(inst, econ=dataclasses.replace(inst.econ, c_c=inst.econ.c_w))
+    with pytest.raises(ValueError, match="c_c must exceed c_w"):
+        lane_terms(bad, np.array([0.5]))
+    with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
+        lane_terms(inst, np.array([0.5, 0.0]))
+    # the instance's own q plays no part; each lane equals its instance alone, bit for bit
+    q = np.array([1e-8, 0.3, 1.0])
+    lanes = lane_terms(inst.with_q(0.0), q)
+    for i, q_i in enumerate(q):
+        for lane, one in zip(lanes, renewal_terms([inst.with_q(q_i)])):
+            assert np.array_equal(lane[..., i], one[..., 0])
+
+
+INSIDE, EDGE_REL = 1e-3, 1e-7
+PERF_FIELDS = ("throughput", "p_admit", "p_resolve", "p_warm", "p_cold", "t_channel")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda S: st.tuples(
+    instances(S, traffic=st.sampled_from([1e-8, INSIDE, 1.0]) | st.floats(1e-8, 1.0)),
+    st.lists(st.sampled_from(sorted(rules_table())), min_size=S - 1, max_size=S - 1))))
+def test_cycle_measures_match_chain(case):
+    """Closed-form renewal measures against the chain's PerformanceMeasures.
+
+    For q and a in [1e-3, 1] they agree to 1e-12 relative (2.8e-13 at most
+    over 3,000 examples of this strategy).  Below that the chain loses digits: its t_channel
+    is mean_dur - pi(I0) over pi(I1), which cancels at small q, and at small
+    a pi(W0) takes nearly all mass.  Measured there over the same examples:
+    up to 2.7e-8 on p_warm, 1.1e-8 on t_channel and 4.2e-10 on R, so the edge
+    bound is 1e-7.  Outcome probabilities that are exactly 0 by the
+    recursion carry chain round-off up to 4e-17, hence abs=1e-15 on those
+    three.
+    """
+    inst, names = case
+    pol = policy_from_names(names)
+    ev = evaluate_policy(inst, pol)
+    R, perf = cycle_performance(inst, np.array([inst.traffic.q]), policy_actions(pol).reshape(1, -1, 4))
+    rel = 1e-12 if min(inst.traffic.q, inst.traffic.a) >= INSIDE else EDGE_REL
+    assert R[0] == pytest.approx(ev.R, rel=rel, abs=0.0)
+    for field in PERF_FIELDS:
+        floor = 1e-15 if field in ("p_resolve", "p_warm", "p_cold") else 0.0
+        assert getattr(perf, field)[0] == pytest.approx(getattr(ev.perf, field), rel=rel, abs=floor), field

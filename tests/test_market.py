@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from gatekeeper import (
     solve_equilibrium,
     uniform_policy,
 )
-from gatekeeper.evaluate import PerformanceMeasures, evaluate_policy
+from gatekeeper.evaluate import PerformanceMeasures, cycle_performance, evaluate_policy, policy_actions
 from gatekeeper.market import agent_service_cost
 
 
@@ -147,19 +147,28 @@ class TestEquilibrium:
         assert q_back == pytest.approx(res.q_per_agent, abs=1e-5)
 
     def test_jump_ends_unconverged_at_a_sign_change(self):
+        # reported at the bracket's lower end: g > 0 there and < 0 just above
         inst, market, prefs = default_design_instance(), MarketParams(), CustomerPrefs()
         res = solve_equilibrium(inst, DesignPoint(1, "C", 0.0), market, prefs)
         assert not res.converged
         assert res.iterations <= 60
 
-        def g(q):
-            perf = evaluate_policy(inst.with_q(q), uniform_policy("C", inst.S)).perf
+        def g(q, chain=False):
+            if chain:
+                perf = evaluate_policy(inst.with_q(q), uniform_policy("C", inst.S)).perf
+            else:   # the route the market takes
+                acts = policy_actions(uniform_policy("C", inst.S)).reshape(1, -1, 4)
+                lanes = cycle_performance(inst, np.array([q]), acts)[1]
+                perf = PerformanceMeasures(*(float(getattr(lanes, f.name)[0])
+                                             for f in fields(lanes)))
             share = compute_demand_shares(perf, None, prefs, perf.p_admit).agent
             return min(max(market.lam * share, 1e-6), 1.0) - q
 
         q = res.q_per_agent
-        assert g(q - 1e-9) > 0 > g(q + 1e-9)
-        assert res.residual == pytest.approx(abs(g(q)), rel=1e-12)
+        assert g(q) > 0 > g(q + 1e-9)
+        assert res.residual == g(q)
+        # the chain puts the jump in the same place
+        assert g(q - 1e-9, chain=True) > 0 > g(q + 1e-9, chain=True)
 
     def test_design_point_invariants(self):
         with pytest.raises(ValueError):
@@ -197,6 +206,23 @@ class TestOptimizeDesign:
             bot = replace(curve, p_succ=p) if p > 0 else None
             share = compute_demand_shares(res.perf, bot, prefs, res.perf.p_admit).agent
             assert abs(min(max(market.lam * share / k, 1e-6), 1.0) - res.q_per_agent) < 1e-6
+
+    def test_lockstep_cells_equal_one_cell_solves(self):
+        # the block holds converged, jump and "OPT" cells, among them the
+        # jump cells (1, C, 0), (1, C, 0.5) and (2, OPT, 0.6)
+        inst, prefs = default_design_instance(), CustomerPrefs()
+        market = MarketParams(k_max=2, p_grid=(0.1, 0.5, 0.6))
+        curve = BotChannel(0.0, 6.0, 9e-5, 2.6)
+        search = optimize_design(inst, market, prefs, curve)
+        jumps = {(r.design.k_agent, r.design.policy) for r in search.results if not r.converged}
+        assert (1, "C") in jumps and (2, "OPT") in jumps
+        for res in search.results:
+            one = solve_equilibrium(inst, res.design, market, prefs, curve)
+            assert one.q_per_agent == res.q_per_agent
+            assert (one.iterations, one.converged) == (res.iterations, res.converged)
+            assert one.residual == res.residual
+            assert one.shares == res.shares and one.perf == res.perf
+            assert one.profit == res.profit and one.policy == res.policy
 
     def test_cell_lookup(self):
         market = MarketParams(k_max=1, p_grid=(0.4,))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +25,6 @@ from .model import (
     ResolutionProfile,
     instance_from_json,
     policy_from_names,
-    validate_instance,
 )
 from .simulate import cross_validate
 from .solve import (
@@ -67,11 +66,7 @@ class RunConfig:
 def _load_instance(config: dict) -> ProblemInstance:
     if "instance" not in config:
         raise ValidationFailure("config must contain an 'instance' object")
-    inst = instance_from_json(config["instance"])
-    violations = validate_instance(inst)
-    if violations:
-        raise ValidationFailure("invalid instance: " + "; ".join(violations))
-    return inst
+    return instance_from_json(config["instance"])
 
 
 def _comments(cfg: RunConfig) -> list[str]:
@@ -185,7 +180,7 @@ def _run_wspt(cfg: RunConfig) -> list[str]:
 def _run_threshold_study(cfg: RunConfig) -> list[str]:
     gen = cfg.config.get("generator", {})
     seed = cfg.seed if cfg.seed is not None else int(cfg.config.get("seed", gen.get("seed", 0)))
-    gen_cfg = GeneratorConfig(seed=seed, **{k: _tupled(v) for k, v in gen.items() if k != "seed"})
+    gen_cfg = GeneratorConfig(seed=seed, **_section(GeneratorConfig, gen, "generator", skip="seed"))
     n = int(cfg.config.get("n_instances", 100))
     s_list = [int(s) for s in cfg.config.get("S_list", [3])]
     report = structure.run_heuristic_study(gen_cfg, n, s_list)
@@ -200,8 +195,13 @@ def _run_threshold_study(cfg: RunConfig) -> list[str]:
     return ["study.csv"]
 
 
-def _tupled(value):
-    return tuple(value) if isinstance(value, list) else value
+def _section(cls, spec: dict, name: str, skip: str = "") -> dict:
+    """Keyword arguments of cls from a config section, lists as tuples; an
+    unknown key is a validation failure that names it."""
+    unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValidationFailure(f"unknown key(s) under '{name}': {', '.join(unknown)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items() if k != skip}
 
 
 def _load_queue_model(config: dict) -> waiting_room.QueueModel:
@@ -209,7 +209,7 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
         raise ValidationFailure("config must contain a 'queue' object")
     spec = config["queue"]
     base = waiting_room.default_queue_model()
-    model = waiting_room.QueueModel(
+    return waiting_room.QueueModel(
         N=int(spec.get("N", base.N)),
         profile=ResolutionProfile(tuple(spec.get("tau", base.profile.tau)),
                                   tuple(spec.get("rho", base.profile.rho))),
@@ -217,10 +217,6 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
                             c_c=float(spec.get("c_c", base.econ.c_c)), tau_w=1),
         q=float(spec.get("q", base.q)),
     )
-    violations = waiting_room.validate_queue_model(model)
-    if violations:
-        raise ValidationFailure("invalid queue model: " + "; ".join(violations))
-    return model
 
 
 def _q_grid(config: dict) -> list[float]:
@@ -252,11 +248,10 @@ def _run_queue_sweep(cfg: RunConfig) -> list[str]:
 
 def _run_design(cfg: RunConfig) -> list[str]:
     inst = _load_instance(cfg.config) if "instance" in cfg.config else mkt.default_design_instance()
-    market_spec = cfg.config.get("market", {})
-    market = mkt.MarketParams(**{k: _tupled(v) for k, v in market_spec.items()})
-    prefs = mkt.CustomerPrefs(**cfg.config.get("prefs", {}))
-    bot_spec = cfg.config.get("bot", {})
-    bot = mkt.BotChannel(p_succ=0.0, **{k: v for k, v in bot_spec.items() if k != "p_succ"})
+    market = mkt.MarketParams(**_section(mkt.MarketParams, cfg.config.get("market", {}), "market"))
+    prefs = mkt.CustomerPrefs(**_section(mkt.CustomerPrefs, cfg.config.get("prefs", {}), "prefs"))
+    bot = mkt.BotChannel(p_succ=0.0, **_section(mkt.BotChannel, cfg.config.get("bot", {}), "bot",
+                                                 skip="p_succ"))
     wage = cfg.config.get("wage")
     search = mkt.optimize_design(inst, market, prefs, bot, wage=wage)
     rows = [
@@ -287,12 +282,7 @@ def _run_simulate(cfg: RunConfig) -> list[str]:
     targets = []
     for spec in config.get("targets", []):
         if "instance" in spec:
-            inst = instance_from_json(spec["instance"])
-            violations = validate_instance(inst)
-            if violations:
-                raise ValidationFailure("invalid instance: " + "; ".join(violations))
-            pol = policy_from_names(spec["policy"])
-            targets.append((inst, pol))
+            targets.append((instance_from_json(spec["instance"]), policy_from_names(spec["policy"])))
         elif "queue" in spec:
             model = _load_queue_model(spec)
             pol = waiting_room.queue_policy_from_label(spec["policy"])

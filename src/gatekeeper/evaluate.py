@@ -21,7 +21,6 @@ from .model import (
     CONGESTION_STATES,
     ProblemInstance,
     StationaryPolicy,
-    validate_instance,
 )
 
 I0, I1, W0, W1 = 0, 1, 2, 3
@@ -76,9 +75,6 @@ def _check_policy(inst: ProblemInstance, pol: StationaryPolicy) -> None:
 
 def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
     """Embedded chain of the per-period process under a stationary policy."""
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
     _check_policy(inst, pol)
 
     S = inst.S
@@ -134,7 +130,7 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
     return EmbeddedChain(P=P, reward=reward, duration=duration, labels=state_labels(S))
 
 
-def _reachable(P: np.ndarray, start: int) -> np.ndarray:
+def reachable(P: np.ndarray, start: int) -> np.ndarray:
     """Boolean mask of the states reachable from `start`, itself included."""
     seen = np.zeros(P.shape[0], dtype=bool)
     stack = [start]
@@ -149,7 +145,7 @@ def _reachable(P: np.ndarray, start: int) -> np.ndarray:
 
 
 def _unreachable_states(P: np.ndarray, labels: tuple[str, ...], start: int = I0) -> list[str]:
-    return [lbl for lbl, ok in zip(labels, _reachable(P, start)) if not ok]
+    return [lbl for lbl, ok in zip(labels, reachable(P, start)) if not ok]
 
 
 def _solve_stationary(P: np.ndarray) -> tuple[Optional[np.ndarray], str]:
@@ -192,7 +188,7 @@ def stationary_distribution(P: np.ndarray, labels: Optional[tuple[str, ...]] = N
         if pi[low] >= _MIN_PI:
             return np.clip(pi, 0.0, None)
         failed = f"stationary probability of {lbl[low]} is {pi[low]:.2e}, below {_MIN_PI:.0e}"
-        cls = _reachable(P, int(np.argmax(pi)))
+        cls = reachable(P, int(np.argmax(pi)))
         sub, sub_failed = _solve_stationary(P[np.ix_(cls, cls)])
         if not sub_failed and sub.min() >= _MIN_PI:
             pi = np.zeros_like(pi)
@@ -367,13 +363,12 @@ def _terms(tau, rho, r, c_w, c_c, tau_w, q, a) -> RenewalTerms:
 
 
 def renewal_terms(insts: Sequence[ProblemInstance]) -> RenewalTerms:
-    """Validated inputs of instances with one S, each lane's the same IEEE
-    operations, bit for bit, whatever the block."""
+    """Inputs of instances with one S, each lane's the same IEEE operations,
+    bit for bit, whatever the block."""
     S = insts[0].S
     for inst in insts:
-        bad = validate_instance(inst) or ([] if inst.S == S else [f"S = {inst.S} in a block of S = {S}"])
-        if bad:
-            raise ValueError("invalid instance: " + "; ".join(bad))
+        if inst.S != S:
+            raise ValueError(f"invalid instance: S = {inst.S} in a block of S = {S}")
     tau = np.array([inst.profile.tau for inst in insts], dtype=float).T
     rho = np.array([inst.profile.rho for inst in insts]).T
     econ = np.array([(i.econ.r, i.econ.c_w, i.econ.c_c, i.econ.tau_w, i.traffic.q, i.traffic.a)
@@ -382,14 +377,11 @@ def renewal_terms(insts: Sequence[ProblemInstance]) -> RenewalTerms:
 
 
 def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:
-    """Renewal terms of `inst` at each arrival probability in q: `inst` passes
-    every check of validate_instance but the one on q, made on each lane."""
+    """Renewal terms of `inst` at each arrival probability in q, which must
+    lie in (0, 1]; the instance's own q plays no part."""
     q = np.asarray(q, dtype=float)
-    bad = validate_instance(inst.with_q(1.0))
     if not np.all((0.0 < q) & (q <= 1.0)):
-        bad.append("q must lie in (0, 1]")
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
+        raise ValueError("invalid instance: q must lie in (0, 1]")
     lane = np.ones_like(q)
     tau, rho = (np.array(v, dtype=float)[:, None] * lane for v in (inst.profile.tau, inst.profile.rho))
     econ = inst.econ

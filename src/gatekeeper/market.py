@@ -104,7 +104,6 @@ class MarketParams:
 
     lam: float = 0.9
     k_max: int = 7
-    expert_rate: float = 3.5
     p_grid: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
     def __post_init__(self):
@@ -118,14 +117,6 @@ class Shares:
     bot_direct: float
     balk: float
     fallback_fraction: float  # P(bot beats outside option | chose agent)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "agent": self.agent,
-            "bot_direct": self.bot_direct,
-            "balk": self.balk,
-            "fallback_fraction": self.fallback_fraction,
-        }
 
 
 def _alternatives(bot: Optional[BotChannel], prefs: CustomerPrefs) -> tuple[np.ndarray, np.ndarray]:

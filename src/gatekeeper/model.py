@@ -218,6 +218,11 @@ class ProblemInstance:
     econ: EconomicParams
     traffic: TrafficParams
 
+    def __post_init__(self):
+        bad = validate_instance(self)
+        if bad:
+            raise ValueError("invalid instance: " + "; ".join(bad))
+
     @property
     def S(self) -> int:
         return self.profile.S
@@ -241,29 +246,31 @@ class ProblemInstance:
 
 
 def instance_from_json(data: dict) -> ProblemInstance:
-    prof = data["profile"]
-    if "S" in prof and int(prof["S"]) != len(prof["tau"]):
-        raise ValueError("profile.S does not match len(profile.tau)")
-    econ = data["econ"]
-    traffic = data["traffic"]
-    return ProblemInstance(
-        profile=ResolutionProfile(tuple(prof["tau"]), tuple(prof["rho"])),
-        econ=EconomicParams(
-            r=float(econ["r"]),
-            c_w=float(econ["c_w"]),
-            c_c=float(econ["c_c"]),
-            tau_w=int(econ["tau_w"]),
-            c_wage=float(econ.get("c_wage", 0.0)),
-        ),
-        traffic=TrafficParams(q=float(traffic["q"]), a=float(traffic["a"])),
-    )
+    try:
+        prof, econ, traffic = data["profile"], data["econ"], data["traffic"]
+        if "S" in prof and int(prof["S"]) != len(prof["tau"]):
+            raise ValueError("profile.S does not match len(profile.tau)")
+        return ProblemInstance(
+            profile=ResolutionProfile(tuple(prof["tau"]), tuple(prof["rho"])),
+            econ=EconomicParams(
+                r=float(econ["r"]),
+                c_w=float(econ["c_w"]),
+                c_c=float(econ["c_c"]),
+                tau_w=int(econ["tau_w"]),
+                c_wage=float(econ.get("c_wage", 0.0)),
+            ),
+            traffic=TrafficParams(q=float(traffic["q"]), a=float(traffic["a"])),
+        )
+    except KeyError as exc:
+        raise ValueError(f"instance is missing key {exc.args[0]!r}") from None
 
 
 def validate_instance(inst: ProblemInstance) -> list[str]:
     """Return every violated invariant as a human-readable message.
 
-    An empty list means the instance is valid.  Violations are data, not
-    exceptions, so callers can report all of them at once.
+    An empty list means the instance is valid.  ProblemInstance runs this
+    when built and raises one ValueError that lists every violation, so no
+    invalid instance exists and no caller checks again.
     """
     out: list[str] = []
     prof, econ, tr = inst.profile, inst.econ, inst.traffic
@@ -319,29 +326,28 @@ class GeneratorConfig:
     cost_ratio_range: tuple[float, float] = (1.1, 3.0)
     tau_w_range: tuple[int, int] = (1, 5)
 
-
-def _check_generator_config(cfg: GeneratorConfig) -> None:
-    if cfg.seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if cfg.S < 1:
-        raise ValueError("S must be >= 1")
-    for name in ("tau_range", "rho_range", "q_range", "a_range", "r_range",
-                 "c_w_range", "cost_ratio_range", "tau_w_range"):
-        lo, hi = getattr(cfg, name)
-        if lo > hi:
-            raise ValueError(f"{name} is empty: {lo} > {hi}")
-    if cfg.tau_range[0] < 1 or cfg.tau_w_range[0] < 1:
-        raise ValueError("processing times must be >= 1")
-    if not (0.0 < cfg.rho_range[0] and cfg.rho_range[1] <= 1.0):
-        raise ValueError("rho_range must lie in (0, 1]")
-    for name in ("q_range", "a_range"):
-        lo, hi = getattr(cfg, name)
-        if not (0.0 < lo and hi <= 1.0):
-            raise ValueError(f"{name} must lie in (0, 1]")
-    if cfg.r_range[0] <= 0 or cfg.c_w_range[0] < 0:
-        raise ValueError("r must be positive and c_w nonnegative")
-    if cfg.cost_ratio_range[0] <= 1.0:
-        raise ValueError("cold/warm cost ratio must exceed 1")
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if self.S < 1:
+            raise ValueError("S must be >= 1")
+        for name in ("tau_range", "rho_range", "q_range", "a_range", "r_range",
+                     "c_w_range", "cost_ratio_range", "tau_w_range"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} is empty: {lo} > {hi}")
+        if self.tau_range[0] < 1 or self.tau_w_range[0] < 1:
+            raise ValueError("processing times must be >= 1")
+        if not (0.0 < self.rho_range[0] and self.rho_range[1] <= 1.0):
+            raise ValueError("rho_range must lie in (0, 1]")
+        for name in ("q_range", "a_range"):
+            lo, hi = getattr(self, name)
+            if not (0.0 < lo and hi <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1]")
+        if self.r_range[0] <= 0 or self.c_w_range[0] < 0:
+            raise ValueError("r must be positive and c_w nonnegative")
+        if self.cost_ratio_range[0] <= 1.0:
+            raise ValueError("cold/warm cost ratio must exceed 1")
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -356,7 +362,6 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 def generate_instance(cfg: GeneratorConfig) -> ProblemInstance:
     """Draw one instance; deterministic in cfg.seed and always valid."""
-    _check_generator_config(cfg)
     rng = rng_stream(cfg.seed)
     tau = rng.integers(cfg.tau_range[0], cfg.tau_range[1] + 1, size=cfg.S)
     rho = np.empty(cfg.S)
@@ -368,12 +373,8 @@ def generate_instance(cfg: GeneratorConfig) -> ProblemInstance:
     c_w = rng.uniform(*cfg.c_w_range)
     c_c = c_w * rng.uniform(*cfg.cost_ratio_range)
     tau_w = int(rng.integers(cfg.tau_w_range[0], cfg.tau_w_range[1] + 1))
-    inst = ProblemInstance(
+    return ProblemInstance(
         profile=ResolutionProfile(tuple(int(t) for t in tau), tuple(rho)),
         econ=EconomicParams(r=r, c_w=c_w, c_c=c_c, tau_w=tau_w),
         traffic=TrafficParams(q=q, a=a),
     )
-    violations = validate_instance(inst)
-    if violations:  # pragma: no cover - generator enforces all invariants
-        raise AssertionError(f"generator produced an invalid instance: {violations}")
-    return inst

@@ -18,8 +18,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .evaluate import PerformanceMeasures, evaluate_policy
-from .model import ProblemInstance, StationaryPolicy, rng_stream, validate_instance
-from .waiting_room import QueueModel, QueuePolicy, evaluate_queue_policy, validate_queue_model
+from .model import ProblemInstance, StationaryPolicy, rng_stream
+from .waiting_room import QueueModel, QueuePolicy, evaluate_queue_policy
 
 N_BATCHES = 32
 WARMUP = 1024  # periods run before counting, to shed the empty-system start
@@ -57,9 +57,6 @@ def simulate_policy(
     Horizons of at least 10^4 periods are recommended; below 32 periods the
     batch-means estimate is undefined and the call is rejected.
     """
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
     if pol.n_decisions != inst.S - 1:
         raise ValueError(f"policy must define rules for attempts 1..{inst.S - 1}")
     if horizon < N_BATCHES:
@@ -173,9 +170,6 @@ def simulate_queue(
     stream: int = 0,
 ) -> SimReport:
     """Per-period simulation of the waiting-room channel."""
-    bad = validate_queue_model(model)
-    if bad:
-        raise ValueError("invalid queue model: " + "; ".join(bad))
     if horizon < N_BATCHES:
         raise ValueError(f"horizon must be at least {N_BATCHES}")
 

@@ -42,7 +42,6 @@ from .model import (
     all_decision_rules,
     policy_from_actions,
     rules_table,
-    validate_instance,
 )
 
 
@@ -161,9 +160,6 @@ def enumerate_policies(
     every action vector.  Returns (policy, R) pairs, built when read, ranked
     by R descending, ties broken lexicographically on the per-attempt rule names.
     """
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
     if ruleset == "table-1":
         rules = list(rules_table().values())
     elif ruleset == "all-81":
@@ -200,7 +196,6 @@ class TerminalConditions:
 
     v_end: np.ndarray
     r_ref: float
-    labels: tuple[str, ...]
 
     def value(self, t: int, T: int) -> np.ndarray:
         return self.r_ref * (T + 1 - t) + self.v_end
@@ -215,14 +210,12 @@ def stationary_terminals(
     r_ref its average reward, so the horizon recursion reproduces the
     stationary decisions at every t.
     """
-    return TerminalConditions(v_end=ev.G.copy(), r_ref=ev.R, labels=ev.labels)
+    return TerminalConditions(v_end=ev.G.copy(), r_ref=ev.R)
 
 
 def zero_terminals(inst: ProblemInstance) -> TerminalConditions:
     """All-zero terminal values (no credit for handed-off work)."""
-    return TerminalConditions(
-        v_end=np.zeros(n_states(inst.S)), r_ref=0.0, labels=state_labels(inst.S)
-    )
+    return TerminalConditions(v_end=np.zeros(n_states(inst.S)), r_ref=0.0)
 
 
 @dataclass(frozen=True)
@@ -254,9 +247,6 @@ def backward_induction(
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
     S = inst.S
     q, a = inst.traffic.q, inst.traffic.a
     tau = inst.profile.tau

@@ -30,7 +30,6 @@ from .model import (
     generate_instance,
     policy_from_actions,
     rules_table,
-    validate_instance,
 )
 from .solve import dinkelbach
 
@@ -139,9 +138,6 @@ def check_wspt(inst: ProblemInstance) -> WsptCheck:
     too much worse than the congestion-adjusted slack allows.  The weights
     depend on uncertainty only through conditional probabilities.
     """
-    bad = validate_instance(inst)
-    if bad:
-        raise ValueError("invalid instance: " + "; ".join(bad))
     q, a = inst.traffic.q, inst.traffic.a
     tau, rho = inst.profile.tau, inst.profile.rho
     if 1 / a > 1 / q:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .evaluate import stationary_distribution
+from .evaluate import reachable, stationary_distribution
 from .model import EconomicParams, ResolutionProfile
 
 IDLE = ("idle",)
@@ -35,6 +35,11 @@ class QueueModel:
     econ: EconomicParams
     q: float
 
+    def __post_init__(self):
+        bad = validate_queue_model(self)
+        if bad:
+            raise ValueError("invalid queue model: " + "; ".join(bad))
+
     @property
     def tau1(self) -> int:
         return self.profile.tau[0]
@@ -46,16 +51,6 @@ class QueueModel:
     @property
     def rho1(self) -> float:
         return self.profile.rho[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "tau": list(self.profile.tau),
-            "rho": list(self.profile.rho),
-            "r": self.econ.r,
-            "c_c": self.econ.c_c,
-            "q": self.q,
-        }
 
 
 def validate_queue_model(model: QueueModel) -> list[str]:
@@ -94,6 +89,12 @@ class QueuePolicy:
     kind: str               # "never" | "always" | "qge"
     n: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("never", "always", "qge"):
+            raise ValueError(f"unknown policy kind {self.kind!r}")
+        if self.kind == "qge" and self.n < 1:
+            raise ValueError("threshold n must be >= 1")
+
     @classmethod
     def never(cls) -> "QueuePolicy":
         return cls("never")
@@ -104,8 +105,6 @@ class QueuePolicy:
 
     @classmethod
     def when_queue_at_least(cls, n: int) -> "QueuePolicy":
-        if n < 1:
-            raise ValueError("threshold n must be >= 1")
         return cls("qge", n)
 
     def transfers(self, q_obs: int) -> bool:
@@ -135,13 +134,6 @@ def admissible_queue_policies(model: QueueModel) -> list[QueuePolicy]:
     pols = [QueuePolicy.never(), QueuePolicy.always()]
     pols += [QueuePolicy.when_queue_at_least(n) for n in range(1, model.N + 1)]
     return pols
-
-
-def _check_policy(model: QueueModel, pol: QueuePolicy) -> None:
-    if pol.kind == "qge" and not 1 <= pol.n <= model.N:
-        raise ValueError(f"threshold n={pol.n} outside 1..N={model.N}")
-    if pol.kind not in ("never", "always", "qge"):
-        raise ValueError(f"unknown policy kind {pol.kind!r}")
 
 
 def queue_states(model: QueueModel) -> list[tuple]:
@@ -178,10 +170,8 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
     The rate rows follow QueueEvaluation: reward, admissions, transfers,
     blocked arrivals and resolutions per period.
     """
-    bad = validate_queue_model(model)
-    if bad:
-        raise ValueError("invalid queue model: " + "; ".join(bad))
-    _check_policy(model, pol)
+    if pol.kind == "qge" and pol.n > model.N:
+        raise ValueError(f"threshold n={pol.n} outside 1..N={model.N}")
     states = tuple(queue_states(model))
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -239,13 +229,19 @@ def _evaluate_on_grid(model: QueueModel, pol: QueuePolicy,
     """One policy's evaluations across q, from one assembly of its branches."""
     states, P, rates = _branch_chains(model, pol)
     labels = tuple(f"{act}/{w}" for act, w in states)
+    empty = states.index((IDLE, 0))
     out = []
     for q in q_grid:
-        if q == 0.0:
-            pi = np.zeros(len(states))
-            pi[states.index((IDLE, 0))] = 1.0
-        else:
+        if 0.0 < q < 1.0:
             pi = stationary_distribution(q * P[1] + (1 - q) * P[0], labels)
+        else:
+            # At q = 0 or 1 every period takes the same branch, so the queue
+            # never grows or never shortens and several lengths may each
+            # close a class: solve on the states the empty system reaches.
+            live = reachable(P[int(q)], empty)
+            pi = np.zeros(len(states))
+            pi[live] = stationary_distribution(P[int(q)][np.ix_(live, live)],
+                                               tuple(lbl for lbl, ok in zip(labels, live) if ok))
         out.append(QueueEvaluation(pi, states, *((q * rates[1] + (1 - q) * rates[0]) @ pi).tolist()))
     return out
 

@@ -57,6 +57,27 @@ def test_solve_rejects_invalid_instance_naming_field(tmp_path, capsys):
     assert "rho[S] must equal 1" in capsys.readouterr().err
 
 
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys):
+    for sub, section, spec, key in (
+        ("design", "market", {"lam": 0.9, "expert_rate": 3.5}, "expert_rate"),
+        ("design", "prefs", {"c_tme": 1.0}, "c_tme"),
+        ("design", "bot", {"b_bott": 2.6}, "b_bott"),
+        ("threshold-study", "generator", {"S": 2, "tau_rng": [1, 5]}, "tau_rng"),
+    ):
+        code, _ = run_cli(tmp_path, sub, {section: spec})
+        assert code == EXIT_VALIDATION
+        assert f"unknown key(s) under '{section}': {key}" in capsys.readouterr().err
+
+
+def test_instance_missing_a_key_exits_2_naming_it(tmp_path, capsys):
+    for section, key in (("instance", "econ"), ("econ", "c_w")):
+        inst = valid_instance()
+        del (inst if section == "instance" else inst[section])[key]
+        code, _ = run_cli(tmp_path, "solve", {"instance": inst})
+        assert code == EXIT_VALIDATION
+        assert f"instance is missing key '{key}'" in capsys.readouterr().err
+
+
 def test_artifacts_are_byte_identical_across_runs(tmp_path):
     payload = {"instance": valid_instance()}
     cfg = write_config(tmp_path, payload)

@@ -216,14 +216,14 @@ def test_evaluation_export(saturated_two_attempt):
 
 def test_lane_terms_check_the_instance_and_every_q():
     inst = random_instance(0, 3)
-    bad = dataclasses.replace(inst, econ=dataclasses.replace(inst.econ, c_c=inst.econ.c_w))
     with pytest.raises(ValueError, match="c_c must exceed c_w"):
-        lane_terms(bad, np.array([0.5]))
+        lane_terms(dataclasses.replace(inst, econ=dataclasses.replace(inst.econ, c_c=inst.econ.c_w)),
+                   np.array([0.5]))
     with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
         lane_terms(inst, np.array([0.5, 0.0]))
     # the instance's own q plays no part; each lane equals its instance alone, bit for bit
     q = np.array([1e-8, 0.3, 1.0])
-    lanes = lane_terms(inst.with_q(0.0), q)
+    lanes = lane_terms(inst, q)
     for i, q_i in enumerate(q):
         for lane, one in zip(lanes, renewal_terms([inst.with_q(q_i)])):
             assert np.array_equal(lane[..., i], one[..., 0])

@@ -7,9 +7,11 @@ from gatekeeper import (
     EconomicParams,
     GeneratorConfig,
     ProblemInstance,
+    QueuePolicy,
     ResolutionProfile,
     TrafficParams,
     all_decision_rules,
+    default_queue_model,
     dominance_admissible,
     generate_instance,
     instance_from_json,
@@ -34,23 +36,38 @@ def test_valid_instance_has_no_violations():
 
 
 def test_final_attempt_must_resolve():
-    inst = make_instance(profile=ResolutionProfile((4, 6), (0.8, 0.9)))
-    assert "rho[S] must equal 1" in validate_instance(inst)
+    with pytest.raises(ValueError, match=r"rho\[S\] must equal 1"):
+        make_instance(profile=ResolutionProfile((4, 6), (0.8, 0.9)))
 
 
 def test_cold_fee_must_exceed_warm_fee():
-    inst = make_instance(econ=EconomicParams(r=20.0, c_w=5.0, c_c=4.0, tau_w=3))
-    assert "c_c must exceed c_w" in validate_instance(inst)
+    with pytest.raises(ValueError, match="c_c must exceed c_w"):
+        make_instance(econ=EconomicParams(r=20.0, c_w=5.0, c_c=4.0, tau_w=3))
 
 
 def test_validator_reports_every_violation():
-    inst = ProblemInstance(
-        profile=ResolutionProfile((0, 6), (1.5, 0.9)),
-        econ=EconomicParams(r=-1.0, c_w=5.0, c_c=4.0, tau_w=0),
-        traffic=TrafficParams(q=0.0, a=1.5),
-    )
-    messages = validate_instance(inst)
+    with pytest.raises(ValueError, match="invalid instance: ") as err:
+        ProblemInstance(
+            profile=ResolutionProfile((0, 6), (1.5, 0.9)),
+            econ=EconomicParams(r=-1.0, c_w=5.0, c_c=4.0, tau_w=0),
+            traffic=TrafficParams(q=0.0, a=1.5),
+        )
+    messages = str(err.value).removeprefix("invalid instance: ").split("; ")
     assert len(messages) >= 6
+
+
+def test_construction_and_replace_check_the_invariants():
+    inst = make_instance()
+    with pytest.raises(ValueError, match=r"invalid instance: q must lie in \(0, 1\]"):
+        inst.with_q(0.0)
+    with pytest.raises(ValueError, match=r"invalid queue model: q must lie in \[0, 1\]"):
+        dataclasses.replace(default_queue_model(), q=1.5)
+    with pytest.raises(ValueError, match="S must be >= 1"):
+        GeneratorConfig(seed=1, S=0)
+    with pytest.raises(ValueError, match="unknown policy kind 'bogus'"):
+        QueuePolicy("bogus")
+    with pytest.raises(ValueError, match="threshold n must be >= 1"):
+        QueuePolicy("qge", 0)
 
 
 class TestRulesTable:

@@ -20,16 +20,17 @@ from gatekeeper import (
     sweep_queue_policies,
     uniform_policy,
 )
-from gatekeeper.waiting_room import queue_policy_from_label, validate_queue_model
+from gatekeeper.waiting_room import queue_policy_from_label
 
 GRID = [round(0.05 * i, 2) for i in range(1, 21)]
 RECORDED_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "expected" / "sweep.csv"
 
 
 def test_model_validation():
-    bad = QueueModel(N=-1, profile=ResolutionProfile((6, 15, 2), (0.7, 0.5, 1.0)),
-                     econ=EconomicParams(r=-3.0, c_w=0.0, c_c=5.0, tau_w=1), q=1.4)
-    msgs = validate_queue_model(bad)
+    with pytest.raises(ValueError, match="invalid queue model: ") as err:
+        QueueModel(N=-1, profile=ResolutionProfile((6, 15, 2), (0.7, 0.5, 1.0)),
+                   econ=EconomicParams(r=-3.0, c_w=0.0, c_c=5.0, tau_w=1), q=1.4)
+    msgs = str(err.value).removeprefix("invalid queue model: ").split("; ")
     assert len(msgs) >= 4
 
 
@@ -62,6 +63,20 @@ def test_threshold_out_of_range_rejected():
     model = default_queue_model(N=2)
     with pytest.raises(ValueError):
         evaluate_queue_policy(model, QueuePolicy.when_queue_at_least(3))
+
+
+def test_one_period_first_attempt_at_full_traffic():
+    # q = 1 never shortens the queue, so with tau_1 = 1 each length can close
+    # its own class; the chain is solved on what the empty state reaches
+    model = dataclasses.replace(default_queue_model(N=2, q=1.0),
+                                profile=ResolutionProfile((1, 15), (0.7, 1.0)))
+    ev = evaluate_queue_policy(model, QueuePolicy.always())
+    assert ev.profit == pytest.approx(20.0 - 0.3 * 5.0, rel=1e-12)  # r - (1 - rho_1) c_c
+    assert ev.throughput == pytest.approx(1.0, rel=1e-12)
+    sweep = sweep_queue_policies(model, [0.5, 1.0])
+    assert sweep.profit_for("always")[1] == ev.profit
+    sim = simulate_queue(model, QueuePolicy.never(), horizon=100_000, seed=3)
+    assert abs(sim.mean - sweep.profit_for("never")[1]) < 3 * sim.se
 
 
 class TestSaturation:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -23,6 +23,7 @@ from .model import (
     GeneratorConfig,
     ProblemInstance,
     ResolutionProfile,
+    check_keys,
     instance_from_json,
     policy_from_names,
 )
@@ -57,10 +58,11 @@ class RunConfig:
     out_dir: Path
     seed: Optional[int] = None
 
-    def seeded(self, default: int = 0) -> int:
+    def seeded(self) -> int:
+        """The run's seed: --seed, else the config's seed, else generator.seed, else 0."""
         if self.seed is not None:
             return self.seed
-        return int(self.config.get("seed", default))
+        return int(self.config.get("seed", self.config.get("generator", {}).get("seed", 0)))
 
 
 def _load_instance(config: dict) -> ProblemInstance:
@@ -178,11 +180,10 @@ def _run_wspt(cfg: RunConfig) -> list[str]:
 
 
 def _run_threshold_study(cfg: RunConfig) -> list[str]:
-    gen = cfg.config.get("generator", {})
-    seed = cfg.seed if cfg.seed is not None else int(cfg.config.get("seed", gen.get("seed", 0)))
-    gen_cfg = GeneratorConfig(seed=seed, **_section(GeneratorConfig, gen, "generator", skip="seed"))
+    gen = _section(GeneratorConfig, cfg.config.get("generator", {}), "generator")
+    gen_cfg = GeneratorConfig(**{**gen, "seed": cfg.seeded()})
     n = int(cfg.config.get("n_instances", 100))
-    s_list = [int(s) for s in cfg.config.get("S_list", [3])]
+    s_list = [int(s) for s in cfg.config.get("S_list", [gen_cfg.S])]
     report = structure.run_heuristic_study(gen_cfg, n, s_list)
     rows = [
         (row.S, row.n_instances, row.frac_threshold_opt, row.mean_gap_pct,
@@ -195,19 +196,19 @@ def _run_threshold_study(cfg: RunConfig) -> list[str]:
     return ["study.csv"]
 
 
-def _section(cls, spec: dict, name: str, skip: str = "") -> dict:
-    """Keyword arguments of cls from a config section, lists as tuples; an
-    unknown key is a validation failure that names it."""
-    unknown = sorted(set(spec) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValidationFailure(f"unknown key(s) under '{name}': {', '.join(unknown)}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items() if k != skip}
+def _section(cls, spec: dict, name: str, fixed: str = "") -> dict:
+    """Keyword arguments of cls from a config section, lists as tuples; a key
+    that is no field of cls, or is the field `fixed` that the run sets
+    itself, is a validation failure that names it."""
+    check_keys(spec, name, {f.name for f in fields(cls)} - {fixed})
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in spec.items()}
 
 
 def _load_queue_model(config: dict) -> waiting_room.QueueModel:
     if "queue" not in config:
         raise ValidationFailure("config must contain a 'queue' object")
     spec = config["queue"]
+    check_keys(spec, "queue", ("N", "tau", "rho", "r", "c_c", "q"))
     base = waiting_room.default_queue_model()
     return waiting_room.QueueModel(
         N=int(spec.get("N", base.N)),
@@ -251,9 +252,10 @@ def _run_design(cfg: RunConfig) -> list[str]:
     market = mkt.MarketParams(**_section(mkt.MarketParams, cfg.config.get("market", {}), "market"))
     prefs = mkt.CustomerPrefs(**_section(mkt.CustomerPrefs, cfg.config.get("prefs", {}), "prefs"))
     bot = mkt.BotChannel(p_succ=0.0, **_section(mkt.BotChannel, cfg.config.get("bot", {}), "bot",
-                                                 skip="p_succ"))
-    wage = cfg.config.get("wage")
-    search = mkt.optimize_design(inst, market, prefs, bot, wage=wage)
+                                                 fixed="p_succ"))
+    if cfg.config.get("wage") is not None:
+        inst = replace(inst, econ=replace(inst.econ, c_wage=cfg.config["wage"]))
+    search = mkt.optimize_design(inst, market, prefs, bot)
     rows = [
         (res.design.k_agent, res.design.policy or "", res.design.p_succ, res.profit,
          res.q_per_agent, res.q_bot_effective, res.shares.agent, res.shares.bot_direct,

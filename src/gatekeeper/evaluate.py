@@ -60,10 +60,12 @@ class EmbeddedChain:
     P: np.ndarray          # (n, n) transition matrix
     reward: np.ndarray     # per-state expected reward
     duration: np.ndarray   # per-state expected duration (periods)
+    outcome: np.ndarray    # (n, 3) per state: P(resolve), P(warm), P(cold) on leaving it
     labels: tuple[str, ...]
 
 
-def _check_policy(inst: ProblemInstance, pol: StationaryPolicy) -> None:
+def check_policy(inst: ProblemInstance, pol: StationaryPolicy) -> None:
+    """Reject a policy whose rule count does not fit the instance's S."""
     S = inst.S
     if pol.n_decisions != S - 1:
         raise ValueError(
@@ -75,7 +77,7 @@ def _check_policy(inst: ProblemInstance, pol: StationaryPolicy) -> None:
 
 def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
     """Embedded chain of the per-period process under a stationary policy."""
-    _check_policy(inst, pol)
+    check_policy(inst, pol)
 
     S = inst.S
     q, a = inst.traffic.q, inst.traffic.a
@@ -87,6 +89,7 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
     P = np.zeros((n, n))
     reward = np.zeros(n)
     duration = np.zeros(n)
+    outcome = np.zeros((n, 3))
 
     # Idle, no arrival: wait one period, redraw the arrival.
     P[I0, I0] = 1 - q
@@ -112,6 +115,7 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
             p_res = rho[x - 1]
             P[i, idle] += p_res
             reward[i] += p_res * r
+            outcome[i, 0] = p_res
             if x == S:
                 continue  # final attempt always resolves
             p_fail = 1 - p_res
@@ -123,11 +127,14 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
             elif act is Action.WARM:
                 P[i, W1 if af else W0] += p_fail
                 reward[i] += p_fail * (r - c_w)
+                outcome[i, 1] = p_fail
             else:
                 P[i, idle] += p_fail
                 reward[i] += p_fail * (r - c_c)
+                outcome[i, 2] = p_fail
 
-    return EmbeddedChain(P=P, reward=reward, duration=duration, labels=state_labels(S))
+    return EmbeddedChain(P=P, reward=reward, duration=duration, outcome=outcome,
+                         labels=state_labels(S))
 
 
 def reachable(P: np.ndarray, start: int) -> np.ndarray:
@@ -230,9 +237,6 @@ class PolicyEvaluation:
     perf: PerformanceMeasures
     labels: tuple[str, ...]
 
-    def g(self, label: str) -> float:
-        return float(self.G[self.labels.index(label)])
-
     def to_json_dict(self) -> dict:
         return {
             "R": self.R,
@@ -246,43 +250,24 @@ class PolicyEvaluation:
         return [(lbl, float(p), float(g)) for lbl, p, g in zip(self.labels, self.pi, self.G)]
 
 
-def _performance(inst: ProblemInstance, pol: StationaryPolicy, pi: np.ndarray,
-                 duration: np.ndarray) -> PerformanceMeasures:
-    S = inst.S
-    rho = inst.profile.rho
-    mean_dur = float(pi @ duration)
+def _performance(chain: EmbeddedChain, pi: np.ndarray, mean_dur: float,
+                 q: float) -> PerformanceMeasures:
     admit_per_step = float(pi[I1])  # every admission enters I1 exactly once
     throughput = admit_per_step / mean_dur
-    p_admit = throughput / inst.traffic.q
-
-    res = warm = cold = 0.0
-    for x in range(1, S + 1):
-        for j, (qf, af) in enumerate(CONGESTION_STATES):
-            p = float(pi[c_index(x, j)])
-            res += p * rho[x - 1]
-            if x < S:
-                act = pol.rule_after(x).action(qf, af)
-                if act is Action.WARM:
-                    warm += p * (1 - rho[x - 1])
-                elif act is Action.COLD:
-                    cold += p * (1 - rho[x - 1])
+    # Each admission ends in exactly one outcome, so total > 0; the flows are
+    # summed in state order, not by a dot product, whose order would differ.
+    res, warm, cold = np.add.accumulate(pi[:, None] * chain.outcome)[-1].tolist()
     total = res + warm + cold
-    if total <= 0:
-        p_res = p_wrm = p_cld = 0.0
-        t_channel = 0.0
-    else:
-        p_res, p_wrm, p_cld = res / total, warm / total, cold / total
-        # Occupied time: everything except I0 idling (decision nodes have
-        # zero duration; attempt/wait/handoff periods all carry the customer).
-        occupied = mean_dur - float(pi[I0]) * duration[I0]
-        t_channel = occupied / admit_per_step
+    # Occupied time: everything except I0 idling (decision nodes have
+    # zero duration; attempt/wait/handoff periods all carry the customer).
+    occupied = mean_dur - float(pi[I0]) * chain.duration[I0]
     return PerformanceMeasures(
         throughput=throughput,
-        p_admit=p_admit,
-        p_resolve=p_res,
-        p_warm=p_wrm,
-        p_cold=p_cld,
-        t_channel=t_channel,
+        p_admit=throughput / q,
+        p_resolve=res / total,
+        p_warm=warm / total,
+        p_cold=cold / total,
+        t_channel=occupied / admit_per_step,
     )
 
 
@@ -319,7 +304,7 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
             f"states unreachable from I0: {_unreachable_states(chain.P, chain.labels)}"
         )
 
-    perf = _performance(inst, pol, pi, chain.duration)
+    perf = _performance(chain, pi, mean_dur, inst.traffic.q)
     return PolicyEvaluation(R=R, G=G, pi=pi, perf=perf, labels=chain.labels)
 
 
@@ -444,5 +429,5 @@ def cycle_performance(inst: ProblemInstance, q: np.ndarray,
 
 def average_reward(inst: ProblemInstance, pol: StationaryPolicy) -> float:
     """Scalar renewal-cycle average reward of one policy."""
-    _check_policy(inst, pol)
+    check_policy(inst, pol)
     return float(average_reward_batch(inst, policy_actions(pol).reshape(1, -1, 4))[0])

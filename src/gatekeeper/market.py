@@ -22,7 +22,7 @@ never congested.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -144,13 +144,15 @@ def agent_service_cost(perf: PerformanceMeasures, prefs: CustomerPrefs) -> float
 def _lane_shares(alt: tuple[np.ndarray, np.ndarray], cost: np.ndarray, p_admit: np.ndarray,
                  prefs: CustomerPrefs) -> tuple[np.ndarray, ...]:
     """Shares (agent, bot_direct, balk, fallback) of lanes facing one bot;
-    cost and p_admit are arrays over lanes, each lane a row of the lattice."""
+    cost and p_admit are arrays over lanes, each lane a row of the lattice.
+    A lane with p_admit = 0 admits nobody, so nobody picks the agent."""
     best_alt, bot_ok = alt
     n = prefs.grid_n
     # U_agent(v_a, v_b) = p_admit (v_a - t_cost) + (1-p_admit)(-c_na + best_alt)
     # >= best_alt  iff  v_a >= best_alt + t_cost + c_na (1-p_admit)/p_admit.
     x = best_alt + cost[:, None]
-    x += (prefs.c_not_admit * (1 - p_admit) / p_admit)[:, None]
+    x += np.divide(prefs.c_not_admit * (1 - p_admit), p_admit,
+                   out=np.full_like(p_admit, np.inf), where=p_admit > 0)[:, None]
     x /= prefs.v_max / n
     x -= 0.5
     count = n - np.clip(np.ceil(x, out=x), 0, n, out=x)   # per column, agents among n rows
@@ -176,13 +178,11 @@ def compute_demand_shares(
     channel iff its expected utility is at least both alternatives'; failing
     that, the bot iff it strictly beats the outside option.  Utilities are
     affine in the agent valuation, so each bot-valuation column reduces to a
-    closed-form lattice count.
+    closed-form lattice count.  A design without agents passes perf None and
+    p_admit = 0.
     """
-    alt = _alternatives(bot, prefs)
-    if perf is None or p_admit <= 0.0:
-        bot_direct = float(np.count_nonzero(alt[1])) / prefs.grid_n
-        return Shares(agent=0.0, bot_direct=bot_direct, balk=1.0 - bot_direct, fallback_fraction=0.0)
-    shares = _lane_shares(alt, np.array([agent_service_cost(perf, prefs)]), np.array([p_admit]), prefs)
+    cost = 0.0 if perf is None else agent_service_cost(perf, prefs)
+    shares = _lane_shares(_alternatives(bot, prefs), np.array([cost]), np.array([p_admit]), prefs)
     return Shares(*(float(s[0]) for s in shares))
 
 
@@ -236,51 +236,48 @@ def _profit(
     return profit, parts
 
 
-def _bot(p_succ: float, bot_curve: Optional[BotChannel]) -> Optional[BotChannel]:
-    if p_succ == 0.0:
-        return None
-    return BotChannel(p_succ=p_succ) if bot_curve is None else replace(bot_curve, p_succ=p_succ)
-
-
 def _solve_cells(
     template: ProblemInstance,
     designs: list[DesignPoint],
     market: MarketParams,
     prefs: CustomerPrefs,
-    bot_curve: Optional[BotChannel],
+    bot_curve: BotChannel,
 ) -> list[EquilibriumResult]:
     """Every design's demand fixed point; the staffed ones bisect in lockstep.
 
-    Each staffed cell is a lane with its own bracket [lo, hi] and stopping
-    rule (see `solve_equilibrium`); one pass evaluates every active lane's
-    midpoint at once.  Uniform-rule lanes carry their rule's actions, "OPT"
-    lanes take theirs from `dinkelbach` at the midpoint, and the measures
-    come from the renewal recursion (`cycle_performance`), not the chain.
-    The lattice shares are taken per bot, whose per-column best alternative
-    does not depend on q.  Every step is elementwise over lanes, so a cell's
-    result does not depend on which other cells share the block.
+    Each design is a lane.  A staffed lane has its own bracket [lo, hi] and
+    stopping rule (see `solve_equilibrium`); one pass evaluates every active
+    lane's midpoint at once.  Uniform-rule lanes carry their rule's actions,
+    "OPT" lanes take theirs from `dinkelbach` at the midpoint, and the
+    measures come from the renewal recursion (`cycle_performance`), not the
+    chain.  An unstaffed lane admits nobody and needs no bisection.  The
+    lattice shares are taken per bot, whose per-column best alternative does
+    not depend on q.  Every step is elementwise over lanes, so a cell's result
+    does not depend on which other cells share the block.
     """
     S, econ, table = template.S, template.econ, rules_table()
-    bots = {d.p_succ: _bot(d.p_succ, bot_curve) for d in designs}
+    bots = {d.p_succ: replace(bot_curve, p_succ=d.p_succ) if d.p_succ else None for d in designs}
     alts = {p: _alternatives(bot, prefs) for p, bot in bots.items()}
-    staffed = [d for d in designs if d.k_agent > 0]
-    k = np.array([d.k_agent for d in staffed], dtype=float)
-    p_lane = np.array([d.p_succ for d in staffed])
-    opt = np.array([d.policy == "OPT" for d in staffed], dtype=bool)
-    acts = np.zeros((len(staffed), S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
-    for j, d in enumerate(staffed):
-        if not opt[j]:
+    k = np.array([d.k_agent for d in designs], dtype=float)
+    p_lane = np.array([d.p_succ for d in designs])
+    opt = np.array([d.policy == "OPT" for d in designs], dtype=bool)
+    acts = np.zeros((len(designs), S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
+    for j, d in enumerate(designs):
+        if d.policy in table:
             acts[j] = table[d.policy].actions
 
     # The reported evaluation of each lane: the converged midpoint, or else
     # the lower end lo of the collapsed bracket, the last midpoint with g > 0.
     # A lane whose lo never left Q_FLOOR converges: g >= Q_FLOOR - q there.
-    lo, hi = np.full(len(staffed), _Q_FLOOR), np.ones(len(staffed))
-    iters = np.zeros(len(staffed), dtype=int)
-    converged = np.zeros(len(staffed), dtype=bool)
-    rep = np.zeros((13, len(staffed)))   # q, R, g, the six measures, the four shares
+    # An unstaffed lane reports q = R = g = 0 and its shares at p_admit = 0.
+    lo, hi = np.full(len(designs), _Q_FLOOR), np.ones(len(designs))
+    iters = np.zeros(len(designs), dtype=int)
+    converged = k == 0
+    rep = np.zeros((13, len(designs)))   # q, R, g, the six measures, the four shares
+    for j in np.flatnonzero(converged):
+        rep[9:, j] = astuple(compute_demand_shares(None, bots[designs[j].p_succ], prefs, 0.0))
     rep_acts = acts.copy()
-    active = np.arange(len(staffed))
+    active = np.flatnonzero(~converged)
     while active.size:
         q = 0.5 * (lo[active] + hi[active])
         iters[active] += 1
@@ -306,32 +303,22 @@ def _solve_cells(
         halves = (lo[active] < mid) & (mid < hi[active])
         active = active[~done & halves]
 
-    results, lane = [], 0
-    for d in designs:
-        bot = bots[d.p_succ]
-        if d.k_agent == 0:
-            shares = compute_demand_shares(None, bot, prefs, 0.0)
-            q_bot = market.lam * shares.bot_direct
-            profit, parts = _profit(0, 0.0, econ.c_wage, q_bot, bot, econ)
-            results.append(EquilibriumResult(
-                design=d, q_per_agent=0.0, q_bot_effective=q_bot, shares=shares,
-                perf=None, policy=None, agent_reward=0.0, profit=profit,
-                profit_parts=parts, converged=True, iterations=0, residual=0.0,
-            ))
-            continue
-        q, R, g, *rest = rep[:, lane].tolist()
+    results = []
+    for j, d in enumerate(designs):
+        q, R, g, *rest = rep[:, j].tolist()
         perf, shares = PerformanceMeasures(*rest[:6]), Shares(*rest[6:])
         q_bot = market.lam * (
             shares.bot_direct + shares.agent * (1 - perf.p_admit) * shares.fallback_fraction
         )
-        profit, parts = _profit(d.k_agent, R, econ.c_wage, q_bot, bot, econ)
+        profit, parts = _profit(d.k_agent, R, econ.c_wage, q_bot, bots[d.p_succ], econ)
+        staffed = d.k_agent > 0
         results.append(EquilibriumResult(
-            design=d, q_per_agent=q, q_bot_effective=q_bot, shares=shares, perf=perf,
-            policy=policy_from_actions(rep_acts[lane]), agent_reward=R, profit=profit,
-            profit_parts=parts, converged=bool(converged[lane]), iterations=int(iters[lane]),
-            residual=abs(g),
+            design=d, q_per_agent=q, q_bot_effective=q_bot, shares=shares,
+            perf=perf if staffed else None,
+            policy=policy_from_actions(rep_acts[j]) if staffed else None,
+            agent_reward=R, profit=profit, profit_parts=parts, converged=bool(converged[j]),
+            iterations=int(iters[j]), residual=abs(g),
         ))
-        lane += 1
     return results
 
 
@@ -340,7 +327,7 @@ def solve_equilibrium(
     design: DesignPoint,
     market: MarketParams,
     prefs: CustomerPrefs,
-    bot_curve: Optional[BotChannel] = None,
+    bot_curve: BotChannel = BotChannel(p_succ=0.0),
 ) -> EquilibriumResult:
     """Self-consistent demand split for one design, by bisection.
 
@@ -394,7 +381,6 @@ def optimize_design(
     market: MarketParams,
     prefs: CustomerPrefs,
     bot_curve: BotChannel,
-    wage: Optional[float] = None,
 ) -> DesignSearch:
     """Profit over the full staffing x policy x training grid, ranked.
 
@@ -405,8 +391,6 @@ def optimize_design(
     (see `solve_equilibrium`); ranking ties break on the (k, policy, p_succ)
     key, and an unconverged cell ranks by its profit at its reported lo.
     """
-    if wage is not None:
-        template = replace(template, econ=replace(template.econ, c_wage=wage))
     policies: list[Optional[str]] = list(rules_table()) + ["OPT"]
     p_values = [0.0] + [p for p in market.p_grid if p > 0.0]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -245,9 +245,20 @@ class ProblemInstance:
         }
 
 
+def check_keys(section: dict, name: str, known: Iterable[str]) -> None:
+    """Reject a config section that holds a key outside `known`, naming it."""
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) under '{name}': {', '.join(unknown)}")
+
+
 def instance_from_json(data: dict) -> ProblemInstance:
     try:
         prof, econ, traffic = data["profile"], data["econ"], data["traffic"]
+        check_keys(data, "instance", ("profile", "econ", "traffic"))
+        check_keys(prof, "profile", ("S", "tau", "rho"))
+        check_keys(econ, "econ", ("r", "c_w", "c_c", "tau_w", "c_wage"))
+        check_keys(traffic, "traffic", ("q", "a"))
         if "S" in prof and int(prof["S"]) != len(prof["tau"]):
             raise ValueError("profile.S does not match len(profile.tau)")
         return ProblemInstance(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .evaluate import PerformanceMeasures, evaluate_policy
+from .evaluate import PerformanceMeasures, check_policy, evaluate_policy
 from .model import ProblemInstance, StationaryPolicy, rng_stream
 from .waiting_room import QueueModel, QueuePolicy, evaluate_queue_policy
 
@@ -57,8 +57,7 @@ def simulate_policy(
     Horizons of at least 10^4 periods are recommended; below 32 periods the
     batch-means estimate is undefined and the call is rejected.
     """
-    if pol.n_decisions != inst.S - 1:
-        raise ValueError(f"policy must define rules for attempts 1..{inst.S - 1}")
+    check_policy(inst, pol)
     if horizon < N_BATCHES:
         raise ValueError(f"horizon must be at least {N_BATCHES}")
 

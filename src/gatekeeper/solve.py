@@ -228,9 +228,6 @@ class FiniteHorizonSolution:
     T: int
     labels: tuple[str, ...]
 
-    def value(self, t: int, label: str) -> float:
-        return float(self.V[t, self.labels.index(label)])
-
 
 def backward_induction(
     inst: ProblemInstance, T: int, terms: TerminalConditions

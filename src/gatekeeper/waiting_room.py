@@ -59,8 +59,13 @@ def validate_queue_model(model: QueueModel) -> list[str]:
         out.append("N must be nonnegative")
     if model.profile.S != 2:
         out.append("waiting-room model requires exactly two attempts")
-    elif model.profile.rho[-1] != 1.0:
-        out.append("rho[2] must equal 1")
+    elif len(model.profile.rho) != 2:
+        out.append("tau and rho must have the same length")
+    else:
+        if not 0.0 <= model.profile.rho[0] <= 1.0:
+            out.append("rho[1] must lie in [0, 1]")
+        if model.profile.rho[-1] != 1.0:
+            out.append("rho[2] must equal 1")
     if any(t < 1 for t in model.profile.tau):
         out.append("attempt times must be positive integers")
     if model.econ.r <= 0:

@@ -58,15 +58,31 @@ def test_solve_rejects_invalid_instance_naming_field(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys):
-    for sub, section, spec, key in (
-        ("design", "market", {"lam": 0.9, "expert_rate": 3.5}, "expert_rate"),
-        ("design", "prefs", {"c_tme": 1.0}, "c_tme"),
-        ("design", "bot", {"b_bott": 2.6}, "b_bott"),
-        ("threshold-study", "generator", {"S": 2, "tau_rng": [1, 5]}, "tau_rng"),
+    misspelt_econ, extra_key = valid_instance(), valid_instance()
+    misspelt_econ["econ"]["c_wgae"] = 0.5
+    extra_key["foo"] = 1
+    for sub, section, payload, key in (
+        ("design", "market", {"market": {"lam": 0.9, "expert_rate": 3.5}}, "expert_rate"),
+        ("design", "prefs", {"prefs": {"c_tme": 1.0}}, "c_tme"),
+        ("design", "bot", {"bot": {"b_bott": 2.6}}, "b_bott"),
+        ("threshold-study", "generator", {"generator": {"S": 2, "tau_rng": [1, 5]}}, "tau_rng"),
+        ("queue-sweep", "queue", {"queue": {"N": 2, "tau1": 3}, "q_grid": [0.5]}, "tau1"),
+        ("solve", "econ", {"instance": misspelt_econ}, "c_wgae"),
+        ("solve", "instance", {"instance": extra_key}, "foo"),
+        ("design", "bot", {"bot": {"p_succ": 0.7}}, "p_succ"),   # the grid sets p_succ
     ):
-        code, _ = run_cli(tmp_path, sub, {section: spec})
+        code, _ = run_cli(tmp_path, sub, payload)
         assert code == EXIT_VALIDATION
         assert f"unknown key(s) under '{section}': {key}" in capsys.readouterr().err
+
+
+def test_queue_first_attempt_probability_out_of_range_exits_2(tmp_path, capsys):
+    queue = {"N": 2, "rho": [1.5, 1.0]}
+    for sub, payload in (("queue-sweep", {"queue": queue, "q_grid": [0.5]}),
+                         ("simulate", {"targets": [{"queue": queue, "policy": "never"}]})):
+        code, _ = run_cli(tmp_path, sub, payload)
+        assert code == EXIT_VALIDATION
+        assert "rho[1] must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_instance_missing_a_key_exits_2_naming_it(tmp_path, capsys):
@@ -151,6 +167,17 @@ def test_threshold_study_smoke(tmp_path):
     assert len(lines) == 2
 
 
+def test_threshold_study_takes_S_and_seed_from_the_generator(tmp_path):
+    payload = {"generator": {"S": 5, "seed": 5}, "n_instances": 2}
+    code, out = run_cli(tmp_path, "threshold-study", payload)
+    assert code == EXIT_OK
+    lines = (out / "study.csv").read_text().splitlines()
+    assert lines[1] == "# seed=5"
+    assert [row.split(",")[0] for row in lines[3:]] == ["5"]   # generator.S sets S
+    assert lines[3].split(",")[-2:] == ["5", "6"]               # seed_lo, seed_hi
+    assert json.loads((out / "run_manifest.json").read_text())["seed"] == 5
+
+
 def test_threshold_study_runs_at_large_S(tmp_path):
     payload = {"n_instances": 50, "S_list": [10, 20, 30], "seed": 3}
     t0 = time.perf_counter()
@@ -171,6 +198,15 @@ def test_queue_sweep_smoke(tmp_path):
     assert code == EXIT_OK
     lines = [l for l in (out / "sweep.csv").read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 1 + 4 * 3  # header + (N+2) policies x 3 grid points
+
+
+def test_queue_sweep_range_grid(tmp_path):
+    payload = {"queue": {"N": 2}, "q_grid": {"start": 0.1, "stop": 0.5, "step": 0.1}}
+    code, out = run_cli(tmp_path, "queue-sweep", payload)
+    assert code == EXIT_OK
+    lines = [l for l in (out / "sweep.csv").read_text().splitlines() if not l.startswith("#")]
+    q = [row.split(",")[1] for row in lines[1:]]
+    assert q == ["0.1", "0.2", "0.3", "0.4", "0.5"] * 4   # each of the (N+2) policies
 
 
 def test_design_smoke(tmp_path, capsys):

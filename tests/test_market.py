@@ -180,8 +180,8 @@ class TestEquilibrium:
 class TestOptimizeDesign:
     def test_prohibitive_training_cost_kills_the_bot(self):
         market = MarketParams(k_max=3, p_grid=(0.2, 0.5, 0.8))
-        search = optimize_design(default_design_instance(), market, CustomerPrefs(),
-                                 BotChannel(0.0, 6.0, 1e6, 2.6), wage=0.5)
+        search = optimize_design(default_design_instance(wage=0.5), market, CustomerPrefs(),
+                                 BotChannel(0.0, 6.0, 1e6, 2.6))
         assert search.best.design.p_succ == 0.0
         assert search.best.design.k_agent > 0
 

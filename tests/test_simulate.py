@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from gatekeeper import (
@@ -39,6 +41,17 @@ def test_outcome_counts_partition_exactly():
     # every admission eventually leaves by exactly one outcome; one customer
     # may straddle either counting boundary (warm-up end, horizon end)
     assert -1 <= rep.counts["admitted"] - total <= 1
+
+
+def test_warm_transfer_waits_for_an_expert():
+    # at a = 0.05 a warm transfer almost never finds an expert free, so the
+    # agent holds the customer until one comes (the warm-wait branch)
+    inst = random_instance(12, 2)
+    inst = replace(inst, traffic=replace(inst.traffic, a=0.05))
+    pol = uniform_policy("T1", 2)
+    rep = simulate_policy(inst, pol, 200_000, seed=3)
+    assert rep.counts["warm"] > 0
+    assert abs(rep.mean - evaluate_policy(inst, pol).R) <= 4 * rep.se
 
 
 def test_degenerate_instance_has_zero_standard_error():

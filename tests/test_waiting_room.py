@@ -34,6 +34,18 @@ def test_model_validation():
     assert len(msgs) >= 4
 
 
+def test_invalid_rho_is_rejected():
+    model = default_queue_model(N=2)
+    for rho1 in (1.5, -0.2):
+        with pytest.raises(ValueError, match=r"rho\[1\] must lie in \[0, 1\]"):
+            dataclasses.replace(model, profile=ResolutionProfile((6, 15), (rho1, 1.0)))
+    with pytest.raises(ValueError, match="tau and rho must have the same length"):
+        dataclasses.replace(model, profile=ResolutionProfile((6, 15), ()))
+    for rho1 in (0.0, 1.0):   # both ends stay valid and solvable
+        edge = dataclasses.replace(model, profile=ResolutionProfile((6, 15), (rho1, 1.0)))
+        assert np.isfinite(evaluate_queue_policy(edge, QueuePolicy.never()).profit)
+
+
 def test_policy_constructors():
     assert QueuePolicy.never().label == "never"
     assert QueuePolicy.always().transfers(0)

@@ -62,7 +62,8 @@ class RunConfig:
         """The run's seed: --seed, else the config's seed, else generator.seed, else 0."""
         if self.seed is not None:
             return self.seed
-        return int(self.config.get("seed", self.config.get("generator", {}).get("seed", 0)))
+        gen = self.config.get("generator")
+        return int(self.config.get("seed", gen.get("seed", 0) if isinstance(gen, dict) else 0))
 
 
 def _load_instance(config: dict) -> ProblemInstance:
@@ -211,7 +212,7 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
     check_keys(spec, "queue", ("N", "tau", "rho", "r", "c_c", "q"))
     base = waiting_room.default_queue_model()
     return waiting_room.QueueModel(
-        N=int(spec.get("N", base.N)),
+        N=spec.get("N", base.N),
         profile=ResolutionProfile(tuple(spec.get("tau", base.profile.tau)),
                                   tuple(spec.get("rho", base.profile.rho))),
         econ=EconomicParams(r=float(spec.get("r", base.econ.r)), c_w=0.0,
@@ -220,10 +221,15 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
     )
 
 
+_Q_GRID = {"start": 0.01, "stop": 1.0, "step": 0.01}
+
+
 def _q_grid(config: dict) -> list[float]:
-    grid = config.get("q_grid", {"start": 0.01, "stop": 1.0, "step": 0.01})
+    grid = config.get("q_grid", _Q_GRID)
     if isinstance(grid, list):
         return [float(v) for v in grid]
+    check_keys(grid, "q_grid", _Q_GRID)
+    grid = {**_Q_GRID, **grid}
     start, stop, step = grid["start"], grid["stop"], grid["step"]
     n = int(round((stop - start) / step)) + 1
     return [round(start + i * step, 10) for i in range(n)]
@@ -384,6 +390,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDATION
     try:
         config = json.loads(config_path.read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise ValidationFailure("the config must be a JSON object")
         config = _apply_overrides(config, args.overrides)
     except (json.JSONDecodeError, ValidationFailure) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

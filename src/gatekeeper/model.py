@@ -12,6 +12,7 @@ attempt, warm transfer, or cold transfer.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence
@@ -189,7 +190,7 @@ class ResolutionProfile:
     rho: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(int(t) for t in self.tau))
+        object.__setattr__(self, "tau", tuple(as_int(t, "tau") for t in self.tau))
         object.__setattr__(self, "rho", tuple(float(p) for p in self.rho))
 
     @property
@@ -204,6 +205,9 @@ class EconomicParams:
     c_c: float
     tau_w: int
     c_wage: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "tau_w", as_int(self.tau_w, "tau_w"))
 
 
 @dataclass(frozen=True)
@@ -245,21 +249,34 @@ class ProblemInstance:
         }
 
 
+def as_int(value, name: str) -> int:
+    """`value` as an int; a float must be integral, so no size is truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_keys(section: dict, name: str, known: Iterable[str]) -> None:
-    """Reject a config section that holds a key outside `known`, naming it."""
+    """Reject a config section that is not a JSON object or holds a key
+    outside `known`, naming it."""
+    if not isinstance(section, dict):
+        raise ValueError(f"'{name}' must be a JSON object, got {section!r}")
     unknown = sorted(set(section) - set(known))
     if unknown:
         raise ValueError(f"unknown key(s) under '{name}': {', '.join(unknown)}")
 
 
 def instance_from_json(data: dict) -> ProblemInstance:
+    check_keys(data, "instance", ("profile", "econ", "traffic"))
     try:
         prof, econ, traffic = data["profile"], data["econ"], data["traffic"]
-        check_keys(data, "instance", ("profile", "econ", "traffic"))
         check_keys(prof, "profile", ("S", "tau", "rho"))
         check_keys(econ, "econ", ("r", "c_w", "c_c", "tau_w", "c_wage"))
         check_keys(traffic, "traffic", ("q", "a"))
-        if "S" in prof and int(prof["S"]) != len(prof["tau"]):
+        if "S" in prof and as_int(prof["S"], "S") != len(prof["tau"]):
             raise ValueError("profile.S does not match len(profile.tau)")
         return ProblemInstance(
             profile=ResolutionProfile(tuple(prof["tau"]), tuple(prof["rho"])),
@@ -267,7 +284,7 @@ def instance_from_json(data: dict) -> ProblemInstance:
                 r=float(econ["r"]),
                 c_w=float(econ["c_w"]),
                 c_c=float(econ["c_c"]),
-                tau_w=int(econ["tau_w"]),
+                tau_w=econ["tau_w"],
                 c_wage=float(econ.get("c_wage", 0.0)),
             ),
             traffic=TrafficParams(q=float(traffic["q"]), a=float(traffic["a"])),

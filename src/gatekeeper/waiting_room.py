@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .evaluate import reachable, stationary_distribution
-from .model import EconomicParams, ResolutionProfile
+from .model import EconomicParams, ResolutionProfile, as_int
 
 IDLE = ("idle",)
 
@@ -36,6 +36,7 @@ class QueueModel:
     q: float
 
     def __post_init__(self):
+        object.__setattr__(self, "N", as_int(self.N, "N"))
         bad = validate_queue_model(self)
         if bad:
             raise ValueError("invalid queue model: " + "; ".join(bad))

@@ -94,6 +94,42 @@ def test_instance_missing_a_key_exits_2_naming_it(tmp_path, capsys):
         assert f"instance is missing key '{key}'" in capsys.readouterr().err
 
 
+def test_config_section_that_is_no_object_exits_2_naming_it(tmp_path, capsys):
+    econ_5 = valid_instance()
+    econ_5["econ"] = 5
+    for sub, section, payload in (
+        ("threshold-study", "generator", {"generator": 5, "n_instances": 2}),
+        ("queue-sweep", "queue", {"queue": 5, "q_grid": [0.5]}),
+        ("queue-sweep", "q_grid", {"queue": {"N": 2}, "q_grid": 5}),
+        ("simulate", "queue", {"targets": [{"queue": 5, "policy": "never"}]}),
+        ("design", "market", {"market": 5}),
+        ("solve", "econ", {"instance": econ_5}),
+        ("solve", "instance", {"instance": 5}),
+    ):
+        code, _ = run_cli(tmp_path, sub, payload)
+        assert code == EXIT_VALIDATION
+        assert f"'{section}' must be a JSON object, got 5" in capsys.readouterr().err
+    code, _ = run_cli(tmp_path, "solve", [valid_instance()])
+    assert code == EXIT_VALIDATION
+    assert "the config must be a JSON object" in capsys.readouterr().err
+
+
+def test_non_integral_size_exits_2_naming_it(tmp_path, capsys):
+    tau_w, tau = valid_instance(), valid_instance()
+    tau_w["econ"]["tau_w"] = 2.7
+    tau["profile"]["tau"] = [6, 2.7]
+    for sub, key, payload in (
+        ("queue-sweep", "N", {"queue": {"N": 2.7}, "q_grid": [0.5]}),
+        ("queue-sweep", "tau", {"queue": {"tau": [6, 2.7]}, "q_grid": [0.5]}),
+        ("simulate", "N", {"targets": [{"queue": {"N": 2.7}, "policy": "never"}]}),
+        ("solve", "tau_w", {"instance": tau_w}),
+        ("solve", "tau", {"instance": tau}),
+    ):
+        code, _ = run_cli(tmp_path, sub, payload)
+        assert code == EXIT_VALIDATION
+        assert f"{key} must be an integer, got 2.7" in capsys.readouterr().err
+
+
 def test_artifacts_are_byte_identical_across_runs(tmp_path):
     payload = {"instance": valid_instance()}
     cfg = write_config(tmp_path, payload)

@@ -148,6 +148,22 @@ class TestGenerator:
         assert ks_2samp(rs1, rs2).pvalue > 1e-5
 
 
+def test_sizes_must_be_integral():
+    for build, name in (
+        (lambda v: ResolutionProfile((4, v), (0.8, 1.0)), "tau"),
+        (lambda v: EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=v), "tau_w"),
+        (lambda v: dataclasses.replace(default_queue_model(), N=v), "N"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.7$"):
+            build(2.7)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got '3'$"):
+            build("3")
+    # an integral float is taken as the integer it is
+    assert ResolutionProfile((4, 6.0), (0.8, 1.0)).tau == (4, 6)
+    assert type(EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3.0).tau_w) is int
+    assert dataclasses.replace(default_queue_model(), N=2.0).N == 2
+
+
 def test_json_round_trip():
     inst = make_instance()
     data = inst.to_json_dict()

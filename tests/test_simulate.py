@@ -9,14 +9,23 @@ from gatekeeper import (
     ResolutionProfile,
     StationaryPolicy,
     TrafficParams,
+    admissible_queue_policies,
     cross_validate,
     default_queue_model,
     evaluate_policy,
+    policy_from_names,
     simulate_policy,
+    simulate_queue,
     uniform_policy,
 )
+from gatekeeper.simulate import _CHUNK
 
 from conftest import random_instance, random_policy
+from period_sim import simulate_policy_periods, simulate_queue_periods
+
+# the warm-up and the shorter runs end inside services at q = 1, and the
+# longest run's services cross chunk boundaries
+HORIZONS = (32, 1023, 1025, 2 * _CHUNK + 4_000)
 
 
 def test_deterministic_trajectory(single_attempt):
@@ -78,6 +87,59 @@ def test_perf_estimates_close_to_analytic():
     assert rep.perf.p_admit == pytest.approx(perf.p_admit, abs=0.02)
     assert rep.perf.p_resolve == pytest.approx(perf.p_resolve, abs=0.02)
     assert rep.perf.t_channel == pytest.approx(perf.t_channel, rel=0.05)
+
+
+@pytest.mark.parametrize("S", range(1, 6))
+@pytest.mark.parametrize("q", (1e-3, 1.0))
+@pytest.mark.parametrize("a", (1e-3, 1.0))
+def test_channel_equals_period_oracle(S, q, a):
+    base = random_instance(60 + S, S)
+    traffic = TrafficParams(q=q, a=a)
+    unit = ProblemInstance(  # every attempt and handoff takes one period
+        profile=ResolutionProfile((1,) * S, base.profile.rho),
+        econ=replace(base.econ, tau_w=1), traffic=traffic,
+    )
+    cases = [
+        (replace(base, traffic=traffic), random_policy(70 + S, S)),
+        (unit, policy_from_names(["H2", "T1", "T5", "C"][: S - 1])),
+    ]
+    for inst, pol in cases:
+        for horizon in HORIZONS:
+            assert (simulate_policy(inst, pol, horizon, seed=S, stream=2)
+                    == simulate_policy_periods(inst, pol, horizon, seed=S, stream=2))
+
+
+def test_degenerate_instance_equals_period_oracle():
+    inst = ProblemInstance(
+        profile=ResolutionProfile((1,), (1.0,)),
+        econ=EconomicParams(r=7.0, c_w=1.0, c_c=2.0, tau_w=1),
+        traffic=TrafficParams(q=1.0, a=1.0),
+    )
+    for horizon in HORIZONS:
+        rep = simulate_policy(inst, StationaryPolicy(()), horizon, seed=0)
+        assert rep == simulate_policy_periods(inst, StationaryPolicy(()), horizon, seed=0)
+        assert rep.se == 0.0
+
+
+@pytest.mark.parametrize("N", range(7))
+def test_queue_equals_period_oracle(N):
+    for tau, q in (((6, 15), 0.3 + 0.1 * N), ((1, 1), 1.0)):
+        model = replace(default_queue_model(N=N, q=q),
+                        profile=ResolutionProfile(tau, (0.7, 1.0)))
+        for pol in admissible_queue_policies(model):
+            for horizon in HORIZONS:
+                assert (simulate_queue(model, pol, horizon, seed=N, stream=1)
+                        == simulate_queue_periods(model, pol, horizon, seed=N, stream=1))
+
+
+def test_queue_full_from_warm_up_records_no_live_join():
+    # the room fills during the warm-up and every counted arrival is blocked,
+    # so no counted arrival joins it and max_queue stays 0
+    model = default_queue_model(N=1, q=0.05)
+    rep = simulate_queue(model, QueuePolicy.never(), 32, seed=52)
+    assert rep == simulate_queue_periods(model, QueuePolicy.never(), 32, seed=52)
+    assert rep.counts["blocked"] == rep.counts["arrivals"] > 0
+    assert rep.counts["max_queue"] == 0
 
 
 def test_rejects_undersized_horizon(single_attempt):

@@ -23,6 +23,7 @@ from .model import (
     GeneratorConfig,
     ProblemInstance,
     ResolutionProfile,
+    as_int,
     check_keys,
     instance_from_json,
     policy_from_names,
@@ -63,7 +64,7 @@ class RunConfig:
         if self.seed is not None:
             return self.seed
         gen = self.config.get("generator")
-        return int(self.config.get("seed", gen.get("seed", 0) if isinstance(gen, dict) else 0))
+        return as_int(self.config.get("seed", gen.get("seed", 0) if isinstance(gen, dict) else 0), "seed")
 
 
 def _load_instance(config: dict) -> ProblemInstance:
@@ -115,11 +116,11 @@ def _write_classification(cfg: RunConfig, inst: ProblemInstance,
 def _run_enumerate(cfg: RunConfig) -> list[str]:
     inst = _load_instance(cfg.config)
     ruleset = cfg.config.get("ruleset", "table-1")
-    cap = int(cfg.config.get("cap", 10_000_000))
+    cap = as_int(cfg.config.get("cap", 10_000_000), "cap")
     top = cfg.config.get("top")
     ranked = enumerate_policies(inst, ruleset=ruleset, cap=cap)
     if top is not None:
-        ranked = ranked[: int(top)]
+        ranked = ranked[: as_int(top, "top")]
     rows = [
         (rank + 1, "|".join(pol.names), R)
         for rank, (pol, R) in enumerate(ranked)
@@ -130,7 +131,7 @@ def _run_enumerate(cfg: RunConfig) -> list[str]:
 
 def _run_stationarity(cfg: RunConfig) -> list[str]:
     inst = _load_instance(cfg.config)
-    T = int(cfg.config.get("T", 200))
+    T = as_int(cfg.config.get("T", 200), "T")
     pol, ev = solve_average_reward(inst)
     if cfg.config.get("terminals", "stationary") == "zero":
         terms = zero_terminals(inst)
@@ -183,7 +184,7 @@ def _run_wspt(cfg: RunConfig) -> list[str]:
 def _run_threshold_study(cfg: RunConfig) -> list[str]:
     gen = _section(GeneratorConfig, cfg.config.get("generator", {}), "generator")
     gen_cfg = GeneratorConfig(**{**gen, "seed": cfg.seeded()})
-    n = int(cfg.config.get("n_instances", 100))
+    n = as_int(cfg.config.get("n_instances", 100), "n_instances")
     s_list = [int(s) for s in cfg.config.get("S_list", [gen_cfg.S])]
     report = structure.run_heuristic_study(gen_cfg, n, s_list)
     rows = [
@@ -213,8 +214,8 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
     base = waiting_room.default_queue_model()
     return waiting_room.QueueModel(
         N=spec.get("N", base.N),
-        profile=ResolutionProfile(tuple(spec.get("tau", base.profile.tau)),
-                                  tuple(spec.get("rho", base.profile.rho))),
+        profile=ResolutionProfile(spec.get("tau", base.profile.tau),
+                                  spec.get("rho", base.profile.rho)),
         econ=EconomicParams(r=float(spec.get("r", base.econ.r)), c_w=0.0,
                             c_c=float(spec.get("c_c", base.econ.c_c)), tau_w=1),
         q=float(spec.get("q", base.q)),
@@ -285,10 +286,15 @@ def _run_design(cfg: RunConfig) -> list[str]:
 
 def _run_simulate(cfg: RunConfig) -> list[str]:
     config = cfg.config
-    horizon = int(config.get("horizon", 100_000))
+    horizon = as_int(config.get("horizon", 100_000), "horizon")
     seed = cfg.seeded()
+    specs = config.get("targets", [])
+    if not isinstance(specs, list):
+        raise ValidationFailure(f"'targets' must be a JSON list, got {specs!r}")
     targets = []
-    for spec in config.get("targets", []):
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise ValidationFailure(f"target {i} must be a JSON object, got {spec!r}")
         if "instance" in spec:
             targets.append((instance_from_json(spec["instance"]), policy_from_names(spec["policy"])))
         elif "queue" in spec:
@@ -339,6 +345,8 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValidationFailure(f"override {key!r} goes through {part!r}, not a JSON object")
         node[parts[-1]] = value
     return config
 

@@ -7,13 +7,13 @@ the outside option, maximizing expected utility.  The firm in turn picks
 staffing, a resolution policy, and a chatbot training level.  Demand and
 performance are reconciled by a fixed point on the per-agent arrival
 probability, found by bisection on [Q_FLOOR, 1]: the firm delivers exactly the
-service levels customers acted on, or the cell reports the lower end of the
-jump of the lattice-share step function that leaves no exact fixed point.  The
-design optimizer scans the full (staffing x policy x training) grid and
-reports the profit surface; all its cells bisect together as arrays.  The
-announced measures come from the renewal recursion
-(`evaluate.cycle_performance`), not from the embedded chain, which stays the
-independent oracle in the tests.
+service levels customers acted on.  The shares are exact areas, continuous in
+the measures, so only an "OPT" policy switch can leave a jump with no fixed
+point; the cell then reports its lower end.  The design optimizer scans the
+full (staffing x policy x training) grid and reports the profit surface; all
+its cells bisect together as arrays.  The announced measures come from the
+renewal recursion (`evaluate.cycle_performance`), not from the embedded
+chain, which stays the independent oracle in the tests.
 
 The chatbot resolves a request with probability p_succ bought through a
 convex per-period training cost a_bot * (100 p_succ)^b_bot; failures are
@@ -22,7 +22,7 @@ never congested.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ from .model import (
 )
 from .solve import dinkelbach
 
-MIN_GRID = 100
 _Q_FLOOR = 1e-6
 _FP_TOL = 1e-6   # |F(q) - q| below which the demand fixed point has converged
 
@@ -95,7 +94,6 @@ class CustomerPrefs:
     tau_exp_warm: int = 2
     tau_exp_cold: int = 6
     v_max: float = 100.0
-    grid_n: int = 1000
 
 
 @dataclass(frozen=True)
@@ -119,17 +117,10 @@ class Shares:
     fallback_fraction: float  # P(bot beats outside option | chose agent)
 
 
-def _alternatives(bot: Optional[BotChannel], prefs: CustomerPrefs) -> tuple[np.ndarray, np.ndarray]:
-    """Per bot-valuation column of the lattice: the best alternative to the
-    live channel, max(U_bot, U0), and whether the bot beats the outside option."""
-    n = prefs.grid_n
-    if n < MIN_GRID:
-        raise ValueError(f"grid resolution {n} below the minimum {MIN_GRID}")
-    v = (np.arange(n) + 0.5) * (prefs.v_max / n)
-    if bot is None:
-        return np.full(n, prefs.u0), np.zeros(n, dtype=bool)
-    u_bot = v - prefs.c_time * bot.tau_bot - (1 - bot.p_succ) * prefs.delta_cold * prefs.tau_exp_cold
-    return np.maximum(u_bot, prefs.u0), u_bot > prefs.u0
+def _bot_threshold(bot: Optional[BotChannel], prefs: CustomerPrefs) -> float:
+    """b = u0 + kappa: the bot beats the outside option iff v_b > b (never without a bot)."""
+    return np.inf if bot is None else (prefs.u0 + prefs.c_time * bot.tau_bot
+                                       + (1 - bot.p_succ) * prefs.delta_cold * prefs.tau_exp_cold)
 
 
 def agent_service_cost(perf: PerformanceMeasures, prefs: CustomerPrefs) -> float:
@@ -141,28 +132,31 @@ def agent_service_cost(perf: PerformanceMeasures, prefs: CustomerPrefs) -> float
     )
 
 
-def _lane_shares(alt: tuple[np.ndarray, np.ndarray], cost: np.ndarray, p_admit: np.ndarray,
+def _lane_shares(b: np.ndarray, cost: np.ndarray, p_admit: np.ndarray,
                  prefs: CustomerPrefs) -> tuple[np.ndarray, ...]:
-    """Shares (agent, bot_direct, balk, fallback) of lanes facing one bot;
-    cost and p_admit are arrays over lanes, each lane a row of the lattice.
-    A lane with p_admit = 0 admits nobody, so nobody picks the agent."""
-    best_alt, bot_ok = alt
-    n = prefs.grid_n
-    # U_agent(v_a, v_b) = p_admit (v_a - t_cost) + (1-p_admit)(-c_na + best_alt)
-    # >= best_alt  iff  v_a >= best_alt + t_cost + c_na (1-p_admit)/p_admit.
-    x = best_alt + cost[:, None]
-    x += np.divide(prefs.c_not_admit * (1 - p_admit), p_admit,
-                   out=np.full_like(p_admit, np.inf), where=p_admit > 0)[:, None]
-    x /= prefs.v_max / n
-    x -= 0.5
-    count = n - np.clip(np.ceil(x, out=x), 0, n, out=x)   # per column, agents among n rows
-    picked = count.sum(axis=1)
-    fallback = count[:, bot_ok].sum(axis=1)
-    total = n * n
-    agent = picked / total
-    bot_direct = (n * np.count_nonzero(bot_ok) - fallback) / total
-    return (agent, bot_direct, 1.0 - agent - bot_direct,
-            np.where(picked > 0, fallback / np.maximum(picked, 1), 0.0))
+    """Exact shares (agent, bot_direct, balk, fallback) of lanes; b, cost and
+    p_admit are arrays over lanes.  The agent is picked iff v_a >= x(v_b) =
+    max(v_b - b, 0) + x0, x0 = u0 + cost + c_na (1 - p_admit) / p_admit, else
+    the bot iff v_b > b, so each share is the area under a clipped linear
+    function of v_b: a difference of H(y), the integral of clip(t, 0, v_max)
+    over t < y.  Capping b and x0 at v_max moves no area and keeps every term
+    finite; p_admit = 0 gives x0 = v_max, and nobody picks the agent.
+    """
+    V = prefs.v_max
+
+    def H(y):
+        return 0.5 * np.clip(y, 0.0, V) ** 2 + V * np.maximum(y - V, 0.0)
+
+    b = np.minimum(b, V)
+    x0 = np.minimum(prefs.u0 + cost + np.divide(prefs.c_not_admit * (1 - p_admit), p_admit,
+                                                 out=np.full_like(p_admit, np.inf),
+                                                 where=p_admit > 0), V)
+    s, w = np.maximum(b, 0.0), np.maximum(x0, 0.0)   # v_b < s: x = x0; v_b > s: bot beats u0
+    fallback = H(V - x0 + b - s) - H(b - x0)   # agent area over v_b > s
+    bot = H(V - b + x0) - H(s - b + x0)        # bot area over v_b > s
+    agent = s * (V - w) + fallback
+    return (agent / V**2, bot / V**2, s * w / V**2,
+            np.divide(fallback, agent, out=np.zeros_like(agent), where=agent > 0))
 
 
 def compute_demand_shares(
@@ -171,18 +165,17 @@ def compute_demand_shares(
     prefs: CustomerPrefs,
     p_admit: float,
 ) -> Shares:
-    """Channel shares by deterministic midpoint-grid integration.
+    """Channel shares as exact areas of the valuation square.
 
-    The valuation square is discretized on an n x n midpoint lattice (no
-    Monte Carlo, so shares are bit-reproducible).  A customer joins the live
-    channel iff its expected utility is at least both alternatives'; failing
-    that, the bot iff it strictly beats the outside option.  Utilities are
-    affine in the agent valuation, so each bot-valuation column reduces to a
-    closed-form lattice count.  A design without agents passes perf None and
-    p_admit = 0.
+    A customer joins the live channel iff its expected utility is at least
+    both alternatives'; failing that, the bot iff it strictly beats the
+    outside option.  Utilities are affine in both valuations, so each share
+    is the area of a polygon (see `_lane_shares`).  A design without agents
+    passes perf None and p_admit = 0.
     """
     cost = 0.0 if perf is None else agent_service_cost(perf, prefs)
-    shares = _lane_shares(_alternatives(bot, prefs), np.array([cost]), np.array([p_admit]), prefs)
+    shares = _lane_shares(np.array([_bot_threshold(bot, prefs)]), np.array([cost]),
+                          np.array([p_admit]), prefs)
     return Shares(*(float(s[0]) for s in shares))
 
 
@@ -250,16 +243,15 @@ def _solve_cells(
     lane's midpoint at once.  Uniform-rule lanes carry their rule's actions,
     "OPT" lanes take theirs from `dinkelbach` at the midpoint, and the
     measures come from the renewal recursion (`cycle_performance`), not the
-    chain.  An unstaffed lane admits nobody and needs no bisection.  The
-    lattice shares are taken per bot, whose per-column best alternative does
-    not depend on q.  Every step is elementwise over lanes, so a cell's result
-    does not depend on which other cells share the block.
+    chain.  Each lane carries its bot's threshold, so one `_lane_shares` call
+    gives every lane's shares.  An unstaffed lane admits nobody and needs no
+    bisection.  Every step is elementwise over lanes, so a cell's result does
+    not depend on which other cells share the block.
     """
     S, econ, table = template.S, template.econ, rules_table()
     bots = {d.p_succ: replace(bot_curve, p_succ=d.p_succ) if d.p_succ else None for d in designs}
-    alts = {p: _alternatives(bot, prefs) for p, bot in bots.items()}
+    b = np.array([_bot_threshold(bots[d.p_succ], prefs) for d in designs])
     k = np.array([d.k_agent for d in designs], dtype=float)
-    p_lane = np.array([d.p_succ for d in designs])
     opt = np.array([d.policy == "OPT" for d in designs], dtype=bool)
     acts = np.zeros((len(designs), S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
     for j, d in enumerate(designs):
@@ -274,8 +266,7 @@ def _solve_cells(
     iters = np.zeros(len(designs), dtype=int)
     converged = k == 0
     rep = np.zeros((13, len(designs)))   # q, R, g, the six measures, the four shares
-    for j in np.flatnonzero(converged):
-        rep[9:, j] = astuple(compute_demand_shares(None, bots[designs[j].p_succ], prefs, 0.0))
+    rep[9:] = _lane_shares(b, 0 * k, 0 * k, prefs)
     rep_acts = acts.copy()
     active = np.flatnonzero(~converged)
     while active.size:
@@ -284,12 +275,7 @@ def _solve_cells(
         if opt[active].any():
             acts[active[opt[active]]] = dinkelbach(lane_terms(template, q[opt[active]]))[1]
         R, perf = cycle_performance(template, q, acts[active])
-        cost = agent_service_cost(perf, prefs)
-        shares = np.empty((4, active.size))
-        for p, alt in alts.items():
-            m = p_lane[active] == p
-            if m.any():
-                shares[:, m] = _lane_shares(alt, cost[m], perf.p_admit[m], prefs)
+        shares = _lane_shares(b[active], agent_service_cost(perf, prefs), perf.p_admit, prefs)
         g = np.minimum(np.maximum(market.lam * shares[0] / k[active], _Q_FLOOR), 1.0) - q
         done, up = np.abs(g) < _FP_TOL, g > 0
         keep = done | up
@@ -336,10 +322,11 @@ def solve_equilibrium(
     g(q) = F(q) - q nonnegative at Q_FLOOR and nonpositive at 1, so bisection
     on that bracket, keeping g(lo) >= 0 >= g(hi), always ends: converged at
     the first midpoint with |g| < FP_TOL, or unconverged once the bracket can
-    no longer be halved, which marks a jump of the lattice-share step function
-    with no exact fixed point.  Such a cell is reported at the bracket's lower
-    end lo, the largest evaluated q with g > 0: its measures, shares, reward,
-    profit and residual g(lo) are those of that evaluation.  The bot's
+    no longer be halved.  The shares are continuous in the measures, so g can
+    only jump over zero where an "OPT" design's optimal policy switches.  Such
+    a cell is reported at the bracket's lower end lo, the largest evaluated q
+    with g > 0: its measures, shares, reward, profit and residual g(lo) are
+    those of that evaluation.  The bot's
     effective demand adds blocked live-channel customers who still prefer the
     bot over balking.  One cell of `optimize_design`'s lockstep block.
     """

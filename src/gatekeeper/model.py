@@ -190,6 +190,9 @@ class ResolutionProfile:
     rho: tuple[float, ...]
 
     def __post_init__(self):
+        for name in ("tau", "rho"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         object.__setattr__(self, "tau", tuple(as_int(t, "tau") for t in self.tau))
         object.__setattr__(self, "rho", tuple(float(p) for p in self.rho))
 
@@ -276,10 +279,11 @@ def instance_from_json(data: dict) -> ProblemInstance:
         check_keys(prof, "profile", ("S", "tau", "rho"))
         check_keys(econ, "econ", ("r", "c_w", "c_c", "tau_w", "c_wage"))
         check_keys(traffic, "traffic", ("q", "a"))
-        if "S" in prof and as_int(prof["S"], "S") != len(prof["tau"]):
+        profile = ResolutionProfile(prof["tau"], prof["rho"])
+        if "S" in prof and as_int(prof["S"], "S") != profile.S:
             raise ValueError("profile.S does not match len(profile.tau)")
         return ProblemInstance(
-            profile=ResolutionProfile(tuple(prof["tau"]), tuple(prof["rho"])),
+            profile=profile,
             econ=EconomicParams(
                 r=float(econ["r"]),
                 c_w=float(econ["c_w"]),

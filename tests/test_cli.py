@@ -2,6 +2,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from gatekeeper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -128,6 +130,48 @@ def test_non_integral_size_exits_2_naming_it(tmp_path, capsys):
         code, _ = run_cli(tmp_path, sub, payload)
         assert code == EXIT_VALIDATION
         assert f"{key} must be an integer, got 2.7" in capsys.readouterr().err
+
+
+def test_target_or_attempt_list_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys):
+    tau_5 = valid_instance()
+    tau_5["profile"]["tau"] = 5
+    for sub, payload, message in (
+        ("simulate", {"targets": [5]}, "target 0 must be a JSON object, got 5"),
+        ("simulate", {"targets": 5}, "'targets' must be a JSON list, got 5"),
+        ("queue-sweep", {"queue": {"N": 2, "tau": 5}, "q_grid": [0.5]}, "tau must be a list, got 5"),
+        ("queue-sweep", {"queue": {"N": 2, "rho": 5}, "q_grid": [0.5]}, "rho must be a list, got 5"),
+        ("solve", {"instance": tau_5}, "tau must be a list, got 5"),
+    ):
+        code, _ = run_cli(tmp_path, sub, payload)
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+
+def test_set_through_a_non_object_exits_2_naming_the_key(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "queue-sweep", {"queue": 5, "q_grid": [0.5]}, "--set", "queue.N=3")
+    assert code == EXIT_VALIDATION
+    assert "override 'queue.N' goes through 'queue', not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, key, payload", [
+    ("simulate", "horizon", {"targets": [{"instance": valid_instance(), "policy": ["T5"]}]}),
+    ("threshold-study", "n_instances", {"generator": {"S": 2}}),
+    ("stationarity", "T", {"instance": valid_instance()}),
+    ("enumerate", "cap", {"instance": valid_instance()}),
+    ("enumerate", "top", {"instance": valid_instance()}),
+    ("solve", "seed", {"instance": valid_instance()}),
+])
+def test_non_integral_count_exits_2_naming_it(tmp_path, capsys, sub, key, payload):
+    code, out = run_cli(tmp_path, sub, {**payload, key: 2.5})
+    assert code == EXIT_VALIDATION
+    assert f"{key} must be an integer, got 2.5" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_design_prefs_hold_no_grid(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "design", {"prefs": {"grid_n": 1000}})
+    assert code == EXIT_VALIDATION
+    assert "unknown key(s) under 'prefs': grid_n" in capsys.readouterr().err
 
 
 def test_artifacts_are_byte_identical_across_runs(tmp_path):

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -13,10 +13,12 @@ from gatekeeper import (
     default_design_instance,
     optimize_design,
     solve_equilibrium,
-    uniform_policy,
 )
-from gatekeeper.evaluate import PerformanceMeasures, cycle_performance, evaluate_policy, policy_actions
-from gatekeeper.market import agent_service_cost
+from gatekeeper.evaluate import PerformanceMeasures, cycle_performance, evaluate_policy, lane_terms
+from gatekeeper.model import EconomicParams, ProblemInstance, ResolutionProfile, TrafficParams
+from gatekeeper.solve import dinkelbach, solve_average_reward
+
+from lattice_shares import lattice_shares
 
 
 class TestBotCost:
@@ -36,6 +38,15 @@ class TestBotCost:
             BotChannel(1.0, 6.0, 0.00005, 2.6)
         with pytest.raises(ValueError):
             BotChannel(0.5, 6.0, 0.00005, 0.9)
+
+
+def jump_instance():
+    """A channel whose optimal policy switches at its demand fixed point."""
+    return ProblemInstance(
+        profile=ResolutionProfile((2, 10), (0.14, 1.0)),
+        econ=EconomicParams(r=20.0, c_w=2.0, c_c=4.2, tau_w=2),
+        traffic=TrafficParams(q=0.5, a=0.59),
+    )
 
 
 def perfect_agent_perf():
@@ -70,30 +81,23 @@ class TestDemandShares:
             assert min(shares.agent, shares.bot_direct, shares.balk) >= 0.0
             assert 0.0 <= shares.fallback_fraction <= 1.0
 
-    def test_matches_dense_grid_reference(self):
-        # column counting must reproduce the literal two-dimensional lattice
-        prefs = CustomerPrefs(grid_n=250)
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            p_admit = rng.uniform(0.05, 1.0)
-            outcome = rng.dirichlet([1, 1, 1])
-            perf = PerformanceMeasures(0.1, p_admit, *outcome, rng.uniform(1, 30))
-            bot = None if rng.random() < 0.25 else BotChannel(rng.uniform(0, 0.95), rng.uniform(1, 10))
-            n = prefs.grid_n
-            shares = compute_demand_shares(perf, bot, prefs, p_admit)
-            h = prefs.v_max / n
-            v = (np.arange(n) + 0.5) * h
-            if bot is None:
-                u_bot = np.full(n, -np.inf)
-            else:
-                u_bot = v - prefs.c_time * bot.tau_bot - (1 - bot.p_succ) * prefs.delta_cold * prefs.tau_exp_cold
-            m = np.maximum(u_bot, prefs.u0)
-            u_agent = p_admit * (v[:, None] - agent_service_cost(perf, prefs)) \
-                + (1 - p_admit) * (-prefs.c_not_admit + m[None, :])
-            agent_mask = u_agent >= m[None, :]
-            bot_mask = ~agent_mask & (u_bot > prefs.u0)[None, :]
-            assert shares.agent == pytest.approx(agent_mask.mean(), abs=2 / n**2)
-            assert shares.bot_direct == pytest.approx(bot_mask.mean(), abs=2 / n**2)
+    def test_lattice_converges_to_exact_shares(self):
+        # a midpoint lattice misplaces at most one cell per column, so every
+        # share and the fallback mass lie within 1/n of the exact areas
+        for n in (250, 1000, 4000):
+            rng = np.random.default_rng(11)
+            for _ in range(60):
+                p_admit = rng.uniform(0, 1) if rng.random() < 0.9 else 0.0
+                outcome = rng.dirichlet([1, 1, 1])
+                perf = PerformanceMeasures(0.1, p_admit, *outcome, rng.uniform(1, 30))
+                bot = None if rng.random() < 0.25 else BotChannel(rng.uniform(0, 0.95), rng.uniform(1, 10))
+                prefs = CustomerPrefs(u0=rng.choice([-20.0, 0.0, 5.0]))
+                exact = compute_demand_shares(perf, bot, prefs, p_admit)
+                grid = lattice_shares(perf, bot, prefs, p_admit, n)
+                for name in ("agent", "bot_direct", "balk"):
+                    assert abs(getattr(exact, name) - getattr(grid, name)) <= 1 / n
+                fallback = exact.agent * exact.fallback_fraction
+                assert abs(fallback - grid.agent * grid.fallback_fraction) <= 1 / n
 
     def test_bot_share_monotone_in_training_and_speed(self):
         prefs = CustomerPrefs()
@@ -109,9 +113,9 @@ class TestDemandShares:
             assert s.bot_direct <= prev + 1e-12
             prev = s.bot_direct
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ValueError):
-            compute_demand_shares(perfect_agent_perf(), None, CustomerPrefs(grid_n=10), 1.0)
+    def test_prefs_hold_no_grid(self):
+        with pytest.raises(TypeError):
+            CustomerPrefs(grid_n=1000)
 
     def test_blocked_never_choose_agent(self):
         shares = compute_demand_shares(perfect_agent_perf(), BotChannel(0.5, 6.0),
@@ -146,18 +150,23 @@ class TestEquilibrium:
         q_back = market.lam * shares.agent / 2
         assert q_back == pytest.approx(res.q_per_agent, abs=1e-5)
 
-    def test_jump_ends_unconverged_at_a_sign_change(self):
-        # reported at the bracket's lower end: g > 0 there and < 0 just above
-        inst, market, prefs = default_design_instance(), MarketParams(), CustomerPrefs()
-        res = solve_equilibrium(inst, DesignPoint(1, "C", 0.0), market, prefs)
+    def test_policy_switch_ends_unconverged_at_a_sign_change(self):
+        # The optimal policy of this "OPT" lane switches from T4 to T5 where
+        # demand would meet supply, and the switch lowers demand, so no q is
+        # a fixed point.  The cell is reported at the bracket's lower end:
+        # g > 0 there and < 0 just above.
+        inst, market, prefs = jump_instance(), MarketParams(lam=0.175), CustomerPrefs()
+        res = solve_equilibrium(inst, DesignPoint(1, "OPT", 0.0), market, prefs)
         assert not res.converged
         assert res.iterations <= 60
+        assert res.q_per_agent == pytest.approx(0.155061, abs=1e-6)
+        assert res.policy.names == ("T4",)
 
         def g(q, chain=False):
             if chain:
-                perf = evaluate_policy(inst.with_q(q), uniform_policy("C", inst.S)).perf
+                perf = evaluate_policy(inst.with_q(q), solve_average_reward(inst.with_q(q))[0]).perf
             else:   # the route the market takes
-                acts = policy_actions(uniform_policy("C", inst.S)).reshape(1, -1, 4)
+                acts = dinkelbach(lane_terms(inst, np.array([q])))[1]
                 lanes = cycle_performance(inst, np.array([q]), acts)[1]
                 perf = PerformanceMeasures(*(float(getattr(lanes, f.name)[0])
                                              for f in fields(lanes)))
@@ -167,8 +176,9 @@ class TestEquilibrium:
         q = res.q_per_agent
         assert g(q) > 0 > g(q + 1e-9)
         assert res.residual == g(q)
-        # the chain puts the jump in the same place
-        assert g(q - 1e-9, chain=True) > 0 > g(q + 1e-9, chain=True)
+        # the chain and the policy solver put the jump in the same place
+        assert g(q, chain=True) > 0 > g(q + 1e-9, chain=True)
+        assert solve_average_reward(inst.with_q(q + 1e-9))[0].names == ("T5",)
 
     def test_design_point_invariants(self):
         with pytest.raises(ValueError):
@@ -208,14 +218,14 @@ class TestOptimizeDesign:
             assert abs(min(max(market.lam * share / k, 1e-6), 1.0) - res.q_per_agent) < 1e-6
 
     def test_lockstep_cells_equal_one_cell_solves(self):
-        # the block holds converged, jump and "OPT" cells, among them the
-        # jump cells (1, C, 0), (1, C, 0.5) and (2, OPT, 0.6)
-        inst, prefs = default_design_instance(), CustomerPrefs()
-        market = MarketParams(k_max=2, p_grid=(0.1, 0.5, 0.6))
+        # the block holds converged cells and the "OPT" jump cells
+        # (1, OPT, 0) and (2, OPT, 0.1)
+        inst, prefs = jump_instance(), CustomerPrefs()
+        market = MarketParams(lam=0.175, k_max=2, p_grid=(0.1, 0.5, 0.6))
         curve = BotChannel(0.0, 6.0, 9e-5, 2.6)
         search = optimize_design(inst, market, prefs, curve)
-        jumps = {(r.design.k_agent, r.design.policy) for r in search.results if not r.converged}
-        assert (1, "C") in jumps and (2, "OPT") in jumps
+        jumps = {astuple(r.design) for r in search.results if not r.converged}
+        assert jumps == {(1, "OPT", 0.0), (2, "OPT", 0.1)}
         for res in search.results:
             one = solve_equilibrium(inst, res.design, market, prefs, curve)
             assert one.q_per_agent == res.q_per_agent

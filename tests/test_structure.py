@@ -285,3 +285,44 @@ class TestStudy:
         opt, study_gap = _study_one(inst)
         assert not opt
         assert study_gap == pytest.approx(gap, rel=1e-12)
+
+    def test_worst_known_gap_inside_the_generator_box(self):
+        # A cheap-expensive-cheap profile inside the default generator box
+        # (found by local search) where the threshold heuristic loses 12.916 %:
+        # the optimum (H2 then C) transfers early and continues late.  Chain
+        # evaluation of all 81^2 rule pairs, as for seed 77010.
+        from gatekeeper.model import all_decision_rules
+        from gatekeeper.structure import _study_one
+
+        inst = ProblemInstance(
+            profile=ResolutionProfile((1, 4, 1), (0.1, 0.1, 1.0)),
+            econ=EconomicParams(r=23.3903, c_w=8.771, c_c=20.3966, tau_w=1),
+            traffic=TrafficParams(q=0.5038, a=0.3113),
+        )
+        box, econ, traffic = GeneratorConfig(seed=0), inst.econ, inst.traffic
+        drawn = [(t, box.tau_range) for t in inst.profile.tau] + [
+            (p, box.rho_range) for p in inst.profile.rho[:-1]] + [
+            (traffic.q, box.q_range), (traffic.a, box.a_range), (econ.r, box.r_range),
+            (econ.c_w, box.c_w_range), (econ.c_c / econ.c_w, box.cost_ratio_range),
+            (econ.tau_w, box.tau_w_range)]
+        assert all(lo <= v <= hi for v, (lo, hi) in drawn)
+        best, best_thr = (-math.inf, None), (-math.inf, None)
+        for r1 in all_decision_rules():
+            for r2 in all_decision_rules():
+                pol = StationaryPolicy((r1, r2))
+                cand = (evaluate_policy(inst, pol).R, pol)
+                best = max(best, cand, key=lambda c: c[0])
+                if is_threshold_policy(pol):
+                    best_thr = max(best_thr, cand, key=lambda c: c[0])
+        assert best[1].names == ("H2", "C")
+        assert best[0] == pytest.approx(4.203606, abs=1e-6)
+        assert best_thr[1].names == ("H1", "H1")
+        assert best_thr[0] == pytest.approx(3.660667, abs=1e-6)
+        gap = (best[0] - best_thr[0]) / best[0]
+        assert 100 * gap == pytest.approx(12.916, abs=1e-3)
+        assert not check_wspt(inst).holds
+
+        pol, r_thr = search_threshold_policies(inst)
+        assert pol == best_thr[1]
+        assert r_thr == pytest.approx(best_thr[0], rel=1e-12)
+        assert _study_one(inst)[1] == pytest.approx(gap, rel=1e-12)

@@ -185,7 +185,10 @@ def _run_threshold_study(cfg: RunConfig) -> list[str]:
     gen = _section(GeneratorConfig, cfg.config.get("generator", {}), "generator")
     gen_cfg = GeneratorConfig(**{**gen, "seed": cfg.seeded()})
     n = as_int(cfg.config.get("n_instances", 100), "n_instances")
-    s_list = [int(s) for s in cfg.config.get("S_list", [gen_cfg.S])]
+    s_list = cfg.config.get("S_list", [gen_cfg.S])
+    if not isinstance(s_list, list):
+        raise ValidationFailure(f"'S_list' must be a JSON list, got {s_list!r}")
+    s_list = [as_int(s, "S_list entry") for s in s_list]
     report = structure.run_heuristic_study(gen_cfg, n, s_list)
     rows = [
         (row.S, row.n_instances, row.frac_threshold_opt, row.mean_gap_pct,
@@ -295,6 +298,8 @@ def _run_simulate(cfg: RunConfig) -> list[str]:
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise ValidationFailure(f"target {i} must be a JSON object, got {spec!r}")
+        if "policy" not in spec:
+            raise ValidationFailure(f"target {i} is missing key 'policy'")
         if "instance" in spec:
             targets.append((instance_from_json(spec["instance"]), policy_from_names(spec["policy"])))
         elif "queue" in spec:

@@ -14,6 +14,14 @@ arrival; transfers are instantaneous; (3) a freed agent pulls the head of the
 queue, else takes the current arrival directly; (4) an unconsumed arrival
 joins the room if space remains, otherwise it is blocked; (5) one period of
 service work elapses.
+
+The chain at q is q P[1] + (1 - q) P[0], with P[1] for a period with an
+arrival and P[0] for one without.  It is a level-dependent quasi-birth-death
+chain: the level, the number waiting, moves by at most one per period, and
+every step down lands in the phase that starts a first attempt.  So every
+interior q of a grid is solved at once, level by level, by state reduction
+that subtracts nothing (`_level_solve`); q = 0 and q = 1, where the queue
+never grows or never drains, go to `evaluate.stationary_distribution`.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .evaluate import reachable, stationary_distribution
+from .evaluate import _MIN_PI, _RESIDUAL_TOL, EvaluationError, reachable, stationary_distribution
 from .model import EconomicParams, ResolutionProfile, as_int
 
 IDLE = ("idle",)
@@ -184,7 +192,7 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
     r, c_c = model.econ.r, model.econ.c_c
     rho1, tau1, tau2 = model.rho1, model.tau1, model.tau2
     P = np.zeros((2, n, n))
-    rates = np.zeros((2, 5, n))
+    rates = [[[0.0] * n for _ in range(5)] for _ in range(2)]   # plain floats: cheap to update
 
     def apply(i: int, p: float, activity: tuple, n_wait: int, arrival: bool,
               rew: float, res: int, tra: int) -> None:
@@ -205,7 +213,8 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
             else:
                 blk = 1
         P[branch, i, index[(activity, n_wait)]] += p
-        rates[branch, :, i] += p * np.array([rew, adm, tra, blk, res])
+        for row, v in zip(rates[branch], (rew, adm, tra, blk, res)):
+            row[i] += p * v
 
     for i, (activity, n_wait) in enumerate(states):
         for arrival in (True, False):
@@ -227,29 +236,165 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
                 _, k, j = activity
                 nxt = ("pend", k) if j == 1 else ("busy", k, j - 1)
                 apply(i, 1.0, nxt, n_wait, arrival, 0.0, 0, 0)
-    return states, P, rates
+    return states, P, np.array(rates)
+
+
+def _removal_steps(pattern: np.ndarray) -> list[tuple]:
+    """Phases k = m, ..., 2 of an (m + 1)-square level matrix in the order
+    `_reduce_level` removes them, each with the rows and columns of the
+    entries its removal reads and updates, fill-in included, given which
+    entries may be nonzero.  Row 0 and column 0 always take part, so that no
+    sum is empty."""
+    pattern = pattern.copy()
+    pattern[0] = pattern[:, 0] = True
+    steps = []
+    for k in range(len(pattern) - 1, 1, -1):
+        rows, cols = np.flatnonzero(pattern[:k, k]), np.flatnonzero(pattern[k, :k])
+        fill = (rows[:, None], cols)
+        pattern[fill] = True
+        steps.append((k, rows, cols, fill))
+    return steps
+
+
+def _reduce_level(M: np.ndarray, steps: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one level for each q by state reduction, and say where the
+    level counts as closed.
+
+    M is (m + 1, m + 1, n_q): M[1 + i, 1 + j] is the mass moving from phase i
+    to phase j, M[1 + i, 0] the mass leaving the level from i, and M[0, 1 + j]
+    the inflow b to j; M is overwritten.  The result x (m, n_q) solves
+    x = b + x T.  Phases leave in the order m - 1, ..., 1 (`steps`, which
+    skips entries that are zero for every q).  Removing phase k sends its
+    inflow on along its outflow, M[i, j] += M[i, k] M[k, j] / s_k, and each
+    pivot s_k is summed from k's remaining outflow, escape included, rather
+    than taken as 1 - T[k, k], so nothing is subtracted (Grassmann, Taksar &
+    Heyman 1985).  The diagonal is never read.
+
+    Where the escape left to phase 0 is below 2⁻¹⁰⁰⁰ of its inflow (always on
+    level 0, which has neither), the level counts as closed: x[0] = 1 and b is
+    dropped, since whatever lies below holds no probability that float64 can
+    carry.  Sums run in a fixed order (`np.add.accumulate`), so a column's
+    result does not depend on n_q.
+    """
+    into = {}
+    for k, rows, cols, fill in steps:
+        out = M[k, cols]
+        into[k] = M[rows, k] / np.add.accumulate(out)[-1]
+        M[fill] += into[k][:, None] * out
+    inflow, escape = M[0, 1], M[1, 0]
+    closed = ~(escape * 2.0**1000 > inflow)
+    x = np.empty(M.shape[1:])
+    x[0] = ~closed   # weight of the inflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[1] = np.where(closed, 1.0, inflow / escape)
+    for k, rows, _, _ in reversed(steps):
+        x[k] = np.add.accumulate(x[rows] * into[k])[-1]
+    return x[1:], closed
+
+
+def _level_solve(P: np.ndarray, N: int, j0: int, q: np.ndarray) -> np.ndarray:
+    """Stationary vectors (one row per q, 0 < q < 1) of q P[1] + (1 - q) P[0].
+
+    States are stored activity-major, at a·(N + 1) + w, so `block(w, v)` holds
+    both branches' A_{w,v}, from w waiting to v waiting; it is zero unless
+    |w - v| <= 1.  Every step down is a freed agent pulling the head of the
+    queue into phase j0, and with q < 1 the queue always drains, so the chain
+    watched at level w until it drops below w moves by
+    T_w = A_{w,w} + (A_{w,w+1} 1) e_j0ᵀ and drops with probability
+    esc_w = A_{w,w-1} 1 (linear level reduction; Gaver, Jacobs & Latouche
+    1984).  Then π_0 = π_0 T_0 and π_w = π_{w-1} A_{w-1,w} (I - T_w)⁻¹.
+    Phase j0, where each level is entered from above, is moved to the front
+    so that every level's reduction keeps it to the last, which loses the
+    fewest digits.  Each level is scaled by a power of two, so none
+    overflows and none is rounded.
+    """
+    L = N + 1
+    m = P.shape[1] // L
+    order = [j0] + [a for a in range(m) if a != j0]
+    by_level = P.reshape(2, m, L, m, L)
+
+    def block(w_from: int, w_to: int) -> np.ndarray:
+        return by_level[:, :, w_from, :, w_to][:, order][:, :, order]
+
+    augs = np.zeros((L, 2, m + 1, m + 1))
+    for w, aug in enumerate(augs):
+        aug[:, 1:, 1:] = block(w, w)
+        if w < N:
+            aug[:, 1:, 1] += block(w, w + 1).sum(-1)
+        if w > 0:
+            aug[:, 1:, 0] = block(w, w - 1).sum(-1)
+    steps = _removal_steps(augs.any((0, 1)))   # one pattern covering every level
+    levels, shifts = [], []
+    shift = np.zeros(len(q), dtype=int)
+    for w, aug in enumerate(augs):
+        M = np.multiply.outer(aug[1], q)
+        M += np.multiply.outer(aug[0], 1.0 - q)
+        if w > 0:
+            for up, weight in zip(block(w - 1, w), (1.0 - q, q)):
+                src, dst = np.nonzero(up)
+                np.add.at(M[0], 1 + dst, up[src, dst][:, None] * x[src] * weight)
+        x, closed = _reduce_level(M, steps)
+        exp = np.frexp(x.max(0))[1]
+        x = np.ldexp(x, -exp)
+        shift = shift + exp
+        for below, below_shift in zip(levels, shifts):
+            below[:, closed] = 0.0
+            below_shift[closed] = shift[closed]
+        levels.append(x)
+        shifts.append(shift)
+    shifts = np.array(shifts)
+    pi = np.empty((L, m, len(q)))
+    pi[:, order] = np.ldexp(np.array(levels), (shifts - shifts.max(0))[:, None])
+    pi = pi.transpose(2, 1, 0).reshape(len(q), m * L)
+    return pi / pi.sum(-1, keepdims=True)
+
+
+def _check_stationary(pi: np.ndarray, P: np.ndarray, q: np.ndarray,
+                      labels: tuple[str, ...]) -> None:
+    """Raise EvaluationError unless every row of pi is stationary for its q,
+    naming the first failed check, its state and q (a NaN fails them all)."""
+    resid = np.abs(q[:, None] * (pi @ P[1]) + (1.0 - q[:, None]) * (pi @ P[0]) - pi)
+    total = np.abs(pi.sum(-1) - 1.0)
+    ok = (resid.max(-1) <= _RESIDUAL_TOL) & (total <= _RESIDUAL_TOL) & (pi.min(-1) >= _MIN_PI)
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    worst, low = int(np.argmax(resid[i])), int(np.argmin(pi[i]))
+    if not resid[i, worst] <= _RESIDUAL_TOL:
+        failed = (f"stationary distribution residual {resid[i, worst]:.2e} at "
+                  f"{labels[worst]} exceeds {_RESIDUAL_TOL:.0e}")
+    elif not total[i] <= _RESIDUAL_TOL:
+        failed = f"stationary probabilities sum to 1 {total[i]:+.2e}"
+    else:
+        failed = f"stationary probability of {labels[low]} is {pi[i, low]:.2e}, below {_MIN_PI:.0e}"
+    raise EvaluationError(f"{failed} at q={float(q[i])!r}")
 
 
 def _evaluate_on_grid(model: QueueModel, pol: QueuePolicy,
                       q_grid: tuple[float, ...]) -> list[QueueEvaluation]:
-    """One policy's evaluations across q, from one assembly of its branches."""
+    """One policy's evaluations across q, from one assembly of its branches;
+    every interior q is solved in one level solve."""
     states, P, rates = _branch_chains(model, pol)
     labels = tuple(f"{act}/{w}" for act, w in states)
     empty = states.index((IDLE, 0))
-    out = []
-    for q in q_grid:
-        if 0.0 < q < 1.0:
-            pi = stationary_distribution(q * P[1] + (1 - q) * P[0], labels)
-        else:
-            # At q = 0 or 1 every period takes the same branch, so the queue
-            # never grows or never shortens and several lengths may each
-            # close a class: solve on the states the empty system reaches.
-            live = reachable(P[int(q)], empty)
-            pi = np.zeros(len(states))
-            pi[live] = stationary_distribution(P[int(q)][np.ix_(live, live)],
-                                               tuple(lbl for lbl, ok in zip(labels, live) if ok))
-        out.append(QueueEvaluation(pi, states, *((q * rates[1] + (1 - q) * rates[0]) @ pi).tolist()))
-    return out
+    grid = np.array(q_grid, dtype=float)
+    inner = (grid > 0.0) & (grid < 1.0)
+    pi = np.zeros((len(grid), len(states)))
+    if inner.any():
+        j0 = states.index((_start_service(model.tau1, 1), 0)) // (model.N + 1)
+        solved = _level_solve(P, model.N, j0, grid[inner])
+        _check_stationary(solved, P, grid[inner], labels)
+        pi[inner] = solved
+    for i in np.flatnonzero(~inner):
+        # At q = 0 or 1 every period takes the same branch, so the queue
+        # never grows or never shortens and several lengths may each close a
+        # class: solve on the states the empty system reaches.
+        Pq = P[int(grid[i])]
+        live = reachable(Pq, empty)
+        pi[i, live] = stationary_distribution(Pq[np.ix_(live, live)],
+                                              tuple(lbl for lbl, ok in zip(labels, live) if ok))
+    return [QueueEvaluation(pi[i], states, *((q * rates[1] + (1 - q) * rates[0]) @ pi[i]).tolist())
+            for i, q in enumerate(q_grid)]
 
 
 def evaluate_queue_policy(model: QueueModel, pol: QueuePolicy) -> QueueEvaluation:

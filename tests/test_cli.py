@@ -357,3 +357,21 @@ def test_solve_rule_column_carries_table_labels(tmp_path):
     lines = (out / "evaluation.csv").read_text().splitlines()[3:]
     assert lines == [",".join(fmt(v) for v in row) for row in expect]
     assert lines[0] == "summary,R,19.2875939299"
+
+
+def test_simulate_target_without_a_policy_exits_2_naming_it(tmp_path, capsys):
+    for target in ({"queue": {"N": 2}}, {"instance": valid_instance()}):
+        code, _ = run_cli(tmp_path, "simulate", {"targets": [target]})
+        assert code == EXIT_VALIDATION
+        assert "target 0 is missing key 'policy'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("S_list, message", [
+    ([2.5], "S_list entry must be an integer, got 2.5"),
+    (3, "'S_list' must be a JSON list, got 3"),
+])
+def test_threshold_study_S_list_must_be_a_list_of_integers(tmp_path, capsys, S_list, message):
+    code, out = run_cli(tmp_path, "threshold-study", {"n_instances": 2, "S_list": S_list})
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()

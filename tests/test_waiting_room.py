@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from dense_queue import EXTENDED, dense_rates, gth_rates
+from hypothesis import given, settings, strategies as st
 
 from gatekeeper import (
     EconomicParams,
@@ -20,7 +22,8 @@ from gatekeeper import (
     sweep_queue_policies,
     uniform_policy,
 )
-from gatekeeper.waiting_room import queue_policy_from_label
+from gatekeeper.evaluate import EvaluationError
+from gatekeeper.waiting_room import _branch_chains, _check_stationary, queue_policy_from_label
 
 GRID = [round(0.05 * i, 2) for i in range(1, 21)]
 RECORDED_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "expected" / "sweep.csv"
@@ -177,6 +180,81 @@ class TestSweep:
         for i, lbl in enumerate(sweep.policies):
             for j, q in enumerate(sweep.q_grid):
                 assert rec[(lbl, q)] == sweep.profit[i, j]
+
+
+def _rates(ev) -> np.ndarray:
+    return np.array([ev.profit, ev.throughput, ev.transfer_rate, ev.blocking_rate, ev.resolve_rate])
+
+
+@st.composite
+def edge_cases(draw):
+    """N <= 12, tau_1, tau_2 <= 15, any rho_1, q at a log-uniform distance
+    from 0 (1e-8 to 0.5) or from 1 (1e-9 to 0.5), and one admissible policy."""
+    N = draw(st.integers(0, 12))
+    tau = (draw(st.integers(1, 15)), draw(st.integers(1, 15)))
+    rho1 = draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        q = 10.0 ** -draw(st.floats(0.3, 8.0))
+    else:
+        q = 1.0 - 10.0 ** -draw(st.floats(0.3, 9.0))
+    model = dataclasses.replace(default_queue_model(N=N, q=q),
+                                profile=ResolutionProfile(tau, (rho1, 1.0)))
+    return model, draw(st.sampled_from(admissible_queue_policies(model)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edge_cases())
+def test_level_solve_matches_dense_lu(case):
+    model, pol = case
+    got = _rates(evaluate_queue_policy(model, pol))
+    assert np.abs(got - dense_rates(model, pol)).max() <= 1.7e-11
+
+
+@pytest.mark.skipif(not EXTENDED, reason="the GTH reference needs an extended long double")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(edge_cases())
+def test_level_solve_matches_whole_chain_gth_to_round_off(case):
+    # every rate that float64 holds to full precision (above 1e-290, clear of
+    # subnormals) is right to round-off, however small, where LU misses tiny
+    # blocking rates by orders of magnitude.  A rate near 1e-50 is a product
+    # of dozens of rounded transition probabilities, so round-off here means
+    # about 50 ulps; float64 GTH on the whole chain misses by as much
+    model, pol = case
+    got = _rates(evaluate_queue_policy(model, pol))
+    ref = gth_rates(model, pol)
+    normal = ref > 1e-290
+    assert np.all(np.abs(got - ref)[normal] <= 1e-14 * ref[normal])
+    assert np.all(got[~normal] < 1e-280)
+
+
+@pytest.mark.parametrize("N, tau, rho1, q", [
+    (20, (6, 15), 0.7, 1e-12),
+    (12, (30, 30), 0.7, 1 - 1e-6),
+    (12, (30, 30), 0.0, 1 - 1e-12),   # the escape from each level underflows
+])
+def test_beyond_the_oracle_grid_solves_or_raises(N, tau, rho1, q):
+    model = dataclasses.replace(default_queue_model(N=N, q=q),
+                                profile=ResolutionProfile(tau, (rho1, 1.0)))
+    for pol in admissible_queue_policies(model):
+        try:
+            ev = evaluate_queue_policy(model, pol)
+        except EvaluationError:
+            continue
+        assert np.all(np.isfinite(ev.pi)) and np.all(np.isfinite(_rates(ev)))
+        assert np.abs(_rates(ev) - dense_rates(model, pol)).max() <= 1e-12
+
+
+def test_failed_check_names_the_check_state_and_q():
+    model = default_queue_model(N=2, q=0.5)
+    states, P, _ = _branch_chains(model, QueuePolicy.never())
+    labels = tuple(f"{act}/{w}" for act, w in states)
+    q = np.array([0.5])
+    pi = np.full((1, len(states)), 1.0 / len(states))
+    with pytest.raises(EvaluationError, match=r"stationary distribution residual .* at q=0.5"):
+        _check_stationary(pi, P, q, labels)
+    pi[0, 0] = np.nan
+    with pytest.raises(EvaluationError, match=r"residual nan at \('idle',\)/0"):
+        _check_stationary(pi, P, q, labels)
 
 
 class TestQueueSimulator:

@@ -36,6 +36,7 @@ from .model import (
     TrafficParams,
     all_decision_rules,
     dominance_admissible,
+    generate_block,
     generate_instance,
     instance_from_json,
     policy_from_names,

@@ -335,8 +335,9 @@ class RenewalTerms(NamedTuple):
     trans: np.ndarray     # (2, 2, 4, N): W/D, warm/cold, (Q, A), instance
 
 
-def _terms(tau, rho, r, c_w, c_c, tau_w, q, a) -> RenewalTerms:
-    """Renewal terms from per-lane parameters: tau and rho (S, N), the rest (N,)."""
+def block_terms(tau, rho, r, c_w, c_c, tau_w, q, a) -> RenewalTerms:
+    """Renewal terms from per-lane parameters (a `model.InstanceBlock`'s
+    fields): tau and rho (S, N), the rest (N,)."""
     idle = (1 - q) / q                       # E[idle periods after release]
     head = np.stack([rho * r, tau + rho * idle], axis=1)
     d_never = np.zeros_like(q)
@@ -358,7 +359,7 @@ def renewal_terms(insts: Sequence[ProblemInstance]) -> RenewalTerms:
     rho = np.array([inst.profile.rho for inst in insts]).T
     econ = np.array([(i.econ.r, i.econ.c_w, i.econ.c_c, i.econ.tau_w, i.traffic.q, i.traffic.a)
                      for i in insts]).T
-    return _terms(tau, rho, *econ)
+    return block_terms(tau, rho, *econ)
 
 
 def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:
@@ -370,8 +371,8 @@ def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:
     lane = np.ones_like(q)
     tau, rho = (np.array(v, dtype=float)[:, None] * lane for v in (inst.profile.tau, inst.profile.rho))
     econ = inst.econ
-    return _terms(tau, rho, *(v * lane for v in (econ.r, econ.c_w, econ.c_c, econ.tau_w)),
-                  q, inst.traffic.a * lane)
+    return block_terms(tau, rho, *(v * lane for v in (econ.r, econ.c_w, econ.c_c, econ.tau_w)),
+                       q, inst.traffic.a * lane)
 
 
 def renewal_step(head, fail, cont, nxt, trans) -> np.ndarray:

@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -304,38 +304,36 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     when built and raises one ValueError that lists every violation, so no
     invalid instance exists and no caller checks again.
     """
-    out: list[str] = []
     prof, econ, tr = inst.profile, inst.econ, inst.traffic
-    S = prof.S
-    if S < 1:
-        out.append("profile must contain at least one attempt (S >= 1)")
-        return out
-    if len(prof.rho) != S:
-        out.append("tau and rho must have the same length")
-        return out
-    for s, t in enumerate(prof.tau, start=1):
-        if t < 1:
-            out.append(f"tau[{s}] must be a positive integer")
-    for s, p in enumerate(prof.rho[:-1], start=1):
-        if not 0.0 < p <= 1.0:
-            out.append(f"rho[{s}] must lie in (0, 1]")
-    if prof.rho[-1] != 1.0:
-        out.append("rho[S] must equal 1")
-    if econ.r <= 0:
-        out.append("r must be positive")
-    if econ.c_w < 0:
-        out.append("c_w must be nonnegative")
-    if econ.c_c <= econ.c_w:
-        out.append("c_c must exceed c_w")
-    if econ.tau_w < 1:
-        out.append("tau_w must be a positive integer")
-    if econ.c_wage < 0:
-        out.append("c_wage must be nonnegative")
-    if not 0.0 < tr.q <= 1.0:
-        out.append("q must lie in (0, 1]")
-    if not 0.0 < tr.a <= 1.0:
-        out.append("a must lie in (0, 1]")
-    return out
+    if prof.S < 1:
+        return ["profile must contain at least one attempt (S >= 1)"]
+    if len(prof.rho) != prof.S:
+        return ["tau and rho must have the same length"]
+    return [msg for msg, bad in _lane_violations(prof.tau, prof.rho, econ.r, econ.c_w, econ.c_c,
+                                                 econ.tau_w, econ.c_wage, tr.q, tr.a) if bad]
+
+
+def _outside_unit(p):
+    """p not in (0, 1], elementwise; NaN (p != p) is outside."""
+    return (p != p) | (p <= 0.0) | (p > 1.0)
+
+
+def _lane_violations(tau, rho, r, c_w, c_c, tau_w, c_wage, q, a) -> list[tuple[str, np.ndarray]]:
+    """Each invariant of an instance with the lanes that break it (True where
+    broken).  Takes one instance's values, tau and rho of length S and the
+    rest scalars, or lanes of instances: tau and rho (S, N), the rest (N,)."""
+    return [
+        *((f"tau[{s}] must be a positive integer", t < 1) for s, t in enumerate(tau, start=1)),
+        *((f"rho[{s}] must lie in (0, 1]", _outside_unit(p)) for s, p in enumerate(rho[:-1], start=1)),
+        ("rho[S] must equal 1", rho[-1] != 1.0),
+        ("r must be positive", r <= 0),
+        ("c_w must be nonnegative", c_w < 0),
+        ("c_c must exceed c_w", c_c <= c_w),
+        ("tau_w must be a positive integer", tau_w < 1),
+        ("c_wage must be nonnegative", c_wage < 0),
+        ("q must lie in (0, 1]", _outside_unit(q)),
+        ("a must lie in (0, 1]", _outside_unit(a)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -359,13 +357,21 @@ class GeneratorConfig:
     tau_w_range: tuple[int, int] = (1, 5)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "S", as_int(self.S, "S"))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.S < 1:
             raise ValueError("S must be >= 1")
         for name in ("tau_range", "rho_range", "q_range", "a_range", "r_range",
                      "c_w_range", "cost_ratio_range", "tau_w_range"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"{name} must be a pair [lo, hi], got {pair!r}")
+            if name in ("tau_range", "tau_w_range"):
+                pair = (as_int(pair[0], f"{name} bound"), as_int(pair[1], f"{name} bound"))
+                object.__setattr__(self, name, pair)
+            lo, hi = pair
             if lo > hi:
                 raise ValueError(f"{name} is empty: {lo} > {hi}")
         if self.tau_range[0] < 1 or self.tau_w_range[0] < 1:
@@ -382,6 +388,15 @@ class GeneratorConfig:
             raise ValueError("cold/warm cost ratio must exceed 1")
 
 
+def _philox_state(seed: int, stream: int = 0) -> dict:
+    """Philox state of the (seed, stream) stream before its first draw: key
+    (seed mod 2**64) + stream * 2**64, counter 0 and nothing buffered (an
+    odd count of 32-bit draws leaves half a word that must not carry over)."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [int(seed) & (2**64 - 1), int(stream)]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based RNG; (seed, stream) pairs give independent streams.
 
@@ -389,24 +404,72 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     portable across modules; parallel harnesses must use disjoint (seed,
     stream) pairs.
     """
-    return np.random.Generator(np.random.Philox(key=(int(seed) & (2**64 - 1)) + (int(stream) << 64)))
+    bits = np.random.Philox(0)
+    bits.state = _philox_state(seed, stream)
+    return np.random.Generator(bits)
+
+
+class InstanceBlock(NamedTuple):
+    """Instances with one S as lanes, one per seed: tau and rho (S, N), the
+    rest (N,); the field order is `evaluate.block_terms`'s."""
+
+    tau: np.ndarray
+    rho: np.ndarray
+    r: np.ndarray
+    c_w: np.ndarray
+    c_c: np.ndarray
+    tau_w: np.ndarray
+    q: np.ndarray
+    a: np.ndarray
+
+
+def _draw_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
+    """The lanes of `seeds` as drawn, unchecked (see `generate_block`)."""
+    S, n = cfg.S, len(seeds)
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    tau, u, tau_w = np.empty((n, S), np.int64), np.empty((n, S + 4)), np.empty(n, np.int64)
+    (t_lo, t_hi), (w_lo, w_hi) = cfg.tau_range, cfg.tau_w_range
+    for i, seed in enumerate(seeds):
+        bits.state = _philox_state(seed)
+        tau[i] = gen.integers(t_lo, t_hi + 1, size=S)
+        gen.random(out=u[i])
+        tau_w[i] = gen.integers(w_lo, w_hi + 1)
+    bounds = np.array([cfg.rho_range] * (S - 1) + [cfg.q_range, cfg.a_range, cfg.r_range,
+                                                   cfg.c_w_range, cfg.cost_ratio_range], dtype=float)
+    x = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u   # Generator.uniform's operations
+    rho = np.ones((S, n))
+    rho[:-1] = x[:, :S - 1].T
+    q, a, r, c_w, ratio = x[:, S - 1:].T
+    return InstanceBlock(tau.T, rho, r, c_w, c_w * ratio, tau_w, q, a)
+
+
+def generate_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
+    """Draw the instance of each seed in `seeds` (cfg.seed plays no part).
+
+    Each lane comes from its seed's (seed, 0) stream: S attempt times, then
+    S + 4 uniforms for rho_1..rho_{S-1}, q, a, r, c_w and the cold/warm cost
+    ratio, then tau_w.  A uniform u maps to lo + (hi - lo) u, the operations
+    of `Generator.uniform`.  A lane that breaks an instance invariant raises
+    one ValueError listing what is wrong and naming its seed.
+    """
+    block = _draw_block(cfg, seeds)
+    checks = _lane_violations(*block[:6], np.zeros(len(seeds)), block.q, block.a)
+    bad = np.logical_or.reduce([lanes for _, lanes in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError("invalid instance: " + "; ".join(msg for msg, lanes in checks if lanes[i])
+                         + f" (seed {seeds[i]})")
+    return block
 
 
 def generate_instance(cfg: GeneratorConfig) -> ProblemInstance:
-    """Draw one instance; deterministic in cfg.seed and always valid."""
-    rng = rng_stream(cfg.seed)
-    tau = rng.integers(cfg.tau_range[0], cfg.tau_range[1] + 1, size=cfg.S)
-    rho = np.empty(cfg.S)
-    rho[:-1] = rng.uniform(cfg.rho_range[0], cfg.rho_range[1], size=cfg.S - 1)
-    rho[-1] = 1.0
-    q = rng.uniform(*cfg.q_range)
-    a = rng.uniform(*cfg.a_range)
-    r = rng.uniform(*cfg.r_range)
-    c_w = rng.uniform(*cfg.c_w_range)
-    c_c = c_w * rng.uniform(*cfg.cost_ratio_range)
-    tau_w = int(rng.integers(cfg.tau_w_range[0], cfg.tau_w_range[1] + 1))
+    """Draw one instance, deterministic in cfg.seed: the lane of cfg.seed,
+    which checks itself when built like any instance."""
+    b = _draw_block(cfg, [cfg.seed])
     return ProblemInstance(
-        profile=ResolutionProfile(tuple(int(t) for t in tau), tuple(rho)),
-        econ=EconomicParams(r=r, c_w=c_w, c_c=c_c, tau_w=tau_w),
-        traffic=TrafficParams(q=q, a=a),
+        profile=ResolutionProfile(b.tau[:, 0].tolist(), b.rho[:, 0].tolist()),
+        econ=EconomicParams(r=float(b.r[0]), c_w=float(b.c_w[0]), c_c=float(b.c_c[0]),
+                            tau_w=int(b.tau_w[0])),
+        traffic=TrafficParams(q=float(b.q[0]), a=float(b.a[0])),
     )

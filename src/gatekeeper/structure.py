@@ -20,14 +20,14 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluate import renewal_terms
+from .evaluate import RenewalTerms, block_terms, renewal_terms
 from .model import (
     Action,
     CONGESTION_STATES,
     GeneratorConfig,
     ProblemInstance,
     StationaryPolicy,
-    generate_instance,
+    generate_block,
     policy_from_actions,
     rules_table,
 )
@@ -170,10 +170,9 @@ def search_threshold_policies(inst: ProblemInstance) -> tuple[StationaryPolicy, 
     return policy_from_actions(acts[0].tolist()), float(R[0])
 
 
-def _study_gaps(insts: list[ProblemInstance]) -> np.ndarray:
+def _study_gaps(terms: RenewalTerms) -> np.ndarray:
     """Relative gap of the best threshold policy to the optimum, per instance
     of a block; within GAP_TOL it is 0 (the two maximizations round apart)."""
-    terms = renewal_terms(insts)
     (r_opt, _), (r_thr, _) = dinkelbach(terms), dinkelbach(terms, nested=True)
     gap = (r_opt - r_thr) / r_opt
     return np.where(gap <= GAP_TOL, 0.0, gap)
@@ -181,7 +180,7 @@ def _study_gaps(insts: list[ProblemInstance]) -> np.ndarray:
 
 def _study_one(inst: ProblemInstance) -> tuple[bool, float]:
     """(threshold-optimal?, relative gap) of one instance, as in the study."""
-    gap = float(_study_gaps([inst])[0])
+    gap = float(_study_gaps(renewal_terms([inst]))[0])
     return gap == 0.0, gap
 
 
@@ -209,18 +208,18 @@ def run_heuristic_study(
 ) -> StudyReport:
     """Threshold-heuristic quality over random instances, per attempt count.
 
-    For each S, draws n_instances instances on consecutive seeds, solves the
-    block for the best threshold and the optimal stationary policy, and
-    reports the optimal fraction plus mean and max relative gap in percent.
-    Seed blocks are disjoint across S values.
+    For each S, draws n_instances instances on consecutive seeds as one
+    block of arrays, solves the block for the best threshold and the optimal
+    stationary policy, and reports the optimal fraction plus mean and max
+    relative gap in percent.  Seed blocks are disjoint across S values.
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
     rows = []
     for si, S in enumerate(S_list):
         seed_lo = cfg.seed + si * n_instances
-        gaps = _study_gaps([generate_instance(replace(cfg, S=S, seed=seed))
-                            for seed in range(seed_lo, seed_lo + n_instances)])
+        block = generate_block(replace(cfg, S=S), range(seed_lo, seed_lo + n_instances))
+        gaps = _study_gaps(block_terms(*block))
         rows.append(
             StudyRow(
                 S=S,

@@ -375,3 +375,16 @@ def test_threshold_study_S_list_must_be_a_list_of_integers(tmp_path, capsys, S_l
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("generator, message", [
+    ({"tau_range": 5}, "tau_range must be a pair [lo, hi], got 5"),
+    ({"rho_range": [0.1, 0.5, 0.9]}, "rho_range must be a pair [lo, hi], got (0.1, 0.5, 0.9)"),
+    ({"tau_range": [1.9, 2.9]}, "tau_range bound must be an integer, got 1.9"),
+    ({"S": 2.5}, "S must be an integer, got 2.5"),
+])
+def test_threshold_study_bad_generator_values_exit_2_naming_the_field(tmp_path, capsys, generator, message):
+    code, out = run_cli(tmp_path, "threshold-study", {"generator": generator, "n_instances": 2})
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()

@@ -1,7 +1,10 @@
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
+import seed_generator
 from gatekeeper import (
     Action,
     EconomicParams,
@@ -13,12 +16,15 @@ from gatekeeper import (
     all_decision_rules,
     default_queue_model,
     dominance_admissible,
+    generate_block,
     generate_instance,
     instance_from_json,
     rules_table,
     uniform_policy,
     validate_instance,
 )
+from gatekeeper.evaluate import block_terms, renewal_terms
+from gatekeeper.model import rng_stream
 
 
 def make_instance(**overrides):
@@ -134,6 +140,72 @@ class TestGenerator:
             generate_instance(GeneratorConfig(seed=1, cost_ratio_range=(0.5, 0.9)))
         with pytest.raises(ValueError):
             generate_instance(GeneratorConfig(seed=1, q_range=(0.0, 0.5)))
+
+    @pytest.mark.parametrize("S", range(1, 9))
+    def test_block_equals_the_per_seed_oracle_bit_for_bit(self, S):
+        # odd S leaves half a 64-bit word buffered that the tau_w draw takes
+        seeds = [*range(1000 * S, 1000 * S + 500), 2**40 + 7, 2**63, 2**63 + 5, 2**64 - 1]
+        cfg = GeneratorConfig(seed=0, S=S)
+        insts = [seed_generator.generate_instance(dataclasses.replace(cfg, seed=s)) for s in seeds]
+        block = generate_block(cfg, seeds)
+        want = {
+            "tau": np.array([i.profile.tau for i in insts]).T,
+            "rho": np.array([i.profile.rho for i in insts]).T,
+            **{k: np.array([getattr(i.econ, k) for i in insts]) for k in ("r", "c_w", "c_c", "tau_w")},
+            **{k: np.array([getattr(i.traffic, k) for i in insts]) for k in ("q", "a")},
+        }
+        for name in block._fields:
+            assert np.array_equal(getattr(block, name), want[name]), name
+        for got, expected in zip(block_terms(*block), renewal_terms(insts)):
+            assert np.array_equal(got, expected)
+        for i in (0, 1, -4, -3, -2, -1):
+            assert generate_instance(dataclasses.replace(cfg, seed=seeds[i])) == insts[i]
+            one = generate_block(cfg, [seeds[i]])
+            assert all(np.array_equal(got, lanes[..., [i]]) for got, lanes in zip(one, block))
+
+    def test_rng_stream_is_the_keyed_philox_stream(self):
+        for seed, stream in ((0, 0), (5, 17), (2**63 + 5, 3), (2**64 - 1, 1)):
+            got, want = rng_stream(seed, stream), seed_generator.keyed_stream(seed, stream)
+            assert np.array_equal(got.integers(1, 21, size=3), want.integers(1, 21, size=3))
+            assert np.array_equal(got.random(7), want.random(7))
+            assert got.integers(1, 6) == want.integers(1, 6)
+
+    def test_an_invalid_draw_names_its_seed(self):
+        cfg = GeneratorConfig(seed=0, c_w_range=(0.0, 0.0))
+        with pytest.raises(ValueError, match=r"^invalid instance: c_c must exceed c_w$"):
+            generate_instance(cfg)
+        with pytest.raises(ValueError, match=r"^invalid instance: c_c must exceed c_w \(seed 0\)$"):
+            generate_block(cfg, [0])
+        # c_w below the smallest normal float: c_c = c_w * ratio rounds to c_w on some seeds
+        cfg = GeneratorConfig(seed=0, c_w_range=(0.0, 1e-323))
+        failing = []
+        for seed in range(20):
+            try:
+                seed_generator.generate_instance(dataclasses.replace(cfg, seed=seed))
+            except ValueError:
+                failing.append(seed)
+        assert 0 < failing[0] and failing[1] - failing[0] > 1 and len(failing) < 20
+        for lo in (0, failing[0] + 1):
+            with pytest.raises(ValueError, match=rf"c_c must exceed c_w \(seed {min(f for f in failing if f >= lo)}\)$"):
+                generate_block(cfg, range(lo, 20))
+        generate_block(cfg, [seed for seed in range(20) if seed not in failing])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"S": 2.5}, "S must be an integer, got 2.5"),
+        ({"tau_range": (1.9, 2.9)}, "tau_range bound must be an integer, got 1.9"),
+        ({"tau_w_range": (1, 2.5)}, "tau_w_range bound must be an integer, got 2.5"),
+        ({"tau_range": 5}, "tau_range must be a pair [lo, hi], got 5"),
+        ({"rho_range": (0.1, 0.5, 0.9)}, "rho_range must be a pair [lo, hi], got (0.1, 0.5, 0.9)"),
+    ])
+    def test_config_rejects_fractional_counts_and_malformed_ranges(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GeneratorConfig(**{"seed": 1, **kwargs})
+
+    def test_config_takes_integral_floats_as_integers(self):
+        cfg = GeneratorConfig(seed=3.0, S=2.0, tau_range=(1.0, 20.0), tau_w_range=[1, 5])
+        assert cfg == GeneratorConfig(seed=3, S=2)
+        assert generate_instance(cfg) == generate_instance(GeneratorConfig(seed=3, S=2))
 
     def test_seed_blocks_statistically_indistinguishable(self):
         # sanity check, not a sharp assertion: disjoint seed blocks should

@@ -118,9 +118,11 @@ def _run_enumerate(cfg: RunConfig) -> list[str]:
     ruleset = cfg.config.get("ruleset", "table-1")
     cap = as_int(cfg.config.get("cap", 10_000_000), "cap")
     top = cfg.config.get("top")
-    ranked = enumerate_policies(inst, ruleset=ruleset, cap=cap)
     if top is not None:
-        ranked = ranked[: as_int(top, "top")]
+        top = as_int(top, "top")
+        if top < 0:
+            raise ValidationFailure(f"top must be nonnegative, got {top}")
+    ranked = enumerate_policies(inst, ruleset=ruleset, cap=cap)[:top]
     rows = [
         (rank + 1, "|".join(pol.names), R)
         for rank, (pol, R) in enumerate(ranked)

@@ -8,6 +8,11 @@ nodes have zero duration; every cycle passes through positive-duration
 states, so the renewal-reward ratio over the embedded stationary distribution
 gives the long-run average reward R, and the evaluation (Poisson) equations
 anchored at G(I0) = 0 give the relative state values G.
+
+`stationary_distribution` is the package's one stationary solver, shared
+with the waiting room: Grassmann-Taksar-Heyman state reduction on the closed
+class that the start state reaches, which subtracts nothing, so even the
+mass of a state left once in 10⁸ periods is right to round-off.
 """
 from __future__ import annotations
 
@@ -26,7 +31,6 @@ from .model import (
 I0, I1, W0, W1 = 0, 1, 2, 3
 
 _RESIDUAL_TOL = 1e-10
-_MIN_PI = -1e-12   # most negative stationary probability accepted as round-off
 
 
 class EvaluationError(RuntimeError):
@@ -137,73 +141,95 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
                          labels=state_labels(S))
 
 
-def reachable(P: np.ndarray, start: int) -> np.ndarray:
-    """Boolean mask of the states reachable from `start`, itself included."""
-    seen = np.zeros(P.shape[0], dtype=bool)
-    stack = [start]
-    seen[start] = True
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(P[i] > 0)[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
-    return seen
+def _removal_steps(pattern: np.ndarray) -> list[tuple]:
+    """Phases k = m, ..., 2 of an (m + 1)-square level matrix in the order
+    `_reduce_level` removes them, each with the rows and columns of the
+    entries its removal reads and updates, fill-in included, given which
+    entries may be nonzero.  Row 0 and column 0 always take part, so that no
+    sum is empty."""
+    pattern = pattern.copy()
+    pattern[0] = pattern[:, 0] = True
+    steps = []
+    for k in range(len(pattern) - 1, 1, -1):
+        rows, cols = np.flatnonzero(pattern[:k, k]), np.flatnonzero(pattern[k, :k])
+        fill = (rows[:, None], cols)
+        pattern[fill] = True
+        steps.append((k, rows, cols, fill))
+    return steps
 
 
-def _unreachable_states(P: np.ndarray, labels: tuple[str, ...], start: int = I0) -> list[str]:
-    return [lbl for lbl, ok in zip(labels, reachable(P, start)) if not ok]
+def _reduce_level(M: np.ndarray, steps: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one level for each q by state reduction, and say where the
+    level counts as closed.
 
+    M is (m + 1, m + 1, n_q): M[1 + i, 1 + j] is the mass moving from phase i
+    to phase j, M[1 + i, 0] the mass leaving the level from i, and M[0, 1 + j]
+    the inflow b to j; M is overwritten.  The result x (m, n_q) solves
+    x = b + x T.  Phases leave in the order m - 1, ..., 1 (`steps`, which
+    skips entries that are zero for every q).  Removing phase k sends its
+    inflow on along its outflow, M[i, j] += M[i, k] M[k, j] / s_k, and each
+    pivot s_k is summed from k's remaining outflow, escape included, rather
+    than taken as 1 - T[k, k], so nothing is subtracted (Grassmann, Taksar &
+    Heyman 1985).  The diagonal is never read.
 
-def _solve_stationary(P: np.ndarray) -> tuple[Optional[np.ndarray], str]:
-    """pi P = pi, sum(pi) = 1 by one LU solve, and the check that failed ("" if none).
-
-    The balance matrix is P's off-diagonal part, transposed, with minus each
-    row's off-diagonal sum on the diagonal, so a state left with probability
-    q keeps exactly q, not (1 - q) - 1; sum(pi) = 1 replaces its last
-    equation.  The residual is taken on P itself.
+    Where the escape left to phase 0 is below 2⁻¹⁰⁰⁰ of its inflow (always on
+    level 0, which has neither), the level counts as closed: x[0] = 1 and b is
+    dropped, since whatever lies below holds no probability that float64 can
+    carry.  Sums run in a fixed order (`np.add.accumulate`), so a column's
+    result does not depend on n_q.
     """
-    n = P.shape[0]
-    A = P.T.copy()
-    np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -A.sum(axis=0))
-    A[-1] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return None, "singular balance matrix (more than one closed class)"
-    resid = max(float(np.max(np.abs(pi @ P - pi))), abs(float(pi.sum()) - 1.0))
-    if resid > _RESIDUAL_TOL:
-        return pi, f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}"
-    return pi, ""
+    into = {}
+    for k, rows, cols, fill in steps:
+        out = M[k, cols]
+        into[k] = M[rows, k] / np.add.accumulate(out)[-1]
+        M[fill] += into[k][:, None] * out
+    inflow, escape = M[0, 1], M[1, 0]
+    closed = ~(escape * 2.0**1000 > inflow)
+    x = np.empty(M.shape[1:])
+    x[0] = ~closed   # weight of the inflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[1] = np.where(closed, 1.0, inflow / escape)
+    for k, rows, _, _ in reversed(steps):
+        x[k] = np.add.accumulate(x[rows] * into[k])[-1]
+    return x[1:], closed
 
 
-def stationary_distribution(P: np.ndarray, labels: Optional[tuple[str, ...]] = None) -> np.ndarray:
-    """Stationary distribution of a unichain transition matrix.
+def stationary_distribution(P: np.ndarray, start: int,
+                            labels: Optional[tuple[str, ...]] = None) -> np.ndarray:
+    """Stationary distribution of the chain P entered at state `start`.
 
-    Transient states can take small negative values; when that guard fires,
-    the system is solved again on the closed class (the states reachable
-    from the most probable one), and every other state gets probability
-    exactly 0.
+    The reachability closure of P's nonzero pattern (by repeated boolean
+    squaring) gives the closed class that `start` reaches; a start that
+    reaches more than one raises `EvaluationError`.  That class is
+    solved as one closed level of `_reduce_level`, which subtracts nothing,
+    so every probability is right to round-off however small; every other
+    state gets exactly 0.  The residual is taken on P itself, so a matrix
+    whose rows do not sum to one fails it.
     """
-    lbl = labels or tuple(str(i) for i in range(P.shape[0]))
-    pi, failed = _solve_stationary(P)
-    if not failed:
-        low = int(np.argmin(pi))
-        if pi[low] >= _MIN_PI:
-            return np.clip(pi, 0.0, None)
-        failed = f"stationary probability of {lbl[low]} is {pi[low]:.2e}, below {_MIN_PI:.0e}"
-        cls = reachable(P, int(np.argmax(pi)))
-        sub, sub_failed = _solve_stationary(P[np.ix_(cls, cls)])
-        if not sub_failed and sub.min() >= _MIN_PI:
-            pi = np.zeros_like(pi)
-            pi[cls] = np.clip(sub, 0.0, None)
-            return pi
-    raise EvaluationError(
-        f"{failed}; states unreachable from {lbl[I0]}: {_unreachable_states(P, lbl)}"
-    )
+    reach = (P > 0) | np.eye(P.shape[0], dtype=bool)
+    while True:
+        paths = reach.astype(np.float32)   # an entry of the product is > 0 iff a path joins the pair
+        wider = paths @ paths > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    ends = reach[start] & (reach <= reach.T).all(axis=1)   # recurrent states start reaches
+    cls = reach[np.argmax(ends)]
+    if not np.array_equal(ends, cls):
+        lbl = labels or tuple(str(i) for i in range(P.shape[0]))
+        firsts = dict.fromkeys(lbl[int(np.argmax(reach[i]))] for i in np.flatnonzero(ends))
+        raise EvaluationError(f"{lbl[start]} reaches more than one closed class, "
+                              f"led by {', '.join(firsts)}")
+    idx = np.flatnonzero(cls)
+    M = np.zeros((len(idx) + 1, len(idx) + 1, 1))
+    M[1:, 1:, 0] = P[np.ix_(idx, idx)]
+    x = _reduce_level(M, _removal_steps(M[..., 0] != 0))[0][:, 0]
+    pi = np.zeros(P.shape[0])
+    pi[idx] = x / x.sum()
+    resid = float(np.max(np.abs(pi @ P - pi)))
+    if not resid <= _RESIDUAL_TOL:
+        raise EvaluationError(f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}")
+    return pi
 
 
 @dataclass(frozen=True)
@@ -258,9 +284,10 @@ def _performance(chain: EmbeddedChain, pi: np.ndarray, mean_dur: float,
     # summed in state order, not by a dot product, whose order would differ.
     res, warm, cold = np.add.accumulate(pi[:, None] * chain.outcome)[-1].tolist()
     total = res + warm + cold
-    # Occupied time: everything except I0 idling (decision nodes have
-    # zero duration; attempt/wait/handoff periods all carry the customer).
-    occupied = mean_dur - float(pi[I0]) * chain.duration[I0]
+    # Occupied time: every state but I0 (decision nodes have zero duration;
+    # attempt/wait/handoff periods all carry the customer), summed directly
+    # rather than as mean_dur - pi(I0) d(I0), which cancels at small q.
+    occupied = float(pi[1:] @ chain.duration[1:])   # I0 is state 0
     return PerformanceMeasures(
         throughput=throughput,
         p_admit=throughput / q,
@@ -282,7 +309,7 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
     directly off the vector.
     """
     chain = build_chain(inst, pol)
-    pi = stationary_distribution(chain.P, chain.labels)
+    pi = stationary_distribution(chain.P, I0, chain.labels)
     mean_dur = float(pi @ chain.duration)
     if mean_dur <= 0:
         raise EvaluationError("chain has zero mean duration; no recurrent time-consuming state")
@@ -299,10 +326,7 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
     resid = np.max(np.abs(A @ G - chain.reward))
     G[I0] = 0.0
     if resid > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(G)))):
-        raise EvaluationError(
-            f"relative-value system residual {resid:.2e}; "
-            f"states unreachable from I0: {_unreachable_states(chain.P, chain.labels)}"
-        )
+        raise EvaluationError(f"relative-value system residual {resid:.2e}")
 
     perf = _performance(chain, pi, mean_dur, inst.traffic.q)
     return PolicyEvaluation(R=R, G=G, pi=pi, perf=perf, labels=chain.labels)

@@ -36,6 +36,8 @@ from .model import (
     ResolutionProfile,
     StationaryPolicy,
     TrafficParams,
+    as_int,
+    as_real,
     policy_from_actions,
     rules_table,
 )
@@ -105,6 +107,8 @@ class MarketParams:
     p_grid: tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", as_real(self.lam, "lam"))
+        object.__setattr__(self, "k_max", as_int(self.k_max, "k_max"))
         if not 0 < self.lam <= self.k_max:
             raise ValueError("need 0 < lam <= k_max")
 

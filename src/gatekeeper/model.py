@@ -12,6 +12,7 @@ attempt, warm transfer, or cold transfer.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -262,6 +263,14 @@ def as_int(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_real(value, name: str) -> float:
+    """`value` as a float; it must be a finite number, and a bool, a string
+    or null is none."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value):
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def check_keys(section: dict, name: str, known: Iterable[str]) -> None:
     """Reject a config section that is not a JSON object or holds a key
     outside `known`, naming it."""
@@ -368,10 +377,9 @@ class GeneratorConfig:
             pair = getattr(self, name)
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise ValueError(f"{name} must be a pair [lo, hi], got {pair!r}")
-            if name in ("tau_range", "tau_w_range"):
-                pair = (as_int(pair[0], f"{name} bound"), as_int(pair[1], f"{name} bound"))
-                object.__setattr__(self, name, pair)
-            lo, hi = pair
+            read = as_int if name in ("tau_range", "tau_w_range") else as_real
+            lo, hi = pair = (read(pair[0], f"{name} bound"), read(pair[1], f"{name} bound"))
+            object.__setattr__(self, name, pair)
             if lo > hi:
                 raise ValueError(f"{name} is empty: {lo} > {hi}")
         if self.tau_range[0] < 1 or self.tau_w_range[0] < 1:

@@ -20,8 +20,9 @@ arrival and P[0] for one without.  It is a level-dependent quasi-birth-death
 chain: the level, the number waiting, moves by at most one per period, and
 every step down lands in the phase that starts a first attempt.  So every
 interior q of a grid is solved at once, level by level, by state reduction
-that subtracts nothing (`_level_solve`); q = 0 and q = 1, where the queue
-never grows or never drains, go to `evaluate.stationary_distribution`.
+that subtracts nothing (`_level_solve`).  At q = 0 and q = 1 the queue never
+grows or never drains, and `evaluate.stationary_distribution` applies the
+same reduction to the closed class that the empty system reaches.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .evaluate import _MIN_PI, _RESIDUAL_TOL, EvaluationError, reachable, stationary_distribution
+from .evaluate import (_RESIDUAL_TOL, EvaluationError, _reduce_level, _removal_steps,
+                       stationary_distribution)
 from .model import EconomicParams, ResolutionProfile, as_int
 
 IDLE = ("idle",)
@@ -239,59 +241,6 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
     return states, P, np.array(rates)
 
 
-def _removal_steps(pattern: np.ndarray) -> list[tuple]:
-    """Phases k = m, ..., 2 of an (m + 1)-square level matrix in the order
-    `_reduce_level` removes them, each with the rows and columns of the
-    entries its removal reads and updates, fill-in included, given which
-    entries may be nonzero.  Row 0 and column 0 always take part, so that no
-    sum is empty."""
-    pattern = pattern.copy()
-    pattern[0] = pattern[:, 0] = True
-    steps = []
-    for k in range(len(pattern) - 1, 1, -1):
-        rows, cols = np.flatnonzero(pattern[:k, k]), np.flatnonzero(pattern[k, :k])
-        fill = (rows[:, None], cols)
-        pattern[fill] = True
-        steps.append((k, rows, cols, fill))
-    return steps
-
-
-def _reduce_level(M: np.ndarray, steps: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one level for each q by state reduction, and say where the
-    level counts as closed.
-
-    M is (m + 1, m + 1, n_q): M[1 + i, 1 + j] is the mass moving from phase i
-    to phase j, M[1 + i, 0] the mass leaving the level from i, and M[0, 1 + j]
-    the inflow b to j; M is overwritten.  The result x (m, n_q) solves
-    x = b + x T.  Phases leave in the order m - 1, ..., 1 (`steps`, which
-    skips entries that are zero for every q).  Removing phase k sends its
-    inflow on along its outflow, M[i, j] += M[i, k] M[k, j] / s_k, and each
-    pivot s_k is summed from k's remaining outflow, escape included, rather
-    than taken as 1 - T[k, k], so nothing is subtracted (Grassmann, Taksar &
-    Heyman 1985).  The diagonal is never read.
-
-    Where the escape left to phase 0 is below 2⁻¹⁰⁰⁰ of its inflow (always on
-    level 0, which has neither), the level counts as closed: x[0] = 1 and b is
-    dropped, since whatever lies below holds no probability that float64 can
-    carry.  Sums run in a fixed order (`np.add.accumulate`), so a column's
-    result does not depend on n_q.
-    """
-    into = {}
-    for k, rows, cols, fill in steps:
-        out = M[k, cols]
-        into[k] = M[rows, k] / np.add.accumulate(out)[-1]
-        M[fill] += into[k][:, None] * out
-    inflow, escape = M[0, 1], M[1, 0]
-    closed = ~(escape * 2.0**1000 > inflow)
-    x = np.empty(M.shape[1:])
-    x[0] = ~closed   # weight of the inflow
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x[1] = np.where(closed, 1.0, inflow / escape)
-    for k, rows, _, _ in reversed(steps):
-        x[k] = np.add.accumulate(x[rows] * into[k])[-1]
-    return x[1:], closed
-
-
 def _level_solve(P: np.ndarray, N: int, j0: int, q: np.ndarray) -> np.ndarray:
     """Stationary vectors (one row per q, 0 < q < 1) of q P[1] + (1 - q) P[0].
 
@@ -355,18 +304,16 @@ def _check_stationary(pi: np.ndarray, P: np.ndarray, q: np.ndarray,
     naming the first failed check, its state and q (a NaN fails them all)."""
     resid = np.abs(q[:, None] * (pi @ P[1]) + (1.0 - q[:, None]) * (pi @ P[0]) - pi)
     total = np.abs(pi.sum(-1) - 1.0)
-    ok = (resid.max(-1) <= _RESIDUAL_TOL) & (total <= _RESIDUAL_TOL) & (pi.min(-1) >= _MIN_PI)
+    ok = (resid.max(-1) <= _RESIDUAL_TOL) & (total <= _RESIDUAL_TOL)
     if ok.all():
         return
     i = int(np.argmin(ok))
-    worst, low = int(np.argmax(resid[i])), int(np.argmin(pi[i]))
+    worst = int(np.argmax(resid[i]))
     if not resid[i, worst] <= _RESIDUAL_TOL:
         failed = (f"stationary distribution residual {resid[i, worst]:.2e} at "
                   f"{labels[worst]} exceeds {_RESIDUAL_TOL:.0e}")
-    elif not total[i] <= _RESIDUAL_TOL:
-        failed = f"stationary probabilities sum to 1 {total[i]:+.2e}"
     else:
-        failed = f"stationary probability of {labels[low]} is {pi[i, low]:.2e}, below {_MIN_PI:.0e}"
+        failed = f"stationary probabilities sum to 1 {total[i]:+.2e}"
     raise EvaluationError(f"{failed} at q={float(q[i])!r}")
 
 
@@ -376,7 +323,6 @@ def _evaluate_on_grid(model: QueueModel, pol: QueuePolicy,
     every interior q is solved in one level solve."""
     states, P, rates = _branch_chains(model, pol)
     labels = tuple(f"{act}/{w}" for act, w in states)
-    empty = states.index((IDLE, 0))
     grid = np.array(q_grid, dtype=float)
     inner = (grid > 0.0) & (grid < 1.0)
     pi = np.zeros((len(grid), len(states)))
@@ -388,11 +334,8 @@ def _evaluate_on_grid(model: QueueModel, pol: QueuePolicy,
     for i in np.flatnonzero(~inner):
         # At q = 0 or 1 every period takes the same branch, so the queue
         # never grows or never shortens and several lengths may each close a
-        # class: solve on the states the empty system reaches.
-        Pq = P[int(grid[i])]
-        live = reachable(Pq, empty)
-        pi[i, live] = stationary_distribution(Pq[np.ix_(live, live)],
-                                              tuple(lbl for lbl, ok in zip(labels, live) if ok))
+        # class: the one the empty system reaches holds all the mass.
+        pi[i] = stationary_distribution(P[int(grid[i])], states.index((IDLE, 0)), labels)
     return [QueueEvaluation(pi[i], states, *((q * rates[1] + (1 - q) * rates[0]) @ pi[i]).tolist())
             for i, q in enumerate(q_grid)]
 

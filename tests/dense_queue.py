@@ -1,10 +1,13 @@
-"""Whole-chain waiting-room solves, the oracles for the level solve.
+"""Whole-chain waiting-room solves, the oracles for the package's state reduction.
 
-`gatekeeper.waiting_room` solves each interior q level by level.  These
-routes solve the full chain q P[1] + (1 - q) P[0] instead, one q at a time:
+`gatekeeper.waiting_room` solves each interior q level by level, and q = 0
+and q = 1 by state reduction on the closed class the empty system reaches
+(`evaluate.stationary_distribution`).  These routes solve the whole chain
+q P[1] + (1 - q) P[0] instead, one q at a time:
 
-- `dense_rates` by one LU solve of the balance equations
-  (`evaluate.stationary_distribution`), as the package did before;
+- `dense_rates` by one LU solve of the balance equations on the states the
+  empty system reaches (`reachable`, `lu_stationary`), the route the package
+  took before it had one stationary solver;
 - `gth_rates` by Grassmann-Taksar-Heyman state reduction in long double.
   GTH subtracts nothing, so it keeps every small probability to round-off;
   the wider type keeps the reference's own round-off (and its ratios of
@@ -15,7 +18,6 @@ transfer, blocking and resolve rate per period.
 """
 import numpy as np
 
-from gatekeeper.evaluate import stationary_distribution
 from gatekeeper.waiting_room import QueueModel, QueuePolicy, _branch_chains
 
 # x86 long double carries 64 mantissa bits; where it is plain double,
@@ -23,11 +25,50 @@ from gatekeeper.waiting_room import QueueModel, QueuePolicy, _branch_chains
 EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
 
 
+def reachable(P: np.ndarray, start: int) -> np.ndarray:
+    """Boolean mask of the states reachable from `start`, itself included."""
+    seen = np.zeros(P.shape[0], dtype=bool)
+    stack = [start]
+    seen[start] = True
+    while stack:
+        i = stack.pop()
+        for j in np.nonzero(P[i] > 0)[0]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(int(j))
+    return seen
+
+
+def lu_stationary(P: np.ndarray) -> np.ndarray:
+    """pi P = pi, sum(pi) = 1 by one LU solve, for a chain with one closed
+    class; values that round below 0 are clipped to 0.
+
+    The balance matrix is P's off-diagonal part, transposed, with minus each
+    row's off-diagonal sum on the diagonal, so a state left with probability
+    q keeps exactly q, not (1 - q) - 1; sum(pi) = 1 replaces its last
+    equation.
+    """
+    A = P.T.copy()
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=0))
+    A[-1] = 1.0
+    b = np.zeros(len(P))
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    assert np.abs(pi @ P - pi).max() <= 1e-10
+    return np.clip(pi, 0.0, None)
+
+
 def dense_rates(model: QueueModel, pol: QueuePolicy) -> np.ndarray:
+    """For 0 <= q <= 1; every state reaches the empty idle system (state 0)
+    only for 0 < q < 1, so the solve runs on what state 0 reaches."""
     states, P, rates = _branch_chains(model, pol)
+    assert states[0] == (("idle",), 0)
     q = model.q
-    pi = stationary_distribution(q * P[1] + (1 - q) * P[0],
-                                 tuple(f"{act}/{w}" for act, w in states))
+    Pq = q * P[1] + (1 - q) * P[0]
+    live = reachable(Pq, 0)
+    pi = np.zeros(len(states))
+    pi[live] = lu_stationary(Pq[np.ix_(live, live)])
     return (q * rates[1] + (1 - q) * rates[0]) @ pi
 
 

@@ -382,9 +382,30 @@ def test_threshold_study_S_list_must_be_a_list_of_integers(tmp_path, capsys, S_l
     ({"rho_range": [0.1, 0.5, 0.9]}, "rho_range must be a pair [lo, hi], got (0.1, 0.5, 0.9)"),
     ({"tau_range": [1.9, 2.9]}, "tau_range bound must be an integer, got 1.9"),
     ({"S": 2.5}, "S must be an integer, got 2.5"),
+    ({"r_range": [None, 5]}, "r_range bound must be a finite number, got None"),
+    ({"q_range": ["0.1", "0.5"]}, "q_range bound must be a finite number, got '0.1'"),
 ])
 def test_threshold_study_bad_generator_values_exit_2_naming_the_field(tmp_path, capsys, generator, message):
     code, out = run_cli(tmp_path, "threshold-study", {"generator": generator, "n_instances": 2})
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("market, message", [
+    ({"k_max": 2.5}, "k_max must be an integer, got 2.5"),
+    ({"k_max": "7"}, "k_max must be an integer, got '7'"),
+    ({"lam": "0.9"}, "lam must be a finite number, got '0.9'"),
+])
+def test_design_market_values_exit_2_naming_the_key(tmp_path, capsys, market, message):
+    code, out = run_cli(tmp_path, "design", {"market": market})
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_enumerate_rejects_a_negative_top(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "enumerate", {"instance": valid_instance(), "top": -3})
+    assert code == EXIT_VALIDATION
+    assert "top must be nonnegative, got -3" in capsys.readouterr().err
+    assert not (out / "ranking.csv").exists()

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,19 @@ def test_level_solve_matches_whole_chain_gth_to_round_off(case):
     normal = ref > 1e-290
     assert np.all(np.abs(got - ref)[normal] <= 1e-14 * ref[normal])
     assert np.all(got[~normal] < 1e-280)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_end_points_match_dense_lu_on_the_reachable_states(q):
+    # at q = 0 or 1 one branch runs every period; the empty system's closed
+    # class, found from the reachability closure, against LU on the states a
+    # depth-first walk reaches
+    for N, tau1, tau2, rho1 in itertools.product((0, 1, 3), (1, 2, 6), (1, 3), (0.0, 0.3, 1.0)):
+        model = dataclasses.replace(default_queue_model(N=N, q=q),
+                                    profile=ResolutionProfile((tau1, tau2), (rho1, 1.0)))
+        for pol in admissible_queue_policies(model):
+            got = _rates(evaluate_queue_policy(model, pol))
+            assert np.abs(got - dense_rates(model, pol)).max() <= 1e-13, (N, tau1, tau2, rho1, pol)
 
 
 @pytest.mark.parametrize("N, tau, rho1, q", [

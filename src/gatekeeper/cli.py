@@ -24,6 +24,8 @@ from .model import (
     ProblemInstance,
     ResolutionProfile,
     as_int,
+    as_real,
+    as_seed,
     check_keys,
     instance_from_json,
     policy_from_names,
@@ -62,9 +64,9 @@ class RunConfig:
     def seeded(self) -> int:
         """The run's seed: --seed, else the config's seed, else generator.seed, else 0."""
         if self.seed is not None:
-            return self.seed
+            return as_seed(self.seed)
         gen = self.config.get("generator")
-        return as_int(self.config.get("seed", gen.get("seed", 0) if isinstance(gen, dict) else 0), "seed")
+        return as_seed(self.config.get("seed", gen.get("seed", 0) if isinstance(gen, dict) else 0))
 
 
 def _load_instance(config: dict) -> ProblemInstance:
@@ -164,7 +166,7 @@ def _run_stationarity(cfg: RunConfig) -> list[str]:
 def _run_classify(cfg: RunConfig) -> list[str]:
     inst = _load_instance(cfg.config)
     if "r_star" in cfg.config:
-        r_star = float(cfg.config["r_star"])
+        r_star = as_real(cfg.config["r_star"], "r_star")
     else:
         r_star = solve_average_reward(inst)[1].R
     cls = _write_classification(cfg, inst, r_star)
@@ -221,9 +223,9 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
         N=spec.get("N", base.N),
         profile=ResolutionProfile(spec.get("tau", base.profile.tau),
                                   spec.get("rho", base.profile.rho)),
-        econ=EconomicParams(r=float(spec.get("r", base.econ.r)), c_w=0.0,
-                            c_c=float(spec.get("c_c", base.econ.c_c)), tau_w=1),
-        q=float(spec.get("q", base.q)),
+        econ=EconomicParams(r=spec.get("r", base.econ.r), c_w=0.0,
+                            c_c=spec.get("c_c", base.econ.c_c), tau_w=1),
+        q=spec.get("q", base.q),
     )
 
 
@@ -233,10 +235,15 @@ _Q_GRID = {"start": 0.01, "stop": 1.0, "step": 0.01}
 def _q_grid(config: dict) -> list[float]:
     grid = config.get("q_grid", _Q_GRID)
     if isinstance(grid, list):
-        return [float(v) for v in grid]
+        if not grid:
+            raise ValidationFailure("q_grid must list at least one q")
+        return [as_real(v, "q_grid entry") for v in grid]
     check_keys(grid, "q_grid", _Q_GRID)
-    grid = {**_Q_GRID, **grid}
-    start, stop, step = grid["start"], grid["stop"], grid["step"]
+    start, stop, step = (as_real(grid.get(k, v), f"q_grid.{k}") for k, v in _Q_GRID.items())
+    if step <= 0:
+        raise ValidationFailure(f"q_grid.step must be positive, got {step}")
+    if start > stop:
+        raise ValidationFailure(f"q_grid.start {start} exceeds q_grid.stop {stop}")
     n = int(round((stop - start) / step)) + 1
     return [round(start + i * step, 10) for i in range(n)]
 
@@ -266,7 +273,7 @@ def _run_design(cfg: RunConfig) -> list[str]:
     bot = mkt.BotChannel(p_succ=0.0, **_section(mkt.BotChannel, cfg.config.get("bot", {}), "bot",
                                                  fixed="p_succ"))
     if cfg.config.get("wage") is not None:
-        inst = replace(inst, econ=replace(inst.econ, c_wage=cfg.config["wage"]))
+        inst = replace(inst, econ=replace(inst.econ, c_wage=as_real(cfg.config["wage"], "wage")))
     search = mkt.optimize_design(inst, market, prefs, bot)
     rows = [
         (res.design.k_agent, res.design.policy or "", res.design.p_succ, res.profit,
@@ -370,6 +377,7 @@ def run(cfg: RunConfig) -> int:
     """Dispatch a run; returns the process exit code and writes artifacts."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        cfg.seeded()   # a seed outside [0, 2**64) fails before any work
         outputs = _RUNNERS[cfg.subcommand](cfg)
     except (ValidationFailure, ValueError, EnumerationCapError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)

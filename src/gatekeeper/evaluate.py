@@ -34,7 +34,7 @@ _RESIDUAL_TOL = 1e-10
 
 
 class EvaluationError(RuntimeError):
-    """Raised when the chain's linear systems cannot be solved reliably."""
+    """Raised when the chain's equations cannot be solved reliably."""
 
 
 def n_states(S: int) -> int:
@@ -303,10 +303,10 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
 
     R is the ratio of expected reward to expected duration under the embedded
     stationary distribution; G solves G = reward - R * duration + P G with
-    G(I0) = 0, by one LU solve in which R is an unknown too.  Decisions depend
-    only on differences of G, so the anchor is arbitrary; this one makes the
-    idle/holding identities G(I1) - G(I0) = R/q and G(W1) - G(W0) = R/a read
-    directly off the vector.
+    G(I0) = 0, by substitution in cycle order rather than a linear solve.
+    Decisions depend only on differences of G, so the anchor is arbitrary;
+    this one makes the idle/holding identities G(I1) - G(I0) = R/q and
+    G(W1) - G(W0) = R/a read directly off the vector.
     """
     chain = build_chain(inst, pol)
     pi = stationary_distribution(chain.P, I0, chain.labels)
@@ -315,16 +315,17 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
         raise EvaluationError("chain has zero mean duration; no recurrent time-consuming state")
     R = float(pi @ chain.reward) / mean_dur
 
-    # (I - P) G + R' duration = reward with G(I0) = 0, square in (G, R'): R'
-    # takes G(I0)'s column, and I - P has each row's off-diagonal sum on its
-    # diagonal, so a holding probability a keeps exactly a, not 1 - (1 - a).
-    A = -chain.P
-    np.fill_diagonal(A, 0.0)
-    np.fill_diagonal(A, -A.sum(axis=1))
-    A[:, I0] = chain.duration
-    G = np.linalg.solve(A, chain.reward)
-    resid = np.max(np.abs(A @ G - chain.reward))
-    G[I0] = 0.0
+    # Back-substitution in cycle order: I0's row gives G(I1), W1's reads only
+    # I0 and I1, W0's gives G(W0) from G(W1), and each attempt's rows read only
+    # idle and holding states and the next attempt's, which are already set.
+    G = np.zeros(len(chain.P))
+    G[I1] = R / inst.traffic.q
+    G[W1] = chain.reward[W1] - R * chain.duration[W1] + chain.P[W1] @ G
+    G[W0] = G[W1] - R / inst.traffic.a
+    for x in range(inst.S, 0, -1):
+        rows = slice(c_index(x, 0), c_index(x + 1, 0))
+        G[rows] = chain.reward[rows] - R * chain.duration[rows] + chain.P[rows] @ G
+    resid = np.max(np.abs(chain.reward - R * chain.duration + chain.P @ G - G))
     if resid > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(G)))):
         raise EvaluationError(f"relative-value system residual {resid:.2e}")
 

@@ -57,6 +57,8 @@ class BotChannel:
     b_bot: float = 2.6
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_real(getattr(self, f.name), f.name))
         if not 0.0 <= self.p_succ < 1.0:
             raise ValueError("p_succ must lie in [0, 1)")
         if self.a_bot < 0:
@@ -97,6 +99,11 @@ class CustomerPrefs:
     tau_exp_cold: int = 6
     v_max: float = 100.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            read = as_int if f.type == "int" else as_real
+            object.__setattr__(self, f.name, read(getattr(self, f.name), f.name))
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -109,6 +116,9 @@ class MarketParams:
     def __post_init__(self):
         object.__setattr__(self, "lam", as_real(self.lam, "lam"))
         object.__setattr__(self, "k_max", as_int(self.k_max, "k_max"))
+        if not isinstance(self.p_grid, (tuple, list)):
+            raise ValueError(f"p_grid must be a list, got {self.p_grid!r}")
+        object.__setattr__(self, "p_grid", tuple(as_real(p, "p_grid entry") for p in self.p_grid))
         if not 0 < self.lam <= self.k_max:
             raise ValueError("need 0 < lam <= k_max")
 

@@ -12,6 +12,7 @@ attempt, warm transfer, or cold transfer.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import operator
 from dataclasses import dataclass, replace
@@ -195,7 +196,7 @@ class ResolutionProfile:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         object.__setattr__(self, "tau", tuple(as_int(t, "tau") for t in self.tau))
-        object.__setattr__(self, "rho", tuple(float(p) for p in self.rho))
+        object.__setattr__(self, "rho", tuple(as_real(p, "rho") for p in self.rho))
 
     @property
     def S(self) -> int:
@@ -211,6 +212,8 @@ class EconomicParams:
     c_wage: float = 0.0
 
     def __post_init__(self):
+        for name in ("r", "c_w", "c_c", "c_wage"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         object.__setattr__(self, "tau_w", as_int(self.tau_w, "tau_w"))
 
 
@@ -218,6 +221,10 @@ class EconomicParams:
 class TrafficParams:
     q: float  # per-period arrival probability
     a: float  # per-period expert-availability probability
+
+    def __post_init__(self):
+        for name in ("q", "a"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -264,11 +271,24 @@ def as_int(value, name: str) -> int:
 
 
 def as_real(value, name: str) -> float:
-    """`value` as a float; it must be a finite number, and a bool, a string
-    or null is none."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and np.isfinite(value):
-        return float(value)
+    """`value` as a float; it must be a finite number within float range, and
+    a bool, a string or null is none."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:   # an int beyond the float range
+            pass
     raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def as_seed(value, name: str = "seed") -> int:
+    """`value` as a seed: an integer in [0, 2**64), the range of a Philox key
+    word, so no two seeds share a stream."""
+    seed = as_int(value, name)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def check_keys(section: dict, name: str, known: Iterable[str]) -> None:
@@ -293,14 +313,9 @@ def instance_from_json(data: dict) -> ProblemInstance:
             raise ValueError("profile.S does not match len(profile.tau)")
         return ProblemInstance(
             profile=profile,
-            econ=EconomicParams(
-                r=float(econ["r"]),
-                c_w=float(econ["c_w"]),
-                c_c=float(econ["c_c"]),
-                tau_w=econ["tau_w"],
-                c_wage=float(econ.get("c_wage", 0.0)),
-            ),
-            traffic=TrafficParams(q=float(traffic["q"]), a=float(traffic["a"])),
+            econ=EconomicParams(r=econ["r"], c_w=econ["c_w"], c_c=econ["c_c"], tau_w=econ["tau_w"],
+                                c_wage=econ.get("c_wage", 0.0)),
+            traffic=TrafficParams(q=traffic["q"], a=traffic["a"]),
         )
     except KeyError as exc:
         raise ValueError(f"instance is missing key {exc.args[0]!r}") from None
@@ -366,10 +381,8 @@ class GeneratorConfig:
     tau_w_range: tuple[int, int] = (1, 5)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        object.__setattr__(self, "seed", as_seed(self.seed))
         object.__setattr__(self, "S", as_int(self.S, "S"))
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if self.S < 1:
             raise ValueError("S must be >= 1")
         for name in ("tau_range", "rho_range", "q_range", "a_range", "r_range",
@@ -398,10 +411,11 @@ class GeneratorConfig:
 
 def _philox_state(seed: int, stream: int = 0) -> dict:
     """Philox state of the (seed, stream) stream before its first draw: key
-    (seed mod 2**64) + stream * 2**64, counter 0 and nothing buffered (an
-    odd count of 32-bit draws leaves half a word that must not carry over)."""
+    seed + stream * 2**64 for a seed that `as_seed` passed, counter 0 and
+    nothing buffered (an odd count of 32-bit draws leaves half a word that
+    must not carry over)."""
     return {"bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [int(seed) & (2**64 - 1), int(stream)]},
+            "state": {"counter": [0, 0, 0, 0], "key": [int(seed), int(stream)]},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
@@ -413,7 +427,7 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     stream) pairs.
     """
     bits = np.random.Philox(0)
-    bits.state = _philox_state(seed, stream)
+    bits.state = _philox_state(as_seed(seed), stream)
     return np.random.Generator(bits)
 
 
@@ -430,10 +444,23 @@ class InstanceBlock(NamedTuple):
     q: np.ndarray
     a: np.ndarray
 
+    def instance(self, i: int) -> ProblemInstance:
+        """Lane i as a ProblemInstance, which checks itself when built."""
+        return ProblemInstance(
+            profile=ResolutionProfile(self.tau[:, i].tolist(), self.rho[:, i].tolist()),
+            econ=EconomicParams(r=float(self.r[i]), c_w=float(self.c_w[i]), c_c=float(self.c_c[i]),
+                                tau_w=int(self.tau_w[i])),
+            traffic=TrafficParams(q=float(self.q[i]), a=float(self.a[i])),
+        )
+
 
 def _draw_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
-    """The lanes of `seeds` as drawn, unchecked (see `generate_block`)."""
+    """The lanes of `seeds` as drawn, their invariants unchecked (see
+    `generate_block`); the seeds' range is checked once for the block."""
     S, n = cfg.S, len(seeds)
+    if n:
+        as_seed(min(seeds))
+        as_seed(max(seeds))
     bits = np.random.Philox(0)
     gen = np.random.Generator(bits)
     tau, u, tau_w = np.empty((n, S), np.int64), np.empty((n, S + 4)), np.empty(n, np.int64)
@@ -472,12 +499,5 @@ def generate_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
 
 
 def generate_instance(cfg: GeneratorConfig) -> ProblemInstance:
-    """Draw one instance, deterministic in cfg.seed: the lane of cfg.seed,
-    which checks itself when built like any instance."""
-    b = _draw_block(cfg, [cfg.seed])
-    return ProblemInstance(
-        profile=ResolutionProfile(b.tau[:, 0].tolist(), b.rho[:, 0].tolist()),
-        econ=EconomicParams(r=float(b.r[0]), c_w=float(b.c_w[0]), c_c=float(b.c_c[0]),
-                            tau_w=int(b.tau_w[0])),
-        traffic=TrafficParams(q=float(b.q[0]), a=float(b.a[0])),
-    )
+    """Draw one instance, deterministic in cfg.seed: the lane of cfg.seed."""
+    return _draw_block(cfg, [cfg.seed]).instance(0)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .evaluate import (_RESIDUAL_TOL, EvaluationError, _reduce_level, _removal_steps,
                        stationary_distribution)
-from .model import EconomicParams, ResolutionProfile, as_int
+from .model import EconomicParams, ResolutionProfile, as_int, as_real
 
 IDLE = ("idle",)
 
@@ -47,6 +47,7 @@ class QueueModel:
 
     def __post_init__(self):
         object.__setattr__(self, "N", as_int(self.N, "N"))
+        object.__setattr__(self, "q", as_real(self.q, "q"))
         bad = validate_queue_model(self)
         if bad:
             raise ValueError("invalid queue model: " + "; ".join(bad))

@@ -1,4 +1,4 @@
-"""Whole-chain waiting-room solves, the oracles for the package's state reduction.
+"""Dense solves, the oracles for the package's state reduction and substitution.
 
 `gatekeeper.waiting_room` solves each interior q level by level, and q = 0
 and q = 1 by state reduction on the closed class the empty system reaches
@@ -15,9 +15,16 @@ q P[1] + (1 - q) P[0] instead, one q at a time:
 
 Both return the five rates of `QueueEvaluation`: profit, throughput,
 transfer, blocking and resolve rate per period.
+
+`lu_relative_values` solves the embedded service chain's evaluation
+equations for R and G as one bordered LU system, the route
+`evaluate.evaluate_policy` took before it found G by substitution in cycle
+order.  Its G is accurate only relative to max|G|, so it checks the small
+differences of G only where G spans little (q, a not small).
 """
 import numpy as np
 
+from gatekeeper.evaluate import I0, EmbeddedChain
 from gatekeeper.waiting_room import QueueModel, QueuePolicy, _branch_chains
 
 # x86 long double carries 64 mantissa bits; where it is plain double,
@@ -100,3 +107,18 @@ def gth_rates(model: QueueModel, pol: QueuePolicy) -> np.ndarray:
     q, p = ld(model.q), ld(1.0 - model.q)
     pi = gth_stationary(q * P[1].astype(ld) + p * P[0].astype(ld))
     return (q * rates[1].astype(ld) + p * rates[0].astype(ld)) @ pi
+
+
+def lu_relative_values(chain: EmbeddedChain) -> tuple[float, np.ndarray]:
+    """R and G from (I - P) G + R duration = reward with G(I0) = 0, square
+    in (G, R): R takes G(I0)'s column, and I - P has each row's off-diagonal
+    sum on its diagonal, so a holding probability a keeps exactly a, not
+    1 - (1 - a)."""
+    A = -chain.P
+    np.fill_diagonal(A, 0.0)
+    np.fill_diagonal(A, -A.sum(axis=1))
+    A[:, I0] = chain.duration
+    G = np.linalg.solve(A, chain.reward)
+    assert np.abs(A @ G - chain.reward).max() <= 1e-10 * max(1.0, np.abs(G).max())
+    R, G[I0] = float(G[I0]), 0.0
+    return R, G

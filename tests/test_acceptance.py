@@ -5,6 +5,7 @@ calibration inputs are asserted in their property/qualitative form; reference
 values from the original study are printed alongside where relevant.
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
+import itertools
 import time
 from dataclasses import replace
 
@@ -145,18 +146,25 @@ def test_criterion_05_transfer_mode_structure():
     )
 
 
+def wspt_certified(chunk=6_000):
+    """Instances that `check_wspt` certifies, in seed order: seed 60_000 + i
+    at S = 3 + i % 3, each chunk of seeds drawn as one block per S."""
+    for start in range(0, 300_000, chunk):
+        blocks = [gk.generate_block(gk.GeneratorConfig(seed=0, S=3 + k),
+                                    range(60_000 + start + k, 60_000 + start + chunk, 3))
+                  for k in range(3)]
+        for i in range(chunk):
+            inst = blocks[i % 3].instance(i // 3)
+            if gk.check_wspt(inst).holds:
+                yield inst
+
+
 def test_criterion_06_wspt_certificate():
     t0 = time.time()
     target = 500
     found = 0
     worst = 0.0
-    seed = 0
-    while found < target and seed < 300_000:
-        S = 3 + seed % 3
-        inst = random_instance(60_000 + seed, S)
-        seed += 1
-        if not gk.check_wspt(inst).holds:
-            continue
+    for inst in itertools.islice(wspt_certified(), target):
         found += 1
         _, table1_acts = policy_grid(list(gk.rules_table().values()), inst.S)
         r_opt = float(average_reward_batch(inst, table1_acts).max())

@@ -409,3 +409,75 @@ def test_enumerate_rejects_a_negative_top(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     assert "top must be nonnegative, got -3" in capsys.readouterr().err
     assert not (out / "ranking.csv").exists()
+
+
+def with_section(section, **values):
+    """The valid instance with `values` set in one of its sections."""
+    inst = valid_instance()
+    inst[section].update(values)
+    return {"instance": inst}
+
+
+@pytest.mark.parametrize("sub, payload, message", [
+    ("solve", with_section("econ", r="20"), "r must be a finite number, got '20'"),
+    ("solve", with_section("econ", c_w=True), "c_w must be a finite number, got True"),
+    ("solve", with_section("traffic", q="0.5"), "q must be a finite number, got '0.5'"),
+    ("solve", with_section("profile", rho=["0.7", 1.0]), "rho must be a finite number, got '0.7'"),
+    ("classify", {"instance": valid_instance(), "r_star": "7"}, "r_star must be a finite number, got '7'"),
+    ("queue-sweep", {"queue": {"N": 2, "r": "20"}, "q_grid": [0.5]}, "r must be a finite number, got '20'"),
+    ("queue-sweep", {"queue": {"N": 2, "q": True}, "q_grid": [0.5]}, "q must be a finite number, got True"),
+    ("queue-sweep", {"queue": {"N": 2}, "q_grid": [0.5, True]}, "q_grid entry must be a finite number, got True"),
+    ("queue-sweep", {"queue": {"N": 2}, "q_grid": [10**400]}, "q_grid entry must be a finite number, got 1000"),
+    ("simulate", {"targets": [{"queue": {"N": 2, "c_c": "5"}, "policy": "never"}]},
+     "c_c must be a finite number, got '5'"),
+    ("design", {"prefs": {"c_time": "1"}}, "c_time must be a finite number, got '1'"),
+    ("design", {"prefs": {"tau_exp_cold": 2.5}}, "tau_exp_cold must be an integer, got 2.5"),
+    ("design", {"bot": {"a_bot": "x"}}, "a_bot must be a finite number, got 'x'"),
+    ("design", {"market": {"p_grid": ["0.3"]}}, "p_grid entry must be a finite number, got '0.3'"),
+    ("design", {"wage": "0.9"}, "wage must be a finite number, got '0.9'"),
+])
+def test_config_number_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
+    code, out = run_cli(tmp_path, sub, payload)
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("q_grid, message", [
+    ({"step": 0}, "q_grid.step must be positive, got 0.0"),
+    ({"step": -0.1}, "q_grid.step must be positive, got -0.1"),
+    ({"step": "x"}, "q_grid.step must be a finite number, got 'x'"),
+    ({"start": None}, "q_grid.start must be a finite number, got None"),
+    ({"start": 0.5, "stop": 0.1, "step": 0.1}, "q_grid.start 0.5 exceeds q_grid.stop 0.1"),
+    ([], "q_grid must list at least one q"),
+])
+def test_q_grid_that_is_no_range_exits_2_naming_the_key(tmp_path, capsys, q_grid, message):
+    code, out = run_cli(tmp_path, "queue-sweep", {"queue": {"N": 2}, "q_grid": q_grid})
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+SIMULATE_ONE = {"targets": [{"instance": valid_instance(), "policy": ["T5"]}], "horizon": 20_000}
+
+
+@pytest.mark.parametrize("sub, payload, seed, shown", [
+    ("simulate", SIMULATE_ONE, str(2**64), 2**64),
+    ("simulate", SIMULATE_ONE, str(-2**64), -2**64),
+    ("simulate", SIMULATE_ONE, "-1", -1),
+    ("threshold-study", {"n_instances": 2}, str(2**64 - 1), 2**64),   # the study's last seed
+])
+def test_seed_outside_u64_exits_2_naming_it(tmp_path, capsys, sub, payload, seed, shown):
+    code, out = run_cli(tmp_path, sub, payload, "--seed", seed)
+    assert code == EXIT_VALIDATION
+    assert f"seed must lie in [0, 2**64), got {shown}" in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_config_seed_outside_u64_exits_2_and_the_last_u64_seed_runs(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "threshold-study", {"n_instances": 1, "seed": -1})
+    assert code == EXIT_VALIDATION
+    assert "seed must lie in [0, 2**64), got -1" in capsys.readouterr().err
+    code, out = run_cli(tmp_path, "threshold-study", {"n_instances": 1}, "--seed", str(2**64 - 1))
+    assert code == EXIT_OK
+    assert (out / "study.csv").read_text().splitlines()[-1].split(",")[-2:] == [str(2**64 - 1)] * 2

@@ -35,6 +35,7 @@ from gatekeeper.evaluate import (
 )
 
 from conftest import instances, random_instance, random_policy
+from dense_queue import lu_relative_values
 
 
 class TestChainStructure:
@@ -201,20 +202,27 @@ INSIDE = 1e-3
 @pytest.mark.parametrize("S", [2, 3, 4])
 def test_chain_matches_renewal_at_traffic_edges(S, q, a):
     # abs=0: R is near 1e-7 at q = 1e-8, where approx's default abs=1e-12
-    # would allow a relative error of 1e-5.  G(W1) - G(W0) = R/a is not
-    # checked: at q = 1e-8 it is a difference of values near R/q.  T1 and H2
-    # transfer warm, so at a = 1e-8 W0 holds nearly all the mass; G then
-    # spans about R/a, and the dense relative-value solve keeps G(I1) - G(I0)
-    # only to about 1e-8 relative, so only R is checked there.
+    # would allow a relative error of 1e-5.  T1 and H2 transfer warm, so at
+    # a = 1e-8 W0 holds nearly all the mass and G spans about R/a; the
+    # substitution keeps the small differences of G to round-off all the same.
     for seed in range(5):
         inst = dataclasses.replace(random_instance(seed, S), traffic=TrafficParams(q=q, a=a))
         for rule in ("T5", "H4", "C", "T1", "H2"):
             pol = uniform_policy(rule, S)
             ev = evaluate_policy(inst, pol)
             assert ev.R == pytest.approx(average_reward(inst, pol), rel=1e-12, abs=0.0), (seed, rule)
-            if rule in ("T1", "H2") and a < INSIDE:
-                continue
             assert ev.G[I1] - ev.G[I0] == pytest.approx(ev.R / q, rel=1e-12, abs=0.0), (seed, rule)
+            assert ev.G[W1] - ev.G[W0] == pytest.approx(ev.R / a, rel=1e-12, abs=0.0), (seed, rule)
+
+
+def test_idle_gap_is_exact_where_g_spans_r_over_a():
+    # G spans about R/a here, and a dense solve of the relative values keeps
+    # this gap only to 1.2e-8 relative (3.5924176531e-07)
+    inst = dataclasses.replace(random_instance(0, 2), traffic=TrafficParams(q=1.0, a=1e-8))
+    ev = evaluate_policy(inst, uniform_policy("T1", 2))
+    assert ev.G[I1] - ev.G[I0] == ev.R / 1.0
+    assert ev.G[I1] == pytest.approx(3.5924176951e-07, rel=1e-10, abs=0.0)
+    assert np.abs(ev.G).max() > 1e7 * ev.R   # G(W0) is about -R/a
 
 
 def test_warm_transfers_at_small_a_keep_the_chain_to_round_off():
@@ -258,10 +266,19 @@ def test_lane_terms_check_the_instance_and_every_q():
 PERF_FIELDS = ("throughput", "p_admit", "p_resolve", "p_warm", "p_cold", "t_channel")
 
 
+EDGES = st.sampled_from([1e-8, INSIDE, 1.0]) | st.floats(1e-8, 1.0)
+INTERIOR = st.sampled_from([INSIDE, 1.0]) | st.floats(INSIDE, 1.0)
+
+
+def cases(traffic):
+    """An instance with S = 1..8 and q, a from `traffic`, with a policy's rule labels."""
+    return st.integers(1, 8).flatmap(lambda S: st.tuples(
+        instances(S, traffic=traffic),
+        st.lists(st.sampled_from(sorted(rules_table())), min_size=S - 1, max_size=S - 1)))
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda S: st.tuples(
-    instances(S, traffic=st.sampled_from([1e-8, INSIDE, 1.0]) | st.floats(1e-8, 1.0)),
-    st.lists(st.sampled_from(sorted(rules_table())), min_size=S - 1, max_size=S - 1))))
+@given(cases(EDGES))
 def test_cycle_measures_match_chain(case):
     """Closed-form renewal measures against the chain's PerformanceMeasures,
     to 1e-12 relative over the whole box, q and a down to 1e-8.
@@ -280,13 +297,25 @@ def test_cycle_measures_match_chain(case):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda S: st.tuples(
-    instances(S, traffic=st.sampled_from([INSIDE, 1.0]) | st.floats(INSIDE, 1.0)),
-    st.lists(st.sampled_from(sorted(rules_table())), min_size=S - 1, max_size=S - 1))))
+@given(cases(EDGES))
 def test_idle_and_holding_value_gaps(case):
-    """G(I1) - G(I0) = R/q and G(W1) - G(W0) = R/a for q, a >= 1e-3."""
+    """G(I1) - G(I0) = R/q and G(W1) - G(W0) = R/a over the whole box, q and
+    a down to 1e-8, where G spans up to R/q or R/a."""
     inst, names = case
     ev = evaluate_policy(inst, policy_from_names(names))
     q, a = inst.traffic.q, inst.traffic.a
     assert ev.G[I1] - ev.G[I0] == pytest.approx(ev.R / q, rel=1e-12, abs=0.0)
     assert ev.G[W1] - ev.G[W0] == pytest.approx(ev.R / a, rel=1e-12, abs=0.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cases(INTERIOR))
+def test_relative_values_match_the_dense_solve(case):
+    """Substitution against the bordered LU solve where G spans little."""
+    inst, names = case
+    pol = policy_from_names(names)
+    ev = evaluate_policy(inst, pol)
+    R, G = lu_relative_values(build_chain(inst, pol))
+    scale = max(1.0, float(np.abs(G).max()))
+    assert R == pytest.approx(ev.R, rel=1e-9, abs=0.0)
+    np.testing.assert_allclose(ev.G, G, rtol=0.0, atol=1e-9 * scale)

@@ -202,6 +202,15 @@ class TestGenerator:
         with pytest.raises(ValueError, match=re.escape(message)):
             GeneratorConfig(**{"seed": 1, **kwargs})
 
+    def test_seeds_outside_u64_are_rejected_not_aliased(self):
+        message = re.escape("seed must lie in [0, 2**64), got ")
+        with pytest.raises(ValueError, match=message + "-1$"):
+            GeneratorConfig(seed=-1)
+        with pytest.raises(ValueError, match=message + f"{2**64}$"):
+            generate_block(GeneratorConfig(seed=0), [5, 2**64, 7])
+        with pytest.raises(ValueError, match=message + f"{-2**64}$"):
+            rng_stream(-2**64, 3)
+
     def test_config_takes_integral_floats_as_integers(self):
         cfg = GeneratorConfig(seed=3.0, S=2.0, tau_range=(1.0, 20.0), tau_w_range=[1, 5])
         assert cfg == GeneratorConfig(seed=3, S=2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatekeeper import (
     EconomicParams,
@@ -24,7 +26,7 @@ from gatekeeper import (
 from gatekeeper.evaluate import I0, I1, W0, W1
 from gatekeeper.solve import optimal_policy
 
-from conftest import random_instance
+from conftest import instances, random_instance
 from threshold_grid import threshold_grid
 
 
@@ -127,6 +129,23 @@ class TestClassification:
                     rhs = ev.R - th.value(Q, A)
                     if abs(lhs) > 1e-9 or abs(rhs) > 1e-9:
                         assert (lhs >= -1e-9) == (rhs >= -1e-9)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda S: instances(S, traffic=st.sampled_from([1e-8, 1e-3, 1.0]) | st.floats(1e-8, 1.0))))
+def test_preferred_mode_is_the_chains_own_comparison(inst):
+    """At R* the threshold test prefers cold in (Q, A) iff the optimal
+    chain's cold value (r - c_c) + G(I_Q) is at least its warm value
+    (r - c_w) + G(W_A), over the whole box, q and a down to 1e-8; values
+    within 1e-9 relative of each other are ties and are skipped."""
+    _, ev = solve_average_reward(inst)
+    cls = classify_case(inst, ev.R)
+    r, c_w, c_c = inst.econ.r, inst.econ.c_w, inst.econ.c_c
+    for Q, A in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        cold, warm = r - c_c + ev.G[I1 if Q else I0], r - c_w + ev.G[W1 if A else W0]
+        if abs(cold - warm) > 1e-9 * max(abs(cold), abs(warm)):
+            assert cls.mode(Q, A) == ("cold" if cold > warm else "warm"), (Q, A)
 
 
 class TestWspt:

@@ -136,8 +136,14 @@ def _run_enumerate(cfg: RunConfig) -> list[str]:
 def _run_stationarity(cfg: RunConfig) -> list[str]:
     inst = _load_instance(cfg.config)
     T = as_int(cfg.config.get("T", 200), "T")
+    terminals = cfg.config.get("terminals", "stationary")
+    write_values = cfg.config.get("write_values", False)
+    if terminals not in ("stationary", "zero"):
+        raise ValidationFailure(f"terminals must be 'stationary' or 'zero', got {terminals!r}")
+    if not isinstance(write_values, bool):
+        raise ValidationFailure(f"write_values must be true or false, got {write_values!r}")
     pol, ev = solve_average_reward(inst)
-    if cfg.config.get("terminals", "stationary") == "zero":
+    if terminals == "zero":
         terms = zero_terminals(inst)
     else:
         terms = stationary_terminals(inst, pol, ev)
@@ -151,7 +157,7 @@ def _run_stationarity(cfg: RunConfig) -> list[str]:
                 rows.append((t, x, qf, af, ("continue", "warm", "cold")[sol.argmax[t, x - 1, qa]]))
     write_csv(cfg.out_dir / "argmax.csv", ("t", "X", "Q", "A", "action"), rows, _comments(cfg))
     outputs = ["argmax.csv"]
-    if cfg.config.get("write_values", False):
+    if write_values:
         vrows = []
         for t in range(1, T + 2):
             for j, lbl in enumerate(sol.labels):
@@ -307,16 +313,21 @@ def _run_simulate(cfg: RunConfig) -> list[str]:
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise ValidationFailure(f"target {i} must be a JSON object, got {spec!r}")
+        kind = "instance" if "instance" in spec else "queue"
+        check_keys(spec, f"target {i}", (kind, "policy"))
         if "policy" not in spec:
             raise ValidationFailure(f"target {i} is missing key 'policy'")
-        if "instance" in spec:
-            targets.append((instance_from_json(spec["instance"]), policy_from_names(spec["policy"])))
-        elif "queue" in spec:
-            model = _load_queue_model(spec)
-            pol = waiting_room.queue_policy_from_label(spec["policy"])
-            targets.append((model, pol))
-        else:
+        if kind not in spec:
             raise ValidationFailure("each target needs an 'instance' or 'queue' object")
+        policy = spec["policy"]
+        labels = policy if kind == "instance" else [policy]
+        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+            shape = "a list of rule labels" if kind == "instance" else "a label string"
+            raise ValidationFailure(f"target {i}: the policy must be {shape}, got {policy!r}")
+        if kind == "instance":
+            targets.append((instance_from_json(spec["instance"]), policy_from_names(policy)))
+        else:
+            targets.append((_load_queue_model(spec), waiting_room.queue_policy_from_label(policy)))
     if not targets:
         raise ValidationFailure("config must list at least one target")
     reports = cross_validate(targets, horizon, seed)

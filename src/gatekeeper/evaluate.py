@@ -9,15 +9,15 @@ states, so the renewal-reward ratio over the embedded stationary distribution
 gives the long-run average reward R, and the evaluation (Poisson) equations
 anchored at G(I0) = 0 give the relative state values G.
 
-`stationary_distribution` is the package's one stationary solver, shared
-with the waiting room: Grassmann-Taksar-Heyman state reduction on the closed
-class that the start state reaches, which subtracts nothing, so even the
-mass of a state left once in 10⁸ periods is right to round-off.
+Every admission starts a new cycle at I1, so π is read off forward in cycle
+order as the expected visits per admission, and G backward in the same
+order.  No linear solve is taken, and π is formed without a subtraction, so
+even the mass of a state left once in 10⁸ periods is right to round-off.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,91 +141,23 @@ def build_chain(inst: ProblemInstance, pol: StationaryPolicy) -> EmbeddedChain:
                          labels=state_labels(S))
 
 
-def _removal_steps(pattern: np.ndarray) -> list[tuple]:
-    """Phases k = m, ..., 2 of an (m + 1)-square level matrix in the order
-    `_reduce_level` removes them, each with the rows and columns of the
-    entries its removal reads and updates, fill-in included, given which
-    entries may be nonzero.  Row 0 and column 0 always take part, so that no
-    sum is empty."""
-    pattern = pattern.copy()
-    pattern[0] = pattern[:, 0] = True
-    steps = []
-    for k in range(len(pattern) - 1, 1, -1):
-        rows, cols = np.flatnonzero(pattern[:k, k]), np.flatnonzero(pattern[k, :k])
-        fill = (rows[:, None], cols)
-        pattern[fill] = True
-        steps.append((k, rows, cols, fill))
-    return steps
+def stationary_distribution(P: np.ndarray) -> np.ndarray:
+    """Stationary distribution of an embedded chain P: the expected visits
+    per admission (Kemeny & Snell 1960, ch. 4), found forward in cycle order.
 
-
-def _reduce_level(M: np.ndarray, steps: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one level for each q by state reduction, and say where the
-    level counts as closed.
-
-    M is (m + 1, m + 1, n_q): M[1 + i, 1 + j] is the mass moving from phase i
-    to phase j, M[1 + i, 0] the mass leaving the level from i, and M[0, 1 + j]
-    the inflow b to j; M is overwritten.  The result x (m, n_q) solves
-    x = b + x T.  Phases leave in the order m - 1, ..., 1 (`steps`, which
-    skips entries that are zero for every q).  Removing phase k sends its
-    inflow on along its outflow, M[i, j] += M[i, k] M[k, j] / s_k, and each
-    pivot s_k is summed from k's remaining outflow, escape included, rather
-    than taken as 1 - T[k, k], so nothing is subtracted (Grassmann, Taksar &
-    Heyman 1985).  The diagonal is never read.
-
-    Where the escape left to phase 0 is below 2⁻¹⁰⁰⁰ of its inflow (always on
-    level 0, which has neither), the level counts as closed: x[0] = 1 and b is
-    dropped, since whatever lies below holds no probability that float64 can
-    carry.  Sums run in a fixed order (`np.add.accumulate`), so a column's
-    result does not depend on n_q.
+    v(I1) = 1, attempt x + 1 takes the flow out of attempt x, W0 its inflow
+    over a, W1 its inflow and I0 its inflow over q, so nothing is subtracted
+    and a state no cycle enters gets exactly 0.  The residual is taken on P
+    itself, so a matrix whose rows do not sum to one fails it.
     """
-    into = {}
-    for k, rows, cols, fill in steps:
-        out = M[k, cols]
-        into[k] = M[rows, k] / np.add.accumulate(out)[-1]
-        M[fill] += into[k][:, None] * out
-    inflow, escape = M[0, 1], M[1, 0]
-    closed = ~(escape * 2.0**1000 > inflow)
-    x = np.empty(M.shape[1:])
-    x[0] = ~closed   # weight of the inflow
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x[1] = np.where(closed, 1.0, inflow / escape)
-    for k, rows, _, _ in reversed(steps):
-        x[k] = np.add.accumulate(x[rows] * into[k])[-1]
-    return x[1:], closed
-
-
-def stationary_distribution(P: np.ndarray, start: int,
-                            labels: Optional[tuple[str, ...]] = None) -> np.ndarray:
-    """Stationary distribution of the chain P entered at state `start`.
-
-    The reachability closure of P's nonzero pattern (by repeated boolean
-    squaring) gives the closed class that `start` reaches; a start that
-    reaches more than one raises `EvaluationError`.  That class is
-    solved as one closed level of `_reduce_level`, which subtracts nothing,
-    so every probability is right to round-off however small; every other
-    state gets exactly 0.  The residual is taken on P itself, so a matrix
-    whose rows do not sum to one fails it.
-    """
-    reach = (P > 0) | np.eye(P.shape[0], dtype=bool)
-    while True:
-        paths = reach.astype(np.float32)   # an entry of the product is > 0 iff a path joins the pair
-        wider = paths @ paths > 0
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    ends = reach[start] & (reach <= reach.T).all(axis=1)   # recurrent states start reaches
-    cls = reach[np.argmax(ends)]
-    if not np.array_equal(ends, cls):
-        lbl = labels or tuple(str(i) for i in range(P.shape[0]))
-        firsts = dict.fromkeys(lbl[int(np.argmax(reach[i]))] for i in np.flatnonzero(ends))
-        raise EvaluationError(f"{lbl[start]} reaches more than one closed class, "
-                              f"led by {', '.join(firsts)}")
-    idx = np.flatnonzero(cls)
-    M = np.zeros((len(idx) + 1, len(idx) + 1, 1))
-    M[1:, 1:, 0] = P[np.ix_(idx, idx)]
-    x = _reduce_level(M, _removal_steps(M[..., 0] != 0))[0][:, 0]
-    pi = np.zeros(P.shape[0])
-    pi[idx] = x / x.sum()
+    v = np.zeros(len(P))
+    v[I1] = 1.0
+    for c in range(c_index(1, 0), len(P), 4):   # attempt by attempt
+        v[c:c + 4] = v @ P[:, c:c + 4]
+    v[W0] = v @ P[:, W0] / P[W0, W1]
+    v[W1] = v @ P[:, W1]
+    v[I0] = v @ P[:, I0] / P[I0, I1]
+    pi = v / v.sum()
     resid = float(np.max(np.abs(pi @ P - pi)))
     if not resid <= _RESIDUAL_TOL:
         raise EvaluationError(f"stationary distribution residual {resid:.2e} exceeds {_RESIDUAL_TOL:.0e}")
@@ -309,10 +241,8 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
     G(W1) - G(W0) = R/a read directly off the vector.
     """
     chain = build_chain(inst, pol)
-    pi = stationary_distribution(chain.P, I0, chain.labels)
-    mean_dur = float(pi @ chain.duration)
-    if mean_dur <= 0:
-        raise EvaluationError("chain has zero mean duration; no recurrent time-consuming state")
+    pi = stationary_distribution(chain.P)
+    mean_dur = float(pi @ chain.duration)   # > 0: pi(I1) > 0 and I1 lasts tau_1 >= 1
     R = float(pi @ chain.reward) / mean_dur
 
     # Back-substitution in cycle order: I0's row gives G(I1), W1's reads only

@@ -261,13 +261,16 @@ class ProblemInstance:
 
 
 def as_int(value, name: str) -> int:
-    """`value` as an int; a float must be integral, so no size is truncated."""
+    """`value` as an int; a float must be integral, so no size is truncated,
+    and a bool is none."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_real(value, name: str) -> float:

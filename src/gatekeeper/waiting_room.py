@@ -20,9 +20,9 @@ arrival and P[0] for one without.  It is a level-dependent quasi-birth-death
 chain: the level, the number waiting, moves by at most one per period, and
 every step down lands in the phase that starts a first attempt.  So every
 interior q of a grid is solved at once, level by level, by state reduction
-that subtracts nothing (`_level_solve`).  At q = 0 and q = 1 the queue never
-grows or never drains, and `evaluate.stationary_distribution` applies the
-same reduction to the closed class that the empty system reaches.
+that subtracts nothing (`_level_solve`).  At q = 0 no arrival comes and the
+empty system keeps all the mass; at q = 1 the queue never shortens, and the
+agent ends up repeating one service cycle at one level (`_saturated`).
 """
 from __future__ import annotations
 
@@ -31,8 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .evaluate import (_RESIDUAL_TOL, EvaluationError, _reduce_level, _removal_steps,
-                       stationary_distribution)
+from .evaluate import _RESIDUAL_TOL, EvaluationError
 from .model import EconomicParams, ResolutionProfile, as_int, as_real
 
 IDLE = ("idle",)
@@ -242,6 +241,59 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
     return states, P, np.array(rates)
 
 
+def _removal_steps(pattern: np.ndarray) -> list[tuple]:
+    """Phases k = m, ..., 2 of an (m + 1)-square level matrix in the order
+    `_reduce_level` removes them, each with the rows and columns of the
+    entries its removal reads and updates, fill-in included, given which
+    entries may be nonzero.  Row 0 and column 0 always take part, so that no
+    sum is empty."""
+    pattern = pattern.copy()
+    pattern[0] = pattern[:, 0] = True
+    steps = []
+    for k in range(len(pattern) - 1, 1, -1):
+        rows, cols = np.flatnonzero(pattern[:k, k]), np.flatnonzero(pattern[k, :k])
+        fill = (rows[:, None], cols)
+        pattern[fill] = True
+        steps.append((k, rows, cols, fill))
+    return steps
+
+
+def _reduce_level(M: np.ndarray, steps: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one level for each q by state reduction, and say where the
+    level counts as closed.
+
+    M is (m + 1, m + 1, n_q): M[1 + i, 1 + j] is the mass moving from phase i
+    to phase j, M[1 + i, 0] the mass leaving the level from i, and M[0, 1 + j]
+    the inflow b to j; M is overwritten.  The result x (m, n_q) solves
+    x = b + x T.  Phases leave in the order m - 1, ..., 1 (`steps`, which
+    skips entries that are zero for every q).  Removing phase k sends its
+    inflow on along its outflow, M[i, j] += M[i, k] M[k, j] / s_k, and each
+    pivot s_k is summed from k's remaining outflow, escape included, rather
+    than taken as 1 - T[k, k], so nothing is subtracted (Grassmann, Taksar &
+    Heyman 1985).  The diagonal is never read.
+
+    Where the escape left to phase 0 is below 2⁻¹⁰⁰⁰ of its inflow (always on
+    level 0, which has neither), the level counts as closed: x[0] = 1 and b is
+    dropped, since whatever lies below holds no probability that float64 can
+    carry.  Sums run in a fixed order (`np.add.accumulate`), so a column's
+    result does not depend on n_q.
+    """
+    into = {}
+    for k, rows, cols, fill in steps:
+        out = M[k, cols]
+        into[k] = M[rows, k] / np.add.accumulate(out)[-1]
+        M[fill] += into[k][:, None] * out
+    inflow, escape = M[0, 1], M[1, 0]
+    closed = ~(escape * 2.0**1000 > inflow)
+    x = np.empty(M.shape[1:])
+    x[0] = ~closed   # weight of the inflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[1] = np.where(closed, 1.0, inflow / escape)
+    for k, rows, _, _ in reversed(steps):
+        x[k] = np.add.accumulate(x[rows] * into[k])[-1]
+    return x[1:], closed
+
+
 def _level_solve(P: np.ndarray, N: int, j0: int, q: np.ndarray) -> np.ndarray:
     """Stationary vectors (one row per q, 0 < q < 1) of q P[1] + (1 - q) P[0].
 
@@ -318,25 +370,36 @@ def _check_stationary(pi: np.ndarray, P: np.ndarray, q: np.ndarray,
     raise EvaluationError(f"{failed} at q={float(q[i])!r}")
 
 
+def _saturated(model: QueueModel, pol: QueuePolicy, states: tuple) -> np.ndarray:
+    """π at q = 1, where every period brings an arrival and the room never
+    shortens: it grows to N, or, when τ₁ = 1, by τ₂ per continued failure
+    until a level w where the policy transfers at Q = w + 1 (or ρ₁ = 1).
+    There π is the visits per cycle: 1 per attempt-1 phase, and 1 − ρ₁ per
+    attempt-2 phase if the policy continues at w."""
+    w = model.N if model.tau1 > 1 else 0
+    while w < model.N and model.rho1 < 1 and not pol.transfers(w + 1):
+        w = min(w + model.tau2, model.N)
+    cont = 0.0 if pol.transfers(w + 1) else 1.0 - model.rho1
+    visits = np.array([0.0 if act == IDLE or n_wait != w else 1.0 if act[1] == 1 else cont
+                       for act, n_wait in states])
+    return visits / visits.sum()
+
+
 def _evaluate_on_grid(model: QueueModel, pol: QueuePolicy,
                       q_grid: tuple[float, ...]) -> list[QueueEvaluation]:
     """One policy's evaluations across q, from one assembly of its branches;
     every interior q is solved in one level solve."""
     states, P, rates = _branch_chains(model, pol)
-    labels = tuple(f"{act}/{w}" for act, w in states)
     grid = np.array(q_grid, dtype=float)
     inner = (grid > 0.0) & (grid < 1.0)
     pi = np.zeros((len(grid), len(states)))
     if inner.any():
         j0 = states.index((_start_service(model.tau1, 1), 0)) // (model.N + 1)
-        solved = _level_solve(P, model.N, j0, grid[inner])
-        _check_stationary(solved, P, grid[inner], labels)
-        pi[inner] = solved
-    for i in np.flatnonzero(~inner):
-        # At q = 0 or 1 every period takes the same branch, so the queue
-        # never grows or never shortens and several lengths may each close a
-        # class: the one the empty system reaches holds all the mass.
-        pi[i] = stationary_distribution(P[int(grid[i])], states.index((IDLE, 0)), labels)
+        pi[inner] = _level_solve(P, model.N, j0, grid[inner])
+    pi[grid == 0.0, states.index((IDLE, 0))] = 1.0   # no arrival ever comes
+    if (grid == 1.0).any():
+        pi[grid == 1.0] = _saturated(model, pol, states)
+    _check_stationary(pi, P, grid, tuple(f"{act}/{w}" for act, w in states))
     return [QueueEvaluation(pi[i], states, *((q * rates[1] + (1 - q) * rates[0]) @ pi[i]).tolist())
             for i, q in enumerate(q_grid)]
 

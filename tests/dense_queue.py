@@ -1,20 +1,22 @@
 """Dense solves, the oracles for the package's state reduction and substitution.
 
-`gatekeeper.waiting_room` solves each interior q level by level, and q = 0
-and q = 1 by state reduction on the closed class the empty system reaches
-(`evaluate.stationary_distribution`).  These routes solve the whole chain
-q P[1] + (1 - q) P[0] instead, one q at a time:
+`gatekeeper.waiting_room` solves each interior q level by level, q = 0 as
+the empty system and q = 1 by the closed form of its saturated cycle.  These
+routes solve the whole chain q P[1] + (1 - q) P[0] instead, one q at a time:
 
 - `dense_rates` by one LU solve of the balance equations on the states the
   empty system reaches (`reachable`, `lu_stationary`), the route the package
-  took before it had one stationary solver;
+  took before it solved the chain's structure;
 - `gth_rates` by Grassmann-Taksar-Heyman state reduction in long double.
   GTH subtracts nothing, so it keeps every small probability to round-off;
   the wider type keeps the reference's own round-off (and its ratios of
   probabilities, up to 1e±4932) out of any comparison with float64 results.
 
 Both return the five rates of `QueueEvaluation`: profit, throughput,
-transfer, blocking and resolve rate per period.
+transfer, blocking and resolve rate per period.  `gth_stationary` is also
+the oracle for `evaluate.stationary_distribution`, which reads the embedded
+service chain's π off in cycle order; GTH on the closed class the start
+reaches was that chain's solver before.
 
 `lu_relative_values` solves the embedded service chain's evaluation
 equations for R and G as one bordered LU system, the route
@@ -66,9 +68,10 @@ def lu_stationary(P: np.ndarray) -> np.ndarray:
     return np.clip(pi, 0.0, None)
 
 
-def dense_rates(model: QueueModel, pol: QueuePolicy) -> np.ndarray:
-    """For 0 <= q <= 1; every state reaches the empty idle system (state 0)
-    only for 0 < q < 1, so the solve runs on what state 0 reaches."""
+def dense_stationary(model: QueueModel, pol: QueuePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """π and the rate rows of the chain at model.q, for 0 <= q <= 1; every
+    state reaches the empty idle system (state 0) only for 0 < q < 1, so the
+    solve runs on what state 0 reaches."""
     states, P, rates = _branch_chains(model, pol)
     assert states[0] == (("idle",), 0)
     q = model.q
@@ -76,7 +79,12 @@ def dense_rates(model: QueueModel, pol: QueuePolicy) -> np.ndarray:
     live = reachable(Pq, 0)
     pi = np.zeros(len(states))
     pi[live] = lu_stationary(Pq[np.ix_(live, live)])
-    return (q * rates[1] + (1 - q) * rates[0]) @ pi
+    return pi, q * rates[1] + (1 - q) * rates[0]
+
+
+def dense_rates(model: QueueModel, pol: QueuePolicy) -> np.ndarray:
+    pi, rates = dense_stationary(model, pol)
+    return rates @ pi
 
 
 def gth_stationary(P: np.ndarray) -> np.ndarray:

@@ -481,3 +481,44 @@ def test_config_seed_outside_u64_exits_2_and_the_last_u64_seed_runs(tmp_path, ca
     code, out = run_cli(tmp_path, "threshold-study", {"n_instances": 1}, "--seed", str(2**64 - 1))
     assert code == EXIT_OK
     assert (out / "study.csv").read_text().splitlines()[-1].split(",")[-2:] == [str(2**64 - 1)] * 2
+
+
+@pytest.mark.parametrize("sub, payload, message", [
+    ("queue-sweep", {"queue": {"N": True}, "q_grid": [0.5]}, "N must be an integer, got True"),
+    ("threshold-study", {"generator": {"S": True}, "n_instances": True}, "S must be an integer, got True"),
+    ("threshold-study", {"generator": {"S": 2}, "n_instances": True}, "n_instances must be an integer, got True"),
+    ("threshold-study", {"n_instances": 1, "seed": True}, "seed must be an integer, got True"),
+])
+def test_boolean_count_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
+    code, out = run_cli(tmp_path, sub, payload)
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("terminals", "zeros", "terminals must be 'stationary' or 'zero', got 'zeros'"),
+    ("write_values", "no", "write_values must be true or false, got 'no'"),
+    ("write_values", 1, "write_values must be true or false, got 1"),
+])
+def test_stationarity_choice_of_the_wrong_value_exits_2_naming_it(tmp_path, capsys, key, value, message):
+    code, out = run_cli(tmp_path, "stationarity", {"instance": valid_instance(), "T": 5, key: value})
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "argmax.csv").exists() and not (out / "values.csv").exists()
+
+
+@pytest.mark.parametrize("target, message", [
+    ({"queue": {"N": 2}, "policy": ["never"]}, "target 0: the policy must be a label string, got ['never']"),
+    ({"instance": valid_instance(), "policy": 5}, "target 0: the policy must be a list of rule labels, got 5"),
+    ({"instance": valid_instance(), "policy": [["T5"]]},
+     "target 0: the policy must be a list of rule labels, got [['T5']]"),
+    ({"instance": valid_instance(), "queue": {"N": 2}, "policy": ["T5"]},
+     "unknown key(s) under 'target 0': queue"),
+    ({"queue": {"N": 2}, "policy": "never", "seed": 3}, "unknown key(s) under 'target 0': seed"),
+])
+def test_simulate_target_of_the_wrong_shape_exits_2_naming_it(tmp_path, capsys, target, message):
+    code, out = run_cli(tmp_path, "simulate", {"targets": [target], "horizon": 1000})
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()

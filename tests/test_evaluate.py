@@ -35,7 +35,7 @@ from gatekeeper.evaluate import (
 )
 
 from conftest import instances, random_instance, random_policy
-from dense_queue import lu_relative_values
+from dense_queue import EXTENDED, gth_stationary, lu_relative_values
 
 
 class TestChainStructure:
@@ -174,25 +174,24 @@ def test_stationary_errors_name_the_failing_check():
     assert ev.R == pytest.approx(average_reward(inst, pol), rel=1e-12, abs=0.0)
 
     # rows that do not sum to one admit no exact stationary vector
+    P = build_chain(inst, pol).P
+    P[I0, I0] = 0.5
     with pytest.raises(EvaluationError, match=r"residual [0-9.e-]+ exceeds 1e-10"):
-        stationary_distribution(np.array([[0.5, 0.2], [0.3, 0.7]]), 0)
+        stationary_distribution(P)
 
 
 def test_stationary_keeps_a_small_exit_probability_exact():
-    # the pivot is state 1's outflow, summed, not 1 - P[1, 1]; q enters as q
+    # I0 is left with probability q and, under T5, entered at a cycle's end
+    # with probability 1 - q; its visits are that inflow over q, not over
+    # 1 - P[I0, I0]
     q = 1e-12
-    pi = stationary_distribution(np.array([[1 - q, q], [1.0, 0.0]]), 0)
-    assert pi == pytest.approx([1 / (1 + q), q / (1 + q)], rel=1e-15, abs=0.0)
-
-
-def test_a_start_reaching_two_closed_classes_is_rejected():
-    P = np.array([[0.5, 0.25, 0.25, 0.0], [0.0, 1.0, 0.0, 0.0],
-                  [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 1.0, 0.0]])
-    with pytest.raises(EvaluationError, match="s reaches more than one closed class, led by b, c"):
-        stationary_distribution(P, 0, ("s", "b", "c", "d"))
-    # a start inside one class, or leading into one, solves on it alone
-    assert stationary_distribution(P, 1).tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert stationary_distribution(P, 3) == pytest.approx([0.0, 0.0, 2 / 3, 1 / 3], rel=1e-15)
+    inst = ProblemInstance(
+        profile=ResolutionProfile((6, 15, 40), (0.7, 0.2, 1.0)),
+        econ=EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3),
+        traffic=TrafficParams(q=q, a=0.5),
+    )
+    pi = stationary_distribution(build_chain(inst, uniform_policy("T5", 3)).P)
+    assert pi[I1] / pi[I0] == pytest.approx(q / (1 - q), rel=1e-15, abs=0.0)
 
 
 INSIDE = 1e-3
@@ -306,6 +305,22 @@ def test_idle_and_holding_value_gaps(case):
     q, a = inst.traffic.q, inst.traffic.a
     assert ev.G[I1] - ev.G[I0] == pytest.approx(ev.R / q, rel=1e-12, abs=0.0)
     assert ev.G[W1] - ev.G[W0] == pytest.approx(ev.R / a, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.skipif(not EXTENDED, reason="the GTH reference needs an extended long double")
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cases(EDGES).filter(lambda case: case[0].traffic.q < 1.0))
+def test_stationary_matches_long_double_gth(case):
+    """Substitution in cycle order against state reduction on the whole
+    chain in long double, for q < 1, where every state reaches I0: every
+    probability that float64 holds to full precision is right to round-off."""
+    inst, names = case
+    P = build_chain(inst, policy_from_names(names)).P
+    pi = stationary_distribution(P)
+    ref = gth_stationary(P.astype(np.longdouble))
+    normal = ref > 1e-290
+    assert np.all(np.abs(pi - ref)[normal] <= 1e-14 * ref[normal])
+    assert np.all(pi[~normal] < 1e-280)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

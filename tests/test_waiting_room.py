@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_queue import EXTENDED, dense_rates, gth_rates
+from dense_queue import EXTENDED, dense_rates, dense_stationary, gth_rates
 from hypothesis import given, settings, strategies as st
 
 from gatekeeper import (
@@ -82,8 +82,8 @@ def test_threshold_out_of_range_rejected():
 
 
 def test_one_period_first_attempt_at_full_traffic():
-    # q = 1 never shortens the queue, so with tau_1 = 1 each length can close
-    # its own class; the chain is solved on what the empty state reaches
+    # q = 1 never shortens the queue, and with tau_1 = 1 it stays where the
+    # policy transfers: under "always" the agent serves from level 0 for good
     model = dataclasses.replace(default_queue_model(N=2, q=1.0),
                                 profile=ResolutionProfile((1, 15), (0.7, 1.0)))
     ev = evaluate_queue_policy(model, QueuePolicy.always())
@@ -230,15 +230,19 @@ def test_level_solve_matches_whole_chain_gth_to_round_off(case):
 
 @pytest.mark.parametrize("q", [0.0, 1.0])
 def test_end_points_match_dense_lu_on_the_reachable_states(q):
-    # at q = 0 or 1 one branch runs every period; the empty system's closed
-    # class, found from the reachability closure, against LU on the states a
-    # depth-first walk reaches
-    for N, tau1, tau2, rho1 in itertools.product((0, 1, 3), (1, 2, 6), (1, 3), (0.0, 0.3, 1.0)):
+    # at q = 0 or 1 one branch runs every period; the empty system at q = 0
+    # and the saturated cycle at q = 1 against LU on the states a depth-first
+    # walk reaches.  tau = (1, 2) at N = 5 climbs two steps of two under qge5
+    # and stops at level 4.  Below N the rates do not show the level, so pi
+    # is compared too
+    for N, tau1, tau2, rho1 in itertools.product((0, 1, 3, 5), (1, 2, 6), (1, 2, 3), (0.0, 0.3, 1.0)):
         model = dataclasses.replace(default_queue_model(N=N, q=q),
                                     profile=ResolutionProfile((tau1, tau2), (rho1, 1.0)))
         for pol in admissible_queue_policies(model):
-            got = _rates(evaluate_queue_policy(model, pol))
-            assert np.abs(got - dense_rates(model, pol)).max() <= 1e-13, (N, tau1, tau2, rho1, pol)
+            ev = evaluate_queue_policy(model, pol)
+            pi, rates = dense_stationary(model, pol)
+            assert np.abs(ev.pi - pi).max() <= 1e-13, (N, tau1, tau2, rho1, pol)
+            assert np.abs(_rates(ev) - rates @ pi).max() <= 1e-13, (N, tau1, tau2, rho1, pol)
 
 
 @pytest.mark.parametrize("N, tau, rho1, q", [

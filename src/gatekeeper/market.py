@@ -263,8 +263,9 @@ def _solve_cells(
     not depend on which other cells share the block.
     """
     S, econ, table = template.S, template.econ, rules_table()
-    bots = {d.p_succ: replace(bot_curve, p_succ=d.p_succ) if d.p_succ else None for d in designs}
-    b = np.array([_bot_threshold(bots[d.p_succ], prefs) for d in designs])
+    bots = {p: replace(bot_curve, p_succ=p) if p else None for p in {d.p_succ for d in designs}}
+    thresholds = {p: _bot_threshold(bot, prefs) for p, bot in bots.items()}
+    b = np.array([thresholds[d.p_succ] for d in designs])
     k = np.array([d.k_agent for d in designs], dtype=float)
     opt = np.array([d.policy == "OPT" for d in designs], dtype=bool)
     acts = np.zeros((len(designs), S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass

@@ -4,17 +4,20 @@ Both simulators draw what the per-period narrative draws (an arrival and a
 resolution uniform every period, and for the channel an expert-availability
 one; integer service clocks; instantaneous decisions) rather than sampling the
 embedded chains, so they exercise the model semantics independently of the
-linear-algebra evaluators.  They replay those draws from event to event: for
-each chunk of draws numpy finds every period's next arrival and next free
-expert, and the Python loop visits only the periods where something happens
-(an admission, the end of an attempt, the end of a warm wait or handoff).
-Idle runs, services, warm waits and the waiting room filling during a service
-are counted from segment lengths, so every report equals, bit for bit, that
-of a loop over every period.  Runs start with a short uncounted warm-up so
-the empty-system start does not bias the estimates; standard errors come
-from batch means over at least 30 equal batches.  All randomness flows
-through the shared counter-based RNG family keyed by (seed, stream), so seeds
-are portable across modules and parallel targets never collide.
+linear-algebra evaluators.  An admitted channel customer's cycle is fixed by
+the draws at its own decision periods, so for each chunk of draws numpy runs
+every arrival's cycle as if admitted, to the period the agent is free again
+and the arrival it admits next, and Python only walks from one admission to
+the next.  A cycle that runs past the chunk is carried into the next as its
+state, never as its draws, so memory stays within a chunk whatever q, a and
+tau are.  The waiting-room simulator visits only admissions and attempt ends.
+Both count idle runs, services, warm waits and the room filling during a
+service from segment lengths, so every report equals, bit for bit, that of a
+loop over every period.  Runs start with a short uncounted warm-up so the
+empty-system start does not bias the estimates; standard errors come from
+batch means over at least 30 equal batches.  All randomness flows through the
+shared counter-based RNG family keyed by (seed, stream), so seeds are portable
+across modules and parallel targets never collide.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ N_BATCHES = 32
 WARMUP = 1024  # periods run before counting, to shed the empty-system start
 _CHUNK = 1 << 15
 
-# what the agent waits for from period `due` on
-_FREE, _WAIT, _PEND, _PEND2 = range(4)
+# what the waiting-room agent waits for from period `due` on
+_FREE, _PEND, _PEND2 = range(3)
 # outcome of a decision period: the action taken, or resolution
 _RESOLVED = 3
 
@@ -63,14 +66,6 @@ def _report(rewards: np.ndarray, seed: int, counts: dict[str, int],
                      horizon=len(rewards), seed=seed, counts=counts, perf=perf)
 
 
-def _next_true(flags: np.ndarray) -> memoryview:
-    """Per period of a chunk, the first period at or after it whose flag is
-    set, or the chunk length if none is."""
-    m = len(flags)
-    first = np.where(flags, np.arange(m, dtype=np.int32), np.int32(m))
-    return memoryview(np.minimum.accumulate(first[::-1])[::-1])
-
-
 def simulate_policy(
     inst: ProblemInstance, pol: StationaryPolicy, horizon: int, seed: int,
     stream: int = 0,
@@ -85,73 +80,106 @@ def simulate_policy(
         raise ValueError(f"horizon must be at least {N_BATCHES}")
 
     q, a = inst.traffic.q, inst.traffic.a
-    tau = inst.profile.tau
-    tau_w = inst.econ.tau_w
-    r, c_w, c_c = inst.econ.r, inst.econ.c_w, inst.econ.c_c
-    pay = (None, r - c_w, r - c_c, r)  # reward by outcome
+    tau = np.array(inst.profile.tau)
+    r, c_w, c_c, tau_w = inst.econ.r, inst.econ.c_w, inst.econ.c_c, inst.econ.tau_w
+    pay = np.array([0.0, r - c_w, r - c_c, r])  # reward by outcome
     # A decision period's code is 4k + arrival + 2*avail, where k counts the
     # distinct success probabilities at or below its resolution draw; attempt
     # x resolves iff k is at most the rank of rho[x-1] (the top one is 1).
     levels = sorted(set(inst.profile.rho))
-    outcome = [
+    small = np.min_scalar_type(4 * len(levels) - 1)  # holds every code
+    outcome = np.array([
         [_RESOLVED if k <= levels.index(rho) else int(pol.rules[x].actions[qa])
          for k in range(len(levels)) for qa in range(4)]
         for x, rho in enumerate(inst.profile.rho)
-    ]
+    ], dtype=np.int8)
 
     rng = rng_stream(seed, stream)
     rewards = np.zeros(horizon)
-    tally = [0, 0, 0, 0]  # live decision periods by outcome
-    arrivals = admitted = idle = 0
-    wait, due, x = _FREE, -WARMUP, 0
+    tally = np.zeros(4, dtype=np.int64)  # live decision periods by outcome
+    arrivals = admitted = occupied = 0
+    # The customer carried into a chunk, by the code of its last outcome: in
+    # service, with attempt x's decision in period `due` (0, continue); held
+    # for an expert, its warm outcome recorded (1); or gone, the agent free
+    # from `due` on (2).
+    o, x, due = 2, 0, -WARMUP
 
     t = -WARMUP
     while t < horizon:
         m = min(_CHUNK, horizon - t)
-        end = t + m
+        lo = max(0, -t)  # the chunk's first counted period
         u = rng.random((m, 3))
         arrival = u[:, 0] < q
         avail = u[:, 1] < a
-        code = 4 * np.searchsorted(levels, u[:, 2], "right")
+        resolution = u[:, 2].copy()
         del u
-        code += arrival
-        code[avail] += 2
-        code = code.tolist()
-        arrivals += int(np.count_nonzero(arrival[max(0, -t):]))
-        next_arrival = _next_true(arrival)
-        next_avail = _next_true(avail)
-        while due < end:
-            if wait == _FREE:  # idle until an arrival, admitted at once
-                j = t + next_arrival[due - t]
-                idle += j - due if due >= 0 else max(j, 0)
-                if j == end:
-                    due = end
-                else:
-                    admitted += j >= 0
-                    x, due, wait = 1, j + tau[0], _PEND
-            elif wait == _WAIT:  # a warm transfer held until an expert is free
-                j = t + next_avail[due - t]
-                if j == end:
-                    due = end
-                else:
-                    due, wait = j + tau_w, _FREE
-            else:  # attempt x ends; the customer stays if it continues
-                out = outcome[x - 1][code[due - t]]
-                if out == 0:
-                    due += tau[x]
-                    x += 1
-                else:
-                    if due >= 0:
-                        rewards[due] = pay[out]
-                        tally[out] += 1
-                    wait = _WAIT if out == 1 else _FREE
-        t = end
-        # drop the chunk's arrays before the next draw, so no two chunks' coexist
-        del arrival, avail, next_arrival, next_avail, code
+        code = np.zeros(m, dtype=small)
+        for level in levels[:-1]:
+            code += resolution >= level
+        code = 4 * code + 2 * avail.view(np.uint8) + arrival
+        arrivals += int(np.count_nonzero(arrival[lo:]))
+        J = np.flatnonzero(arrival)
+        arrived = np.zeros(m + 1, dtype=np.intp)  # arrivals before each period
+        np.cumsum(arrival, out=arrived[1:])
+        experts = np.append(np.flatnonzero(avail), m)
+        freed = np.zeros(m + 1, dtype=np.intp)  # free experts before each period
+        np.cumsum(avail, out=freed[1:])
 
-    _, warm, cold, resolved = tally
+        # Lane 0 is the carried customer, lane i + 1 the arrival at J[i] as if
+        # admitted.  Every lane runs attempt by attempt (X) to its outcome (O)
+        # in decision period D, or stops where its next decision (D) falls
+        # past the chunk (O = 0).
+        L = len(J) + 1
+        X = np.zeros(L, dtype=np.intp)
+        D = np.empty(L, dtype=np.intp)
+        O = np.zeros(L, dtype=np.int8)
+        X[0], D[0], O[0] = x, due - t, o
+        D[1:] = J + tau[0]
+        lanes = np.arange(1 if o else 0, L)
+        while lanes.size:
+            lanes = lanes[D[lanes] < m]
+            O[lanes] = outcome[X[lanes], code[D[lanes]]]
+            lanes = lanes[O[lanes] == 0]
+            X[lanes] += 1
+            D[lanes] += tau[X[lanes]]
+        # The agent is free from F on: at the outcome, or after the first free
+        # expert and the warm handoff.  Its next admission is the first
+        # arrival from F on, the lane the walk goes to.
+        F = D.copy()
+        held = np.flatnonzero(O == 1)
+        F[held] = experts[freed[D[held]]] + tau_w
+        F[O == 0] = m
+        nxt = memoryview(arrived[np.minimum(F, m)] + 1)
+        path, k = [], 0
+        while k < L:
+            path.append(k)
+            k = nxt[k]
+        path = np.fromiter(path, np.intp, len(path))
+
+        # the agent is busy from each admission (lane 0: the chunk's start) to F
+        starts = J[path[1:] - 1]
+        admitted += int(np.count_nonzero(starts >= lo))
+        occupied += int(np.maximum(np.minimum(F[path], m), lo).sum()
+                        - np.maximum(starts, lo).sum() - lo)
+        # a carried outcome was recorded in its own chunk
+        ended = path[O[path] != 0][1 if o else 0:]
+        ended = ended[D[ended] >= lo]
+        rewards[t + D[ended]] = pay[O[ended]]
+        tally += np.bincount(O[ended], minlength=4)
+
+        k = path[-1]
+        o, x, due = int(O[k]), int(X[k]), t + int(D[k])
+        if o == 1 and F[k] == m + tau_w:  # no expert free by the chunk's end
+            due = t + m
+        elif o:
+            o, due = 2, t + max(int(F[k]), m)
+        t += m
+        # drop the chunk's arrays before the next draw, so no two chunks' coexist
+        del arrival, avail, resolution, code, J, arrived, experts, freed
+        del X, D, O, F, nxt, path, starts, ended
+
+    _, warm, cold, resolved = tally.tolist()
     outcomes = resolved + warm + cold
-    occupied = horizon - idle
     perf = PerformanceMeasures(
         throughput=admitted / horizon,
         p_admit=admitted / arrivals if arrivals else 0.0,
@@ -195,10 +223,10 @@ def simulate_queue(
         end = t + m
         u = rng.random((m, 2))
         arrival = u[:, 0] < q
-        code = (arrival + 2 * (u[:, 1] < rho1)).tolist()
+        code = memoryview(arrival.view(np.int8) + 2 * (u[:, 1] < rho1).view(np.int8))
         del u
         arrivals += int(np.count_nonzero(arrival[max(0, -t):]))
-        next_arrival = _next_true(arrival)
+        at = memoryview(np.append(np.flatnonzero(arrival), m))  # arrival periods, then m
         arrived = np.zeros(m + 1, dtype=np.int32)  # arrivals before each period
         np.cumsum(arrival, out=arrived[1:])
         arrived = memoryview(arrived)
@@ -222,7 +250,7 @@ def simulate_queue(
                 break
             i = due - t
             if wait == _FREE:  # the room is empty: admit the next arrival at once
-                j = t + next_arrival[i]
+                j = t + at[arrived[i]]
                 if j == end:
                     due = grown = end
                     continue
@@ -245,7 +273,7 @@ def simulate_queue(
             else:
                 wait = _FREE
         t = end
-        del arrival, code, next_arrival, arrived
+        del arrival, code, at, arrived
 
     counts = {
         "arrivals": arrivals,

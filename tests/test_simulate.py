@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,8 @@ from period_sim import simulate_policy_periods, simulate_queue_periods
 # the warm-up and the shorter runs end inside services at q = 1, and the
 # longest run's services cross chunk boundaries
 HORIZONS = (32, 1023, 1025, 2 * _CHUNK + 4_000)
+# the customer carried at the end of a chunk may be carried through several
+LONG = 5 * _CHUNK + 17
 
 
 def test_deterministic_trajectory(single_attempt):
@@ -107,6 +110,48 @@ def test_channel_equals_period_oracle(S, q, a):
         for horizon in HORIZONS:
             assert (simulate_policy(inst, pol, horizon, seed=S, stream=2)
                     == simulate_policy_periods(inst, pol, horizon, seed=S, stream=2))
+
+
+# At a = 1e-5 a warm wait lasts about 10^5 periods: it crosses chunks, and the
+# last one before the horizon runs past it.  At tau = (20000, 30000) a cycle
+# spans one or two chunk boundaries, and a handoff of 40000 at least one.
+_WAIT_OVER_CHUNKS = TrafficParams(q=0.9, a=1e-5)
+_LONG_SERVICE = ProblemInstance(
+    profile=ResolutionProfile((20_000, 30_000), (0.3, 1.0)),
+    econ=EconomicParams(r=7.0, c_w=1.0, c_c=2.0, tau_w=40_000),
+    traffic=TrafficParams(q=0.5, a=0.3),
+)
+
+
+@pytest.mark.parametrize("inst, rule", [
+    (replace(random_instance(82, 2), traffic=_WAIT_OVER_CHUNKS), "T1"),
+    (replace(random_instance(83, 3), traffic=_WAIT_OVER_CHUNKS), "T1"),
+    (_LONG_SERVICE, "T1"),
+    (_LONG_SERVICE, "H1"),
+    (_LONG_SERVICE, "C"),
+], ids=["wait-S2", "wait-S3", "long-T1", "long-H1", "long-C"])
+def test_customer_carried_across_chunks_equals_period_oracle(inst, rule):
+    pol = uniform_policy(rule, inst.S)
+    for horizon in HORIZONS + (LONG,):
+        rep = simulate_policy(inst, pol, horizon, seed=5, stream=3)
+        assert rep == simulate_policy_periods(inst, pol, horizon, seed=5, stream=3)
+    if rule == "T1":  # the case holds warm waits
+        assert rep.counts["warm"] > 1
+
+
+def test_memory_is_bounded_by_a_chunk_when_a_wait_outlasts_the_run():
+    # at a = 1e-6 one warm wait can outlast the whole run; what crosses a
+    # chunk boundary is the customer's state, not the draws since it arrived
+    inst = replace(random_instance(82, 2), traffic=TrafficParams(q=0.9, a=1e-6))
+    horizon = 2_000_000
+    tracemalloc.start()
+    try:
+        rep = simulate_policy(inst, uniform_policy("T1", 2), horizon, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.counts["warm"] > 0
+    assert peak - 8 * horizon < 4_000_000  # beyond the rewards array
 
 
 def test_degenerate_instance_equals_period_oracle():

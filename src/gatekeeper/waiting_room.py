@@ -15,17 +15,19 @@ queue, else takes the current arrival directly; (4) an unconsumed arrival
 joins the room if space remains, otherwise it is blocked; (5) one period of
 service work elapses.
 
-The chain at q is q P[1] + (1 - q) P[0], with P[1] for a period with an
-arrival and P[0] for one without.  It is a level-dependent quasi-birth-death
-chain: the level, the number waiting, moves by at most one per period, and
-every step down lands in the phase that starts a first attempt.  So every
-interior q of a grid is solved at once, level by level, by state reduction
-that subtracts nothing (`_level_solve`).  At q = 0 no arrival comes and the
-empty system keeps all the mass; at q = 1 the queue never shortens, and the
-agent ends up repeating one service cycle at one level (`_saturated`).
+The level, the number waiting, moves by at most one per period, so the chain
+is kept as level blocks only (`_level_blocks`), for a period with an arrival
+(weighted q) and one without (weighted 1 - q): a level-dependent
+quasi-birth-death chain (Latouche & Ramaswami 1999, ch. 6) in which every
+step down lands in the phase that starts a first attempt.  So every interior
+q of a grid is solved at once, level by level, by state reduction that
+subtracts nothing (`_level_solve`).  At q = 0 no arrival comes and the empty
+system keeps all the mass; at q = 1 the queue never shortens, and the agent
+ends up repeating one service cycle at one level (`_saturated`).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -136,13 +138,11 @@ class QueuePolicy:
 
 
 def queue_policy_from_label(label: str) -> QueuePolicy:
-    if label == "never":
-        return QueuePolicy.never()
-    if label == "always":
-        return QueuePolicy.always()
-    if label.startswith("qge"):
+    if label in ("never", "always"):
+        return QueuePolicy(label)
+    if re.fullmatch("qge[1-9][0-9]*", label):
         return QueuePolicy.when_queue_at_least(int(label[3:]))
-    raise ValueError(f"unknown queue policy {label!r}")
+    raise ValueError(f"queue policy must be never, always or qge<n> with n >= 1, got {label!r}")
 
 
 def admissible_queue_policies(model: QueueModel) -> list[QueuePolicy]:
@@ -150,18 +150,6 @@ def admissible_queue_policies(model: QueueModel) -> list[QueuePolicy]:
     pols = [QueuePolicy.never(), QueuePolicy.always()]
     pols += [QueuePolicy.when_queue_at_least(n) for n in range(1, model.N + 1)]
     return pols
-
-
-def queue_states(model: QueueModel) -> list[tuple]:
-    """States (activity, n_wait) at a period boundary.
-
-    activity is idle, ("pend", k) with the completion decision due, or
-    ("busy", k, j) with j work periods remaining.
-    """
-    acts: list[tuple] = [IDLE, ("pend", 1), ("pend", 2)]
-    acts += [("busy", 1, j) for j in range(1, model.tau1)]
-    acts += [("busy", 2, j) for j in range(1, model.tau2)]
-    return [(act, w) for act in acts for w in range(model.N + 1)]
 
 
 def _start_service(tau: int, attempt: int) -> tuple:
@@ -179,26 +167,33 @@ class QueueEvaluation:
     resolve_rate: float
 
 
-def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """States, transition matrices and rates of a period with (index 1) and
-    without (index 0) an arrival; the chain at q is q P[1] + (1 - q) P[0].
+def _level_blocks(model: QueueModel, pol: QueuePolicy) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Activities, level blocks and rates of a period with (b = 1) and
+    without (b = 0) an arrival.
 
-    The rate rows follow QueueEvaluation: reward, admissions, transfers,
-    blocked arrivals and resolutions per period.
+    An activity is idle, ("pend", k) with the completion decision due, or
+    ("busy", k, j) with j work periods remaining.  A[w, b, i, d, j] is the
+    probability of going from activity i with w waiting to activity j with
+    w - 1 + d waiting.  The rate rows follow QueueEvaluation (reward,
+    admissions, transfers, blocked arrivals and resolutions per period) over
+    its states, activity-major.
     """
     if pol.kind == "qge" and pol.n > model.N:
         raise ValueError(f"threshold n={pol.n} outside 1..N={model.N}")
-    states = tuple(queue_states(model))
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
     r, c_c = model.econ.r, model.econ.c_c
     rho1, tau1, tau2 = model.rho1, model.tau1, model.tau2
-    P = np.zeros((2, n, n))
-    rates = [[[0.0] * n for _ in range(5)] for _ in range(2)]   # plain floats: cheap to update
+    acts: list[tuple] = [IDLE, ("pend", 1), ("pend", 2)]
+    acts += [("busy", 1, j) for j in range(1, tau1)]
+    acts += [("busy", 2, j) for j in range(1, tau2)]
+    slot = {act: a for a, act in enumerate(acts)}
+    L, m = model.N + 1, len(acts)
+    A = np.zeros((L, 2, m, 3, m))
+    rates = [[[0.0] * (m * L) for _ in range(5)] for _ in range(2)]   # plain floats: cheap to update
 
-    def apply(i: int, p: float, activity: tuple, n_wait: int, arrival: bool,
-              rew: float, res: int, tra: int) -> None:
+    def apply(p: float, activity: tuple, arrival: bool, rew: float, res: int, tra: int) -> None:
+        # leaves activity i with w waiting, the state the loop below is at
         branch = int(arrival)   # fixed before the arrival is consumed below
+        n_wait = w
         adm = blk = 0
         if activity == IDLE:
             if n_wait > 0:
@@ -214,31 +209,31 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
                 adm = 1
             else:
                 blk = 1
-        P[branch, i, index[(activity, n_wait)]] += p
+        A[w, branch, i, n_wait - w + 1, slot[activity]] += p
         for row, v in zip(rates[branch], (rew, adm, tra, blk, res)):
-            row[i] += p * v
+            row[i * L + w] += p * v
 
-    for i, (activity, n_wait) in enumerate(states):
-        for arrival in (True, False):
-            if activity == IDLE:
-                apply(i, 1.0, IDLE, n_wait, arrival, 0.0, 0, 0)
-            elif activity[0] == "pend" and activity[1] == 1:
-                if rho1 > 0:
-                    apply(i, rho1, IDLE, n_wait, arrival, r, 1, 0)
-                if rho1 < 1:
-                    q_obs = n_wait + (1 if arrival else 0)
-                    if pol.transfers(q_obs):
-                        apply(i, 1 - rho1, IDLE, n_wait, arrival, r - c_c, 0, 1)
-                    else:
-                        apply(i, 1 - rho1, _start_service(tau2, 2), n_wait,
-                              arrival, 0.0, 0, 0)
-            elif activity[0] == "pend":
-                apply(i, 1.0, IDLE, n_wait, arrival, r, 1, 0)
-            else:
-                _, k, j = activity
-                nxt = ("pend", k) if j == 1 else ("busy", k, j - 1)
-                apply(i, 1.0, nxt, n_wait, arrival, 0.0, 0, 0)
-    return states, P, np.array(rates)
+    for i, activity in enumerate(acts):
+        for w in range(L):
+            for arrival in (True, False):
+                if activity == IDLE:
+                    apply(1.0, IDLE, arrival, 0.0, 0, 0)
+                elif activity[0] == "pend" and activity[1] == 1:
+                    if rho1 > 0:
+                        apply(rho1, IDLE, arrival, r, 1, 0)
+                    if rho1 < 1:
+                        q_obs = w + (1 if arrival else 0)
+                        if pol.transfers(q_obs):
+                            apply(1 - rho1, IDLE, arrival, r - c_c, 0, 1)
+                        else:
+                            apply(1 - rho1, _start_service(tau2, 2), arrival, 0.0, 0, 0)
+                elif activity[0] == "pend":
+                    apply(1.0, IDLE, arrival, r, 1, 0)
+                else:
+                    _, k, j = activity
+                    nxt = ("pend", k) if j == 1 else ("busy", k, j - 1)
+                    apply(1.0, nxt, arrival, 0.0, 0, 0)
+    return acts, A, np.array(rates)
 
 
 def _removal_steps(pattern: np.ndarray) -> list[tuple]:
@@ -294,14 +289,14 @@ def _reduce_level(M: np.ndarray, steps: list[tuple]) -> tuple[np.ndarray, np.nda
     return x[1:], closed
 
 
-def _level_solve(P: np.ndarray, N: int, j0: int, q: np.ndarray) -> np.ndarray:
-    """Stationary vectors (one row per q, 0 < q < 1) of q P[1] + (1 - q) P[0].
+def _level_solve(A: np.ndarray, j0: int, q: np.ndarray) -> np.ndarray:
+    """Stationary vectors (one row per q, 0 < q < 1; states activity-major)
+    of the chain with level blocks A, its arrival branch weighted q.
 
-    States are stored activity-major, at a·(N + 1) + w, so `block(w, v)` holds
-    both branches' A_{w,v}, from w waiting to v waiting; it is zero unless
-    |w - v| <= 1.  Every step down is a freed agent pulling the head of the
-    queue into phase j0, and with q < 1 the queue always drains, so the chain
-    watched at level w until it drops below w moves by
+    A[w, :, :, d] holds both branches' A_{w,w-1+d}, from w waiting to
+    w - 1 + d waiting.  Every step down is a freed agent pulling the head of
+    the queue into phase j0, and with q < 1 the queue always drains, so the
+    chain watched at level w until it drops below w moves by
     T_w = A_{w,w} + (A_{w,w+1} 1) e_j0ᵀ and drops with probability
     esc_w = A_{w,w-1} 1 (linear level reduction; Gaver, Jacobs & Latouche
     1984).  Then π_0 = π_0 T_0 and π_w = π_{w-1} A_{w-1,w} (I - T_w)⁻¹.
@@ -310,31 +305,24 @@ def _level_solve(P: np.ndarray, N: int, j0: int, q: np.ndarray) -> np.ndarray:
     fewest digits.  Each level is scaled by a power of two, so none
     overflows and none is rounded.
     """
-    L = N + 1
-    m = P.shape[1] // L
+    L, _, m = A.shape[:3]
     order = [j0] + [a for a in range(m) if a != j0]
-    by_level = P.reshape(2, m, L, m, L)
-
-    def block(w_from: int, w_to: int) -> np.ndarray:
-        return by_level[:, :, w_from, :, w_to][:, order][:, :, order]
-
+    A = A[:, :, order][..., order]
     augs = np.zeros((L, 2, m + 1, m + 1))
-    for w, aug in enumerate(augs):
-        aug[:, 1:, 1:] = block(w, w)
-        if w < N:
-            aug[:, 1:, 1] += block(w, w + 1).sum(-1)
-        if w > 0:
-            aug[:, 1:, 0] = block(w, w - 1).sum(-1)
+    augs[:, :, 1:, 1:] = A[:, :, :, 1]
+    augs[:, :, 1:, 1] += A[:, :, :, 2].sum(-1)
+    augs[:, :, 1:, 0] = A[:, :, :, 0].sum(-1)
     steps = _removal_steps(augs.any((0, 1)))   # one pattern covering every level
     levels, shifts = [], []
     shift = np.zeros(len(q), dtype=int)
+    x = np.zeros((m, len(q)))
     for w, aug in enumerate(augs):
         M = np.multiply.outer(aug[1], q)
         M += np.multiply.outer(aug[0], 1.0 - q)
-        if w > 0:
-            for up, weight in zip(block(w - 1, w), (1.0 - q, q)):
-                src, dst = np.nonzero(up)
-                np.add.at(M[0], 1 + dst, up[src, dst][:, None] * x[src] * weight)
+        # at w = 0 this reads level N, whose arrivals are blocked: no inflow
+        for up, weight in zip(A[w - 1, :, :, 2], (1.0 - q, q)):
+            src, dst = np.nonzero(up)
+            np.add.at(M[0], 1 + dst, up[src, dst][:, None] * x[src] * weight)
         x, closed = _reduce_level(M, steps)
         exp = np.frexp(x.max(0))[1]
         x = np.ldexp(x, -exp)
@@ -351,11 +339,20 @@ def _level_solve(P: np.ndarray, N: int, j0: int, q: np.ndarray) -> np.ndarray:
     return pi / pi.sum(-1, keepdims=True)
 
 
-def _check_stationary(pi: np.ndarray, P: np.ndarray, q: np.ndarray,
-                      labels: tuple[str, ...]) -> None:
-    """Raise EvaluationError unless every row of pi is stationary for its q,
-    naming the first failed check, its state and q (a NaN fails them all)."""
-    resid = np.abs(q[:, None] * (pi @ P[1]) + (1.0 - q[:, None]) * (pi @ P[0]) - pi)
+def _check_stationary(pi: np.ndarray, A: np.ndarray, q: np.ndarray,
+                      states: tuple[tuple, ...]) -> None:
+    """Raise EvaluationError unless every row of pi is stationary for its q
+    under the level blocks A, naming the first failed check, its state and q
+    (a NaN fails them all)."""
+    L, _, m = A.shape[:3]
+    by_level = pi.reshape(len(q), m, L).transpose(2, 0, 1)   # (L, n_q, m)
+    flow = q[:, None] * (by_level @ A[:, 1].reshape(L, m, 3 * m))
+    flow += (1.0 - q[:, None]) * (by_level @ A[:, 0].reshape(L, m, 3 * m))
+    flow = flow.reshape(L, len(q), 3, m)
+    net = flow[:, :, 1] - by_level
+    net[:-1] += flow[1:, :, 0]
+    net[1:] += flow[:-1, :, 2]
+    resid = np.abs(net).transpose(1, 2, 0).reshape(len(q), m * L)
     total = np.abs(pi.sum(-1) - 1.0)
     ok = (resid.max(-1) <= _RESIDUAL_TOL) & (total <= _RESIDUAL_TOL)
     if ok.all():
@@ -363,8 +360,9 @@ def _check_stationary(pi: np.ndarray, P: np.ndarray, q: np.ndarray,
     i = int(np.argmin(ok))
     worst = int(np.argmax(resid[i]))
     if not resid[i, worst] <= _RESIDUAL_TOL:
+        act, w = states[worst]
         failed = (f"stationary distribution residual {resid[i, worst]:.2e} at "
-                  f"{labels[worst]} exceeds {_RESIDUAL_TOL:.0e}")
+                  f"{act}/{w} exceeds {_RESIDUAL_TOL:.0e}")
     else:
         failed = f"stationary probabilities sum to 1 {total[i]:+.2e}"
     raise EvaluationError(f"{failed} at q={float(q[i])!r}")
@@ -389,17 +387,17 @@ def _evaluate_on_grid(model: QueueModel, pol: QueuePolicy,
                       q_grid: tuple[float, ...]) -> list[QueueEvaluation]:
     """One policy's evaluations across q, from one assembly of its branches;
     every interior q is solved in one level solve."""
-    states, P, rates = _branch_chains(model, pol)
+    acts, A, rates = _level_blocks(model, pol)
+    states = tuple((act, w) for act in acts for w in range(model.N + 1))
     grid = np.array(q_grid, dtype=float)
     inner = (grid > 0.0) & (grid < 1.0)
     pi = np.zeros((len(grid), len(states)))
     if inner.any():
-        j0 = states.index((_start_service(model.tau1, 1), 0)) // (model.N + 1)
-        pi[inner] = _level_solve(P, model.N, j0, grid[inner])
+        pi[inner] = _level_solve(A, acts.index(_start_service(model.tau1, 1)), grid[inner])
     pi[grid == 0.0, states.index((IDLE, 0))] = 1.0   # no arrival ever comes
     if (grid == 1.0).any():
         pi[grid == 1.0] = _saturated(model, pol, states)
-    _check_stationary(pi, P, grid, tuple(f"{act}/{w}" for act, w in states))
+    _check_stationary(pi, A, grid, states)
     return [QueueEvaluation(pi[i], states, *((q * rates[1] + (1 - q) * rates[0]) @ pi[i]).tolist())
             for i, q in enumerate(q_grid)]
 

@@ -1,8 +1,13 @@
-"""Dense solves, the oracles for the package's state reduction and substitution.
+"""Dense chains and solves, the oracles for the package's state reduction
+and substitution.
 
-`gatekeeper.waiting_room` solves each interior q level by level, q = 0 as
-the empty system and q = 1 by the closed form of its saturated cycle.  These
-routes solve the whole chain q P[1] + (1 - q) P[0] instead, one q at a time:
+`gatekeeper.waiting_room` keeps the chain as level blocks, solves each
+interior q level by level, q = 0 as the empty system and q = 1 by the
+closed form of its saturated cycle.  `_branch_chains` builds the whole chain
+instead, straight from the event order, as two dense (n, n) matrices over
+the states of `queue_states`: P[1] for a period with an arrival and P[0] for
+one without, the builder the package used before it kept the blocks.  These
+routes solve q P[1] + (1 - q) P[0], one q at a time:
 
 - `dense_rates` by one LU solve of the balance equations on the states the
   empty system reaches (`reachable`, `lu_stationary`), the route the package
@@ -27,11 +32,85 @@ differences of G only where G spans little (q, a not small).
 import numpy as np
 
 from gatekeeper.evaluate import I0, EmbeddedChain
-from gatekeeper.waiting_room import QueueModel, QueuePolicy, _branch_chains
+from gatekeeper.waiting_room import IDLE, QueueModel, QueuePolicy, _start_service
 
 # x86 long double carries 64 mantissa bits; where it is plain double,
 # `gth_rates` is no more exact than the solve it checks
 EXTENDED = np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant
+
+
+def queue_states(model: QueueModel) -> list[tuple]:
+    """States (activity, n_wait) at a period boundary.
+
+    activity is idle, ("pend", k) with the completion decision due, or
+    ("busy", k, j) with j work periods remaining.
+    """
+    acts: list[tuple] = [IDLE, ("pend", 1), ("pend", 2)]
+    acts += [("busy", 1, j) for j in range(1, model.tau1)]
+    acts += [("busy", 2, j) for j in range(1, model.tau2)]
+    return [(act, w) for act in acts for w in range(model.N + 1)]
+
+
+def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """States, transition matrices and rates of a period with (index 1) and
+    without (index 0) an arrival; the chain at q is q P[1] + (1 - q) P[0].
+
+    The rate rows follow QueueEvaluation: reward, admissions, transfers,
+    blocked arrivals and resolutions per period.
+    """
+    if pol.kind == "qge" and pol.n > model.N:
+        raise ValueError(f"threshold n={pol.n} outside 1..N={model.N}")
+    states = tuple(queue_states(model))
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    r, c_c = model.econ.r, model.econ.c_c
+    rho1, tau1, tau2 = model.rho1, model.tau1, model.tau2
+    P = np.zeros((2, n, n))
+    rates = [[[0.0] * n for _ in range(5)] for _ in range(2)]   # plain floats: cheap to update
+
+    def apply(i: int, p: float, activity: tuple, n_wait: int, arrival: bool,
+              rew: float, res: int, tra: int) -> None:
+        branch = int(arrival)   # fixed before the arrival is consumed below
+        adm = blk = 0
+        if activity == IDLE:
+            if n_wait > 0:
+                n_wait -= 1
+                activity = _start_service(tau1, 1)
+            elif arrival:
+                arrival = False
+                adm = 1
+                activity = _start_service(tau1, 1)
+        if arrival:
+            if n_wait < model.N:
+                n_wait += 1
+                adm = 1
+            else:
+                blk = 1
+        P[branch, i, index[(activity, n_wait)]] += p
+        for row, v in zip(rates[branch], (rew, adm, tra, blk, res)):
+            row[i] += p * v
+
+    for i, (activity, n_wait) in enumerate(states):
+        for arrival in (True, False):
+            if activity == IDLE:
+                apply(i, 1.0, IDLE, n_wait, arrival, 0.0, 0, 0)
+            elif activity[0] == "pend" and activity[1] == 1:
+                if rho1 > 0:
+                    apply(i, rho1, IDLE, n_wait, arrival, r, 1, 0)
+                if rho1 < 1:
+                    q_obs = n_wait + (1 if arrival else 0)
+                    if pol.transfers(q_obs):
+                        apply(i, 1 - rho1, IDLE, n_wait, arrival, r - c_c, 0, 1)
+                    else:
+                        apply(i, 1 - rho1, _start_service(tau2, 2), n_wait,
+                              arrival, 0.0, 0, 0)
+            elif activity[0] == "pend":
+                apply(i, 1.0, IDLE, n_wait, arrival, r, 1, 0)
+            else:
+                _, k, j = activity
+                nxt = ("pend", k) if j == 1 else ("busy", k, j - 1)
+                apply(i, 1.0, nxt, n_wait, arrival, 0.0, 0, 0)
+    return states, P, np.array(rates)
 
 
 def reachable(P: np.ndarray, start: int) -> np.ndarray:

@@ -522,3 +522,12 @@ def test_simulate_target_of_the_wrong_shape_exits_2_naming_it(tmp_path, capsys, 
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (out / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("label", ["qge 2", "qge٣", "qgeX", "qge0", "qge", "Never"])
+def test_malformed_queue_policy_label_exits_2_naming_it(tmp_path, capsys, label):
+    code, out = run_cli(tmp_path, "simulate", {"targets": [{"queue": {"N": 3}, "policy": label}],
+                                               "horizon": 1000})
+    assert code == EXIT_VALIDATION
+    assert repr(label) in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()

@@ -1,11 +1,12 @@
 import csv
 import dataclasses
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_queue import EXTENDED, dense_rates, dense_stationary, gth_rates
+from dense_queue import EXTENDED, _branch_chains, dense_rates, dense_stationary, gth_rates
 from hypothesis import given, settings, strategies as st
 
 from gatekeeper import (
@@ -24,7 +25,12 @@ from gatekeeper import (
     uniform_policy,
 )
 from gatekeeper.evaluate import EvaluationError
-from gatekeeper.waiting_room import _branch_chains, _check_stationary, queue_policy_from_label
+from gatekeeper.waiting_room import (
+    _check_stationary,
+    _evaluate_on_grid,
+    _level_blocks,
+    queue_policy_from_label,
+)
 
 GRID = [round(0.05 * i, 2) for i in range(1, 21)]
 RECORDED_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "expected" / "sweep.csv"
@@ -264,15 +270,63 @@ def test_beyond_the_oracle_grid_solves_or_raises(N, tau, rho1, q):
 
 def test_failed_check_names_the_check_state_and_q():
     model = default_queue_model(N=2, q=0.5)
-    states, P, _ = _branch_chains(model, QueuePolicy.never())
-    labels = tuple(f"{act}/{w}" for act, w in states)
+    _, A, _ = _level_blocks(model, QueuePolicy.never())
+    states = evaluate_queue_policy(model, QueuePolicy.never()).states
     q = np.array([0.5])
     pi = np.full((1, len(states)), 1.0 / len(states))
     with pytest.raises(EvaluationError, match=r"stationary distribution residual .* at q=0.5"):
-        _check_stationary(pi, P, q, labels)
+        _check_stationary(pi, A, q, states)
     pi[0, 0] = np.nan
     with pytest.raises(EvaluationError, match=r"residual nan at \('idle',\)/0"):
-        _check_stationary(pi, P, q, labels)
+        _check_stationary(pi, A, q, states)
+
+
+def test_level_blocks_equal_the_dense_chain():
+    # the blocks, scattered into the dense (2, n, n) layout, against the dense
+    # builder of the tests; no block leads below level 0 or above N
+    for N, tau1, tau2, rho1 in itertools.product((0, 1, 3, 6), (1, 2, 6), (1, 3, 15), (0.0, 0.3, 1.0)):
+        model = dataclasses.replace(default_queue_model(N=N),
+                                    profile=ResolutionProfile((tau1, tau2), (rho1, 1.0)))
+        for pol in admissible_queue_policies(model):
+            acts, A, rates = _level_blocks(model, pol)
+            states, P, dense = _branch_chains(model, pol)
+            L, m = N + 1, len(acts)
+            assert states == tuple((act, w) for act in acts for w in range(L))
+            assert not A[0, :, :, 0].any() and not A[N, :, :, 2].any()
+            scattered = np.zeros((2, m, L, m, L))
+            for w, d in itertools.product(range(L), range(3)):
+                if 0 <= w - 1 + d <= N:
+                    scattered[:, :, w, :, w - 1 + d] = A[w, :, :, d]
+            case = (N, tau1, tau2, rho1, pol)
+            assert np.array_equal(scattered.reshape(P.shape), P), case
+            assert np.array_equal(rates, dense), case
+
+
+@pytest.mark.parametrize("N, tau", [(100, (30, 30)), (200, (6, 15))])
+def test_large_room_stays_within_block_memory(N, tau):
+    # n = 6,161 and 4,422 states, where the dense (2, n, n) chain alone would
+    # take 607 and 313 MB.  The evaluation checks each pi's block residual
+    model = dataclasses.replace(default_queue_model(N=N),
+                                profile=ResolutionProfile(tau, (0.7, 1.0)))
+    tracemalloc.start()
+    try:
+        evs = _evaluate_on_grid(model, QueuePolicy.when_queue_at_least(N // 2),
+                                (0.01, 0.02, 0.5, 1.0))   # load below 1 at the first two
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    for ev in evs:
+        assert np.all(np.isfinite(ev.pi)) and np.all(np.isfinite(_rates(ev)))
+
+
+def test_large_room_matches_dense_lu():
+    # n = 2,501, the largest room tested where the dense route still fits
+    model = dataclasses.replace(default_queue_model(N=40, q=0.02),
+                                profile=ResolutionProfile((30, 30), (0.7, 1.0)))
+    pol = QueuePolicy.when_queue_at_least(20)
+    got = _rates(evaluate_queue_policy(model, pol))
+    assert np.abs(got - dense_rates(model, pol)).max() <= 1e-11
 
 
 class TestQueueSimulator:

@@ -28,11 +28,17 @@ equations for R and G as one bordered LU system, the route
 `evaluate.evaluate_policy` took before it found G by substitution in cycle
 order.  Its G is accurate only relative to max|G|, so it checks the small
 differences of G only where G spans little (q, a not small).
+
+`level_evaluations` is the package's level solve as it was before every
+policy and q became one lane of one solve: one policy at a time, each level
+reduced as a dense (m + 1, m + 1, n_q) array by `level_solve`, on that
+policy's own blocks (`policy_blocks`).  Its π and rates are the package's,
+bit for bit.
 """
 import numpy as np
 
 from gatekeeper.evaluate import I0, EmbeddedChain
-from gatekeeper.waiting_room import IDLE, QueueModel, QueuePolicy, _start_service
+from gatekeeper.waiting_room import IDLE, QueueModel, QueuePolicy, _level_blocks, _saturated, _start_service
 
 # x86 long double carries 64 mantissa bits; where it is plain double,
 # `gth_rates` is no more exact than the solve it checks
@@ -209,3 +215,144 @@ def lu_relative_values(chain: EmbeddedChain) -> tuple[float, np.ndarray]:
     assert np.abs(A @ G - chain.reward).max() <= 1e-10 * max(1.0, np.abs(G).max())
     R, G[I0] = float(G[I0]), 0.0
     return R, G
+
+
+def policy_blocks(model: QueueModel, pol: QueuePolicy) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """One policy's activities, level blocks and rate rows, in the order of
+    QueueEvaluation's states: A[w, b, i, d, j] from activity i with w waiting
+    to activity j with w - 1 + d waiting.  Picked from `_level_blocks` as the
+    package picks them: ("pend", 1) takes the blocks' last row, and the last
+    rate columns, where the policy transfers at Q = w + b."""
+    acts, order, A, rates = _level_blocks(model)
+    L, m, pend1 = model.N + 1, len(acts), acts.index(("pend", 1))
+    A, rates = A.copy(), rates.copy()
+    for w in range(L):
+        for b in (0, 1):
+            if pol.transfers(w + b):
+                A[w, b, order.index(pend1)] = A[w, b, m]
+                rates[b, :, pend1 * L + w] = rates[b, :, m * L + w]
+    back = np.argsort(order)
+    return acts, A[:, :, back][..., back], rates[..., :m * L]
+
+
+def removal_steps(pattern: np.ndarray) -> list[tuple]:
+    """Phases k = m, ..., 2 of an (m + 1)-square level matrix in the order
+    `reduce_level` removes them, each with the rows and columns of the
+    entries its removal reads and updates, fill-in included, given which
+    entries may be nonzero.  Row 0 and column 0 always take part, so that no
+    sum is empty."""
+    pattern = pattern.copy()
+    pattern[0] = pattern[:, 0] = True
+    steps = []
+    for k in range(len(pattern) - 1, 1, -1):
+        rows, cols = np.flatnonzero(pattern[:k, k]), np.flatnonzero(pattern[k, :k])
+        fill = (rows[:, None], cols)
+        pattern[fill] = True
+        steps.append((k, rows, cols, fill))
+    return steps
+
+
+def reduce_level(M: np.ndarray, steps: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Solve one level for each q by state reduction, and say where the
+    level counts as closed.
+
+    M is (m + 1, m + 1, n_q): M[1 + i, 1 + j] is the mass moving from phase i
+    to phase j, M[1 + i, 0] the mass leaving the level from i, and M[0, 1 + j]
+    the inflow b to j; M is overwritten.  The result x (m, n_q) solves
+    x = b + x T.  Phases leave in the order m - 1, ..., 1 (`steps`, which
+    skips entries that are zero for every q).  Removing phase k sends its
+    inflow on along its outflow, M[i, j] += M[i, k] M[k, j] / s_k, and each
+    pivot s_k is summed from k's remaining outflow, escape included, rather
+    than taken as 1 - T[k, k], so nothing is subtracted (Grassmann, Taksar &
+    Heyman 1985).  The diagonal is never read.
+
+    Where the escape left to phase 0 is below 2⁻¹⁰⁰⁰ of its inflow (always on
+    level 0, which has neither), the level counts as closed: x[0] = 1 and b is
+    dropped, since whatever lies below holds no probability that float64 can
+    carry.  Sums run in a fixed order (`np.add.accumulate`), so a column's
+    result does not depend on n_q.
+    """
+    into = {}
+    for k, rows, cols, fill in steps:
+        out = M[k, cols]
+        into[k] = M[rows, k] / np.add.accumulate(out)[-1]
+        M[fill] += into[k][:, None] * out
+    inflow, escape = M[0, 1], M[1, 0]
+    closed = ~(escape * 2.0**1000 > inflow)
+    x = np.empty(M.shape[1:])
+    x[0] = ~closed   # weight of the inflow
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x[1] = np.where(closed, 1.0, inflow / escape)
+    for k, rows, _, _ in reversed(steps):
+        x[k] = np.add.accumulate(x[rows] * into[k])[-1]
+    return x[1:], closed
+
+
+def level_solve(A: np.ndarray, j0: int, q: np.ndarray) -> np.ndarray:
+    """Stationary vectors (one row per q, 0 < q < 1; states activity-major)
+    of the chain with level blocks A, its arrival branch weighted q.
+
+    A[w, :, :, d] holds both branches' A_{w,w-1+d}, from w waiting to
+    w - 1 + d waiting.  Every step down is a freed agent pulling the head of
+    the queue into phase j0, and with q < 1 the queue always drains, so the
+    chain watched at level w until it drops below w moves by
+    T_w = A_{w,w} + (A_{w,w+1} 1) e_j0ᵀ and drops with probability
+    esc_w = A_{w,w-1} 1 (linear level reduction; Gaver, Jacobs & Latouche
+    1984).  Then π_0 = π_0 T_0 and π_w = π_{w-1} A_{w-1,w} (I - T_w)⁻¹.
+    Phase j0, where each level is entered from above, is moved to the front
+    so that every level's reduction keeps it to the last, which loses the
+    fewest digits.  Each level is scaled by a power of two, so none
+    overflows and none is rounded.
+    """
+    L, _, m = A.shape[:3]
+    order = [j0] + [a for a in range(m) if a != j0]
+    A = A[:, :, order][..., order]
+    augs = np.zeros((L, 2, m + 1, m + 1))
+    augs[:, :, 1:, 1:] = A[:, :, :, 1]
+    augs[:, :, 1:, 1] += A[:, :, :, 2].sum(-1)
+    augs[:, :, 1:, 0] = A[:, :, :, 0].sum(-1)
+    steps = removal_steps(augs.any((0, 1)))   # one pattern covering every level
+    levels, shifts = [], []
+    shift = np.zeros(len(q), dtype=int)
+    x = np.zeros((m, len(q)))
+    for w, aug in enumerate(augs):
+        M = np.multiply.outer(aug[1], q)
+        M += np.multiply.outer(aug[0], 1.0 - q)
+        # at w = 0 this reads level N, whose arrivals are blocked: no inflow
+        for up, weight in zip(A[w - 1, :, :, 2], (1.0 - q, q)):
+            src, dst = np.nonzero(up)
+            np.add.at(M[0], 1 + dst, up[src, dst][:, None] * x[src] * weight)
+        x, closed = reduce_level(M, steps)
+        exp = np.frexp(x.max(0))[1]
+        x = np.ldexp(x, -exp)
+        shift = shift + exp
+        for below, below_shift in zip(levels, shifts):
+            below[:, closed] = 0.0
+            below_shift[closed] = shift[closed]
+        levels.append(x)
+        shifts.append(shift)
+    shifts = np.array(shifts)
+    pi = np.empty((L, m, len(q)))
+    pi[:, order] = np.ldexp(np.array(levels), (shifts - shifts.max(0))[:, None])
+    pi = pi.transpose(2, 1, 0).reshape(len(q), m * L)
+    return pi / pi.sum(-1, keepdims=True)
+
+
+
+
+def level_evaluations(model: QueueModel, pol: QueuePolicy,
+                      q_grid: tuple[float, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """π and the five rates of QueueEvaluation at each q of the grid, for
+    0 <= q <= 1: q = 0 as the empty system, q = 1 by the package's
+    `_saturated`, and the interior by `level_solve`."""
+    acts, A, rates = policy_blocks(model, pol)
+    states = tuple((act, w) for act in acts for w in range(model.N + 1))
+    grid = np.array(q_grid, dtype=float)
+    inner = (grid > 0.0) & (grid < 1.0)
+    pi = np.zeros((len(grid), len(states)))
+    if inner.any():
+        pi[inner] = level_solve(A, acts.index(_start_service(model.tau1, 1)), grid[inner])
+    pi[grid == 0.0, states.index((IDLE, 0))] = 1.0
+    if (grid == 1.0).any():
+        pi[grid == 1.0] = _saturated(model, pol, states)
+    return [(pi[i], (q * rates[1] + (1 - q) * rates[0]) @ pi[i]) for i, q in enumerate(q_grid)]

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from dense_queue import EXTENDED, _branch_chains, dense_rates, dense_stationary, gth_rates
+from dense_queue import (
+    EXTENDED,
+    _branch_chains,
+    dense_rates,
+    dense_stationary,
+    gth_rates,
+    level_evaluations,
+    policy_blocks,
+)
 from hypothesis import given, settings, strategies as st
 
 from gatekeeper import (
@@ -24,13 +32,9 @@ from gatekeeper import (
     sweep_queue_policies,
     uniform_policy,
 )
+from gatekeeper import waiting_room
 from gatekeeper.evaluate import EvaluationError
-from gatekeeper.waiting_room import (
-    _check_stationary,
-    _evaluate_on_grid,
-    _level_blocks,
-    queue_policy_from_label,
-)
+from gatekeeper.waiting_room import _evaluate_on_grid, queue_policy_from_label
 
 GRID = [round(0.05 * i, 2) for i in range(1, 21)]
 RECORDED_SWEEP = Path(__file__).resolve().parents[1] / "bench" / "expected" / "sweep.csv"
@@ -268,27 +272,42 @@ def test_beyond_the_oracle_grid_solves_or_raises(N, tau, rho1, q):
         assert np.abs(_rates(ev) - dense_rates(model, pol)).max() <= 1e-12
 
 
-def test_failed_check_names_the_check_state_and_q():
+def test_failed_check_names_the_check_state_and_q(monkeypatch):
     model = default_queue_model(N=2, q=0.5)
-    _, A, _ = _level_blocks(model, QueuePolicy.never())
-    states = evaluate_queue_policy(model, QueuePolicy.never()).states
-    q = np.array([0.5])
-    pi = np.full((1, len(states)), 1.0 / len(states))
+    n = len(evaluate_queue_policy(model, QueuePolicy.never()).states)
+    pi = np.full((1, 1, n), 1.0 / n)
+    monkeypatch.setattr(waiting_room, "_level_solve", lambda lanes, q: pi)
     with pytest.raises(EvaluationError, match=r"stationary distribution residual .* at q=0.5"):
-        _check_stationary(pi, A, q, states)
-    pi[0, 0] = np.nan
+        evaluate_queue_policy(model, QueuePolicy.never())
+    pi[0, 0, 0] = np.nan
     with pytest.raises(EvaluationError, match=r"residual nan at \('idle',\)/0"):
-        _check_stationary(pi, A, q, states)
+        evaluate_queue_policy(model, QueuePolicy.never())
+
+
+def test_failed_check_in_a_sweep_names_the_policy(monkeypatch):
+    # one lane of the sweep's one level solve is off: the error names its
+    # policy and q, and no other
+    solve = waiting_room._level_solve
+
+    def off_in_one_lane(lanes, q):
+        pi = solve(lanes, q)
+        pi[4, 2] *= 1.0 + 1e-6   # qge3 at the third interior q, 0.3
+        return pi
+
+    monkeypatch.setattr(waiting_room, "_level_solve", off_in_one_lane)
+    with pytest.raises(EvaluationError, match=r"sum to 1 \+1\.00e-06 at q=0\.3 under policy qge3$"):
+        sweep_queue_policies(default_queue_model(N=6), [0.1, 0.2, 0.3, 0.4, 1.0])
 
 
 def test_level_blocks_equal_the_dense_chain():
-    # the blocks, scattered into the dense (2, n, n) layout, against the dense
-    # builder of the tests; no block leads below level 0 or above N
+    # each policy's blocks, picked from the shared ones and scattered into the
+    # dense (2, n, n) layout, against the dense builder of the tests; no block
+    # leads below level 0 or above N
     for N, tau1, tau2, rho1 in itertools.product((0, 1, 3, 6), (1, 2, 6), (1, 3, 15), (0.0, 0.3, 1.0)):
         model = dataclasses.replace(default_queue_model(N=N),
                                     profile=ResolutionProfile((tau1, tau2), (rho1, 1.0)))
         for pol in admissible_queue_policies(model):
-            acts, A, rates = _level_blocks(model, pol)
+            acts, A, rates = policy_blocks(model, pol)
             states, P, dense = _branch_chains(model, pol)
             L, m = N + 1, len(acts)
             assert states == tuple((act, w) for act in acts for w in range(L))
@@ -310,14 +329,51 @@ def test_large_room_stays_within_block_memory(N, tau):
                                 profile=ResolutionProfile(tau, (0.7, 1.0)))
     tracemalloc.start()
     try:
-        evs = _evaluate_on_grid(model, QueuePolicy.when_queue_at_least(N // 2),
-                                (0.01, 0.02, 0.5, 1.0))   # load below 1 at the first two
+        evs, = _evaluate_on_grid(model, [QueuePolicy.when_queue_at_least(N // 2)],
+                                 (0.01, 0.02, 0.5, 1.0))   # load below 1 at the first two
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100e6
     for ev in evs:
         assert np.all(np.isfinite(ev.pi)) and np.all(np.isfinite(_rates(ev)))
+
+
+def test_large_sweep_stays_within_block_memory_and_matches_the_oracle():
+    # 42 policies on n = 2,501 states: one level solve for all, within 60 MB
+    # traced (no array holds one set of blocks per policy), and every record
+    # equal to the per-policy dense-level solve
+    model = dataclasses.replace(default_queue_model(N=40),
+                                profile=ResolutionProfile((30, 30), (0.7, 1.0)))
+    grid = (0.01, 0.02, 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        sweep = sweep_queue_policies(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+    assert len(sweep.policies) == 42
+    for pol in admissible_queue_policies(model):
+        want = [rates for _, rates in level_evaluations(model, pol, grid)]
+        got = [(rec["profit"], rec["throughput"], rec["transfer_rate"], rec["blocking_rate"])
+               for rec in sweep.records if rec["policy"] == pol.label]
+        assert got == [tuple(rates[:4].tolist()) for rates in want], pol.label
+
+
+@pytest.mark.parametrize("N", [0, 1, 3, 6, 9])
+def test_one_solve_for_every_policy_equals_the_per_policy_oracle(N):
+    # every policy and q = 0.01..0.99 as lanes of one level solve, against
+    # the dense-level solve of each policy alone, bit for bit
+    grid = tuple(round(0.01 * i, 10) for i in range(1, 100))
+    for tau, rho1 in itertools.product([(1, 1), (1, 3), (2, 15), (6, 1), (6, 15)], (0.0, 0.3, 0.7, 1.0)):
+        model = dataclasses.replace(default_queue_model(N=N), profile=ResolutionProfile(tau, (rho1, 1.0)))
+        pols = admissible_queue_policies(model)
+        for pol, evs in zip(pols, _evaluate_on_grid(model, pols, grid)):
+            for ev, (pi, rates) in zip(evs, level_evaluations(model, pol, grid)):
+                case = (tau, rho1, pol.label, ev.pi.size)
+                assert np.array_equal(ev.pi, pi), case
+                assert np.array_equal(_rates(ev), rates), case
 
 
 def test_large_room_matches_dense_lu():

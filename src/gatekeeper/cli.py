@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -243,15 +244,21 @@ def _q_grid(config: dict) -> list[float]:
     if isinstance(grid, list):
         if not grid:
             raise ValidationFailure("q_grid must list at least one q")
-        return [as_real(v, "q_grid entry") for v in grid]
-    check_keys(grid, "q_grid", _Q_GRID)
-    start, stop, step = (as_real(grid.get(k, v), f"q_grid.{k}") for k, v in _Q_GRID.items())
-    if step <= 0:
-        raise ValidationFailure(f"q_grid.step must be positive, got {step}")
-    if start > stop:
-        raise ValidationFailure(f"q_grid.start {start} exceeds q_grid.stop {stop}")
-    n = int(round((stop - start) / step)) + 1
-    return [round(start + i * step, 10) for i in range(n)]
+        values = [as_real(v, "q_grid entry") for v in grid]
+    else:
+        check_keys(grid, "q_grid", _Q_GRID)
+        start, stop, step = (as_real(grid.get(k, v), f"q_grid.{k}") for k, v in _Q_GRID.items())
+        if step <= 0:
+            raise ValidationFailure(f"q_grid.step must be positive, got {step}")
+        if start > stop:
+            raise ValidationFailure(f"q_grid.start {start} exceeds q_grid.stop {stop}")
+        # start + i step up to stop, which round-off may put a hair past a step
+        n = math.floor((stop - start) / step + 1e-9) + 1
+        values = [round(start + i * step, 10) for i in range(n)]
+    bad = [v for v in values if not 0.0 < v <= 1.0]
+    if bad:
+        raise ValidationFailure(f"q_grid values must lie in (0, 1], got {bad[0]}")
+    return values
 
 
 def _run_queue_sweep(cfg: RunConfig) -> list[str]:

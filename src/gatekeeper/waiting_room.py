@@ -23,10 +23,10 @@ step down lands in the phase that starts a first attempt.  Policies differ
 only in what a failed first attempt does, so the blocks are built once, with
 that row both ways, and each policy picks one at each level.  Every interior
 q of a grid, for every policy, is then one lane of a single solve, level by
-level, by state reduction that subtracts nothing and stores only the entries
-it touches (`_level_solve`).  At q = 0 no arrival comes and the empty system
-keeps all the mass; at q = 1 the queue never shortens, and the agent ends up
-repeating one service cycle at one level (`_saturated`).
+level, each level read off by one forward pass along a service cycle, which
+subtracts nothing (`_level_solve`).  At q = 0 no arrival comes and the empty
+system keeps all the mass; at q = 1 the queue never shortens, and the agent
+ends up repeating one service cycle at one level (`_saturated`).
 """
 from __future__ import annotations
 
@@ -177,8 +177,10 @@ def _level_blocks(model: QueueModel) -> tuple[list[tuple], list[int], np.ndarray
     An activity is idle, ("pend", k) with the completion decision due, or
     ("busy", k, j) with j work periods remaining; `acts` lists them in the
     order of QueueEvaluation's states.  The blocks list them as phases in
-    `order`, A's phase i being acts[order[i]]: first the one that starts a
-    first attempt, where every level is entered from above, then the rest.
+    the order of a service cycle, A's phase i being acts[order[i]]: the one
+    that starts a first attempt, where every level is entered from above,
+    the first attempt's busy phases counting down, ("pend", 1), the second
+    attempt's busy phases counting down, ("pend", 2) and idle.
     A[w, b, i, d, j] is the probability of going from phase i with w waiting
     to phase j with w - 1 + d waiting.  The rate rows follow QueueEvaluation
     (reward, admissions, transfers, blocked arrivals and resolutions per
@@ -192,9 +194,10 @@ def _level_blocks(model: QueueModel) -> tuple[list[tuple], list[int], np.ndarray
     acts: list[tuple] = [IDLE, ("pend", 1), ("pend", 2)]
     acts += [("busy", 1, j) for j in range(1, tau1)]
     acts += [("busy", 2, j) for j in range(1, tau2)]
-    j0 = acts.index(_start_service(tau1, 1))
-    order = [j0] + [a for a in range(len(acts)) if a != j0]
-    slot = {acts[a]: i for i, a in enumerate(order)}
+    cycle = [("busy", 1, j) for j in range(tau1 - 1, 0, -1)] + [("pend", 1)]
+    cycle += [("busy", 2, j) for j in range(tau2 - 1, 0, -1)] + [("pend", 2), IDLE]
+    order = [acts.index(act) for act in cycle]
+    slot = {act: i for i, act in enumerate(cycle)}
     L, m = model.N + 1, len(acts)
     A = np.zeros((L, 2, m + 1, 3, m))
     rates = [[[0.0] * ((m + 1) * L) for _ in range(5)] for _ in range(2)]   # plain floats: cheap to update
@@ -246,7 +249,8 @@ def _level_blocks(model: QueueModel) -> tuple[list[tuple], list[int], np.ndarray
 
 
 class _Lanes(NamedTuple):
-    """The level blocks of a set of policies (`_level_blocks`).  Policy p's
+    """The level blocks of a set of policies (`_level_blocks`), their phases
+    in cycle order, A's phase i being the activity order[i].  Policy p's
     A[w, b] has as row j1, the phase ("pend", 1), A[w, b, m] where
     transfers[p, w, b], that is where p transfers at Q = w + b."""
 
@@ -254,155 +258,6 @@ class _Lanes(NamedTuple):
     A: np.ndarray          # (N + 1, 2, m + 1, 3, m)
     j1: int
     transfers: np.ndarray  # (n_policies, N + 1, 2)
-
-
-class _Step(NamedTuple):
-    """Removing phase k from a stored level (`_removal_steps`)."""
-
-    head: int            # where column k's row 0 is stored,
-    below: slice         # and its rows 0 < r < k, right after
-    row: slice           # where row k's columns c < k are stored, 0 first
-    tops: np.ndarray     # where row 0 is stored in row k's columns c > 0
-    fill: np.ndarray     # where each M[r, c] += M[r, k] M[k, c] / s_k with r > 0 lands,
-    fill_r: np.ndarray   # its r, counted in `below`,
-    fill_c: np.ndarray   # and its c, counted in `row`
-
-
-def _removal_steps(pattern: np.ndarray) -> tuple[np.ndarray, list[_Step], list[tuple]]:
-    """Where a level is stored, and phases k = m, ..., 2 of it in the order
-    `_reduce_level` removes them, given which entries of the (m + 1)-square
-    level matrix may be nonzero.
-
-    Only the entries that the removals read or update, fill-in included, are
-    stored, as a flat list: for each k in turn, column k above the diagonal,
-    then row k left of it; last the inflow (0, 1), the escape (1, 0), and
-    (0, 0), which stays zero.  The rest of the diagonal is never read.  Row 0
-    and column 0 always take part, so that no sum is empty, and come first
-    in each column and row.  Returns each entry's (row, column), the steps,
-    and the back-substitution in waves (ks, rows, where): the phases ks are
-    found at once from x[rows] and the entries at `where`, M[r, k] / s_k,
-    both (width, len(ks)) and padded at the end with x[0] and the zero.
-    """
-    pattern = pattern.copy()
-    pattern[0] = pattern[:, 0] = True
-    in_col, in_row = [set() for _ in pattern], [set() for _ in pattern]
-    for r, c in np.argwhere(pattern).tolist():
-        in_col[c].add(r)
-        in_row[r].add(c)
-    removed, entries = [], []
-    for k in range(len(pattern) - 1, 1, -1):
-        rows, cols = sorted(r for r in in_col[k] if r < k), sorted(c for c in in_row[k] if c < k)
-        for r in rows:
-            in_row[r].update(cols)
-        for c in cols:
-            in_col[c].update(rows)
-        removed.append((k, rows, cols))
-        entries += [(r, k) for r in rows] + [(k, c) for c in cols]
-    entries += [(0, 1), (1, 0), (0, 0)]
-    at = {rc: e for e, rc in enumerate(entries)}
-    steps, depth = [], {0: 0, 1: 0}
-    for k, rows, cols in removed:
-        fill = [(at[r, c], i, j) for i, r in enumerate(rows[1:]) for j, c in enumerate(cols) if r != c]
-        steps.append(_Step(at[0, k], slice(at[0, k] + 1, at[k, 0]), slice(at[k, 0], at[k, 0] + len(cols)),
-                           np.array([at[0, c] for c in cols[1:]], dtype=int),
-                           *np.array(fill, dtype=int).reshape(-1, 3).T))
-    for k, rows, _ in reversed(removed):
-        depth[k] = 1 + max(depth[r] for r in rows)
-    waves = []
-    for d in range(1, max(depth.values()) + 1):
-        wave = [(k, rows) for k, rows, _ in reversed(removed) if depth[k] == d]
-        width = max(len(rows) for _, rows in wave)
-        x_rows = np.zeros((width, len(wave)), dtype=int)
-        where = np.full((width, len(wave)), len(entries) - 1)
-        for n, (k, rows) in enumerate(wave):
-            x_rows[:len(rows), n] = rows
-            where[:len(rows), n] = [at[r, k] for r in rows]
-        waves.append((np.array([k for k, _ in wave]), x_rows, where))
-    return np.array(entries).T, steps, waves
-
-
-def _add_in_order(terms: np.ndarray) -> np.ndarray:
-    """terms[0] + terms[1] + ... in that order, lane by lane, as
-    `np.add.accumulate` adds them, but one add per term for all lanes."""
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
-
-
-def _reduce_level(M: np.ndarray, steps: list[_Step]) -> np.ndarray:
-    """Remove phases m, ..., 2 from rows 1..m of the stored level matrices
-    M (n_entries, ...), of several levels and every lane at once, and return
-    each step's pivot.
-
-    M[1 + i, 1 + j] is the mass moving from phase i to phase j and
-    M[1 + i, 0] the mass leaving the level from i.  Row 0, the inflow, is the
-    only row that depends on the level below, and no other row reads it, so
-    it is left to `_solve_level`.  Removing phase k sends its inflow on along
-    its outflow, M[i, j] += M[i, k] M[k, j] / s_k, and each pivot s_k is
-    summed from k's remaining outflow, escape included, rather than taken as
-    1 - T[k, k], so nothing is subtracted (Grassmann, Taksar & Heyman 1985).
-    Column k is left holding M[i, k] / s_k.  Sums run in a fixed order
-    (`_add_in_order`), so a lane's result does not depend on the others.
-    """
-    pivots = np.empty((len(steps),) + M.shape[1:])
-    for s, step in zip(pivots, steps):
-        out = M[step.row]
-        s[...] = _add_in_order(out)
-        into = M[step.below]
-        into /= s
-        M[step.fill] += into[step.fill_r] * out[step.fill_c]
-    return pivots
-
-
-def _solve_level(M: np.ndarray, steps: list[_Step], waves: list[tuple],
-                 pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve x = b + x T, each lane at once, for one level reduced by
-    `_reduce_level` whose row 0 holds the inflow b, first removing its
-    phases from row 0; say where the level counts as closed.
-
-    Where the escape left to phase 0 is below 2⁻¹⁰⁰⁰ of its inflow (always on
-    level 0, which has neither), the level counts as closed: x[0] = 1 and b is
-    dropped, since whatever lies below holds no probability that float64 can
-    carry.
-    """
-    for s, step in zip(pivots, steps):
-        into = M[step.head]
-        into /= s
-        M[step.tops] += into * M[step.row][1:]
-    inflow, escape = M[-3], M[-2]
-    closed = ~(escape * 2.0**1000 > inflow)
-    x = np.empty((len(steps) + 2,) + M.shape[1:])
-    x[0] = ~closed   # weight of the inflow
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x[1] = np.where(closed, 1.0, inflow / escape)
-    for ks, rows, where in waves:
-        terms = x[rows]
-        terms *= M[where]
-        x[ks] = _add_in_order(terms)
-    return x[1:], closed
-
-
-# at most this many stored entries of level matrices are reduced together:
-# all levels of one policy at a few q, one or two levels of a wide sweep
-_REDUCED_TOGETHER = 1 << 17
-
-
-def _level_matrices(aug: np.ndarray, j1: int, transfers: np.ndarray, entries: np.ndarray,
-                    q: np.ndarray) -> np.ndarray:
-    """The stored level matrices (n_entries, levels, n_policies, n_q) of some
-    levels, from their rows `aug` (levels, 2, m + 2, m + 1): row 1 + i from
-    phase i and, last, the row of ("pend", 1) when it transfers, which a
-    policy takes as row 1 + j1 where transfers[p, w, b]."""
-    er, ec = entries
-    branches = aug[:, :, er, ec].T[..., None, None]
-    M = np.broadcast_to(branches[:, 1] * q + branches[:, 0] * (1.0 - q),
-                        (len(er), len(aug), len(transfers), len(q))).copy()
-    j1_row = er == 1 + j1
-    branches = np.where(transfers[..., None], aug[:, :, -1, ec[j1_row]], aug[:, :, 1 + j1, ec[j1_row]])
-    branches = branches.transpose(3, 2, 1, 0)[..., None]
-    M[j1_row] = branches[:, 1] * q + branches[:, 0] * (1.0 - q)
-    return M
 
 
 def _level_solve(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
@@ -413,68 +268,81 @@ def _level_solve(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
     A[w, :, :, d] holds both branches' A_{w,w-1+d}, from w waiting to
     w - 1 + d waiting.  Every step down is a freed agent pulling the head of
     the queue into phase 0, and with q < 1 the queue always drains, so the
-    chain watched at level w until it drops below w moves by
-    T_w = A_{w,w} + (A_{w,w+1} 1) e_0ᵀ and drops with probability
-    esc_w = A_{w,w-1} 1 (linear level reduction; Gaver, Jacobs & Latouche
-    1984).  Then π_0 = π_0 T_0 and π_w = π_{w-1} A_{w-1,w} (I - T_w)⁻¹.
-    Phase 0, where each level is entered from above, comes first, so every
-    level's reduction keeps it to the last, which loses the fewest digits.
+    chain watched at level w until it drops below w (linear level reduction;
+    Gaver, Jacobs & Latouche 1984) moves by D_w + v_w e_0ᵀ and drops with
+    probability esc_w = A_{w,w-1} 1.  Here v_w, each phase's weight of
+    starting a service, holds its same-level moves into phase 0 and all its
+    moves up, since the chain comes back from above into phase 0.  Every
+    move that D_w keeps goes forward in cycle order, bar idle's self-loop on
+    level 0, whose pivot is idle's other outflow.  So one forward pass gives
+    the visits per service start y_e = e_0 (I - D_w)⁻¹ and the visits
+    y_c = c (I - D_w)⁻¹ from the inflow c = π_{w-1} A_{w-1,w}, which never
+    enters phase 0.  Then π_w = y_c + x_0 y_e, where the service starts
+    x_0 = π_w v_w = y_c v_w + x_0 y_e v_w, and y_e (v_w + esc_w) = 1, so
+    x_0 = (y_c v_w) / (y_e esc_w): nothing is subtracted (Kemeny & Snell
+    1960, ch. 4).
 
-    Each (policy, q) pair is one lane, on trailing axes that are only ever
-    broadcast.  A level is stored as the entries that some policy's
-    reduction touches (`_removal_steps`); an entry that is zero for one
-    policy adds exact zeros to its sums.  Rows 1..m of several levels are
-    reduced at once (`_REDUCED_TOGETHER`); then each level takes its inflow
-    from the level below.  Each level is scaled by a power of two, so none
-    overflows and none is rounded.
+    Where the escape y_e esc_w is below 2⁻¹⁰⁰⁰ of the inflow y_c v_w (always
+    on level 0, which has neither), the level counts as closed: π_w = y_e,
+    and every level below is dropped, since it holds no probability that
+    float64 can carry.  Each (policy, q) pair is one lane, on trailing axes
+    that are only ever broadcast; every sum runs over a leading axis, term by
+    term, so a lane's result does not depend on the lanes that share the
+    solve.  Each level is scaled by a power of two, so none overflows and
+    none is rounded.
     """
     order, A, j1, transfers = lanes
     L, m = A.shape[0], A.shape[-1]
     lanes_shape = (len(transfers), len(q))
-    # the rows of the level matrices: 1 + i from phase i, and m + 1 from A's
-    # row m; each move up counts as one into phase 0
-    aug = np.zeros((L, 2, m + 2, m + 1))
-    aug[:, :, 1:, 1:] = A[:, :, :, 1]
-    aug[:, :, 1:, 1] += A[:, :, :, 2].sum(-1)
-    aug[:, :, 1:, 0] = A[:, :, :, 0].sum(-1)
-    pattern = aug[:, :, :-1].any((0, 1))
-    pattern[1 + j1] |= aug[:, :, -1].any((0, 1))
-    entries, steps, waves = _removal_steps(pattern)
-    moves_up = A[:, :, :-1, 2].any((0, 1))
-    moves_up[j1] |= A[:, :, -1, 2].any((0, 1))
-    src, dst = np.nonzero(moves_up)
-    # np.add.at's order as plain adds: each phase's first source, then its second, ...
-    nth = np.array([np.count_nonzero(dst[:e] == d) for e, d in enumerate(dst)], dtype=int)
-    by_nth = np.argsort(nth, kind="stable")
-    src, dst, ends = src[by_nth], dst[by_nth], np.cumsum(np.bincount(nth)).tolist()
-    top = np.empty(m + 1, dtype=int)   # where row 0 is stored
-    top[entries[1][entries[0] == 0]] = np.flatnonzero(entries[0] == 0)
-    rounds = [(top[1 + dst[a:b]], slice(a, b)) for a, b in zip([0] + ends, ends)]
-    # (L, 2, n_moves, n_policies, 1), from row m where the policy transfers
-    ups = np.where((src == j1)[:, None] & transfers.transpose(1, 2, 0)[:, :, None],
-                   A[:, :, -1, 2, dst][..., None], A[:, :, src, 2, dst][..., None])[..., None]
+    # each phase's weight of starting a service: its same-level moves into
+    # phase 0 and all its moves up
+    starts = A[:, :, :, 1, 0] + A[:, :, :, 2].sum(-1)
+    moves = A.any((0, 1))
+    moves[j1] |= moves[m]   # row m: ("pend", 1) transferring
+    # terms[j, i]: phase j > 0 reads the same level's visits z[i], or the
+    # level below's π, z[i] for i >= m, times the move from phase i % m
+    terms = moves[:m, 1:].transpose(2, 1, 0).reshape(m, 2 * m)
+    terms[range(1, m), range(m - 1)] = True   # no phase without a term
+    terms[range(m), range(m)] = terms[0] = False
+    into, src = np.nonzero(terms)
+    ends = np.cumsum(np.bincount(into, minlength=m)).tolist()
+    steps = [(src[a:b], slice(2 * m + a, 2 * m + b)) for a, b in zip(ends, ends[1:])]
+    # the entries weighed, from a level's rows A[w, b].reshape(m + 1, 3 m)
+    # (column d m + j: to phase j, w - 1 + d waiting) and `starts` after
+    # them: first each phase's escape, all of it into phase 0 below, and its
+    # weight of starting a service, then the terms
+    er = np.concatenate([np.repeat(np.arange(m), 2), src % m])
+    ec = np.concatenate([np.tile([0, 3 * m], m), np.where(src < m, m + into, 2 * m + into)])
+    on_j1 = (er == j1)[:, None]
+    up = np.concatenate([np.zeros(2 * m, dtype=bool), src >= m])
+    carried = np.zeros((np.count_nonzero(up),) + lanes_shape)   # no move up into level 0
     levels = np.empty((L, m) + lanes_shape)
     shifts = np.empty((L,) + lanes_shape, dtype=int)
     shift = np.zeros(lanes_shape, dtype=int)
-    x = np.zeros((m,) + lanes_shape)
-    chunk = max(1, _REDUCED_TOGETHER // (len(entries[0]) * len(transfers) * len(q)))
-    for lo in range(0, L, chunk):
-        M = _level_matrices(aug[lo:lo + chunk], j1, transfers[:, lo:lo + chunk], entries, q)
-        pivots = _reduce_level(M, steps)
-        for w, level, pivot in zip(range(lo, L), M.swapaxes(0, 1), pivots.swapaxes(0, 1)):
-            # at w = 0 this reads level N, whose arrivals are blocked: no inflow
-            for up, weight in zip(ups[w - 1], (1.0 - q, q)):
-                flow = up * x[src] * weight
-                for into, sources in rounds:
-                    level[into] += flow[sources]
-            x, closed = _solve_level(level, steps, waves, pivot)
-            exp = np.frexp(x.max(0))[1]
-            np.ldexp(x, -exp, out=x)
-            shift = shift + exp
-            levels[:w, :, closed] = 0.0
-            shifts[:w, closed] = shift[closed]
-            levels[w, order], shifts[w] = x, shift
-        del M, pivots, level, pivot   # before the next chunk is built
+    z = np.zeros((2 * m, 2) + lanes_shape)   # (y_e, y_c) of each phase, then (0, π) of the level below
+    z[0, 0] = 1.0
+    for w in range(L):
+        rows = np.concatenate([A[w].reshape(2, m + 1, 3 * m), starts[w, :, :, None]], -1)
+        # (n_entries, n_policies, n_q), row j1 from row m where a policy transfers
+        b = np.where(on_j1 & transfers[:, w].T[:, None], rows[:, m, ec, None], rows[:, er, ec, None])
+        e = b[1, ..., None] * q + b[0, ..., None] * (1.0 - q)
+        e[up], carried = carried, e[up]   # a move up is weighed as it leaves the level below
+        out = e[:2 * m].reshape((m, 2) + lanes_shape)   # (escape, v) of each phase
+        for j, (srcs, at) in enumerate(steps, 1):
+            z[j] = (z[srcs] * e[at, None]).sum(0)
+        z[m - 1] /= out[m - 1].sum(0)   # idle: its other outflow
+        escape, inflow = (z[:m] * out).sum(0)
+        closed = ~(escape * 2.0**1000 > inflow)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x0 = np.where(closed, 1.0, inflow / escape)
+        x = z[:m, 1] * ~closed + x0 * z[:m, 0]
+        exp = np.frexp(x.max(0))[1]
+        np.ldexp(x, -exp, out=x)
+        shift = shift + exp
+        levels[:w, :, closed] = 0.0
+        shifts[:w, closed] = shift[closed]
+        levels[w, order], shifts[w] = x, shift
+        z[m:, 1] = x
     np.ldexp(levels, (shifts - shifts.max(0))[:, None], out=levels)
     pi = levels.transpose(2, 3, 1, 0).reshape(lanes_shape + (m * L,))
     pi /= pi.sum(-1, keepdims=True)
@@ -538,19 +406,20 @@ def _saturated(model: QueueModel, pol: QueuePolicy, states: tuple) -> np.ndarray
 
 
 def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
-                      q_grid: tuple[float, ...]) -> list[list[QueueEvaluation]]:
-    """Every policy's evaluations across q, from one build of the blocks: a
-    policy takes their transferring ("pend", 1) row, and its rate columns,
-    where it transfers at Q = w + b, and the continuing one elsewhere.
-    Every interior q of every policy is a lane of one level solve."""
+                      q_grid: tuple[float, ...]) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The states, every policy's π across q, (n_policies, n_q, n), and its
+    five rates as in QueueEvaluation, (n_policies, n_q, 5), from one build of
+    the blocks: a policy takes their transferring ("pend", 1) row, and its
+    rate columns, where it transfers at Q = w + b, and the continuing one
+    elsewhere.  Every interior q of every policy is a lane of one level
+    solve."""
     for pol in pols:
         if pol.kind == "qge" and pol.n > model.N:
             raise ValueError(f"threshold n={pol.n} outside 1..N={model.N}")
     acts, order, A, rates = _level_blocks(model)
     L, m, pend1 = model.N + 1, len(acts), acts.index(("pend", 1))
     transfers = np.array([[[pol.transfers(w + b) for b in (0, 1)] for w in range(L)] for pol in pols])
-    j1 = order.index(pend1)
-    lanes = _Lanes(order, A, j1, transfers)
+    lanes = _Lanes(order, A, order.index(pend1), transfers)
     # the rate column each state reads, per policy and branch
     cols = np.broadcast_to(np.arange(m * L), (len(pols), 2, 1, m * L)).copy()
     cols[..., pend1 * L:(pend1 + 1) * L] += (m - pend1) * L * transfers.transpose(0, 2, 1)[:, :, None]
@@ -564,17 +433,20 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
     if (grid == 1.0).any():
         pi[:, grid == 1.0] = np.array([_saturated(model, pol, states) for pol in pols])[:, None]
     _check_stationary(pi, lanes, grid, states, [pol.label for pol in pols])
-    evs = []
+    out = np.empty((len(pols), len(grid), 5))
+    block = max(1, len(grid) // 5)   # q at a time, so the weighted rate rows are no bigger than a π
     for p in range(len(pols)):
         pr = np.take_along_axis(rates, cols[p], -1)
-        evs.append([QueueEvaluation(pi[p, i], states, *((q * pr[1] + (1 - q) * pr[0]) @ pi[p, i]).tolist())
-                    for i, q in enumerate(q_grid)])
-    return evs
+        for lo in range(0, len(grid), block):
+            q = grid[lo:lo + block, None, None]
+            out[p, lo:lo + block] = np.matmul(q * pr[1] + (1.0 - q) * pr[0], pi[p, lo:lo + block, :, None])[..., 0]
+    return states, pi, out
 
 
 def evaluate_queue_policy(model: QueueModel, pol: QueuePolicy) -> QueueEvaluation:
     """Stationary per-period profit and rates of one admissible policy."""
-    return _evaluate_on_grid(model, [pol], (model.q,))[0][0]
+    states, pi, rates = _evaluate_on_grid(model, [pol], (model.q,))
+    return QueueEvaluation(pi[0, 0], states, *rates[0, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -594,14 +466,12 @@ def sweep_queue_policies(model: QueueModel, q_grid: Iterable[float]) -> SweepRes
     if any(not 0.0 < v <= 1.0 for v in grid):
         raise ValueError("q_grid values must lie in (0, 1]")
     pols = admissible_queue_policies(model)
+    _, _, rates = _evaluate_on_grid(model, pols, grid)
     records = tuple(
-        {"policy": pol.label, "q": qv, "profit": ev.profit, "throughput": ev.throughput,
-         "transfer_rate": ev.transfer_rate, "blocking_rate": ev.blocking_rate}
-        for pol, evs in zip(pols, _evaluate_on_grid(model, pols, grid)) for qv, ev in zip(grid, evs)
+        {"policy": pol.label, "q": qv, "profit": profit, "throughput": throughput,
+         "transfer_rate": transfer_rate, "blocking_rate": blocking_rate}
+        for pol, by_q in zip(pols, rates.tolist())
+        for qv, (profit, throughput, transfer_rate, blocking_rate, _) in zip(grid, by_q)
     )
-    return SweepResult(
-        policies=tuple(p.label for p in pols),
-        q_grid=grid,
-        profit=np.array([rec["profit"] for rec in records]).reshape(len(pols), len(grid)),
-        records=records,
-    )
+    return SweepResult(policies=tuple(p.label for p in pols), q_grid=grid,
+                       profit=rates[..., 0].copy(), records=records)

@@ -29,11 +29,11 @@ equations for R and G as one bordered LU system, the route
 order.  Its G is accurate only relative to max|G|, so it checks the small
 differences of G only where G spans little (q, a not small).
 
-`level_evaluations` is the package's level solve as it was before every
-policy and q became one lane of one solve: one policy at a time, each level
-reduced as a dense (m + 1, m + 1, n_q) array by `level_solve`, on that
-policy's own blocks (`policy_blocks`).  Its π and rates are the package's,
-bit for bit.
+`level_evaluations` solves the same levels as the package, one policy at a
+time, by subtraction-free state reduction of each level as a dense
+(m + 1, m + 1, n_q) array (`level_solve`), on that policy's own blocks
+(`policy_blocks`): the package's route before it read each level off by one
+forward pass in cycle order.  The two agree to round-off, not bit for bit.
 """
 import numpy as np
 

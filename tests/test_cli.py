@@ -289,6 +289,31 @@ def test_queue_sweep_range_grid(tmp_path):
     assert q == ["0.1", "0.2", "0.3", "0.4", "0.5"] * 4   # each of the (N+2) policies
 
 
+@pytest.mark.parametrize("q_grid, q", [
+    ({"start": 0.1, "stop": 0.6, "step": 0.3}, ["0.1", "0.4"]),            # not 0.7, past the stop
+    ({"start": 0.5, "stop": 1.0, "step": 0.3}, ["0.5", "0.8"]),            # not 1.1
+    ({"start": 0.1, "stop": 0.7, "step": 0.2}, ["0.1", "0.3", "0.5", "0.7"]),   # 2.9999999999999996 steps
+])
+def test_queue_sweep_range_grid_stops_at_its_stop(tmp_path, q_grid, q):
+    code, out = run_cli(tmp_path, "queue-sweep", {"queue": {"N": 2}, "q_grid": q_grid})
+    assert code == EXIT_OK
+    lines = [l for l in (out / "sweep.csv").read_text().splitlines() if not l.startswith("#")]
+    assert [row.split(",")[1] for row in lines[1:]] == q * 4
+
+
+@pytest.mark.parametrize("q_grid, shown", [
+    ([0.5, 1.5], "1.5"),
+    ([0.0, 0.5], "0.0"),
+    ({"start": 0.0, "stop": 0.5, "step": 0.1}, "0.0"),
+    ({"start": 0.9, "stop": 1.2, "step": 0.1}, "1.1"),
+])
+def test_q_grid_value_outside_the_unit_interval_exits_2_naming_it(tmp_path, capsys, q_grid, shown):
+    code, out = run_cli(tmp_path, "queue-sweep", {"queue": {"N": 2}, "q_grid": q_grid})
+    assert code == EXIT_VALIDATION
+    assert f"q_grid values must lie in (0, 1], got {shown}" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_design_smoke(tmp_path, capsys):
     payload = {
         "market": {"lam": 0.9, "k_max": 1, "p_grid": [0.3]},

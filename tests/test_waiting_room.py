@@ -302,12 +302,24 @@ def test_failed_check_in_a_sweep_names_the_policy(monkeypatch):
 def test_level_blocks_equal_the_dense_chain():
     # each policy's blocks, picked from the shared ones and scattered into the
     # dense (2, n, n) layout, against the dense builder of the tests; no block
-    # leads below level 0 or above N
+    # leads below level 0 or above N.  The structure the level solve reads
+    # the chain by: every move down, and no move up, lands in the phase that
+    # starts a service, and every other same-level move goes forward in
+    # cycle order, bar idle's self-loop on level 0
     for N, tau1, tau2, rho1 in itertools.product((0, 1, 3, 6), (1, 2, 6), (1, 3, 15), (0.0, 0.3, 1.0)):
         model = dataclasses.replace(default_queue_model(N=N),
                                     profile=ResolutionProfile((tau1, tau2), (rho1, 1.0)))
+        order = waiting_room._level_blocks(model)[1]
+        rank = np.argsort(order)   # each activity's place in the cycle
         for pol in admissible_queue_policies(model):
             acts, A, rates = policy_blocks(model, pol)
+            case = (N, tau1, tau2, rho1, pol)
+            assert not np.delete(A[:, :, :, 0], order[0], -1).any(), case
+            assert not A[:, :, :, 2, order[0]].any(), case
+            w, _, i, j = np.nonzero(A[:, :, :, 1])
+            back = (j != order[0]) & (rank[j] <= rank[i])
+            idle = acts.index(("idle",))
+            assert np.all((w[back] == 0) & (i[back] == idle) & (j[back] == idle)), case
             states, P, dense = _branch_chains(model, pol)
             L, m = N + 1, len(acts)
             assert states == tuple((act, w) for act in acts for w in range(L))
@@ -316,7 +328,6 @@ def test_level_blocks_equal_the_dense_chain():
             for w, d in itertools.product(range(L), range(3)):
                 if 0 <= w - 1 + d <= N:
                     scattered[:, :, w, :, w - 1 + d] = A[w, :, :, d]
-            case = (N, tau1, tau2, rho1, pol)
             assert np.array_equal(scattered.reshape(P.shape), P), case
             assert np.array_equal(rates, dense), case
 
@@ -329,20 +340,36 @@ def test_large_room_stays_within_block_memory(N, tau):
                                 profile=ResolutionProfile(tau, (0.7, 1.0)))
     tracemalloc.start()
     try:
-        evs, = _evaluate_on_grid(model, [QueuePolicy.when_queue_at_least(N // 2)],
-                                 (0.01, 0.02, 0.5, 1.0))   # load below 1 at the first two
+        _, pi, rates = _evaluate_on_grid(model, [QueuePolicy.when_queue_at_least(N // 2)],
+                                         (0.01, 0.02, 0.5, 1.0))   # load below 1 at the first two
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100e6
-    for ev in evs:
-        assert np.all(np.isfinite(ev.pi)) and np.all(np.isfinite(_rates(ev)))
+    assert np.all(np.isfinite(pi)) and np.all(np.isfinite(rates))
+
+
+def _assert_lanes_match_alone_and_oracle(model, grid, pi, rates):
+    # each lane of a many-policy solve, bit for bit the same policy solved
+    # alone, and to round-off the per-policy dense-level state reduction (the
+    # bound of the long-double GTH test, on what float64 holds to full precision)
+    for p, pol in enumerate(admissible_queue_policies(model)):
+        _, alone_pi, alone_rates = _evaluate_on_grid(model, [pol], grid)
+        case = (model.N, model.profile, pol.label)
+        assert np.array_equal(pi[p], alone_pi[0]), case
+        assert np.array_equal(rates[p], alone_rates[0]), case
+        for i, want in enumerate(level_evaluations(model, pol, grid)):
+            for got, ref in zip((pi[p, i], rates[p, i]), want):
+                normal = ref > 1e-290
+                assert np.all(np.abs(got - ref)[normal] <= 1e-14 * ref[normal]), (case, grid[i])
+                assert np.all(got[~normal] < 1e-280), (case, grid[i])
 
 
 def test_large_sweep_stays_within_block_memory_and_matches_the_oracle():
     # 42 policies on n = 2,501 states: one level solve for all, within 60 MB
-    # traced (no array holds one set of blocks per policy), and every record
-    # equal to the per-policy dense-level solve
+    # traced (no array holds one set of blocks per policy); every record is
+    # its lane of that solve, which is the policy solved alone and matches
+    # the per-policy dense-level solve
     model = dataclasses.replace(default_queue_model(N=40),
                                 profile=ResolutionProfile((30, 30), (0.7, 1.0)))
     grid = (0.01, 0.02, 0.5, 1.0)
@@ -354,26 +381,21 @@ def test_large_sweep_stays_within_block_memory_and_matches_the_oracle():
         tracemalloc.stop()
     assert peak < 60e6
     assert len(sweep.policies) == 42
-    for pol in admissible_queue_policies(model):
-        want = [rates for _, rates in level_evaluations(model, pol, grid)]
-        got = [(rec["profit"], rec["throughput"], rec["transfer_rate"], rec["blocking_rate"])
-               for rec in sweep.records if rec["policy"] == pol.label]
-        assert got == [tuple(rates[:4].tolist()) for rates in want], pol.label
+    _, pi, rates = _evaluate_on_grid(model, admissible_queue_policies(model), grid)
+    assert [(rec["profit"], rec["throughput"], rec["transfer_rate"], rec["blocking_rate"])
+            for rec in sweep.records] == [tuple(r) for r in rates[..., :4].reshape(-1, 4).tolist()]
+    _assert_lanes_match_alone_and_oracle(model, grid, pi, rates)
 
 
 @pytest.mark.parametrize("N", [0, 1, 3, 6, 9])
 def test_one_solve_for_every_policy_equals_the_per_policy_oracle(N):
     # every policy and q = 0.01..0.99 as lanes of one level solve, against
-    # the dense-level solve of each policy alone, bit for bit
+    # each policy solved alone and the dense-level solve of each policy
     grid = tuple(round(0.01 * i, 10) for i in range(1, 100))
     for tau, rho1 in itertools.product([(1, 1), (1, 3), (2, 15), (6, 1), (6, 15)], (0.0, 0.3, 0.7, 1.0)):
         model = dataclasses.replace(default_queue_model(N=N), profile=ResolutionProfile(tau, (rho1, 1.0)))
-        pols = admissible_queue_policies(model)
-        for pol, evs in zip(pols, _evaluate_on_grid(model, pols, grid)):
-            for ev, (pi, rates) in zip(evs, level_evaluations(model, pol, grid)):
-                case = (tau, rho1, pol.label, ev.pi.size)
-                assert np.array_equal(ev.pi, pi), case
-                assert np.array_equal(_rates(ev), rates), case
+        _, pi, rates = _evaluate_on_grid(model, admissible_queue_policies(model), grid)
+        _assert_lanes_match_alone_and_oracle(model, grid, pi, rates)
 
 
 def test_large_room_matches_dense_lu():

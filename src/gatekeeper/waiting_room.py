@@ -2,11 +2,11 @@
 
 Arrivals that find the agent busy join a waiting room of capacity N (and are
 blocked when it is full); after a failed first attempt the agent may cold
-transfer, with the decision allowed to depend on Q, the number waiting plus
-any same-period arrival.  Each admissible policy induces a per-period
-discrete-time Markov chain whose stationary distribution yields profit per
-period.  With N = 0 the chain reduces exactly to the no-waiting-room channel
-restricted to the never/always-transfer rules.
+transfer.  A policy transfers iff Q >= n, Q being the number waiting plus any
+same-period arrival, or never, and induces a per-period discrete-time Markov
+chain whose stationary distribution yields profit per period.  With N = 0 the
+chain reduces exactly to the no-waiting-room channel restricted to the
+never/always-transfer rules.
 
 Event order within a period: (1) arrival draw; (2) completion processing —
 resolution draw, then the transfer decision using Q including the current
@@ -19,7 +19,9 @@ The level, the number waiting, moves by at most one per period, so the chain
 is kept as level blocks only (`_level_blocks`), for a period with an arrival
 (weighted q) and one without (weighted 1 - q): a level-dependent
 quasi-birth-death chain (Latouche & Ramaswami 1999, ch. 6) in which every
-step down lands in the phase that starts a first attempt.  Policies differ
+step down lands in the phase that starts a first attempt.  A level's phases
+are listed once, in the order of a service cycle, and the blocks, the solve
+and QueueEvaluation's states all follow that order.  Policies differ
 only in what a failed first attempt does, so the blocks are built once, with
 that row both ways, and each policy picks one at each level.  Every interior
 q of a grid, for every policy, is then one lane of a single solve, level by
@@ -105,64 +107,54 @@ def default_queue_model(N: int = 6, q: float = 0.5) -> QueueModel:
 
 @dataclass(frozen=True)
 class QueuePolicy:
-    """Admissible queue policies: never, always, or transfer when Q >= n."""
+    """Transfer after a failed first attempt iff Q >= n, and never when n is
+    None: never, always (n = 0) or qge<n> (n >= 1)."""
 
-    kind: str               # "never" | "always" | "qge"
-    n: int = 0
+    n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("never", "always", "qge"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "qge" and self.n < 1:
-            raise ValueError("threshold n must be >= 1")
+        if self.n is not None:
+            object.__setattr__(self, "n", as_int(self.n, "n"))
+            if self.n < 0:
+                raise ValueError(f"n must be nonnegative, got {self.n}")
 
     @classmethod
     def never(cls) -> "QueuePolicy":
-        return cls("never")
+        return cls()
 
     @classmethod
     def always(cls) -> "QueuePolicy":
-        return cls("always")
+        return cls(0)
 
     @classmethod
     def when_queue_at_least(cls, n: int) -> "QueuePolicy":
-        return cls("qge", n)
+        if n < 1:
+            raise ValueError(f"threshold n must be >= 1, got {n}")
+        return cls(n)
 
     def transfers(self, q_obs: int) -> bool:
-        if self.kind == "never":
-            return False
-        if self.kind == "always":
-            return True
-        return q_obs >= self.n
+        return self.n is not None and q_obs >= self.n
 
     @property
     def label(self) -> str:
-        return self.kind if self.kind != "qge" else f"qge{self.n}"
+        return "never" if self.n is None else "always" if self.n == 0 else f"qge{self.n}"
 
 
 def queue_policy_from_label(label: str) -> QueuePolicy:
-    if label in ("never", "always"):
-        return QueuePolicy(label)
-    if re.fullmatch("qge[1-9][0-9]*", label):
-        return QueuePolicy.when_queue_at_least(int(label[3:]))
+    if re.fullmatch("never|always|qge[1-9][0-9]*", label):
+        return QueuePolicy(None if label == "never" else 0 if label == "always" else int(label[3:]))
     raise ValueError(f"queue policy must be never, always or qge<n> with n >= 1, got {label!r}")
 
 
 def admissible_queue_policies(model: QueueModel) -> list[QueuePolicy]:
     """never, always, and one threshold policy per 1 <= n <= N."""
-    pols = [QueuePolicy.never(), QueuePolicy.always()]
-    pols += [QueuePolicy.when_queue_at_least(n) for n in range(1, model.N + 1)]
-    return pols
-
-
-def _start_service(tau: int, attempt: int) -> tuple:
-    return ("pend", attempt) if tau == 1 else ("busy", attempt, tau - 1)
+    return [QueuePolicy.never()] + [QueuePolicy(n) for n in range(model.N + 1)]
 
 
 @dataclass(frozen=True)
 class QueueEvaluation:
     pi: np.ndarray
-    states: tuple[tuple, ...]
+    states: tuple[tuple, ...]   # (phase, w), phase-major in cycle order
     profit: float          # per period, wage excluded
     throughput: float      # admissions per period
     transfer_rate: float
@@ -170,91 +162,59 @@ class QueueEvaluation:
     resolve_rate: float
 
 
-def _level_blocks(model: QueueModel) -> tuple[list[tuple], list[int], np.ndarray, np.ndarray]:
-    """Activities, phase order, level blocks and rates of a period with
-    (b = 1) and without (b = 0) an arrival.
+def _level_blocks(model: QueueModel) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Phases, level blocks and rates of a period with (b = 1) and without
+    (b = 0) an arrival.
 
-    An activity is idle, ("pend", k) with the completion decision due, or
-    ("busy", k, j) with j work periods remaining; `acts` lists them in the
-    order of QueueEvaluation's states.  The blocks list them as phases in
-    the order of a service cycle, A's phase i being acts[order[i]]: the one
-    that starts a first attempt, where every level is entered from above,
-    the first attempt's busy phases counting down, ("pend", 1), the second
-    attempt's busy phases counting down, ("pend", 2) and idle.
+    A phase is idle, ("pend", k) with the completion decision due, or
+    ("busy", k, j) with j work periods remaining, listed along a service
+    cycle from phase 0, which starts a first attempt and where every level is
+    entered from above: the first attempt's busy phases counting down,
+    ("pend", 1), the second attempt's busy phases counting down, ("pend", 2)
+    and idle.  Each phase either advances to the next or ends a service.
     A[w, b, i, d, j] is the probability of going from phase i with w waiting
-    to phase j with w - 1 + d waiting.  The rate rows follow QueueEvaluation
+    to phase j with w - 1 + d waiting; rates[b, k, i, w] holds the rates
     (reward, admissions, transfers, blocked arrivals and resolutions per
-    period) over its states, activity-major.  Both have ("pend", 1)
-    continue after a failed first attempt; A's row m and the last N + 1 rate
-    columns have it transfer instead, and a policy takes those at the levels
-    and branches where it transfers.
+    period) of phase i with w waiting.  Both have ("pend", 1) continue after a failed first attempt; their row m
+    has it transfer instead, and a policy takes that row at the levels and
+    branches where it transfers.
     """
-    r, c_c = model.econ.r, model.econ.c_c
-    rho1, tau1, tau2 = model.rho1, model.tau1, model.tau2
-    acts: list[tuple] = [IDLE, ("pend", 1), ("pend", 2)]
-    acts += [("busy", 1, j) for j in range(1, tau1)]
-    acts += [("busy", 2, j) for j in range(1, tau2)]
-    cycle = [("busy", 1, j) for j in range(tau1 - 1, 0, -1)] + [("pend", 1)]
-    cycle += [("busy", 2, j) for j in range(tau2 - 1, 0, -1)] + [("pend", 2), IDLE]
-    order = [acts.index(act) for act in cycle]
-    slot = {act: i for i, act in enumerate(cycle)}
-    L, m = model.N + 1, len(acts)
+    r, c_c, rho1 = model.econ.r, model.econ.c_c, model.rho1
+    phases = [("busy", 1, j) for j in range(model.tau1 - 1, 0, -1)] + [("pend", 1)]
+    phases += [("busy", 2, j) for j in range(model.tau2 - 1, 0, -1)] + [("pend", 2), IDLE]
+    L, m, j1 = model.N + 1, len(phases), model.tau1 - 1
+    w, b = np.arange(L)[:, None, None], np.arange(2)[:, None]
+    joins = b * (w < model.N)   # the arrival takes a place in the room
     A = np.zeros((L, 2, m + 1, 3, m))
-    rates = [[[0.0] * ((m + 1) * L) for _ in range(5)] for _ in range(2)]   # plain floats: cheap to update
+    rates = np.zeros((2, 5, m + 1, L))
 
-    def apply(p: float, activity: tuple, arrival: bool, rew: float, res: int, tra: int) -> None:
-        # leaves row a (phase i) with w waiting, the state the loop below is at
-        branch = int(arrival)   # fixed before the arrival is consumed below
-        n_wait = w
-        adm = blk = 0
-        if activity == IDLE:
-            if n_wait > 0:
-                n_wait -= 1
-                activity = _start_service(tau1, 1)
-            elif arrival:
-                arrival = False
-                adm = 1
-                activity = _start_service(tau1, 1)
-        if arrival:
-            if n_wait < model.N:
-                n_wait += 1
-                adm = 1
-            else:
-                blk = 1
-        A[w, branch, i, n_wait - w + 1, slot[activity]] += p
-        for row, v in zip(rates[branch], (rew, adm, tra, blk, res)):
-            row[a * L + w] += p * v
+    def add(rows, p, d, to, gain: tuple) -> None:
+        # p from each of `rows` (distinct) to phase `to` with w - 1 + d
+        # waiting at every (w, b), and p times each rate's gain
+        A[w, b, rows, d, to] += p
+        rates[b, :, rows, w] += p[:, None] * np.stack(np.broadcast_arrays(*gain), -1)
 
-    for a, activity in enumerate(acts + [("pend", 1)]):
-        i = slot[activity] if a < m else m
-        for w in range(L):
-            for arrival in (True, False):
-                if activity == IDLE:
-                    apply(1.0, IDLE, arrival, 0.0, 0, 0)
-                elif activity[0] == "pend" and activity[1] == 1:
-                    if rho1 > 0:
-                        apply(rho1, IDLE, arrival, r, 1, 0)
-                    if rho1 < 1:
-                        if a == m:
-                            apply(1 - rho1, IDLE, arrival, r - c_c, 0, 1)
-                        else:
-                            apply(1 - rho1, _start_service(tau2, 2), arrival, 0.0, 0, 0)
-                elif activity[0] == "pend":
-                    apply(1.0, IDLE, arrival, r, 1, 0)
-                else:
-                    _, k, j = activity
-                    nxt = ("pend", k) if j == 1 else ("busy", k, j - 1)
-                    apply(1.0, nxt, arrival, 0.0, 0, 0)
-    return acts, order, A, np.array(rates)
+    def advance(rows, p) -> None:
+        add(rows, p, 1 + joins, np.add(rows, 1), (0, joins, 0, b - joins, 0))
+
+    def end(rows, p, reward, resolved, transferred) -> None:
+        # the freed agent takes the head of the room, else the arrival, else idles
+        add(rows, p, 1 - (w > 0) * (1 - b), (m - 1) * (w == 0) * (1 - b), (reward, b, transferred, 0, resolved))
+
+    # ("pend", 1), rows j1 and m, has two outcomes, and a fancy += adds once
+    # per index: one pass for the resolved first attempt, one for the failed
+    advance(np.flatnonzero([phase[0] == "busy" for phase in phases]), np.ones(m - 3))
+    end([j1, m - 2, m - 1, m], np.array([rho1, 1.0, 1.0, rho1]), [r, r, 0.0, r], [1, 1, 0, 1], 0)
+    advance([j1], np.array([1.0 - rho1]))
+    end([m], np.array([1.0 - rho1]), r - c_c, 0, 1)
+    return phases, A, rates
 
 
 class _Lanes(NamedTuple):
-    """The level blocks of a set of policies (`_level_blocks`), their phases
-    in cycle order, A's phase i being the activity order[i].  Policy p's
+    """The level blocks of a set of policies (`_level_blocks`).  Policy p's
     A[w, b] has as row j1, the phase ("pend", 1), A[w, b, m] where
     transfers[p, w, b], that is where p transfers at Q = w + b."""
 
-    order: list[int]
     A: np.ndarray          # (N + 1, 2, m + 1, 3, m)
     j1: int
     transfers: np.ndarray  # (n_policies, N + 1, 2)
@@ -291,7 +251,7 @@ def _level_solve(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
     solve.  Each level is scaled by a power of two, so none overflows and
     none is rounded.
     """
-    order, A, j1, transfers = lanes
+    A, j1, transfers = lanes
     L, m = A.shape[0], A.shape[-1]
     lanes_shape = (len(transfers), len(q))
     # each phase's weight of starting a service: its same-level moves into
@@ -341,7 +301,7 @@ def _level_solve(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
         shift = shift + exp
         levels[:w, :, closed] = 0.0
         shifts[:w, closed] = shift[closed]
-        levels[w, order], shifts[w] = x, shift
+        levels[w], shifts[w] = x, shift
         z[m:, 1] = x
     np.ldexp(levels, (shifts - shifts.max(0))[:, None], out=levels)
     pi = levels.transpose(2, 3, 1, 0).reshape(lanes_shape + (m * L,))
@@ -355,13 +315,13 @@ def _check_stationary(pi: np.ndarray, lanes: _Lanes, q: np.ndarray,
     under policy p's level blocks, naming the first failed check, its state,
     q and the policy (a NaN fails them all).  One policy at a time, so that
     the flows take little memory."""
-    order, A, j1, transfers = lanes
+    A, j1, transfers = lanes
     L, m = A.shape[0], A.shape[-1]
     # (to, from) the levels of each move d, from w to w - 1 + d
     moves = ((slice(None, -1), slice(1, None)), (slice(None), slice(None)), (slice(1, None), slice(None, -1)))
     for p, label in enumerate(labels):
         # (L, n_q, m + 1) by the rows of A, phase j1 again as row m
-        by_row = np.ascontiguousarray(pi[p].reshape(len(q), m, L).transpose(2, 0, 1)[..., order + [order[j1]]])
+        by_row = np.ascontiguousarray(pi[p].reshape(len(q), m, L).transpose(2, 0, 1)[..., np.r_[:m, j1]])
         on_j1 = by_row[..., m].copy()
         net = -by_row[..., :m]
         for b, weight in enumerate((1.0 - q, q)):
@@ -378,12 +338,14 @@ def _check_stationary(pi: np.ndarray, lanes: _Lanes, q: np.ndarray,
         if ok.all():
             continue
         i = int(np.argmin(ok))
-        lane = np.empty((m, L))
-        lane[order] = resid[:, i].T   # by state, as in `states`
-        worst = int(np.argmax(lane))
-        if not lane.flat[worst] <= _RESIDUAL_TOL:
+        lane = resid[:, i].T.ravel()   # by state, as in `states`
+        # a NaN in pi makes NaN every residual its level's flows reach: name
+        # the first state that holds one
+        nan = np.isnan(pi[p, i])
+        worst = int(np.argmax(nan if nan.any() else lane))
+        if not lane[worst] <= _RESIDUAL_TOL:
             act, w = states[worst]
-            failed = (f"stationary distribution residual {lane.flat[worst]:.2e} at "
+            failed = (f"stationary distribution residual {lane[worst]:.2e} at "
                       f"{act}/{w} exceeds {_RESIDUAL_TOL:.0e}")
         else:
             failed = f"stationary probabilities sum to 1 {total[i]:+.2e}"
@@ -409,21 +371,15 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
                       q_grid: tuple[float, ...]) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The states, every policy's π across q, (n_policies, n_q, n), and its
     five rates as in QueueEvaluation, (n_policies, n_q, 5), from one build of
-    the blocks: a policy takes their transferring ("pend", 1) row, and its
-    rate columns, where it transfers at Q = w + b, and the continuing one
-    elsewhere.  Every interior q of every policy is a lane of one level
-    solve."""
-    for pol in pols:
-        if pol.kind == "qge" and pol.n > model.N:
-            raise ValueError(f"threshold n={pol.n} outside 1..N={model.N}")
-    acts, order, A, rates = _level_blocks(model)
-    L, m, pend1 = model.N + 1, len(acts), acts.index(("pend", 1))
+    the blocks: a policy takes their transferring ("pend", 1) row, in A and
+    in the rates, where it transfers at Q = w + b, and the continuing one
+    elsewhere.  Only a policy's `transfers` and `label` are read, so any set
+    of Q will do.  Every interior q of every policy is a lane of one solve."""
+    phases, A, rates = _level_blocks(model)
+    L, m, j1 = model.N + 1, len(phases), model.tau1 - 1
     transfers = np.array([[[pol.transfers(w + b) for b in (0, 1)] for w in range(L)] for pol in pols])
-    lanes = _Lanes(order, A, order.index(pend1), transfers)
-    # the rate column each state reads, per policy and branch
-    cols = np.broadcast_to(np.arange(m * L), (len(pols), 2, 1, m * L)).copy()
-    cols[..., pend1 * L:(pend1 + 1) * L] += (m - pend1) * L * transfers.transpose(0, 2, 1)[:, :, None]
-    states = tuple((act, w) for act in acts for w in range(L))
+    lanes = _Lanes(A, j1, transfers)
+    states = tuple((phase, w) for phase in phases for w in range(L))
     grid = np.array(q_grid, dtype=float)
     inner = (grid > 0.0) & (grid < 1.0)
     pi = np.zeros((len(pols), len(grid), len(states)))
@@ -435,8 +391,10 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
     _check_stationary(pi, lanes, grid, states, [pol.label for pol in pols])
     out = np.empty((len(pols), len(grid), 5))
     block = max(1, len(grid) // 5)   # q at a time, so the weighted rate rows are no bigger than a π
-    for p in range(len(pols)):
-        pr = np.take_along_axis(rates, cols[p], -1)
+    for p, takes in enumerate(transfers.transpose(0, 2, 1)[:, :, None]):
+        pr = rates[:, :, :m].copy()   # ("pend", 1) from row m where p transfers
+        pr[:, :, j1] = np.where(takes, rates[:, :, m], rates[:, :, j1])
+        pr = pr.reshape(2, 5, m * L)
         for lo in range(0, len(grid), block):
             q = grid[lo:lo + block, None, None]
             out[p, lo:lo + block] = np.matmul(q * pr[1] + (1.0 - q) * pr[0], pi[p, lo:lo + block, :, None])[..., 0]
@@ -445,6 +403,8 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
 
 def evaluate_queue_policy(model: QueueModel, pol: QueuePolicy) -> QueueEvaluation:
     """Stationary per-period profit and rates of one admissible policy."""
+    if pol.n is not None and pol.n > model.N:
+        raise ValueError(f"threshold n={pol.n} exceeds N={model.N}")
     states, pi, rates = _evaluate_on_grid(model, [pol], (model.q,))
     return QueueEvaluation(pi[0, 0], states, *rates[0, 0].tolist())
 

@@ -34,11 +34,15 @@ time, by subtraction-free state reduction of each level as a dense
 (m + 1, m + 1, n_q) array (`level_solve`), on that policy's own blocks
 (`policy_blocks`): the package's route before it read each level off by one
 forward pass in cycle order.  The two agree to round-off, not bit for bit.
+
+Every oracle here lists the states as `queue_states` does, idle first; the
+package lists them along a service cycle, idle last.  `at_states` takes an
+oracle's π into the package's order, state label by state label.
 """
 import numpy as np
 
 from gatekeeper.evaluate import I0, EmbeddedChain
-from gatekeeper.waiting_room import IDLE, QueueModel, QueuePolicy, _level_blocks, _saturated, _start_service
+from gatekeeper.waiting_room import IDLE, QueueModel, QueuePolicy, _level_blocks, _saturated
 
 # x86 long double carries 64 mantissa bits; where it is plain double,
 # `gth_rates` is no more exact than the solve it checks
@@ -57,6 +61,18 @@ def queue_states(model: QueueModel) -> list[tuple]:
     return [(act, w) for act in acts for w in range(model.N + 1)]
 
 
+def at_states(model: QueueModel, states: tuple) -> list[int]:
+    """Where each of `states`, as labelled by the package, sits in
+    `queue_states`: pi[at_states(model, ev.states)] takes an oracle's pi
+    state by state in the package's order."""
+    index = {s: i for i, s in enumerate(queue_states(model))}
+    return [index[s] for s in states]
+
+
+def _start_service(tau: int, attempt: int) -> tuple:
+    return ("pend", attempt) if tau == 1 else ("busy", attempt, tau - 1)
+
+
 def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarray, np.ndarray]:
     """States, transition matrices and rates of a period with (index 1) and
     without (index 0) an arrival; the chain at q is q P[1] + (1 - q) P[0].
@@ -64,8 +80,8 @@ def _branch_chains(model: QueueModel, pol: QueuePolicy) -> tuple[tuple, np.ndarr
     The rate rows follow QueueEvaluation: reward, admissions, transfers,
     blocked arrivals and resolutions per period.
     """
-    if pol.kind == "qge" and pol.n > model.N:
-        raise ValueError(f"threshold n={pol.n} outside 1..N={model.N}")
+    if pol.n is not None and pol.n > model.N:
+        raise ValueError(f"threshold n={pol.n} exceeds N={model.N}")
     states = tuple(queue_states(model))
     index = {s: i for i, s in enumerate(states)}
     n = len(states)
@@ -218,21 +234,23 @@ def lu_relative_values(chain: EmbeddedChain) -> tuple[float, np.ndarray]:
 
 
 def policy_blocks(model: QueueModel, pol: QueuePolicy) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """One policy's activities, level blocks and rate rows, in the order of
-    QueueEvaluation's states: A[w, b, i, d, j] from activity i with w waiting
-    to activity j with w - 1 + d waiting.  Picked from `_level_blocks` as the
-    package picks them: ("pend", 1) takes the blocks' last row, and the last
-    rate columns, where the policy transfers at Q = w + b."""
-    acts, order, A, rates = _level_blocks(model)
-    L, m, pend1 = model.N + 1, len(acts), acts.index(("pend", 1))
+    """One policy's activities, level blocks and rate rows over the states of
+    `queue_states`: A[w, b, i, d, j] from activity i with w waiting to
+    activity j with w - 1 + d waiting.  Picked from `_level_blocks` as the
+    package picks them: ("pend", 1) takes the blocks' and the rates' last
+    row where the policy transfers at Q = w + b; then each phase is moved to
+    its activity's place, found by label."""
+    phases, A, rates = _level_blocks(model)
+    L, m, j1 = model.N + 1, len(phases), model.tau1 - 1
     A, rates = A.copy(), rates.copy()
     for w in range(L):
         for b in (0, 1):
             if pol.transfers(w + b):
-                A[w, b, order.index(pend1)] = A[w, b, m]
-                rates[b, :, pend1 * L + w] = rates[b, :, m * L + w]
-    back = np.argsort(order)
-    return acts, A[:, :, back][..., back], rates[..., :m * L]
+                A[w, b, j1] = A[w, b, m]
+                rates[b, :, j1, w] = rates[b, :, m, w]
+    acts = [act for act, w in queue_states(model) if w == 0]
+    at = [phases.index(act) for act in acts]
+    return acts, A[:, :, at][..., at], rates[:, :, at].reshape(2, 5, m * L)
 
 
 def removal_steps(pattern: np.ndarray) -> list[tuple]:

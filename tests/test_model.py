@@ -70,10 +70,11 @@ def test_construction_and_replace_check_the_invariants():
         dataclasses.replace(default_queue_model(), q=1.5)
     with pytest.raises(ValueError, match="S must be >= 1"):
         GeneratorConfig(seed=1, S=0)
-    with pytest.raises(ValueError, match="unknown policy kind 'bogus'"):
-        QueuePolicy("bogus")
+    for n in (-1, True, 1.5, "2"):
+        with pytest.raises(ValueError, match=r"\bn must be"):
+            QueuePolicy(n)
     with pytest.raises(ValueError, match="threshold n must be >= 1"):
-        QueuePolicy("qge", 0)
+        QueuePolicy.when_queue_at_least(0)
 
 
 class TestRulesTable:

@@ -9,6 +9,7 @@ import pytest
 from dense_queue import (
     EXTENDED,
     _branch_chains,
+    at_states,
     dense_rates,
     dense_stationary,
     gth_rates,
@@ -248,10 +249,11 @@ def test_end_points_match_dense_lu_on_the_reachable_states(q):
     for N, tau1, tau2, rho1 in itertools.product((0, 1, 3, 5), (1, 2, 6), (1, 2, 3), (0.0, 0.3, 1.0)):
         model = dataclasses.replace(default_queue_model(N=N, q=q),
                                     profile=ResolutionProfile((tau1, tau2), (rho1, 1.0)))
+        at = at_states(model, evaluate_queue_policy(model, QueuePolicy.never()).states)
         for pol in admissible_queue_policies(model):
             ev = evaluate_queue_policy(model, pol)
             pi, rates = dense_stationary(model, pol)
-            assert np.abs(ev.pi - pi).max() <= 1e-13, (N, tau1, tau2, rho1, pol)
+            assert np.abs(ev.pi - pi[at]).max() <= 1e-13, (N, tau1, tau2, rho1, pol)
             assert np.abs(_rates(ev) - rates @ pi).max() <= 1e-13, (N, tau1, tau2, rho1, pol)
 
 
@@ -274,12 +276,13 @@ def test_beyond_the_oracle_grid_solves_or_raises(N, tau, rho1, q):
 
 def test_failed_check_names_the_check_state_and_q(monkeypatch):
     model = default_queue_model(N=2, q=0.5)
-    n = len(evaluate_queue_policy(model, QueuePolicy.never()).states)
+    states = evaluate_queue_policy(model, QueuePolicy.never()).states
+    n = len(states)
     pi = np.full((1, 1, n), 1.0 / n)
     monkeypatch.setattr(waiting_room, "_level_solve", lambda lanes, q: pi)
     with pytest.raises(EvaluationError, match=r"stationary distribution residual .* at q=0.5"):
         evaluate_queue_policy(model, QueuePolicy.never())
-    pi[0, 0, 0] = np.nan
+    pi[0, 0, states.index((("idle",), 0))] = np.nan
     with pytest.raises(EvaluationError, match=r"residual nan at \('idle',\)/0"):
         evaluate_queue_policy(model, QueuePolicy.never())
 
@@ -300,24 +303,26 @@ def test_failed_check_in_a_sweep_names_the_policy(monkeypatch):
 
 
 def test_level_blocks_equal_the_dense_chain():
-    # each policy's blocks, picked from the shared ones and scattered into the
-    # dense (2, n, n) layout, against the dense builder of the tests; no block
-    # leads below level 0 or above N.  The structure the level solve reads
-    # the chain by: every move down, and no move up, lands in the phase that
-    # starts a service, and every other same-level move goes forward in
-    # cycle order, bar idle's self-loop on level 0
+    # each policy's blocks, picked from the shared ones, moved to the dense
+    # builder's state order by label and scattered into its (2, n, n) layout,
+    # against that builder bit for bit; no block leads below level 0 or
+    # above N.  The structure the level solve reads the chain by: every move
+    # down, and no move up, lands in the phase that starts a service, and
+    # every other same-level move goes forward in cycle order, bar idle's
+    # self-loop on level 0
     for N, tau1, tau2, rho1 in itertools.product((0, 1, 3, 6), (1, 2, 6), (1, 3, 15), (0.0, 0.3, 1.0)):
         model = dataclasses.replace(default_queue_model(N=N),
                                     profile=ResolutionProfile((tau1, tau2), (rho1, 1.0)))
-        order = waiting_room._level_blocks(model)[1]
-        rank = np.argsort(order)   # each activity's place in the cycle
+        phases = waiting_room._level_blocks(model)[0]
         for pol in admissible_queue_policies(model):
             acts, A, rates = policy_blocks(model, pol)
+            rank = np.array([phases.index(act) for act in acts])   # each activity's place in the cycle
+            start = acts.index(phases[0])
             case = (N, tau1, tau2, rho1, pol)
-            assert not np.delete(A[:, :, :, 0], order[0], -1).any(), case
-            assert not A[:, :, :, 2, order[0]].any(), case
+            assert not np.delete(A[:, :, :, 0], start, -1).any(), case
+            assert not A[:, :, :, 2, start].any(), case
             w, _, i, j = np.nonzero(A[:, :, :, 1])
-            back = (j != order[0]) & (rank[j] <= rank[i])
+            back = (j != start) & (rank[j] <= rank[i])
             idle = acts.index(("idle",))
             assert np.all((w[back] == 0) & (i[back] == idle) & (j[back] == idle)), case
             states, P, dense = _branch_chains(model, pol)
@@ -352,14 +357,16 @@ def test_large_room_stays_within_block_memory(N, tau):
 def _assert_lanes_match_alone_and_oracle(model, grid, pi, rates):
     # each lane of a many-policy solve, bit for bit the same policy solved
     # alone, and to round-off the per-policy dense-level state reduction (the
-    # bound of the long-double GTH test, on what float64 holds to full precision)
+    # bound of the long-double GTH test, on what float64 holds to full
+    # precision), the oracle's pi taken state by state
     for p, pol in enumerate(admissible_queue_policies(model)):
-        _, alone_pi, alone_rates = _evaluate_on_grid(model, [pol], grid)
+        states, alone_pi, alone_rates = _evaluate_on_grid(model, [pol], grid)
+        at = at_states(model, states)
         case = (model.N, model.profile, pol.label)
         assert np.array_equal(pi[p], alone_pi[0]), case
         assert np.array_equal(rates[p], alone_rates[0]), case
-        for i, want in enumerate(level_evaluations(model, pol, grid)):
-            for got, ref in zip((pi[p, i], rates[p, i]), want):
+        for i, (ref_pi, ref_rates) in enumerate(level_evaluations(model, pol, grid)):
+            for got, ref in zip((pi[p, i], rates[p, i]), (ref_pi[at], ref_rates)):
                 normal = ref > 1e-290
                 assert np.all(np.abs(got - ref)[normal] <= 1e-14 * ref[normal]), (case, grid[i])
                 assert np.all(got[~normal] < 1e-280), (case, grid[i])
@@ -396,6 +403,46 @@ def test_one_solve_for_every_policy_equals_the_per_policy_oracle(N):
         model = dataclasses.replace(default_queue_model(N=N), profile=ResolutionProfile(tau, (rho1, 1.0)))
         _, pi, rates = _evaluate_on_grid(model, admissible_queue_policies(model), grid)
         _assert_lanes_match_alone_and_oracle(model, grid, pi, rates)
+
+
+@dataclasses.dataclass(frozen=True)
+class _TransferSet:
+    """Any Q-dependent rule: transfer after a failed first attempt iff Q is
+    in `at`."""
+
+    at: frozenset
+
+    def transfers(self, q_obs: int) -> bool:
+        return q_obs in self.at
+
+    @property
+    def label(self) -> str:
+        return str(sorted(self.at))
+
+
+def test_a_threshold_on_the_queue_is_the_best_transfer_set():
+    # every set of Q = 0..N + 1 at which to transfer, as lanes of one solve
+    # per room: the best is an upper set {n, ..., N + 1} at every q.  The
+    # list leaves out qge(N + 1), transfer only when the room is full and
+    # another customer arrives; its worst cost per N is in README
+    grid = tuple(round(0.01 * i, 10) for i in range(1, 100))
+    worst = np.zeros(4)
+    for N, tau, rho1, c_c in itertools.product(range(4), [(6, 15), (1, 3), (2, 15), (6, 1), (3, 3)],
+                                               (0.1, 0.3, 0.7, 0.95), (1.0, 5.0, 15.0, 19.0)):
+        model = QueueModel(N=N, profile=ResolutionProfile(tau, (rho1, 1.0)),
+                           econ=EconomicParams(r=20.0, c_w=0.0, c_c=c_c, tau_w=1), q=0.5)
+        sets = [frozenset(Q for Q in range(N + 2) if bits >> Q & 1) for bits in range(2 ** (N + 2))]
+        profit = _evaluate_on_grid(model, [_TransferSet(at) for at in sets], grid)[2][..., 0]
+        upper = profit[[sets.index(frozenset(range(n, N + 2))) for n in range(N + 3)]].max(0)
+        case = (N, tau, rho1, c_c)
+        assert np.all(profit.max(0) <= upper * (1.0 + 1e-13)), case
+        listed = [sets.index(frozenset(Q for Q in range(N + 2) if pol.transfers(Q)))
+                  for pol in admissible_queue_policies(model)]
+        cost = 1.0 - profit[listed].max(0) / upper
+        worst[N] = max(worst[N], cost.max())
+        if case == (0, (1, 3), 0.3, 15.0):
+            assert cost.max() > 0.10
+    assert np.array_equal(np.round(100.0 * worst, 2), [11.27, 1.95, 0.62, 0.31]), worst
 
 
 def test_large_room_matches_dense_lu():

@@ -199,6 +199,8 @@ def _run_threshold_study(cfg: RunConfig) -> list[str]:
     s_list = cfg.config.get("S_list", [gen_cfg.S])
     if not isinstance(s_list, list):
         raise ValidationFailure(f"'S_list' must be a JSON list, got {s_list!r}")
+    if not s_list:
+        raise ValidationFailure("S_list must list at least one S")
     s_list = [as_int(s, "S_list entry") for s in s_list]
     report = structure.run_heuristic_study(gen_cfg, n, s_list)
     rows = [

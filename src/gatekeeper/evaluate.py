@@ -332,8 +332,10 @@ def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:
 
 def renewal_step(head, fail, cont, nxt, trans) -> np.ndarray:
     """(W, D) from an attempt's start: head + sum_j fail_j (nxt if cont_j else trans_j),
-    summed in state order without BLAS, so no lane depends on the others."""
-    return head + np.add.accumulate(np.where(cont, nxt[:, None], trans) * fail, axis=1)[:, 3]
+    the four state terms added left to right, ((x_0 + x_1) + x_2) + x_3, as
+    element-wise adds without BLAS, so no lane depends on the others."""
+    x = np.where(cont, nxt[:, None], trans) * fail
+    return head + (((x[:, 0] + x[:, 1]) + x[:, 2]) + x[:, 3])
 
 
 def _policy_pass(head, fail, trans, actions) -> np.ndarray:

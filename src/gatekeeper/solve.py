@@ -100,21 +100,28 @@ def dinkelbach(t: RenewalTerms, nested: bool = False) -> tuple[np.ndarray, np.nd
     continues in shrinking sets C_1 >= C_2 >= ..., taken as subset maxima
     with ties to the largest bitmask (bit j = state j of CONGESTION_STATES).
     R starts at never transferring (the maximizer at R = 0) and rises until
-    the actions repeat; an instance whose ratio stops rising keeps its R, so
-    its result is bit-identical alone or in a block.
+    the actions repeat.  An instance leaves the block in the pass where its
+    ratio stops rising: a further pass at the same R would give the same
+    bits, so that pass's ratio and actions are its answer, and the later
+    passes run over the instances still rising.  No lane reads another, so
+    each result is bit-identical alone or in a block.
     """
-    R, run = t.r_never, _nested_pass if nested else _free_pass
+    run, N = _nested_pass if nested else _free_pass, len(t.r_never)
+    lanes, R, R_out = np.arange(N), t.r_never, np.empty(N)
+    cont_out, cold_out = np.empty((N, len(t.head) - 1, 4), dtype=bool), np.empty((N, 4), dtype=bool)
     while True:
         v = t.trans[0] - R * t.trans[1]
         cold = v[1] > v[0]
         WD, cont = run(t, R, np.maximum(v[0], v[1]), np.where(cold, t.trans[:, 1], t.trans[:, 0]))
         ratio = WD[0] / WD[1]
-        rising = ratio > R
-        if not np.count_nonzero(rising):
+        # a lane's last write is from the pass where its ratio stops rising
+        R_out[lanes], cont_out[lanes], cold_out[lanes] = ratio, cont.transpose(2, 0, 1), cold.T
+        rising = np.flatnonzero(ratio > R)
+        if not len(rising):
             break
-        R = np.where(rising, ratio, R)
-    acts = np.where(cont, 0, cold + 1).astype(np.int8)   # Action codes: continue, warm, cold
-    return ratio, acts.transpose(2, 0, 1)
+        lanes, R, t = lanes[rising], ratio[rising], t._make(a.take(rising, axis=-1) for a in t)
+    # Action codes: continue, warm, cold
+    return R_out, np.where(cont_out, 0, cold_out[:, None] + 1).astype(np.int8)
 
 
 def optimal_policy(inst: ProblemInstance) -> tuple[StationaryPolicy, float]:

@@ -394,6 +394,7 @@ def test_simulate_target_without_a_policy_exits_2_naming_it(tmp_path, capsys):
 @pytest.mark.parametrize("S_list, message", [
     ([2.5], "S_list entry must be an integer, got 2.5"),
     (3, "'S_list' must be a JSON list, got 3"),
+    ([], "S_list must list at least one S"),
 ])
 def test_threshold_study_S_list_must_be_a_list_of_integers(tmp_path, capsys, S_list, message):
     code, out = run_cli(tmp_path, "threshold-study", {"n_instances": 2, "S_list": S_list})

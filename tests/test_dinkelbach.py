@@ -4,7 +4,9 @@ Instances are drawn over S = 1..7 and the edges of the valid box: q and a at
 1e-8 or 1, and attempts that always resolve (rho = 1) before the last one.
 The nested (threshold) class is checked against the exhaustive threshold
 grid, the unrestricted class against `enumerate_policies`, and every lane of
-a block against the same instance solved alone.
+a block against the same instance solved alone.  A lane leaves the block in
+the pass where its ratio stops rising; the loop that passes over every lane
+until none rises stays here as the oracle of that retirement.
 """
 import itertools
 
@@ -17,9 +19,10 @@ from gatekeeper import (
     enumerate_policies,
     is_threshold_policy,
     search_threshold_policies,
+    solve,
 )
-from gatekeeper.evaluate import average_reward, renewal_terms
-from gatekeeper.model import all_decision_rules, rules_table
+from gatekeeper.evaluate import average_reward, block_terms, renewal_terms
+from gatekeeper.model import GeneratorConfig, all_decision_rules, generate_block, rules_table
 from gatekeeper.solve import dinkelbach, optimal_policy
 
 from conftest import instances, random_instance
@@ -68,3 +71,36 @@ def test_block_lanes_equal_solo_solves(insts, nested):
 def test_block_rejects_mixed_attempt_counts():
     with pytest.raises(ValueError, match="block of S = 3"):
         renewal_terms([random_instance(0, 3), random_instance(1, 4)])
+
+
+def _every_lane_dinkelbach(t, nested):
+    """Dinkelbach passing over every lane until no ratio rises; a lane that
+    has stopped keeps its R, so it repeats its bits in each later pass."""
+    R, run = t.r_never, solve._nested_pass if nested else solve._free_pass
+    while True:
+        v = t.trans[0] - R * t.trans[1]
+        cold = v[1] > v[0]
+        WD, cont = run(t, R, np.maximum(v[0], v[1]), np.where(cold, t.trans[:, 1], t.trans[:, 0]))
+        ratio = WD[0] / WD[1]
+        rising = ratio > R
+        if not np.count_nonzero(rising):
+            break
+        R = np.where(rising, ratio, R)
+    return ratio, np.where(cont, 0, cold + 1).astype(np.int8).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_lanes_retire_once_their_ratio_stops_rising(monkeypatch, nested):
+    t = block_terms(*generate_block(GeneratorConfig(seed=300, S=4), range(300, 600)))
+    R_all, acts_all = _every_lane_dinkelbach(t, nested)
+    counts = []
+    for name in ("_free_pass", "_nested_pass"):
+        def spy(terms, R, *args, run=getattr(solve, name)):
+            counts.append(len(R))
+            return run(terms, R, *args)
+        monkeypatch.setattr(solve, name, spy)
+    R, acts = dinkelbach(t, nested=nested)
+    assert counts[0] == 300 and all(b < a for a, b in zip(counts, counts[1:]))
+    assert sum(counts) < len(counts) * 300
+    assert R.tobytes() == R_all.tobytes()
+    assert acts.dtype == acts_all.dtype and np.array_equal(acts, acts_all)

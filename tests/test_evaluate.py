@@ -30,9 +30,11 @@ from gatekeeper.evaluate import (
     cycle_performance,
     lane_terms,
     policy_actions,
+    renewal_step,
     renewal_terms,
     stationary_distribution,
 )
+from gatekeeper.solve import _MEMBER
 
 from conftest import instances, random_instance, random_policy
 from dense_queue import EXTENDED, gth_stationary, lu_relative_values
@@ -334,3 +336,25 @@ def test_relative_values_match_the_dense_solve(case):
     scale = max(1.0, float(np.abs(G).max()))
     assert R == pytest.approx(ev.R, rel=1e-9, abs=0.0)
     np.testing.assert_allclose(ev.G, G, rtol=0.0, atol=1e-9 * scale)
+
+
+def _mixed(rng, shape):
+    """Values over 24 decades of both signs, a fifth of them zero."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+    return np.where(rng.random(shape) < 0.2, 0.0, x)
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_renewal_step_sums_the_states_in_order(nested):
+    rng = np.random.default_rng(22)
+    N = 500
+    head, fail, trans = _mixed(rng, (2, N)), _mixed(rng, (4, N)), _mixed(rng, (2, 4, N))
+    if nested:   # as `solve._nested_pass` calls it
+        head, fail, trans = head[:, None], fail[:, None], trans[:, :, None]
+        cont, nxt = _MEMBER[..., None], _mixed(rng, (2, 16, N))
+    else:        # as a policy pass calls it
+        cont, nxt = rng.random((4, N)) < 0.5, _mixed(rng, (2, N))
+    got = renewal_step(head, fail, cont, nxt, trans)
+    want = head + np.add.accumulate(np.where(cont, nxt[:, None], trans) * fail, axis=1)[:, 3]
+    assert got.shape == want.shape == ((2, 16, N) if nested else (2, N))
+    assert np.array_equal(got, want)

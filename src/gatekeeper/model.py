@@ -457,6 +457,45 @@ class InstanceBlock(NamedTuple):
         )
 
 
+def _lemire(halves: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """`Generator.integers(lo, hi + 1)` on 32-bit draws `halves` (uint64 <
+    2**32), for a range of fewer than 2**32 - 1 steps: Lemire's multiply-shift
+    onto hi - lo + 1 values, with True where numpy would reject the draw and
+    draw again."""
+    span = hi - lo + 1
+    m = halves * np.uint64(span)
+    return (m >> np.uint64(32)).astype(np.int64) + lo, (m & np.uint64(2**32 - 1)) < 2**32 % span
+
+
+def _draw_words(bits: np.random.Philox, cfg: GeneratorConfig, seeds: Sequence[int]):
+    """Each seed's draws from one `random_raw` call: tau (n, S), the S + 4
+    uniforms (n, S + 4), tau_w (n,), and True on the lanes where a Lemire
+    draw was rejected, whose later draws the words do not give."""
+    S, n = cfg.S, len(seeds)
+    (t_lo, t_hi), (w_lo, w_hi) = cfg.tau_range, cfg.tau_w_range
+    n_tau = -(-S // 2) if t_hi > t_lo else 0
+    words = np.empty((n, n_tau + S + 5), np.uint64)
+    for i, seed in enumerate(seeds):
+        bits.state = _philox_state(seed)
+        words[i] = bits.random_raw(n_tau + S + 5)
+    redo = np.zeros(n, bool)
+    tau = np.full((n, S), t_lo, np.int64)
+    if n_tau:
+        halves = np.empty((n, 2 * n_tau), np.uint64)
+        halves[:, 0::2] = words[:, :n_tau] & np.uint64(2**32 - 1)   # low half first
+        halves[:, 1::2] = words[:, :n_tau] >> np.uint64(32)
+        tau, rejected = _lemire(halves[:, :S], t_lo, t_hi)
+        redo |= rejected.any(axis=1)
+    u = (words[:, n_tau:n_tau + S + 4] >> np.uint64(11)) * 2.0**-53   # Generator.random
+    tau_w = np.full(n, w_lo, np.int64)
+    if w_hi > w_lo:
+        # odd S leaves the high half of tau's last word buffered for tau_w
+        half = halves[:, S] if n_tau and S % 2 else words[:, n_tau + S + 4] & np.uint64(2**32 - 1)
+        tau_w, rejected = _lemire(half, w_lo, w_hi)
+        redo |= rejected
+    return tau, u, tau_w, redo
+
+
 def _draw_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
     """The lanes of `seeds` as drawn, their invariants unchecked (see
     `generate_block`); the seeds' range is checked once for the block."""
@@ -465,11 +504,15 @@ def _draw_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
         as_seed(min(seeds))
         as_seed(max(seeds))
     bits = np.random.Philox(0)
-    gen = np.random.Generator(bits)
-    tau, u, tau_w = np.empty((n, S), np.int64), np.empty((n, S + 4)), np.empty(n, np.int64)
     (t_lo, t_hi), (w_lo, w_hi) = cfg.tau_range, cfg.tau_w_range
-    for i, seed in enumerate(seeds):
-        bits.state = _philox_state(seed)
+    if max(t_hi - t_lo, w_hi - w_lo) < 2**32 - 1 and max(t_hi, w_hi) < 2**63:
+        tau, u, tau_w, redo = _draw_words(bits, cfg, seeds)
+    else:   # numpy's wider routes, and bounds beyond int64 that it rejects
+        tau, u, tau_w = np.empty((n, S), np.int64), np.empty((n, S + 4)), np.empty(n, np.int64)
+        redo = np.ones(n, bool)
+    gen = np.random.Generator(bits)
+    for i in np.flatnonzero(redo).tolist():
+        bits.state = _philox_state(seeds[i])
         tau[i] = gen.integers(t_lo, t_hi + 1, size=S)
         gen.random(out=u[i])
         tau_w[i] = gen.integers(w_lo, w_hi + 1)
@@ -485,11 +528,23 @@ def _draw_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
 def generate_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
     """Draw the instance of each seed in `seeds` (cfg.seed plays no part).
 
-    Each lane comes from its seed's (seed, 0) stream: S attempt times, then
-    S + 4 uniforms for rho_1..rho_{S-1}, q, a, r, c_w and the cold/warm cost
-    ratio, then tau_w.  A uniform u maps to lo + (hi - lo) u, the operations
-    of `Generator.uniform`.  A lane that breaks an instance invariant raises
-    one ValueError listing what is wrong and naming its seed.
+    Each lane comes from its seed's (seed, 0) stream, the draws that
+    `Generator` calls would make: S attempt times, then S + 4 uniforms for
+    rho_1..rho_{S-1}, q, a, r, c_w and the cold/warm cost ratio, then tau_w.
+    The stream's 64-bit words are read in order, one `random_raw` call per
+    seed, and mapped as arrays:
+    - tau takes the 32-bit halves of the first ceil(S/2) words, low half
+      first, each mapped by Lemire's multiply-shift onto the range's values;
+    - each uniform takes one word w as (w >> 11) 2**-53 and maps to
+      lo + (hi - lo) u, the operations of `Generator.uniform`;
+    - tau_w takes, for odd S, the unused high half of tau's last word, else
+      the low half of the word after the uniforms.
+    A range of one value draws nothing.  A lane with a draw that Lemire's
+    method rejects (16 in 2**32 per draw on the default tau range) is drawn
+    again by `Generator` calls, as is every lane when a range spans 2**32
+    values or more, which numpy draws another way.  A lane that breaks an
+    instance invariant raises one ValueError listing what is wrong and
+    naming its seed.
     """
     block = _draw_block(cfg, seeds)
     checks = _lane_violations(*block[:6], np.zeros(len(seeds)), block.q, block.a)

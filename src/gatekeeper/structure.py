@@ -27,6 +27,7 @@ from .model import (
     GeneratorConfig,
     ProblemInstance,
     StationaryPolicy,
+    as_seed,
     generate_block,
     policy_from_actions,
     rules_table,
@@ -215,6 +216,10 @@ def run_heuristic_study(
     """
     if n_instances < 1:
         raise ValueError("n_instances must be >= 1")
+    if S_list:   # before any block is drawn or solved
+        as_seed(cfg.seed + len(S_list) * n_instances - 1,
+                f"generator.seed + len(S_list) * n_instances - 1 = {cfg.seed} + {len(S_list)} * "
+                f"{n_instances} - 1, the study's last seed")
     rows = []
     for si, S in enumerate(S_list):
         seed_lo = cfg.seed + si * n_instances

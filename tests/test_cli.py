@@ -509,6 +509,21 @@ def test_config_seed_outside_u64_exits_2_and_the_last_u64_seed_runs(tmp_path, ca
     assert (out / "study.csv").read_text().splitlines()[-1].split(",")[-2:] == [str(2**64 - 1)] * 2
 
 
+def test_study_seed_range_past_u64_exits_2_before_any_block(tmp_path, capsys, monkeypatch):
+    from gatekeeper import structure
+
+    def no_draw(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(structure, "generate_block", no_draw)
+    payload = {"generator": {"seed": 2**64 - 700}, "n_instances": 300, "S_list": [3, 4, 5]}
+    code, out = run_cli(tmp_path, "threshold-study", payload)
+    assert code == EXIT_VALIDATION
+    assert ("generator.seed + len(S_list) * n_instances - 1 = 18446744073709550916 + 3 * 300 - 1, "
+            "the study's last seed must lie in [0, 2**64), got 18446744073709551815") in capsys.readouterr().err
+    assert not (out / "run_manifest.json").exists()
+
+
 @pytest.mark.parametrize("sub, payload, message", [
     ("queue-sweep", {"queue": {"N": True}, "q_grid": [0.5]}, "N must be an integer, got True"),
     ("threshold-study", {"generator": {"S": True}, "n_instances": True}, "S must be an integer, got True"),

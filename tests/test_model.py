@@ -24,7 +24,7 @@ from gatekeeper import (
     validate_instance,
 )
 from gatekeeper.evaluate import block_terms, renewal_terms
-from gatekeeper.model import rng_stream
+from gatekeeper.model import _draw_words, rng_stream
 
 
 def make_instance(**overrides):
@@ -116,6 +116,20 @@ class TestRulesTable:
         assert len(survivors) == 11
 
 
+# The routes of the block draw besides the default ranges: ranges of one
+# value, which draw nothing; spans where Lemire's multiply-shift rejects about
+# half of all draws, so those lanes are redrawn one seed at a time; and spans of
+# 2**32 values and more, which numpy draws by other routes.
+DRAW_ROUTES = {
+    "one-tau": {"tau_range": (3, 3)},
+    "one-tau_w": {"tau_w_range": (2, 2)},
+    "rejecting-tau": {"tau_range": (1, 2**31 + 1)},
+    "rejecting-tau_w": {"tau_w_range": (1, 2**31 + 1)},
+    "span-2**32": {"tau_range": (1, 2**32)},
+    "span-2**40": {"tau_range": (5, 2**40 + 4)},
+}
+
+
 class TestGenerator:
     def test_deterministic_in_seed(self):
         cfg = GeneratorConfig(seed=42, S=4)
@@ -142,11 +156,18 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_instance(GeneratorConfig(seed=1, q_range=(0.0, 0.5)))
 
-    @pytest.mark.parametrize("S", range(1, 9))
-    def test_block_equals_the_per_seed_oracle_bit_for_bit(self, S):
+    @pytest.mark.parametrize("ranges, S", [
+        *(pytest.param({}, S, id=str(S)) for S in range(1, 9)),
+        *(pytest.param(ranges, S, id=f"{route}-{S}") for route, ranges in DRAW_ROUTES.items() for S in (3, 4)),
+    ])
+    def test_block_equals_the_per_seed_oracle_bit_for_bit(self, ranges, S):
         # odd S leaves half a 64-bit word buffered that the tau_w draw takes
         seeds = [*range(1000 * S, 1000 * S + 500), 2**40 + 7, 2**63, 2**63 + 5, 2**64 - 1]
-        cfg = GeneratorConfig(seed=0, S=S)
+        cfg = GeneratorConfig(seed=0, S=S, **ranges)
+        if 2**31 + 1 in (cfg.tau_range[1], cfg.tau_w_range[1]):
+            # the lanes with a rejected draw take the per-seed route, the others the words'
+            redo = _draw_words(np.random.Philox(0), cfg, seeds)[3]
+            assert 0 < np.count_nonzero(redo) < len(seeds)
         insts = [seed_generator.generate_instance(dataclasses.replace(cfg, seed=s)) for s in seeds]
         block = generate_block(cfg, seeds)
         want = {

@@ -32,13 +32,36 @@ def write_csv(
     rows: Iterable[Sequence],
     comments: Sequence[str] = (),
 ) -> Path:
+    """The rows under the header, every row as long as the others."""
+    return write_columns(path, header, list(zip(*rows, strict=True)), comments)
+
+
+def write_columns(
+    path: Path,
+    header: Sequence[str],
+    columns: Sequence[Sequence],
+    comments: Sequence[str] = (),
+) -> Path:
+    """`write_csv` of the rows zip(*columns), a column formatted at a time."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
+
+
+def _fmt_column(values: Sequence) -> list[str]:
+    """`fmt` of each value, with one format for a column of floats, of bools
+    or of ints and strings."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return [f"{v:.12g}" for v in values]
+    if kinds == {bool}:
+        return ["1" if v else "0" for v in values]
+    if kinds <= {int, str}:
+        return list(map(str, values))
+    return [fmt(v) for v in values]
 
 
 def write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int,

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import market as mkt
 from . import structure, waiting_room
-from .artifacts import config_hash, fmt, write_csv, write_manifest
+from .artifacts import config_hash, fmt, write_columns, write_csv, write_manifest
 from .model import (
     CONGESTION_STATES,
     EconomicParams,
@@ -290,17 +290,16 @@ def _run_design(cfg: RunConfig) -> list[str]:
     if cfg.config.get("wage") is not None:
         inst = replace(inst, econ=replace(inst.econ, c_wage=as_real(cfg.config["wage"], "wage")))
     search = mkt.optimize_design(inst, market, prefs, bot)
-    rows = [
-        (res.design.k_agent, res.design.policy or "", res.design.p_succ, res.profit,
-         res.q_per_agent, res.q_bot_effective, res.shares.agent, res.shares.bot_direct,
-         res.shares.balk, res.converged, res.iterations, res.residual)
-        for res in search.results
-    ]
-    write_csv(cfg.out_dir / "design.csv",
-              ("k", "policy", "p_succ", "profit", "q_agent", "q_bot",
-               "share_agent", "share_bot", "share_balk", "converged",
-               "iterations", "residual"),
-              rows, _comments(cfg))
+    grid = search.grid
+    write_columns(cfg.out_dir / "design.csv",
+                  ("k", "policy", "p_succ", "profit", "q_agent", "q_bot",
+                   "share_agent", "share_bot", "share_balk", "converged",
+                   "iterations", "residual"),
+                  [[d.k_agent for d in grid.designs], [d.policy or "" for d in grid.designs],
+                   [d.p_succ for d in grid.designs],
+                   *(a.tolist() for a in (grid.profit, grid.q, grid.q_bot, *grid.shares[:3],
+                                          grid.converged, grid.iterations, abs(grid.g)))],
+                  _comments(cfg))
     best = search.best
     print(
         f"best design: k={best.design.k_agent} policy={best.design.policy} "

@@ -369,16 +369,29 @@ def cycle_performance(inst: ProblemInstance, q: np.ndarray,
     the outcome probabilities are the per-cycle ones and t_channel is the busy
     time, carried directly because D_1 - E[idle] cancels at small q.
     """
-    t = lane_terms(inst, q)
-    S, N, tau_w, a = inst.S, len(q), inst.econ.tau_w, inst.traffic.a
-    # rows: busy, resolve, warm, cold; an attempt's own part, then a transfer's given (Q, A)
+    return lane_performance(lane_terms(inst, q), measure_rows(inst), q, actions)
+
+
+def measure_rows(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The rows `cycle_performance` carries next to W and D, which do not
+    depend on q: busy, resolve, warm and cold of each attempt's own part
+    (S, 4) and of a warm / cold transfer per (Q, A) (4, 2, 4)."""
+    tau_w, a = inst.econ.tau_w, inst.traffic.a
     head = [[tau_x, rho_x, 0.0, 0.0] for tau_x, rho_x in zip(inst.profile.tau, inst.profile.rho)]
     trans = [[[1 / a + tau_w] * 2 + [tau_w] * 2, [0.0] * 4], [[0.0] * 4] * 2,
              [[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]]
+    return np.array(head)[..., None], np.array(trans)[..., None]
+
+
+def lane_performance(t: RenewalTerms, rows: tuple[np.ndarray, np.ndarray], q: np.ndarray,
+                     actions: np.ndarray) -> tuple[np.ndarray, PerformanceMeasures]:
+    """`cycle_performance` from the lanes' renewal terms t (`lane_terms` at q)
+    and the instance's `measure_rows`."""
+    (S, N), (head, trans) = t.head.shape[::2], rows
     W, D, busy, res, warm, cold = _policy_pass(
-        np.concatenate([t.head, np.broadcast_to(np.array(head)[..., None], (S, 4, N))], axis=1),
+        np.concatenate([t.head, np.broadcast_to(head, (S, 4, N))], axis=1),
         t.fail,
-        np.concatenate([t.trans, np.broadcast_to(np.array(trans)[..., None], (4, 2, 4, N))]),
+        np.concatenate([t.trans, np.broadcast_to(trans, (4, 2, 4, N))]),
         actions,
     )
     return W / D, PerformanceMeasures(throughput=1 / D, p_admit=1 / (q * D), p_resolve=res,

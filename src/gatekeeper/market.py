@@ -23,13 +23,15 @@ never congested.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .evaluate import PerformanceMeasures, lane_performance, lane_terms, measure_rows
 # evaluate_policy is not called here: the benchmark harness's tracing
 # self-test installs and removes a span on `market.evaluate_policy`.
-from .evaluate import PerformanceMeasures, cycle_performance, evaluate_policy, lane_terms  # noqa: F401
+from .evaluate import evaluate_policy  # noqa: F401
 from .model import (
     EconomicParams,
     ProblemInstance,
@@ -119,6 +121,11 @@ class MarketParams:
         if not isinstance(self.p_grid, (tuple, list)):
             raise ValueError(f"p_grid must be a list, got {self.p_grid!r}")
         object.__setattr__(self, "p_grid", tuple(as_real(p, "p_grid entry") for p in self.p_grid))
+        for i, p in enumerate(self.p_grid):
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"p_grid entries must lie in [0, 1), got {p}")
+            if p in self.p_grid[:i]:
+                raise ValueError(f"p_grid lists {p} twice")
         if not 0 < self.lam <= self.k_max:
             raise ValueError("need 0 < lam <= k_max")
 
@@ -226,49 +233,82 @@ class EquilibriumResult:
     residual: float
 
 
-def _profit(
-    k: int, agent_reward: float, wage: float, q_bot: float,
-    bot: Optional[BotChannel], econ: EconomicParams,
-) -> tuple[float, dict[str, float]]:
-    parts = {
-        "agent_revenue": k * agent_reward,
-        "wages": k * wage,
-        "bot_margin": 0.0,
-        "bot_training": 0.0,
-    }
-    if bot is not None:
-        parts["bot_margin"] = q_bot * (econ.r - (1 - bot.p_succ) * econ.c_c)
-        parts["bot_training"] = bot_training_cost(bot)
-    profit = parts["agent_revenue"] - parts["wages"] + parts["bot_margin"] - parts["bot_training"]
-    return profit, parts
+_PARTS = ("agent_revenue", "wages", "bot_margin", "bot_training")
+
+
+class DesignGrid(NamedTuple):
+    """Solved and priced design cells as columns: cell j is designs[j], on
+    the last axis of every array."""
+
+    designs: tuple[DesignPoint, ...]
+    q: np.ndarray            # reported per-agent arrival probability (0 unstaffed)
+    R: np.ndarray            # agent reward per agent per period there
+    g: np.ndarray            # F(q) - q there
+    measures: np.ndarray     # (6, n): the PerformanceMeasures fields
+    shares: np.ndarray       # (4, n): the Shares fields
+    actions: np.ndarray      # (S-1, 4, n)
+    iterations: np.ndarray
+    converged: np.ndarray
+    q_bot: np.ndarray
+    parts: np.ndarray        # (4, n): the profit parts, in _PARTS order
+    profit: np.ndarray
+
+    def take(self, cells) -> DesignGrid:
+        return DesignGrid(tuple(self.designs[j] for j in cells),
+                          *(a.take(cells, axis=-1) for a in self[1:]))
+
+
+def _results(grid: DesignGrid, cells) -> list[EquilibriumResult]:
+    """The EquilibriumResults of the given cells of a grid; `policy_from_actions`
+    runs once per distinct action row."""
+    sub = grid.take(cells)
+    q, R, g, iters, converged, q_bot, profit = (
+        a.tolist() for a in (sub.q, sub.R, sub.g, sub.iterations, sub.converged, sub.q_bot, sub.profit))
+    measures, shares, parts = (a.T.tolist() for a in (sub.measures, sub.shares, sub.parts))
+    policies, results = {}, []
+    for j, d in enumerate(sub.designs):
+        staffed, policy = d.k_agent > 0, None
+        if staffed:
+            key = sub.actions[..., j].tobytes()
+            if key not in policies:
+                policies[key] = policy_from_actions(sub.actions[..., j])
+            policy = policies[key]
+        results.append(EquilibriumResult(
+            design=d, q_per_agent=q[j], q_bot_effective=q_bot[j], shares=Shares(*shares[j]),
+            perf=PerformanceMeasures(*measures[j]) if staffed else None, policy=policy,
+            agent_reward=R[j], profit=profit[j], profit_parts=dict(zip(_PARTS, parts[j])),
+            converged=converged[j], iterations=iters[j], residual=abs(g[j]),
+        ))
+    return results
 
 
 def _solve_cells(
     template: ProblemInstance,
     designs: list[DesignPoint],
+    b: np.ndarray,
     market: MarketParams,
     prefs: CustomerPrefs,
-    bot_curve: BotChannel,
-) -> list[EquilibriumResult]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every design's demand fixed point; the staffed ones bisect in lockstep.
 
     Each design is a lane.  A staffed lane has its own bracket [lo, hi] and
     stopping rule (see `solve_equilibrium`); one pass evaluates every active
-    lane's midpoint at once.  Uniform-rule lanes carry their rule's actions,
-    "OPT" lanes take theirs from `dinkelbach` at the midpoint, and the
-    measures come from the renewal recursion (`cycle_performance`), not the
-    chain.  Each lane carries its bot's threshold, so one `_lane_shares` call
-    gives every lane's shares.  An unstaffed lane admits nobody and needs no
-    bisection.  Every step is elementwise over lanes, so a cell's result does
-    not depend on which other cells share the block.
+    lane's midpoint at once, and the lanes that stop leave the block.
+    Uniform-rule lanes carry their rule's actions, "OPT" lanes take theirs
+    from `dinkelbach` at the midpoint, and the measures come from the renewal
+    recursion (`lane_performance`), not the chain; one `lane_terms` call per
+    pass serves both.  Lane j carries its bot's threshold b[j], so one
+    `_lane_shares` call gives every lane's shares.  An unstaffed lane admits
+    nobody and needs no bisection.  Every step is elementwise over lanes, so
+    a cell's result does not depend on which other cells share the block.
+
+    Returns per lane the reported q, R, g, six measures and four shares as
+    rows of a (13, n) array, the (n, S-1, 4) actions, the iterations and the
+    convergence flags.
     """
-    S, econ, table = template.S, template.econ, rules_table()
-    bots = {p: replace(bot_curve, p_succ=p) if p else None for p in {d.p_succ for d in designs}}
-    thresholds = {p: _bot_threshold(bot, prefs) for p, bot in bots.items()}
-    b = np.array([thresholds[d.p_succ] for d in designs])
+    S, table, n = template.S, rules_table(), len(designs)
     k = np.array([d.k_agent for d in designs], dtype=float)
-    opt = np.array([d.policy == "OPT" for d in designs], dtype=bool)
-    acts = np.zeros((len(designs), S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
+    acts = np.zeros((n, S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
     for j, d in enumerate(designs):
         if d.policy in table:
             acts[j] = table[d.policy].actions
@@ -277,50 +317,74 @@ def _solve_cells(
     # the lower end lo of the collapsed bracket, the last midpoint with g > 0.
     # A lane whose lo never left Q_FLOOR converges: g >= Q_FLOOR - q there.
     # An unstaffed lane reports q = R = g = 0 and its shares at p_admit = 0.
-    lo, hi = np.full(len(designs), _Q_FLOOR), np.ones(len(designs))
-    iters = np.zeros(len(designs), dtype=int)
+    iters = np.zeros(n, dtype=int)
     converged = k == 0
-    rep = np.zeros((13, len(designs)))   # q, R, g, the six measures, the four shares
+    rep = np.zeros((13, n))   # q, R, g, the six measures, the four shares
     rep[9:] = _lane_shares(b, 0 * k, 0 * k, prefs)
     rep_acts = acts.copy()
-    active = np.flatnonzero(~converged)
-    while active.size:
-        q = 0.5 * (lo[active] + hi[active])
-        iters[active] += 1
-        if opt[active].any():
-            acts[active[opt[active]]] = dinkelbach(lane_terms(template, q[opt[active]]))[1]
-        R, perf = cycle_performance(template, q, acts[active])
-        shares = _lane_shares(b[active], agent_service_cost(perf, prefs), perf.p_admit, prefs)
-        g = np.minimum(np.maximum(market.lam * shares[0] / k[active], _Q_FLOOR), 1.0) - q
+    rows = measure_rows(template)
+    # the active lanes' state, compacted as lanes leave
+    lanes = np.flatnonzero(~converged)
+    lo, hi = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size)
+    is_opt = np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
+    b, k, acts = b[lanes], k[lanes], acts[lanes]
+    while lanes.size:
+        q = 0.5 * (lo + hi)
+        iters[lanes] += 1
+        t = lane_terms(template, q)
+        opt = np.flatnonzero(is_opt)
+        if opt.size:
+            acts[opt] = dinkelbach(t._make(a.take(opt, axis=-1) for a in t))[1]
+        R, perf = lane_performance(t, rows, q, acts)
+        shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
+        g = np.minimum(np.maximum(market.lam * shares[0] / k, _Q_FLOOR), 1.0) - q
         done, up = np.abs(g) < _FP_TOL, g > 0
-        keep = done | up
+        keep = np.flatnonzero(done | up)
         measures = [getattr(perf, f.name) for f in fields(perf)]
-        rep[:, active[keep]] = np.vstack([q, R, g, *measures, *shares])[:, keep]
-        rep_acts[active[keep]] = acts[active[keep]]
-        converged[active[done]] = True
-        lo[active[up]] = q[up]
-        hi[active[~up]] = q[~up]
-        mid = 0.5 * (lo[active] + hi[active])
-        halves = (lo[active] < mid) & (mid < hi[active])
-        active = active[~done & halves]
+        rep[:, lanes[keep]] = np.vstack([q, R, g, *measures, *shares])[:, keep]
+        rep_acts[lanes[keep]] = acts[keep]
+        converged[lanes[done]] = True
+        lo, hi = np.where(up, q, lo), np.where(up, hi, q)
+        mid = 0.5 * (lo + hi)
+        stay = ~done & (lo < mid) & (mid < hi)
+        lanes, lo, hi, b, k, acts, is_opt = (a[stay] for a in (lanes, lo, hi, b, k, acts, is_opt))
+    return rep, rep_acts, iters, converged
 
-    results = []
-    for j, d in enumerate(designs):
-        q, R, g, *rest = rep[:, j].tolist()
-        perf, shares = PerformanceMeasures(*rest[:6]), Shares(*rest[6:])
-        q_bot = market.lam * (
-            shares.bot_direct + shares.agent * (1 - perf.p_admit) * shares.fallback_fraction
-        )
-        profit, parts = _profit(d.k_agent, R, econ.c_wage, q_bot, bots[d.p_succ], econ)
-        staffed = d.k_agent > 0
-        results.append(EquilibriumResult(
-            design=d, q_per_agent=q, q_bot_effective=q_bot, shares=shares,
-            perf=perf if staffed else None,
-            policy=policy_from_actions(rep_acts[j]) if staffed else None,
-            agent_reward=R, profit=profit, profit_parts=parts, converged=bool(converged[j]),
-            iterations=int(iters[j]), residual=abs(g),
-        ))
-    return results
+
+def _design_grid(
+    template: ProblemInstance,
+    designs: list[DesignPoint],
+    market: MarketParams,
+    prefs: CustomerPrefs,
+    bot_curve: BotChannel,
+) -> DesignGrid:
+    """Every design's fixed point (`_solve_cells`), priced as columns.
+
+    Profit is k R - k wage + q_bot (r - (1 - p) c_c) - a (100 p)^b, added in
+    that order, ((k R - k wage) + margin) - training, with both bot terms 0
+    where p_succ = 0 (no bot).  The training cost is taken once per distinct
+    p_succ (`bot_training_cost`).
+    """
+    econ = template.econ
+    bots = {p: replace(bot_curve, p_succ=p) if p else None for p in {d.p_succ for d in designs}}
+    thresholds = {p: _bot_threshold(bot, prefs) for p, bot in bots.items()}
+    training = {p: bot_training_cost(bot) if bot else 0.0 for p, bot in bots.items()}
+    rep, acts, iters, converged = _solve_cells(
+        template, designs, np.array([thresholds[d.p_succ] for d in designs]), market, prefs)
+    q, R, g, measures, shares = rep[0], rep[1], rep[2], rep[3:9], rep[9:]
+    (agent, bot_direct, _, fallback), p_admit = shares, measures[1]
+    q_bot = market.lam * (bot_direct + agent * (1 - p_admit) * fallback)
+    k = np.array([d.k_agent for d in designs], dtype=float)
+    p = np.array([d.p_succ for d in designs])
+    parts = np.array([
+        k * R,
+        k * econ.c_wage,
+        np.where(p != 0, q_bot * (econ.r - (1 - p) * econ.c_c), 0.0),
+        [training[d.p_succ] for d in designs],
+    ])
+    profit = ((parts[0] - parts[1]) + parts[2]) - parts[3]
+    return DesignGrid(tuple(designs), q, R, g, measures, shares, acts.transpose(1, 2, 0),
+                      iters, converged, q_bot, parts, profit)
 
 
 def solve_equilibrium(
@@ -345,7 +409,7 @@ def solve_equilibrium(
     effective demand adds blocked live-channel customers who still prefer the
     bot over balking.  One cell of `optimize_design`'s lockstep block.
     """
-    return _solve_cells(template, [design], market, prefs, bot_curve)[0]
+    return _results(_design_grid(template, [design], market, prefs, bot_curve), [0])[0]
 
 
 def default_design_instance(wage: float = 0.9) -> ProblemInstance:
@@ -362,19 +426,25 @@ def default_design_instance(wage: float = 0.9) -> ProblemInstance:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSearch:
-    results: tuple[EquilibriumResult, ...]  # ranked by profit descending
+    """The design grid as columns, ranked by profit descending; a cell's
+    EquilibriumResult is built when it is read."""
+
+    grid: DesignGrid
 
     @property
     def best(self) -> EquilibriumResult:
-        return self.results[0]
+        return _results(self.grid, [0])[0]
+
+    @cached_property
+    def results(self) -> tuple[EquilibriumResult, ...]:
+        return tuple(_results(self.grid, range(len(self.grid.designs))))
 
     def cell(self, k: int, policy: Optional[str], p_succ: float) -> EquilibriumResult:
-        for res in self.results:
-            d = res.design
+        for j, d in enumerate(self.grid.designs):
             if d.k_agent == k and d.policy == policy and abs(d.p_succ - p_succ) < 1e-12:
-                return res
+                return _results(self.grid, [j])[0]
         raise KeyError((k, policy, p_succ))
 
 
@@ -400,10 +470,11 @@ def optimize_design(
                for k in range(0, market.k_max + 1)
                for label in ([None] if k == 0 else policies)
                for p in p_values]
-    results = _solve_cells(template, designs, market, prefs, bot_curve)
-    results.sort(key=lambda res: (-res.profit, res.design.k_agent,
-                                  res.design.policy or "", res.design.p_succ))
-    return DesignSearch(results=tuple(results))
+    grid = _design_grid(template, designs, market, prefs, bot_curve)
+    neg = (-grid.profit).tolist()
+    order = sorted(range(len(designs)), key=lambda j: (
+        neg[j], designs[j].k_agent, designs[j].policy or "", designs[j].p_succ))
+    return DesignSearch(grid.take(order))
 
 
 @dataclass(frozen=True)

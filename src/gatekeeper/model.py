@@ -475,8 +475,10 @@ def _draw_words(bits: np.random.Philox, cfg: GeneratorConfig, seeds: Sequence[in
     (t_lo, t_hi), (w_lo, w_hi) = cfg.tau_range, cfg.tau_w_range
     n_tau = -(-S // 2) if t_hi > t_lo else 0
     words = np.empty((n, n_tau + S + 5), np.uint64)
+    state = _philox_state(0)   # re-keyed per seed: counter 0, nothing buffered
     for i, seed in enumerate(seeds):
-        bits.state = _philox_state(seed)
+        state["state"]["key"][0] = int(seed)
+        bits.state = state
         words[i] = bits.random_raw(n_tau + S + 5)
     redo = np.zeros(n, bool)
     tau = np.full((n, S), t_lo, np.int64)

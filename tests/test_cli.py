@@ -186,6 +186,20 @@ def test_artifacts_are_byte_identical_across_runs(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_csv_columns_print_as_fmt_prints_each_value(tmp_path):
+    import numpy as np
+
+    from gatekeeper.artifacts import fmt, write_csv
+
+    rows = [(1, "a", 0.1, True, 2.0, None, np.float64(1 / 3), 5),
+            (2, "b", 1e-20, False, 3, "x", np.float64(2.0), "-")]
+    path = write_csv(tmp_path / "x.csv", "abcdefgh", rows, ["c"])
+    assert path.read_text().splitlines() == ["# c", "a,b,c,d,e,f,g,h"] + [
+        ",".join(fmt(v) for v in row) for row in rows]
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "y.csv", "ab", [(1, 2), (3,)])
+
+
 def test_artifacts_embed_config_hash(tmp_path):
     from gatekeeper.artifacts import config_hash
 
@@ -422,12 +436,41 @@ def test_threshold_study_bad_generator_values_exit_2_naming_the_field(tmp_path, 
     ({"k_max": 2.5}, "k_max must be an integer, got 2.5"),
     ({"k_max": "7"}, "k_max must be an integer, got '7'"),
     ({"lam": "0.9"}, "lam must be a finite number, got '0.9'"),
+    ({"p_grid": [-0.2, 0.3]}, "p_grid entries must lie in [0, 1), got -0.2"),
+    ({"p_grid": [0.3, 0.3]}, "p_grid lists 0.3 twice"),
+    ({"p_grid": [1.5]}, "p_grid entries must lie in [0, 1), got 1.5"),
 ])
 def test_design_market_values_exit_2_naming_the_key(tmp_path, capsys, market, message):
     code, out = run_cli(tmp_path, "design", {"market": market})
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (out / "run_manifest.json").exists()
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name, config", [
+    # the benchmark's canonical design call
+    ("design_bench.csv", {
+        "scenario": "high-base-slow/mid",
+        "market": {"lam": 0.9, "k_max": 7, "p_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]},
+        "bot": {"tau_bot": 6.0, "a_bot": 5e-05, "b_bot": 3.0},
+        "wage": 0.9,
+    }),
+    # test_market's jump grid, with two unconverged "OPT" cells
+    ("design_jump.csv", {
+        "instance": {"profile": {"S": 2, "tau": [2, 10], "rho": [0.14, 1.0]},
+                     "econ": {"r": 20.0, "c_w": 2.0, "c_c": 4.2, "tau_w": 2, "c_wage": 0.0},
+                     "traffic": {"q": 0.5, "a": 0.59}},
+        "market": {"lam": 0.175, "k_max": 2, "p_grid": [0.1, 0.5, 0.6]},
+        "bot": {"tau_bot": 6.0, "a_bot": 9e-05, "b_bot": 2.6},
+    }),
+])
+def test_design_csv_keeps_its_recorded_bytes(tmp_path, name, config):
+    code, out = run_cli(tmp_path, "design", config)
+    assert code == EXIT_OK
+    assert (out / "design.csv").read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_enumerate_rejects_a_negative_top(tmp_path, capsys):

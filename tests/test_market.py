@@ -1,4 +1,4 @@
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from gatekeeper import (
     bot_training_cost,
     compute_demand_shares,
     default_design_instance,
+    default_scenario_grid,
     optimize_design,
     solve_equilibrium,
 )
@@ -18,6 +19,7 @@ from gatekeeper.evaluate import PerformanceMeasures, cycle_performance, evaluate
 from gatekeeper.model import EconomicParams, ProblemInstance, ResolutionProfile, TrafficParams
 from gatekeeper.solve import dinkelbach, solve_average_reward
 
+from design_oracle import equilibrium_result
 from lattice_shares import lattice_shares
 
 
@@ -47,6 +49,22 @@ def jump_instance():
         econ=EconomicParams(r=20.0, c_w=2.0, c_c=4.2, tau_w=2),
         traffic=TrafficParams(q=0.5, a=0.59),
     )
+
+
+def assert_same_bits(a, b, path="result"):
+    """Equal values of one type, floats bit for bit, through dataclasses and dicts."""
+    assert type(a) is type(b), path
+    if is_dataclass(a):
+        for f in fields(a):
+            assert_same_bits(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), path
+        for key in a:
+            assert_same_bits(a[key], b[key], f"{path}[{key!r}]")
+    elif isinstance(a, float):
+        assert a.hex() == b.hex(), path
+    else:
+        assert a == b, path
 
 
 def perfect_agent_perf():
@@ -233,6 +251,33 @@ class TestOptimizeDesign:
             assert one.residual == res.residual
             assert one.shares == res.shares and one.perf == res.perf
             assert one.profit == res.profit and one.policy == res.policy
+
+    @pytest.mark.parametrize("case", [s.name for s in default_scenario_grid()] + ["jump"])
+    def test_lazy_results_equal_the_scalar_assembly_bit_for_bit(self, case):
+        # the jump grid holds the unconverged "OPT" cells (1, OPT, 0) and (2, OPT, 0.1)
+        prefs = CustomerPrefs()
+        if case == "jump":
+            inst, curve = jump_instance(), BotChannel(0.0, 6.0, 9e-5, 2.6)
+            market = MarketParams(lam=0.175, k_max=2, p_grid=(0.1, 0.5, 0.6))
+        else:
+            sc = {s.name: s for s in default_scenario_grid()}[case]
+            inst, curve = default_design_instance(wage=sc.wage), sc.bot_curve
+            market = MarketParams(k_max=2, p_grid=(0.3, 0.6))
+        search = optimize_design(inst, market, prefs, curve)
+        results = search.results
+        assert len(results) == (1 + 2 * 12) * (1 + len(market.p_grid))
+        assert [r.design for r in results] == list(search.grid.designs)
+        for j, res in enumerate(results):
+            assert_same_bits(res, equilibrium_result(search.grid, j, market, inst.econ, curve))
+        keys = [(-r.profit, r.design.k_agent, r.design.policy or "", r.design.p_succ) for r in results]
+        assert keys == sorted(keys)
+        assert_same_bits(search.best, results[0])
+        for res in results:
+            d = res.design
+            assert_same_bits(search.cell(d.k_agent, d.policy, d.p_succ), res)
+
+    def test_p_grid_may_hold_the_no_bot_column(self):
+        assert MarketParams(p_grid=(0.0, 0.3)).p_grid == (0.0, 0.3)
 
     def test_cell_lookup(self):
         market = MarketParams(k_max=1, p_grid=(0.4,))

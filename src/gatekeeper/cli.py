@@ -270,14 +270,12 @@ def _run_queue_sweep(cfg: RunConfig) -> list[str]:
     comments = _comments(cfg) + [
         f"policies={len(sweep.policies)} q_points={len(sweep.q_grid)}"
     ]
-    rows = [
-        (rec["policy"], rec["q"], rec["profit"], rec["throughput"],
-         rec["transfer_rate"], rec["blocking_rate"])
-        for rec in sweep.records
-    ]
-    write_csv(cfg.out_dir / "sweep.csv",
-              ("policy", "q", "profit", "throughput", "transfer_rate", "blocking_rate"),
-              rows, comments)
+    write_columns(cfg.out_dir / "sweep.csv",
+                  ("policy", "q", "profit", "throughput", "transfer_rate", "blocking_rate"),
+                  [[label for label in sweep.policies for _ in sweep.q_grid],
+                   list(sweep.q_grid) * len(sweep.policies),
+                   *sweep.rates[..., :4].reshape(-1, 4).T.tolist()],
+                  comments)
     return ["sweep.csv"]
 
 

@@ -248,8 +248,10 @@ def _level_solve(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
     float64 can carry.  Each (policy, q) pair is one lane, on trailing axes
     that are only ever broadcast; every sum runs over a leading axis, term by
     term, so a lane's result does not depend on the lanes that share the
-    solve.  Each level is scaled by a power of two, so none overflows and
-    none is rounded.
+    solve.  The policies share every entry of the blocks but row j1's, so
+    each other entry is weighed by q once per level and broadcast over the
+    policies; only row j1's entries are weighed per policy.  Each level is
+    scaled by a power of two, so none overflows and none is rounded.
     """
     A, j1, transfers = lanes
     L, m = A.shape[0], A.shape[-1]
@@ -273,7 +275,18 @@ def _level_solve(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
     # weight of starting a service, then the terms
     er = np.concatenate([np.repeat(np.arange(m), 2), src % m])
     ec = np.concatenate([np.tile([0, 3 * m], m), np.where(src < m, m + into, 2 * m + into)])
-    on_j1 = (er == j1)[:, None]
+    rows = A.reshape(L, 2, m + 1, 3 * m)
+
+    def entries(r, c) -> np.ndarray:
+        # (L, 2, n, 1): entries (r, c) of every level's rows, column 3 m being `starts`
+        return np.where(c == 3 * m, starts[:, :, r], rows[:, :, r, c % (3 * m)])[..., None]
+
+    # every entry but those of row j1 is the same for all policies, so each
+    # level weighs it by q once; row j1's entries, continuing or
+    # transferring, are weighed per policy
+    weights = entries(er, ec)
+    own = np.flatnonzero(er == j1)
+    cont, moved = weights[:, :, own], entries(np.full(len(own), m), ec[own])
     up = np.concatenate([np.zeros(2 * m, dtype=bool), src >= m])
     carried = np.zeros((np.count_nonzero(up),) + lanes_shape)   # no move up into level 0
     levels = np.empty((L, m) + lanes_shape)
@@ -282,10 +295,10 @@ def _level_solve(lanes: _Lanes, q: np.ndarray) -> np.ndarray:
     z = np.zeros((2 * m, 2) + lanes_shape)   # (y_e, y_c) of each phase, then (0, π) of the level below
     z[0, 0] = 1.0
     for w in range(L):
-        rows = np.concatenate([A[w].reshape(2, m + 1, 3 * m), starts[w, :, :, None]], -1)
         # (n_entries, n_policies, n_q), row j1 from row m where a policy transfers
-        b = np.where(on_j1 & transfers[:, w].T[:, None], rows[:, m, ec, None], rows[:, er, ec, None])
-        e = b[1, ..., None] * q + b[0, ..., None] * (1.0 - q)
+        e = (weights[w, 1] * q + weights[w, 0] * (1.0 - q))[:, None].repeat(len(transfers), 1)
+        both = np.where(transfers[:, w].T[:, None], moved[w], cont[w])
+        e[own] = both[1, ..., None] * q + both[0, ..., None] * (1.0 - q)
         e[up], carried = carried, e[up]   # a move up is weighed as it leaves the level below
         out = e[:2 * m].reshape((m, 2) + lanes_shape)   # (escape, v) of each phase
         for j, (srcs, at) in enumerate(steps, 1):
@@ -374,7 +387,9 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
     the blocks: a policy takes their transferring ("pend", 1) row, in A and
     in the rates, where it transfers at Q = w + b, and the continuing one
     elsewhere.  Only a policy's `transfers` and `label` are read, so any set
-    of Q will do.  Every interior q of every policy is a lane of one solve."""
+    of Q will do.  Every interior q of every policy is a lane of one solve.
+    The rate rows are weighted by q once per block of q for all policies,
+    and each policy puts in its own row j1 before its product with π."""
     phases, A, rates = _level_blocks(model)
     L, m, j1 = model.N + 1, len(phases), model.tau1 - 1
     transfers = np.array([[[pol.transfers(w + b) for b in (0, 1)] for w in range(L)] for pol in pols])
@@ -390,14 +405,17 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
         pi[:, grid == 1.0] = np.array([_saturated(model, pol, states) for pol in pols])[:, None]
     _check_stationary(pi, lanes, grid, states, [pol.label for pol in pols])
     out = np.empty((len(pols), len(grid), 5))
+    # each policy's ("pend", 1) rate rows, (n_policies, 2, 5, L): row m where it transfers
+    own = np.where(transfers.transpose(0, 2, 1)[:, :, None], rates[:, :, m], rates[:, :, j1])
     block = max(1, len(grid) // 5)   # q at a time, so the weighted rate rows are no bigger than a π
-    for p, takes in enumerate(transfers.transpose(0, 2, 1)[:, :, None]):
-        pr = rates[:, :, :m].copy()   # ("pend", 1) from row m where p transfers
-        pr[:, :, j1] = np.where(takes, rates[:, :, m], rates[:, :, j1])
-        pr = pr.reshape(2, 5, m * L)
-        for lo in range(0, len(grid), block):
-            q = grid[lo:lo + block, None, None]
-            out[p, lo:lo + block] = np.matmul(q * pr[1] + (1.0 - q) * pr[0], pi[p, lo:lo + block, :, None])[..., 0]
+    for lo in range(0, len(grid), block):
+        q = grid[lo:lo + block, None, None, None]
+        # (n_block, 5, m, L), the rows every policy shares, and (n_block, n_policies, 5, L), row j1
+        weighted = q * rates[1, :, :m] + (1.0 - q) * rates[0, :, :m]
+        weighted_own = q * own[:, 1] + (1.0 - q) * own[:, 0]
+        for p in range(len(pols)):
+            weighted[:, :, j1] = weighted_own[:, p]
+            out[p, lo:lo + block] = np.matmul(weighted.reshape(-1, 5, m * L), pi[p, lo:lo + block, :, None])[..., 0]
     return states, pi, out
 
 
@@ -411,10 +429,17 @@ def evaluate_queue_policy(model: QueueModel, pol: QueuePolicy) -> QueueEvaluatio
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Every policy's rates across the grid, as the array `_evaluate_on_grid`
+    returns; `queue-sweep` writes sweep.csv from it, a policy's rows in grid
+    order, policy by policy."""
+
     policies: tuple[str, ...]
     q_grid: tuple[float, ...]
-    profit: np.ndarray        # (n_policies, n_q)
-    records: tuple[dict, ...]  # flat rows for CSV export
+    rates: np.ndarray   # (n_policies, n_q, 5), the five rates as in QueueEvaluation
+
+    @property
+    def profit(self) -> np.ndarray:   # (n_policies, n_q)
+        return self.rates[..., 0]
 
     def profit_for(self, label: str) -> np.ndarray:
         return self.profit[self.policies.index(label)]
@@ -425,13 +450,11 @@ def sweep_queue_policies(model: QueueModel, q_grid: Iterable[float]) -> SweepRes
     grid = tuple(float(v) for v in q_grid)
     if any(not 0.0 < v <= 1.0 for v in grid):
         raise ValueError("q_grid values must lie in (0, 1]")
+    seen = set()
+    for v in grid:
+        if v in seen:
+            raise ValueError(f"q_grid lists {v} twice")
+        seen.add(v)
     pols = admissible_queue_policies(model)
     _, _, rates = _evaluate_on_grid(model, pols, grid)
-    records = tuple(
-        {"policy": pol.label, "q": qv, "profit": profit, "throughput": throughput,
-         "transfer_rate": transfer_rate, "blocking_rate": blocking_rate}
-        for pol, by_q in zip(pols, rates.tolist())
-        for qv, (profit, throughput, transfer_rate, blocking_rate, _) in zip(grid, by_q)
-    )
-    return SweepResult(policies=tuple(p.label for p in pols), q_grid=grid,
-                       profit=rates[..., 0].copy(), records=records)
+    return SweepResult(policies=tuple(p.label for p in pols), q_grid=grid, rates=rates)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from gatekeeper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from gatekeeper import waiting_room
+from gatekeeper.artifacts import fmt
+from gatekeeper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _load_queue_model, _q_grid, main
 
 
 def write_config(tmp_path: Path, payload: dict, name="config.json") -> Path:
@@ -473,6 +475,30 @@ def test_design_csv_keeps_its_recorded_bytes(tmp_path, name, config):
     assert (out / "design.csv").read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name, config", [
+    # the benchmark's seed-0 queue-sweep call
+    ("sweep_bench.csv", {
+        "queue": {"N": 6, "tau": [6, 15], "rho": [0.7, 1.0], "r": 20.0, "c_c": 5.0},
+        "q_grid": {"start": 0.01, "stop": 1.0, "step": 0.01},
+    }),
+    # no room, q near both ends and at 1
+    ("sweep_edge.csv", {
+        "queue": {"N": 0, "tau": [1, 3], "rho": [0.3, 1.0], "c_c": 15},
+        "q_grid": [0.000001, 0.3, 0.9999, 1.0],
+    }),
+])
+def test_sweep_csv_keeps_its_recorded_bytes(tmp_path, name, config):
+    code, out = run_cli(tmp_path, "queue-sweep", config)
+    assert code == EXIT_OK
+    assert (out / "sweep.csv").read_bytes() == (GOLDEN / name).read_bytes()
+    # the rows are the sweep's rate array, policy by policy in grid order
+    sweep = waiting_room.sweep_queue_policies(_load_queue_model(config), _q_grid(config))
+    want = [",".join(map(fmt, (label, q, *rates[:4].tolist())))
+            for label, by_q in zip(sweep.policies, sweep.rates) for q, rates in zip(sweep.q_grid, by_q)]
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert [l for l in lines if not l.startswith("#")][1:] == want
+
+
 def test_enumerate_rejects_a_negative_top(tmp_path, capsys):
     code, out = run_cli(tmp_path, "enumerate", {"instance": valid_instance(), "top": -3})
     assert code == EXIT_VALIDATION
@@ -519,6 +545,7 @@ def test_config_number_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, sub
     ({"start": None}, "q_grid.start must be a finite number, got None"),
     ({"start": 0.5, "stop": 0.1, "step": 0.1}, "q_grid.start 0.5 exceeds q_grid.stop 0.1"),
     ([], "q_grid must list at least one q"),
+    ([0.5, 0.5, 0.2], "q_grid lists 0.5 twice"),
 ])
 def test_q_grid_that_is_no_range_exits_2_naming_the_key(tmp_path, capsys, q_grid, message):
     code, out = run_cli(tmp_path, "queue-sweep", {"queue": {"N": 2}, "q_grid": q_grid})

@@ -177,21 +177,15 @@ class TestSweep:
             want = list(csv.DictReader(line for line in fh if not line.startswith("#")))
         model = default_queue_model(N=6)
         sweep = sweep_queue_policies(model, [round(0.01 * i, 10) for i in range(1, 101)])
-        assert len(sweep.records) == len(want) == 800
-        for rec, row in zip(sweep.records, want):
-            assert (rec["policy"], rec["q"]) == (row["policy"], float(row["q"]))
-            assert rec["profit"] == pytest.approx(float(row["profit"]), abs=1e-9)
-            ev = evaluate_queue_policy(dataclasses.replace(model, q=rec["q"]),
-                                       queue_policy_from_label(rec["policy"]))
-            assert (rec["profit"], rec["throughput"], rec["transfer_rate"], rec["blocking_rate"]) == (
-                ev.profit, ev.throughput, ev.transfer_rate, ev.blocking_rate)
-
-    def test_records_match_matrix(self):
-        sweep = sweep_queue_policies(default_queue_model(N=2), [0.2, 0.5])
-        rec = {(r["policy"], r["q"]): r["profit"] for r in sweep.records}
-        for i, lbl in enumerate(sweep.policies):
-            for j, q in enumerate(sweep.q_grid):
-                assert rec[(lbl, q)] == sweep.profit[i, j]
+        assert sweep.rates.shape == (8, 100, 5) and len(want) == 800
+        rows = iter(want)
+        for label, by_q in zip(sweep.policies, sweep.rates):
+            for q, rates in zip(sweep.q_grid, by_q):
+                row = next(rows)
+                assert (label, q) == (row["policy"], float(row["q"]))
+                assert rates[0] == pytest.approx(float(row["profit"]), abs=1e-9)
+                ev = evaluate_queue_policy(dataclasses.replace(model, q=q), queue_policy_from_label(label))
+                assert np.array_equal(rates, _rates(ev))
 
 
 def _rates(ev) -> np.ndarray:
@@ -374,7 +368,7 @@ def _assert_lanes_match_alone_and_oracle(model, grid, pi, rates):
 
 def test_large_sweep_stays_within_block_memory_and_matches_the_oracle():
     # 42 policies on n = 2,501 states: one level solve for all, within 60 MB
-    # traced (no array holds one set of blocks per policy); every record is
+    # traced (no array holds one set of blocks per policy); every rate is
     # its lane of that solve, which is the policy solved alone and matches
     # the per-policy dense-level solve
     model = dataclasses.replace(default_queue_model(N=40),
@@ -389,8 +383,7 @@ def test_large_sweep_stays_within_block_memory_and_matches_the_oracle():
     assert peak < 60e6
     assert len(sweep.policies) == 42
     _, pi, rates = _evaluate_on_grid(model, admissible_queue_policies(model), grid)
-    assert [(rec["profit"], rec["throughput"], rec["transfer_rate"], rec["blocking_rate"])
-            for rec in sweep.records] == [tuple(r) for r in rates[..., :4].reshape(-1, 4).tolist()]
+    assert np.array_equal(sweep.rates, rates)
     _assert_lanes_match_alone_and_oracle(model, grid, pi, rates)
 
 

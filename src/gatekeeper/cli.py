@@ -15,6 +15,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import market as mkt
 from . import structure, waiting_room
 from .artifacts import config_hash, fmt, write_columns, write_csv, write_manifest
@@ -143,27 +145,25 @@ def _run_stationarity(cfg: RunConfig) -> list[str]:
         raise ValidationFailure(f"terminals must be 'stationary' or 'zero', got {terminals!r}")
     if not isinstance(write_values, bool):
         raise ValidationFailure(f"write_values must be true or false, got {write_values!r}")
-    pol, ev = solve_average_reward(inst)
-    if terminals == "zero":
-        terms = zero_terminals(inst)
-    else:
-        terms = stationary_terminals(inst, pol, ev)
-    sol = backward_induction(inst, T, terms)
+    terms = (zero_terminals(inst) if terminals == "zero"
+             else stationary_terminals(solve_average_reward(inst)[1]))
+    try:
+        sol, = backward_induction([inst], T, [terms])
+    except MemoryError:
+        raise ValidationFailure(f"T = {T} is too long a horizon: its values do not fit in memory") from None
     stationary, first = verify_stationarity(sol)
 
-    rows = []
-    for t in range(1, T + 1):
-        for x in range(1, inst.S):
-            for qa, (qf, af) in enumerate(CONGESTION_STATES):
-                rows.append((t, x, qf, af, ("continue", "warm", "cold")[sol.argmax[t, x - 1, qa]]))
-    write_csv(cfg.out_dir / "argmax.csv", ("t", "X", "Q", "A", "action"), rows, _comments(cfg))
+    acts = np.array(("continue", "warm", "cold"))[sol.argmax[1:].ravel()]
+    t, x, qa = np.indices(sol.argmax[1:].shape).reshape(3, -1)
+    qf, af = np.array(CONGESTION_STATES)[qa].T
+    write_columns(cfg.out_dir / "argmax.csv", ("t", "X", "Q", "A", "action"),
+                  [col.tolist() for col in (t + 1, x + 1, qf, af, acts)], _comments(cfg))
     outputs = ["argmax.csv"]
     if write_values:
-        vrows = []
-        for t in range(1, T + 2):
-            for j, lbl in enumerate(sol.labels):
-                vrows.append((t, lbl, sol.V[t, j]))
-        write_csv(cfg.out_dir / "values.csv", ("t", "state", "V"), vrows, _comments(cfg))
+        t, j = np.indices(sol.V[1:].shape).reshape(2, -1)
+        write_columns(cfg.out_dir / "values.csv", ("t", "state", "V"),
+                      [col.tolist() for col in (t + 1, np.array(sol.labels)[j], sol.V[1:].ravel())],
+                      _comments(cfg))
         outputs.append("values.csv")
     verdict = "stationary" if stationary else f"violation at (t,X,Q,A)={first}"
     print(f"stationarity: {verdict}")

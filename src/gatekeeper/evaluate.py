@@ -24,6 +24,7 @@ import numpy as np
 from .model import (
     Action,
     CONGESTION_STATES,
+    InstanceBlock,
     ProblemInstance,
     StationaryPolicy,
 )
@@ -306,15 +307,7 @@ def block_terms(tau, rho, r, c_w, c_c, tau_w, q, a) -> RenewalTerms:
 def renewal_terms(insts: Sequence[ProblemInstance]) -> RenewalTerms:
     """Inputs of instances with one S, each lane's the same IEEE operations,
     bit for bit, whatever the block."""
-    S = insts[0].S
-    for inst in insts:
-        if inst.S != S:
-            raise ValueError(f"invalid instance: S = {inst.S} in a block of S = {S}")
-    tau = np.array([inst.profile.tau for inst in insts], dtype=float).T
-    rho = np.array([inst.profile.rho for inst in insts]).T
-    econ = np.array([(i.econ.r, i.econ.c_w, i.econ.c_c, i.econ.tau_w, i.traffic.q, i.traffic.a)
-                     for i in insts]).T
-    return block_terms(tau, rho, *econ)
+    return block_terms(*InstanceBlock.of(insts))
 
 
 def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:

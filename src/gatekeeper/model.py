@@ -447,6 +447,16 @@ class InstanceBlock(NamedTuple):
     q: np.ndarray
     a: np.ndarray
 
+    @classmethod
+    def of(cls, insts: Sequence[ProblemInstance]) -> "InstanceBlock":
+        """Instances with one S as lanes, every field as floats (the inverse of `instance`)."""
+        for inst in insts:
+            if inst.S != insts[0].S:
+                raise ValueError(f"invalid instance: S = {inst.S} in a block of S = {insts[0].S}")
+        econ = [(i.econ.r, i.econ.c_w, i.econ.c_c, i.econ.tau_w, i.traffic.q, i.traffic.a) for i in insts]
+        return cls(np.array([i.profile.tau for i in insts], dtype=float).T,
+                   np.array([i.profile.rho for i in insts]).T, *np.array(econ).T)
+
     def instance(self, i: int) -> ProblemInstance:
         """Lane i as a ProblemInstance, which checks itself when built."""
         return ProblemInstance(

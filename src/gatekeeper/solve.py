@@ -26,7 +26,6 @@ from .evaluate import (
     PolicyEvaluation,
     RenewalTerms,
     average_reward_batch,
-    c_index,
     congestion_probs,
     evaluate_policy,
     n_states,
@@ -37,6 +36,7 @@ from .evaluate import (
 from .model import (
     CONGESTION_STATES,
     DecisionRule,
+    InstanceBlock,
     ProblemInstance,
     StationaryPolicy,
     all_decision_rules,
@@ -208,9 +208,7 @@ class TerminalConditions:
         return self.r_ref * (T + 1 - t) + self.v_end
 
 
-def stationary_terminals(
-    inst: ProblemInstance, pol: StationaryPolicy, ev: PolicyEvaluation
-) -> TerminalConditions:
+def stationary_terminals(ev: PolicyEvaluation) -> TerminalConditions:
     """Terminal conditions that make the finite-horizon optimum stationary.
 
     v_end is the relative-value vector of the optimal stationary policy and
@@ -236,10 +234,13 @@ class FiniteHorizonSolution:
     labels: tuple[str, ...]
 
 
-def backward_induction(
-    inst: ProblemInstance, T: int, terms: TerminalConditions
-) -> FiniteHorizonSolution:
-    """Finite-horizon optimal values under the given terminal conditions.
+_IDLE, _HOLD = np.array([I0, I1, I0, I1]), np.array([W0, W0, W1, W1])
+
+
+def backward_induction(insts: Sequence[ProblemInstance], T: int,
+                       terms: Sequence[TerminalConditions]) -> list[FiniteHorizonSolution]:
+    """Finite-horizon optimal values of instances with one S, each under its
+    terminal conditions, as views into one block's arrays.
 
     Implements the per-state recursion of the service process: idle and
     holding states advance one period (or tau_1 / tau_w on admission and
@@ -248,68 +249,61 @@ def backward_induction(
     prices the next attempt at a fresh congestion draw.  Chosen actions are
     recorded with tie-break order Continue > Warm > Cold (ties resolved
     within a relative tolerance so equal-valued nodes pick consistently).
+    Each epoch is one array step over the instances; a lane takes the IEEE
+    operations of a state-by-state loop (each fresh-draw expectation a dot
+    of unit-stride rows), so its bits do not depend on the block.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    S = inst.S
-    q, a = inst.traffic.q, inst.traffic.a
-    tau = inst.profile.tau
-    rho = inst.profile.rho
-    r, c_w, c_c, tau_w = inst.econ.r, inst.econ.c_w, inst.econ.c_c, inst.econ.tau_w
-    p_qa = congestion_probs(q, a)
-
-    n = n_states(S)
-    V = np.zeros((T + 2, n))
-    V[T + 1] = terms.v_end
-    argmax = np.zeros((T + 1, max(S - 1, 0), 4), dtype=np.int8)
-
-    def look(t: int) -> np.ndarray:
-        return V[t] if t <= T + 1 else terms.value(t, T)
-
+    b = InstanceBlock.of(insts)
+    S, L = b.tau.shape
+    # Block 0 holds I0, I1, W0, W1 and block x the C(x, (Q, A)); epoch t reads
+    # block 0 at t + tau_w and block x at t + tau_x, a lag cut to T + 1, with
+    # the terminal values of the uncut rows past T + 1.
+    lag = np.vstack([b.tau_w, b.tau]).T
+    cut = np.minimum(lag, T + 1).astype(int)
+    V = np.zeros((L, T + 1 + int(cut.max()), n_states(S)))
+    V[:, T + 1] = [tc.v_end for tc in terms]
+    uncut = T + 1 + np.arange(1, cut.max())[:, None] + np.repeat(lag - cut, 4, axis=1)[:, None]
+    V[:, T + 2:] = [tc.value(rows, T) for tc, rows in zip(terms, uncut)]
+    B = V.reshape(L, -1, S + 1, 4)
+    argmax = np.zeros((L, T + 1, S - 1, 4), dtype=np.int8)
+    lanes, blocks = np.arange(L)[:, None], np.arange(S + 1)
+    p = np.ascontiguousarray(np.broadcast_to(congestion_probs(b.q, b.a).T[:, None, None], (L, S, 1, 4)))
+    go, q, r = np.stack([b.q, b.a], axis=1), b.q, b.r[:, None]   # I0 -> I1 w.p. q, W0 -> W1 w.p. a
+    stay_go, stay_q = 1 - go, 1 - q
+    rho = b.rho.T[:, :-1, None]
+    keep, warm_r, cold_r = 1 - rho, (b.r - b.c_w)[:, None, None], (b.r - b.c_c)[:, None, None]
     for t in range(T, 0, -1):
-        row = V[t]
-        nxt = look(t + 1)
-        row[I0] = (1 - q) * nxt[I0] + q * nxt[I1]
-        row[I1] = float(p_qa @ look(t + tau[0])[c_index(1, 0):c_index(1, 0) + 4])
-        row[W0] = (1 - a) * nxt[W0] + a * nxt[W1]
-        after_handoff = look(t + tau_w)
-        row[W1] = (1 - q) * after_handoff[I0] + q * after_handoff[I1]
-        for x in range(1, S + 1):
-            if x < S:
-                cont_next = look(t + tau[x])[c_index(x + 1, 0):c_index(x + 1, 0) + 4]
-                cont = float(p_qa @ cont_next)
-            for qa, (qf, af) in enumerate(CONGESTION_STATES):
-                resolve = r + row[I1 if qf else I0]
-                if x == S:
-                    row[c_index(x, qa)] = resolve
-                    continue
-                warm = (r - c_w) + row[W1 if af else W0]
-                cold = (r - c_c) + row[I1 if qf else I0]
-                vals = (cont, warm, cold)
-                best = max(vals)
-                near = 1e-9 * max(1.0, abs(best))
-                act = next(i for i, v in enumerate(vals) if v >= best - near)
-                argmax[t, x - 1, qa] = act
-                row[c_index(x, qa)] = rho[x - 1] * resolve + (1 - rho[x - 1]) * best
+        seen = B[lanes, t + cut, blocks]
+        fresh = (p @ seen[:, 1:, :, None])[..., 0, 0]   # a fresh (Q, A) draw after each attempt
+        now, nxt = B[:, t, 0], B[:, t + 1, 0]
+        now[:, 0::2] = stay_go * nxt[:, 0::2] + go * nxt[:, 1::2]   # I0 and W0
+        now[:, I1] = fresh[:, 0]
+        now[:, W1] = stay_q * seen[:, 0, I0] + q * seen[:, 0, I1]
+        idle, hold = now.take(_IDLE, axis=1), now.take(_HOLD, axis=1)   # per (Q, A)
+        cont, warm, cold = fresh[:, 1:, None], warm_r + hold[:, None], cold_r + idle[:, None]
+        best = np.where(warm > cont, warm, cont)   # the first maximum, as max() keeps it
+        best = np.where(cold > best, cold, best)
+        near = best - 1e-9 * np.maximum(1.0, abs(best))
+        argmax[:, t] = np.where(cont >= near, 0, np.where(warm >= near, 1, 2))
+        resolve = r + idle
+        B[:, t, 1:S] = rho * resolve[:, None] + keep * best
+        B[:, t, S] = resolve
 
-    return FiniteHorizonSolution(V=V, argmax=argmax, T=T, labels=state_labels(S))
+    labels = state_labels(S)
+    return [FiniteHorizonSolution(V=V[i, :T + 2], argmax=argmax[i], T=T, labels=labels) for i in range(L)]
 
 
-def verify_stationarity(
-    sol: FiniteHorizonSolution,
-) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
+def verify_stationarity(sol: FiniteHorizonSolution) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     """True iff the chosen action at each (X, Q, A) is identical for every t.
 
-    On failure returns the first (t, X, Q, A), scanning t ascending, whose
-    action differs from the t = 1 choice.
+    On failure returns the first (t, X, Q, A), scanning t ascending, then X,
+    then (Q, A) in CONGESTION_STATES order, whose action differs from the
+    t = 1 choice.
     """
-    if sol.argmax.shape[1] == 0:
+    diff = np.argwhere(sol.argmax[2:] != sol.argmax[1])
+    if not len(diff):
         return True, None
-    ref = sol.argmax[1]
-    for t in range(2, sol.T + 1):
-        if not np.array_equal(sol.argmax[t], ref):
-            diff = np.argwhere(sol.argmax[t] != ref)[0]
-            x, qa = int(diff[0]) + 1, int(diff[1])
-            qf, af = CONGESTION_STATES[qa]
-            return False, (t, x, qf, af)
-    return True, None
+    t, x, qa = diff[0].tolist()
+    return False, (t + 2, x + 1, *CONGESTION_STATES[qa])

@@ -499,6 +499,45 @@ def test_sweep_csv_keeps_its_recorded_bytes(tmp_path, name, config):
     assert [l for l in lines if not l.startswith("#")][1:] == want
 
 
+STATIONARITY_S3 = {
+    "profile": {"S": 3, "tau": [4, 9, 15], "rho": [0.4, 0.6, 1.0]},
+    "econ": {"r": 20.0, "c_w": 2.0, "c_c": 5.0, "tau_w": 3},
+    "traffic": {"q": 0.5, "a": 0.8},
+}
+STATIONARITY_S1 = {
+    "profile": {"S": 1, "tau": [7], "rho": [1.0]},
+    "econ": {"r": 12.0, "c_w": 1.0, "c_c": 3.0, "tau_w": 2},
+    "traffic": {"q": 0.3, "a": 0.6},
+}
+
+
+@pytest.mark.parametrize("name, inst, T, terminals", [
+    # attempts and a handoff that read past T + 1; zero terminals break stationarity at t = 36
+    ("stationarity_s3_stationary", STATIONARITY_S3, 40, "stationary"),
+    ("stationarity_s3_zero", STATIONARITY_S3, 40, "zero"),
+    # no decision node: argmax.csv is its header alone
+    ("stationarity_s1_stationary", STATIONARITY_S1, 12, "stationary"),
+    ("stationarity_s1_zero", STATIONARITY_S1, 12, "zero"),
+])
+def test_stationarity_csvs_keep_their_recorded_bytes(tmp_path, name, inst, T, terminals):
+    config = {"instance": inst, "T": T, "terminals": terminals, "write_values": True}
+    code, out = run_cli(tmp_path, "stationarity", config)
+    assert code == EXIT_OK
+    for csv in ("argmax.csv", "values.csv"):
+        assert (out / csv).read_bytes() == (GOLDEN / f"{name}_{csv}").read_bytes()
+
+
+def test_stationarity_horizon_too_long_to_hold_exits_2_naming_T(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "stationarity", {"instance": valid_instance(), "T": 10**15})
+    assert code == EXIT_VALIDATION
+    assert f"T = {10**15} is too long a horizon" in capsys.readouterr().err
+    assert not (out / "argmax.csv").exists()
+    # past int64 numpy refuses the shape itself, also a validation failure
+    code, out = run_cli(tmp_path, "stationarity", {"instance": valid_instance(), "T": 10**30})
+    assert code == EXIT_VALIDATION
+    assert not (out / "argmax.csv").exists()
+
+
 def test_enumerate_rejects_a_negative_top(tmp_path, capsys):
     code, out = run_cli(tmp_path, "enumerate", {"instance": valid_instance(), "top": -3})
     assert code == EXIT_VALIDATION

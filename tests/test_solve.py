@@ -17,10 +17,11 @@ from gatekeeper import (
     verify_stationarity,
     zero_terminals,
 )
-from gatekeeper.evaluate import I0, I1, W0, W1, average_reward
-from gatekeeper.solve import optimal_policy
+from gatekeeper.evaluate import I0, I1, W0, W1, average_reward, state_labels
+from gatekeeper.solve import FiniteHorizonSolution, optimal_policy
 
 from conftest import random_instance
+from horizon_loop import backward_induction_loop
 
 
 def test_single_attempt_has_no_decisions(single_attempt):
@@ -117,7 +118,7 @@ class TestStationaryTerminals:
         for seed in (0, 5, 9):
             inst = random_instance(seed, 3)
             pol, ev = solve_average_reward(inst)
-            terms = stationary_terminals(inst, pol, ev)
+            terms = stationary_terminals(ev)
             q, a = inst.traffic.q, inst.traffic.a
             assert terms.v_end[I1] - terms.v_end[I0] == pytest.approx(terms.r_ref / q, abs=1e-9)
             assert terms.v_end[W1] - terms.v_end[W0] == pytest.approx(terms.r_ref / a, abs=1e-9)
@@ -125,7 +126,7 @@ class TestStationaryTerminals:
     def test_affine_extension_beyond_horizon(self):
         inst = random_instance(2, 2)
         pol, ev = solve_average_reward(inst)
-        terms = stationary_terminals(inst, pol, ev)
+        terms = stationary_terminals(ev)
         T = 50
         np.testing.assert_allclose(terms.value(T + 3, T), terms.v_end - 2 * terms.r_ref)
         np.testing.assert_allclose(terms.value(T + 1, T), terms.v_end)
@@ -138,7 +139,7 @@ class TestBackwardInduction:
             inst = random_instance(seed + 40, 2 + seed % 3)
             pol, ev = solve_average_reward(inst)
             T = 40
-            sol = backward_induction(inst, T, stationary_terminals(inst, pol, ev))
+            sol = backward_induction([inst], T, [stationary_terminals(ev)])[0]
             for t in (1, 2, T // 2, T):
                 expect = ev.R * (T + 1 - t) + ev.G
                 np.testing.assert_allclose(sol.V[t], expect, atol=1e-8 * max(1, abs(ev.R) * T))
@@ -146,8 +147,8 @@ class TestBackwardInduction:
     def test_single_step_idle_recursion(self):
         inst = random_instance(12, 2)
         pol, ev = solve_average_reward(inst)
-        terms = stationary_terminals(inst, pol, ev)
-        sol = backward_induction(inst, 1, terms)
+        terms = stationary_terminals(ev)
+        sol = backward_induction([inst], 1, [terms])[0]
         q = inst.traffic.q
         expect = (1 - q) * terms.v_end[I0] + q * terms.v_end[I1]
         assert sol.V[1, I0] == pytest.approx(expect, rel=1e-12)
@@ -158,7 +159,7 @@ class TestBackwardInduction:
         cases += [random_instance(seed + 300, 20) for seed in range(5)]
         for inst in cases:
             pol, ev = solve_average_reward(inst)
-            sol = backward_induction(inst, 30, stationary_terminals(inst, pol, ev))
+            sol = backward_induction([inst], 30, [stationary_terminals(ev)])[0]
             acts = np.array([[int(a) for a in rule.actions] for rule in pol.rules])
             assert np.array_equal(sol.argmax[1], acts)
 
@@ -166,23 +167,50 @@ class TestBackwardInduction:
         # bumping one terminal value by 10 r flips some action near the horizon
         inst = random_instance(21, 3)
         pol, ev = solve_average_reward(inst)
-        terms = stationary_terminals(inst, pol, ev)
-        base = backward_induction(inst, 30, terms)
+        terms = stationary_terminals(ev)
+        base = backward_induction([inst], 30, [terms])[0]
         changed = False
         for j in range(len(terms.v_end)):
             bumped = terms.v_end.copy()
             bumped[j] += 10 * inst.econ.r
             sol = backward_induction(
-                inst, 30, dataclasses.replace(terms, v_end=bumped)
-            )
+                [inst], 30, [dataclasses.replace(terms, v_end=bumped)]
+            )[0]
             if not np.array_equal(sol.argmax, base.argmax):
                 changed = True
                 break
         assert changed
 
+    @pytest.mark.parametrize("S", [1, 2, 3, 4, 5, 6, 20])
+    def test_block_equals_the_state_loop_bit_for_bit(self, S):
+        # two drawn instances, one with q and a at each edge and one with
+        # attempt and handoff times far past every horizon, under both
+        # terminal kinds: every lane's V and argmax are the loop's bytes, and
+        # a lane alone is the same lane of the mixed block
+        base = [random_instance(500 + 7 * S + i, S) for i in range(3)]
+        insts = base[:2] + [dataclasses.replace(base[2], traffic=TrafficParams(q=q, a=a))
+                            for q, a in ((1e-8, 0.5), (1.0, 0.5), (0.5, 1e-8), (0.5, 1.0))]
+        insts.append(dataclasses.replace(
+            base[2], profile=ResolutionProfile([10**9 * t for t in base[2].profile.tau], base[2].profile.rho),
+            econ=dataclasses.replace(base[2].econ, tau_w=10**12)))
+        terms = [stationary_terminals(solve_average_reward(inst)[1]) for inst in insts]
+        insts, terms = insts * 2, terms + [zero_terminals(inst) for inst in insts]
+        for T in (1, 30, 200):
+            sols = backward_induction(insts, T, terms)
+            for inst, tc, sol in zip(insts, terms, sols):
+                V, argmax = backward_induction_loop(inst, T, tc)
+                assert sol.V.tobytes() == V.tobytes() and sol.argmax.tobytes() == argmax.tobytes()
+                alone, = backward_induction([inst], T, [tc])
+                assert alone.V.tobytes() == V.tobytes() and alone.argmax.tobytes() == argmax.tobytes()
+
+    def test_rejects_a_block_of_mixed_S(self):
+        insts = [random_instance(1, 2), random_instance(1, 3)]
+        with pytest.raises(ValueError, match="S = 3 in a block of S = 2"):
+            backward_induction(insts, 5, [zero_terminals(inst) for inst in insts])
+
     def test_rejects_bad_horizon(self, single_attempt):
         with pytest.raises(ValueError):
-            backward_induction(single_attempt, 0, zero_terminals(single_attempt))
+            backward_induction([single_attempt], 0, [zero_terminals(single_attempt)])
 
 
 class TestVerifyStationarity:
@@ -190,7 +218,7 @@ class TestVerifyStationarity:
         for seed in range(10):
             inst = random_instance(seed + 90, 2 + seed % 3)
             pol, ev = solve_average_reward(inst)
-            sol = backward_induction(inst, 100, stationary_terminals(inst, pol, ev))
+            sol = backward_induction([inst], 100, [stationary_terminals(ev)])[0]
             ok, first = verify_stationarity(sol)
             assert ok and first is None
 
@@ -200,13 +228,25 @@ class TestVerifyStationarity:
         violations = 0
         for seed in range(12):
             inst = random_instance(seed + 150, 3)
-            sol = backward_induction(inst, 100, zero_terminals(inst))
+            sol = backward_induction([inst], 100, [zero_terminals(inst)])[0]
             ok, first = verify_stationarity(sol)
             violations += not ok
         assert violations >= 6
 
+    def test_reports_the_first_differing_node(self):
+        # t ascending, then X, then (Q, A) in CONGESTION_STATES order
+        argmax = np.zeros((10, 3, 4), dtype=np.int8)
+        argmax[9, 0, 0] = 2   # later t
+        argmax[5, 2, 0] = 1   # same t, later X
+        argmax[5, 1, 3] = 2   # same t and X, later (Q, A)
+        argmax[5, 1, 2] = 1   # the first: C(2) at (Q, A) = (0, 1)
+        sol = FiniteHorizonSolution(V=np.zeros((11, 16)), argmax=argmax, T=9, labels=state_labels(3))
+        assert verify_stationarity(sol) == (False, (5, 2, 0, 1))
+        argmax[1] = argmax[5]   # t = 1 now takes these actions, so t = 2 is the first to differ
+        assert verify_stationarity(sol) == (False, (2, 2, 0, 1))
+
     def test_single_attempt_vacuous(self, single_attempt):
-        sol = backward_induction(single_attempt, 20, zero_terminals(single_attempt))
+        sol = backward_induction([single_attempt], 20, [zero_terminals(single_attempt)])[0]
         ok, first = verify_stationarity(sol)
         assert ok and first is None
 
@@ -224,7 +264,7 @@ def test_monotone_value_in_attempt_index_when_profile_improves():
         rho = tuple(sorted(inst.profile.rho[:-1])) + (1.0,)
         inst = dataclasses.replace(inst, profile=ResolutionProfile(tau, rho))
         pol, ev = solve_average_reward(inst)
-        sol = backward_induction(inst, 20, stationary_terminals(inst, pol, ev))
+        sol = backward_induction([inst], 20, [stationary_terminals(ev)])[0]
         for t in (1, 10):
             for qa in range(4):
                 vals = [sol.V[t, c_index(x, qa)] for x in range(1, inst.S + 1)]

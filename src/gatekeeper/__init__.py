@@ -21,7 +21,9 @@ from .market import (
     compute_demand_shares,
     default_design_instance,
     default_scenario_grid,
+    design_points,
     optimize_design,
+    solve_designs,
     solve_equilibrium,
 )
 from .model import (

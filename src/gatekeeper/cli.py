@@ -295,7 +295,7 @@ def _run_design(cfg: RunConfig) -> list[str]:
                    "iterations", "residual"),
                   [[d.k_agent for d in grid.designs], [d.policy or "" for d in grid.designs],
                    [d.p_succ for d in grid.designs],
-                   *(a.tolist() for a in (grid.profit, grid.q, grid.q_bot, *grid.shares[:3],
+                   *(a.tolist() for a in (search.profit, grid.q, grid.q_bot, *grid.shares[:3],
                                           grid.converged, grid.iterations, abs(grid.g)))],
                   _comments(cfg))
     best = search.best
@@ -336,7 +336,10 @@ def _run_simulate(cfg: RunConfig) -> list[str]:
             targets.append((_load_queue_model(spec), waiting_room.queue_policy_from_label(policy)))
     if not targets:
         raise ValidationFailure("config must list at least one target")
-    reports = cross_validate(targets, horizon, seed)
+    try:
+        reports = cross_validate(targets, horizon, seed)
+    except MemoryError:
+        raise ValidationFailure(f"horizon = {horizon} is too long: its rewards do not fit in memory") from None
     rows = [
         (rep.index, rep.kind, rep.analytic, rep.mean, rep.se, rep.passed)
         for rep in reports

@@ -22,7 +22,8 @@ never congested.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -63,17 +64,27 @@ class BotChannel:
             object.__setattr__(self, f.name, as_real(getattr(self, f.name), f.name))
         if not 0.0 <= self.p_succ < 1.0:
             raise ValueError("p_succ must lie in [0, 1)")
+        if self.tau_bot < 0:
+            raise ValueError(f"tau_bot must be nonnegative, got {self.tau_bot}")
         if self.a_bot < 0:
             raise ValueError("a_bot must be nonnegative")
         if self.b_bot <= 1:
             raise ValueError("b_bot must exceed 1 (convex training cost)")
 
 
+def _training_cost(p_succ: float, a_bot: float, b_bot: float) -> float:
+    """a_bot * (100 * p_succ)^b_bot; zero when untrained or free, +inf past the float range."""
+    if p_succ == 0.0 or a_bot == 0.0:
+        return 0.0
+    try:
+        return a_bot * (100.0 * p_succ) ** b_bot
+    except OverflowError:
+        return math.inf
+
+
 def bot_training_cost(bot: BotChannel) -> float:
     """Per-period training cost a_bot * (100 * p_succ)^b_bot; zero when untrained."""
-    if bot.p_succ == 0.0:
-        return 0.0
-    return bot.a_bot * (100.0 * bot.p_succ) ** bot.b_bot
+    return _training_cost(bot.p_succ, bot.a_bot, bot.b_bot)
 
 
 @dataclass(frozen=True)
@@ -105,6 +116,11 @@ class CustomerPrefs:
         for f in fields(self):
             read = as_int if f.type == "int" else as_real
             object.__setattr__(self, f.name, read(getattr(self, f.name), f.name))
+        if self.v_max <= 0:
+            raise ValueError(f"v_max must be positive, got {self.v_max}")
+        for name in ("tau_exp_warm", "tau_exp_cold"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +154,9 @@ class Shares:
     fallback_fraction: float  # P(bot beats outside option | chose agent)
 
 
-def _bot_threshold(bot: Optional[BotChannel], prefs: CustomerPrefs) -> float:
-    """b = u0 + kappa: the bot beats the outside option iff v_b > b (never without a bot)."""
-    return np.inf if bot is None else (prefs.u0 + prefs.c_time * bot.tau_bot
-                                       + (1 - bot.p_succ) * prefs.delta_cold * prefs.tau_exp_cold)
+def _bot_threshold(p_succ, tau_bot: float, prefs: CustomerPrefs):
+    """b = u0 + kappa, over one p_succ or an array: the bot beats the outside option iff v_b > b."""
+    return prefs.u0 + prefs.c_time * tau_bot + (1 - p_succ) * prefs.delta_cold * prefs.tau_exp_cold
 
 
 def agent_service_cost(perf: PerformanceMeasures, prefs: CustomerPrefs) -> float:
@@ -195,7 +210,8 @@ def compute_demand_shares(
     passes perf None and p_admit = 0.
     """
     cost = 0.0 if perf is None else agent_service_cost(perf, prefs)
-    shares = _lane_shares(np.array([_bot_threshold(bot, prefs)]), np.array([cost]),
+    b = np.inf if bot is None else _bot_threshold(bot.p_succ, bot.tau_bot, prefs)
+    shares = _lane_shares(np.array([b]), np.array([cost]),
                           np.array([p_admit]), prefs)
     return Shares(*(float(s[0]) for s in shares))
 
@@ -237,9 +253,10 @@ _PARTS = ("agent_revenue", "wages", "bot_margin", "bot_training")
 
 
 class DesignGrid(NamedTuple):
-    """Solved and priced design cells as columns: cell j is designs[j], on
-    the last axis of every array."""
+    """Solved design cells as columns: cell j is designs[j], on the last axis
+    of every array.  No wage or training cost enters; `price` adds them."""
 
+    tau_bot: float           # the bot's time in channel the cells were solved at
     designs: tuple[DesignPoint, ...]
     q: np.ndarray            # reported per-agent arrival probability (0 unstaffed)
     R: np.ndarray            # agent reward per agent per period there
@@ -250,45 +267,87 @@ class DesignGrid(NamedTuple):
     iterations: np.ndarray
     converged: np.ndarray
     q_bot: np.ndarray
+    bot_margin: np.ndarray   # q_bot (r - (1 - p) c_c), 0 where p_succ = 0 (no bot)
+
+    def take(self, cells) -> DesignGrid:
+        return DesignGrid(self.tau_bot, tuple(self.designs[j] for j in cells),
+                          *(a.take(cells, axis=-1) for a in self[2:]))
+
+    def price(self, wage: float, bot_curve: BotChannel) -> DesignSearch:
+        """The cells priced at a wage and a training-cost curve, ranked by
+        profit descending, ties broken on the (k, policy, p_succ) key.
+
+        Profit is ((k R - k wage) + margin) - a (100 p)^b, the training cost
+        taken once per distinct p_succ (+inf past the float range, so its
+        cells rank last).  The bot's threshold enters the fixed point, so the
+        curve's tau_bot must be the one the grid was solved at.
+        """
+        if bot_curve.tau_bot != self.tau_bot:
+            raise ValueError(f"the grid was solved at tau_bot = {self.tau_bot}, not {bot_curve.tau_bot}")
+        k = np.array([d.k_agent for d in self.designs], dtype=float)
+        p, at = np.unique([d.p_succ for d in self.designs], return_inverse=True)
+        training = [_training_cost(x, bot_curve.a_bot, bot_curve.b_bot) for x in p.tolist()]
+        parts = np.array([k * self.R, k * wage, self.bot_margin, np.take(training, at)])
+        profit = ((parts[0] - parts[1]) + parts[2]) - parts[3]
+        order = np.lexsort((p[at], [d.policy or "" for d in self.designs], k, -profit))
+        return DesignSearch(self.take(order), parts[:, order], profit[order])
+
+
+@dataclass(frozen=True, eq=False)
+class DesignSearch:
+    """A priced design grid ranked by profit descending, as columns; a cell's
+    EquilibriumResult is built when it is read."""
+
+    grid: DesignGrid         # the solved cells, in rank order
     parts: np.ndarray        # (4, n): the profit parts, in _PARTS order
     profit: np.ndarray
 
-    def take(self, cells) -> DesignGrid:
-        return DesignGrid(tuple(self.designs[j] for j in cells),
-                          *(a.take(cells, axis=-1) for a in self[1:]))
+    def _results(self, cells) -> list[EquilibriumResult]:
+        """The given cells' EquilibriumResults; `policy_from_actions` runs once
+        per distinct action row."""
+        sub = self.grid.take(cells)
+        q, R, g, iters, converged, q_bot, profit = (a.tolist() for a in (
+            sub.q, sub.R, sub.g, sub.iterations, sub.converged, sub.q_bot, self.profit.take(cells)))
+        measures, shares, parts = (a.T.tolist() for a in (
+            sub.measures, sub.shares, self.parts.take(cells, axis=-1)))
+        policies, results = {}, []
+        for j, d in enumerate(sub.designs):
+            staffed, policy = d.k_agent > 0, None
+            if staffed:
+                key = sub.actions[..., j].tobytes()
+                if key not in policies:
+                    policies[key] = policy_from_actions(sub.actions[..., j])
+                policy = policies[key]
+            results.append(EquilibriumResult(
+                design=d, q_per_agent=q[j], q_bot_effective=q_bot[j], shares=Shares(*shares[j]),
+                perf=PerformanceMeasures(*measures[j]) if staffed else None, policy=policy,
+                agent_reward=R[j], profit=profit[j], profit_parts=dict(zip(_PARTS, parts[j])),
+                converged=converged[j], iterations=iters[j], residual=abs(g[j]),
+            ))
+        return results
+
+    @property
+    def best(self) -> EquilibriumResult:
+        return self._results([0])[0]
+
+    @cached_property
+    def results(self) -> tuple[EquilibriumResult, ...]:
+        return tuple(self._results(range(len(self.profit))))
+
+    def cell(self, k: int, policy: Optional[str], p_succ: float) -> EquilibriumResult:
+        for j, d in enumerate(self.grid.designs):
+            if d.k_agent == k and d.policy == policy and abs(d.p_succ - p_succ) < 1e-12:
+                return self._results([j])[0]
+        raise KeyError((k, policy, p_succ))
 
 
-def _results(grid: DesignGrid, cells) -> list[EquilibriumResult]:
-    """The EquilibriumResults of the given cells of a grid; `policy_from_actions`
-    runs once per distinct action row."""
-    sub = grid.take(cells)
-    q, R, g, iters, converged, q_bot, profit = (
-        a.tolist() for a in (sub.q, sub.R, sub.g, sub.iterations, sub.converged, sub.q_bot, sub.profit))
-    measures, shares, parts = (a.T.tolist() for a in (sub.measures, sub.shares, sub.parts))
-    policies, results = {}, []
-    for j, d in enumerate(sub.designs):
-        staffed, policy = d.k_agent > 0, None
-        if staffed:
-            key = sub.actions[..., j].tobytes()
-            if key not in policies:
-                policies[key] = policy_from_actions(sub.actions[..., j])
-            policy = policies[key]
-        results.append(EquilibriumResult(
-            design=d, q_per_agent=q[j], q_bot_effective=q_bot[j], shares=Shares(*shares[j]),
-            perf=PerformanceMeasures(*measures[j]) if staffed else None, policy=policy,
-            agent_reward=R[j], profit=profit[j], profit_parts=dict(zip(_PARTS, parts[j])),
-            converged=converged[j], iterations=iters[j], residual=abs(g[j]),
-        ))
-    return results
-
-
-def _solve_cells(
+def solve_designs(
     template: ProblemInstance,
     designs: list[DesignPoint],
-    b: np.ndarray,
     market: MarketParams,
     prefs: CustomerPrefs,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    tau_bot: float,
+) -> DesignGrid:
     """Every design's demand fixed point; the staffed ones bisect in lockstep.
 
     Each design is a lane.  A staffed lane has its own bracket [lo, hi] and
@@ -297,17 +356,19 @@ def _solve_cells(
     Uniform-rule lanes carry their rule's actions, "OPT" lanes take theirs
     from `dinkelbach` at the midpoint, and the measures come from the renewal
     recursion (`lane_performance`), not the chain; one `lane_terms` call per
-    pass serves both.  Lane j carries its bot's threshold b[j], so one
+    pass serves both.  Lane j carries its bot's threshold, so one
     `_lane_shares` call gives every lane's shares.  An unstaffed lane admits
     nobody and needs no bisection.  Every step is elementwise over lanes, so
     a cell's result does not depend on which other cells share the block.
 
-    Returns per lane the reported q, R, g, six measures and four shares as
-    rows of a (13, n) array, the (n, S-1, 4) actions, the iterations and the
-    convergence flags.
+    The solve reads the template's attempts, fees and expert availability,
+    and the bot only through its time in channel tau_bot: neither the wage
+    nor the training-cost curve enters, and `DesignGrid.price` adds both.
     """
-    S, table, n = template.S, rules_table(), len(designs)
+    S, table, n, econ = template.S, rules_table(), len(designs), template.econ
     k = np.array([d.k_agent for d in designs], dtype=float)
+    p = np.array([d.p_succ for d in designs])
+    b = np.where(p != 0, _bot_threshold(p, tau_bot, prefs), np.inf)
     acts = np.zeros((n, S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
     for j, d in enumerate(designs):
         if d.policy in table:
@@ -348,43 +409,25 @@ def _solve_cells(
         mid = 0.5 * (lo + hi)
         stay = ~done & (lo < mid) & (mid < hi)
         lanes, lo, hi, b, k, acts, is_opt = (a[stay] for a in (lanes, lo, hi, b, k, acts, is_opt))
-    return rep, rep_acts, iters, converged
 
-
-def _design_grid(
-    template: ProblemInstance,
-    designs: list[DesignPoint],
-    market: MarketParams,
-    prefs: CustomerPrefs,
-    bot_curve: BotChannel,
-) -> DesignGrid:
-    """Every design's fixed point (`_solve_cells`), priced as columns.
-
-    Profit is k R - k wage + q_bot (r - (1 - p) c_c) - a (100 p)^b, added in
-    that order, ((k R - k wage) + margin) - training, with both bot terms 0
-    where p_succ = 0 (no bot).  The training cost is taken once per distinct
-    p_succ (`bot_training_cost`).
-    """
-    econ = template.econ
-    bots = {p: replace(bot_curve, p_succ=p) if p else None for p in {d.p_succ for d in designs}}
-    thresholds = {p: _bot_threshold(bot, prefs) for p, bot in bots.items()}
-    training = {p: bot_training_cost(bot) if bot else 0.0 for p, bot in bots.items()}
-    rep, acts, iters, converged = _solve_cells(
-        template, designs, np.array([thresholds[d.p_succ] for d in designs]), market, prefs)
-    q, R, g, measures, shares = rep[0], rep[1], rep[2], rep[3:9], rep[9:]
+    measures, shares = rep[3:9], rep[9:]
     (agent, bot_direct, _, fallback), p_admit = shares, measures[1]
     q_bot = market.lam * (bot_direct + agent * (1 - p_admit) * fallback)
-    k = np.array([d.k_agent for d in designs], dtype=float)
-    p = np.array([d.p_succ for d in designs])
-    parts = np.array([
-        k * R,
-        k * econ.c_wage,
-        np.where(p != 0, q_bot * (econ.r - (1 - p) * econ.c_c), 0.0),
-        [training[d.p_succ] for d in designs],
-    ])
-    profit = ((parts[0] - parts[1]) + parts[2]) - parts[3]
-    return DesignGrid(tuple(designs), q, R, g, measures, shares, acts.transpose(1, 2, 0),
-                      iters, converged, q_bot, parts, profit)
+    margin = np.where(p != 0, q_bot * (econ.r - (1 - p) * econ.c_c), 0.0)
+    return DesignGrid(tau_bot, tuple(designs), rep[0], rep[1], rep[2], measures, shares,
+                      rep_acts.transpose(1, 2, 0), iters, converged, q_bot, margin)
+
+
+def design_points(market: MarketParams) -> list[DesignPoint]:
+    """The full staffing x policy x training grid: every decision rule applied
+    uniformly across attempts plus "OPT", which re-solves the optimal policy
+    at each bisection midpoint; p_succ = 0 means the bot channel is absent."""
+    policies: list[Optional[str]] = list(rules_table()) + ["OPT"]
+    p_values = [0.0] + [p for p in market.p_grid if p > 0.0]
+    return [DesignPoint(k_agent=k, policy=label, p_succ=p)
+            for k in range(0, market.k_max + 1)
+            for label in ([None] if k == 0 else policies)
+            for p in p_values]
 
 
 def solve_equilibrium(
@@ -409,7 +452,8 @@ def solve_equilibrium(
     effective demand adds blocked live-channel customers who still prefer the
     bot over balking.  One cell of `optimize_design`'s lockstep block.
     """
-    return _results(_design_grid(template, [design], market, prefs, bot_curve), [0])[0]
+    grid = solve_designs(template, [design], market, prefs, bot_curve.tau_bot)
+    return grid.price(template.econ.c_wage, bot_curve).best
 
 
 def default_design_instance(wage: float = 0.9) -> ProblemInstance:
@@ -426,55 +470,17 @@ def default_design_instance(wage: float = 0.9) -> ProblemInstance:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class DesignSearch:
-    """The design grid as columns, ranked by profit descending; a cell's
-    EquilibriumResult is built when it is read."""
-
-    grid: DesignGrid
-
-    @property
-    def best(self) -> EquilibriumResult:
-        return _results(self.grid, [0])[0]
-
-    @cached_property
-    def results(self) -> tuple[EquilibriumResult, ...]:
-        return tuple(_results(self.grid, range(len(self.grid.designs))))
-
-    def cell(self, k: int, policy: Optional[str], p_succ: float) -> EquilibriumResult:
-        for j, d in enumerate(self.grid.designs):
-            if d.k_agent == k and d.policy == policy and abs(d.p_succ - p_succ) < 1e-12:
-                return _results(self.grid, [j])[0]
-        raise KeyError((k, policy, p_succ))
-
-
 def optimize_design(
     template: ProblemInstance,
     market: MarketParams,
     prefs: CustomerPrefs,
     bot_curve: BotChannel,
 ) -> DesignSearch:
-    """Profit over the full staffing x policy x training grid, ranked.
-
-    The policy grid holds every admissible decision rule applied uniformly
-    across attempts plus "OPT", which re-solves the optimal stationary policy
-    at each bisection midpoint.  p_succ = 0 means the bot channel is absent.
-    All cells bisect in one lockstep block, each independent of the others
-    (see `solve_equilibrium`); ranking ties break on the (k, policy, p_succ)
-    key, and an unconverged cell ranks by its profit at its reported lo.
-    """
-    policies: list[Optional[str]] = list(rules_table()) + ["OPT"]
-    p_values = [0.0] + [p for p in market.p_grid if p > 0.0]
-
-    designs = [DesignPoint(k_agent=k, policy=label, p_succ=p)
-               for k in range(0, market.k_max + 1)
-               for label in ([None] if k == 0 else policies)
-               for p in p_values]
-    grid = _design_grid(template, designs, market, prefs, bot_curve)
-    neg = (-grid.profit).tolist()
-    order = sorted(range(len(designs)), key=lambda j: (
-        neg[j], designs[j].k_agent, designs[j].policy or "", designs[j].p_succ))
-    return DesignSearch(grid.take(order))
+    """Profit over the full grid (`design_points`), ranked: one lockstep solve
+    priced at the template's wage and the bot's curve.  An unconverged cell
+    ranks by its profit at its reported lo (see `solve_equilibrium`)."""
+    grid = solve_designs(template, design_points(market), market, prefs, bot_curve.tau_bot)
+    return grid.price(template.econ.c_wage, bot_curve)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """One design cell's EquilibriumResult assembled from scalars, the oracle
 for the column pricing of `gatekeeper.market`.
 
-`equilibrium_result` reads cell j of a solved grid as Python floats, prices
-it with the scalar profit formula and converts its actions to a policy on
-its own, so the lazily built results of a `DesignSearch` must equal it, bit
-for bit.
+`equilibrium_result` reads cell j of a solved grid (a `DesignGrid`) as
+Python floats, prices it with the scalar profit formula and converts its
+actions to a policy on its own, so the lazily built results of the priced
+ranking (a `DesignSearch`, from `DesignGrid.price`) must equal it, bit for
+bit.
 """
 from dataclasses import replace
 from typing import Optional

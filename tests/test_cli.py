@@ -538,6 +538,30 @@ def test_stationarity_horizon_too_long_to_hold_exits_2_naming_T(tmp_path, capsys
     assert not (out / "argmax.csv").exists()
 
 
+def test_simulate_horizon_too_long_to_hold_exits_2_naming_it(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "simulate", {**SIMULATE_ONE, "horizon": 10**15})
+    assert code == EXIT_VALIDATION
+    assert f"horizon = {10**15} is too long" in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("a_bot, bot_cells", [(0.0, "7.524"), (9e-05, "-inf")])
+def test_design_steep_training_curve_runs(tmp_path, capsys, a_bot, bot_cells):
+    # 9e-05 * 50^400 is past the float range: its cells cost +inf and rank
+    # last; with a_bot = 0 the bot is free at any exponent
+    config = {"market": {"k_max": 1, "p_grid": [0.5]}, "bot": {"a_bot": a_bot, "b_bot": 400}}
+    code, out = run_cli(tmp_path, "design", config)
+    assert code == EXIT_OK
+    rows = [l.split(",") for l in (out / "design.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    bot_only = next(row for row in rows if row[:3] == ["0", "", "0.5"])
+    assert bot_only[3] == bot_cells
+    if a_bot:
+        assert "p_succ=0.0 " in capsys.readouterr().out
+        assert all(row[3] == "-inf" for row in rows if row[2] == "0.5")
+        assert rows[-1][2] == "0.5"
+
+
 def test_enumerate_rejects_a_negative_top(tmp_path, capsys):
     code, out = run_cli(tmp_path, "enumerate", {"instance": valid_instance(), "top": -3})
     assert code == EXIT_VALIDATION
@@ -569,6 +593,12 @@ def with_section(section, **values):
     ("design", {"bot": {"a_bot": "x"}}, "a_bot must be a finite number, got 'x'"),
     ("design", {"market": {"p_grid": ["0.3"]}}, "p_grid entry must be a finite number, got '0.3'"),
     ("design", {"wage": "0.9"}, "wage must be a finite number, got '0.9'"),
+    # numbers of the right type outside their range
+    ("design", {"prefs": {"v_max": 0}}, "v_max must be positive, got 0.0"),
+    ("design", {"prefs": {"v_max": -5}}, "v_max must be positive, got -5.0"),
+    ("design", {"prefs": {"tau_exp_warm": -1}}, "tau_exp_warm must be nonnegative, got -1"),
+    ("design", {"prefs": {"tau_exp_cold": -2}}, "tau_exp_cold must be nonnegative, got -2"),
+    ("design", {"bot": {"tau_bot": -0.5}}, "tau_bot must be nonnegative, got -0.5"),
 ])
 def test_config_number_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, sub, payload, message):
     code, out = run_cli(tmp_path, sub, payload)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple, fields, is_dataclass, replace
 
 import numpy as np
@@ -12,7 +13,9 @@ from gatekeeper import (
     compute_demand_shares,
     default_design_instance,
     default_scenario_grid,
+    design_points,
     optimize_design,
+    solve_designs,
     solve_equilibrium,
 )
 from gatekeeper.evaluate import PerformanceMeasures, cycle_performance, evaluate_policy, lane_terms
@@ -34,6 +37,10 @@ class TestBotCost:
         cost = bot_training_cost(BotChannel(0.9, 6.0, 0.00005, 2.6))
         assert cost == pytest.approx(0.00005 * 90**2.6, rel=1e-12)
         assert cost == pytest.approx(6.03, abs=0.01)
+
+    def test_cost_past_the_float_range_is_infinite_unless_free(self):
+        assert bot_training_cost(BotChannel(0.5, 6.0, 0.00005, 400.0)) == math.inf
+        assert bot_training_cost(BotChannel(0.5, 6.0, 0.0, 400.0)) == 0.0
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -275,6 +282,31 @@ class TestOptimizeDesign:
         for res in results:
             d = res.design
             assert_same_bits(search.cell(d.k_agent, d.policy, d.p_succ), res)
+
+    def test_one_solve_priced_per_scenario_equals_a_search_per_scenario(self):
+        # the demand fixed point reads neither the wage nor the training-cost
+        # curve, so pricing one solve gives each scenario's search bit for bit
+        market, prefs, scenarios = MarketParams(), CustomerPrefs(), default_scenario_grid()
+        grid = solve_designs(default_design_instance(), design_points(market), market, prefs, 6.0)
+        for sc in scenarios:
+            priced = grid.price(sc.wage, sc.bot_curve)
+            search = optimize_design(default_design_instance(wage=sc.wage), market, prefs,
+                                     sc.bot_curve)
+            assert priced.grid.designs == search.grid.designs   # the rank
+            assert priced.grid.tau_bot == search.grid.tau_bot
+            for name, a, b in zip(search.grid._fields[2:], priced.grid[2:], search.grid[2:]):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            for a, b in ((priced.parts, search.parts), (priced.profit, search.profit)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert_same_bits(priced.best, search.best)
+
+    def test_pricing_at_another_bot_speed_raises(self):
+        market = MarketParams(k_max=1, p_grid=(0.4,))
+        grid = solve_designs(default_design_instance(), design_points(market), market,
+                             CustomerPrefs(), 6.0)
+        grid.price(0.9, BotChannel(0.0, 6.0, 9e-5, 2.6))
+        with pytest.raises(ValueError, match="solved at tau_bot = 6.0, not 4.0"):
+            grid.price(0.9, BotChannel(0.0, 4.0, 9e-5, 2.6))
 
     def test_p_grid_may_hold_the_no_bot_column(self):
         assert MarketParams(p_grid=(0.0, 0.3)).p_grid == (0.0, 0.3)

@@ -42,26 +42,28 @@ def write_columns(
     columns: Sequence[Sequence],
     comments: Sequence[str] = (),
 ) -> Path:
-    """`write_csv` of the rows zip(*columns), a column formatted at a time."""
+    """`write_csv` of the rows zip(*columns), each row by one %-format."""
+    cols = [_column_format(values) for values in columns]
+    row = ",".join(f for f, _ in cols)
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
-    lines.extend(map(",".join, zip(*map(_fmt_column, columns))))
+    lines.extend(row % values for values in zip(*(values for _, values in cols)))
     path = Path(path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
 
-def _fmt_column(values: Sequence) -> list[str]:
-    """`fmt` of each value, with one format for a column of floats, of bools
-    or of ints and strings."""
+def _column_format(values: Sequence) -> tuple[str, Sequence]:
+    """The %-format of a column of floats, of bools or of ints and strings,
+    each printed as `fmt` prints it; any other column is `fmt` of each value."""
     kinds = set(map(type, values))
     if kinds == {float}:
-        return [f"{v:.12g}" for v in values]
+        return "%.12g", values
     if kinds == {bool}:
-        return ["1" if v else "0" for v in values]
+        return "%d", values
     if kinds <= {int, str}:
-        return list(map(str, values))
-    return [fmt(v) for v in values]
+        return "%s", values
+    return "%s", [fmt(v) for v in values]
 
 
 def write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int,

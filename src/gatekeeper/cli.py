@@ -20,6 +20,7 @@ import numpy as np
 from . import market as mkt
 from . import structure, waiting_room
 from .artifacts import config_hash, fmt, write_columns, write_csv, write_manifest
+from .evaluate import n_states
 from .model import (
     CONGESTION_STATES,
     EconomicParams,
@@ -148,6 +149,8 @@ def _run_stationarity(cfg: RunConfig) -> list[str]:
     terms = (zero_terminals(inst) if terminals == "zero"
              else stationary_terminals(solve_average_reward(inst)[1]))
     try:
+        if 2 * (T + 1) * n_states(inst.S) > sys.maxsize // 8:
+            raise MemoryError   # up to 2 (T + 1) rows of values: past any float array
         sol, = backward_induction([inst], T, [terms])
     except MemoryError:
         raise ValidationFailure(f"T = {T} is too long a horizon: its values do not fit in memory") from None
@@ -337,6 +340,8 @@ def _run_simulate(cfg: RunConfig) -> list[str]:
     if not targets:
         raise ValidationFailure("config must list at least one target")
     try:
+        if horizon > sys.maxsize // 8:
+            raise MemoryError   # past any float array
         reports = cross_validate(targets, horizon, seed)
     except MemoryError:
         raise ValidationFailure(f"horizon = {horizon} is too long: its rewards do not fit in memory") from None

@@ -310,19 +310,6 @@ def renewal_terms(insts: Sequence[ProblemInstance]) -> RenewalTerms:
     return block_terms(*InstanceBlock.of(insts))
 
 
-def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:
-    """Renewal terms of `inst` at each arrival probability in q, which must
-    lie in (0, 1]; the instance's own q plays no part."""
-    q = np.asarray(q, dtype=float)
-    if not np.all((0.0 < q) & (q <= 1.0)):
-        raise ValueError("invalid instance: q must lie in (0, 1]")
-    lane = np.ones_like(q)
-    tau, rho = (np.array(v, dtype=float)[:, None] * lane for v in (inst.profile.tau, inst.profile.rho))
-    econ = inst.econ
-    return block_terms(tau, rho, *(v * lane for v in (econ.r, econ.c_w, econ.c_c, econ.tau_w)),
-                       q, inst.traffic.a * lane)
-
-
 def renewal_step(head, fail, cont, nxt, trans) -> np.ndarray:
     """(W, D) from an attempt's start: head + sum_j fail_j (nxt if cont_j else trans_j),
     the four state terms added left to right, ((x_0 + x_1) + x_2) + x_3, as
@@ -352,43 +339,90 @@ def average_reward_batch(inst: ProblemInstance, actions: np.ndarray) -> np.ndarr
 
 def cycle_performance(inst: ProblemInstance, q: np.ndarray,
                       actions: np.ndarray) -> tuple[np.ndarray, PerformanceMeasures]:
-    """Average reward and performance measures per lane, without a chain.
+    """Average reward and performance measures per lane, without a chain:
+    lane i runs `inst` at arrival probability q[i] under the (S-1, 4)
+    actions actions[i].  One pass of a `LaneEvaluator`."""
+    return LaneEvaluator(inst, actions).at(q).measures()
 
-    Lane i runs `inst` at arrival probability q[i] under the (S-1, 4) actions
-    actions[i]; the measures' fields are arrays over lanes.  Along with W and
-    D the recursion carries each cycle's busy time and the probabilities that
-    its one admitted customer is resolved, warm or cold transferred.  A cycle
-    is one admission, so R = W_1/D_1, throughput = 1/D_1, p_admit = 1/(q D_1),
-    the outcome probabilities are the per-cycle ones and t_channel is the busy
-    time, carried directly because D_1 - E[idle] cancels at small q.
+
+class LaneEvaluator:
+    """The renewal recursion of lanes of one instance, at many q in turn.
+
+    Next to W and D it carries a cycle's busy time and the chances that its
+    one admitted customer is resolved, warm or cold transferred, so R =
+    W_1/D_1, throughput = 1/D_1, p_admit = 1/(q D_1), and t_channel is the
+    busy time (D_1 - E[idle] cancels at small q).  The q-free rows are built
+    once, per lane and decision those of the transfer its action picks;
+    `at(q)` fills a pass's q terms (idle, fail, the D rows), `terms` gives
+    some lanes' `RenewalTerms` to the optimiser and `measures` runs the
+    recursion.  A lane takes the IEEE operations of `block_terms` and
+    `_policy_pass` in their order, so its bits do not depend on the others.
     """
-    return lane_performance(lane_terms(inst, q), measure_rows(inst), q, actions)
 
+    def __init__(self, inst: ProblemInstance, actions: np.ndarray):
+        tau, rho = (np.array(v, dtype=float) for v in (inst.profile.tau, inst.profile.rho))
+        econ, a, S, N = inst.econ, inst.traffic.a, len(tau), len(actions)
+        self._tau, self._rho, self._r, self._a = tau[:, None], rho[:, None], econ.r, a
+        # rows W, D, busy, resolve, warm, cold of each attempt's own part and
+        # of a warm / cold transfer per (Q, A); D is filled per pass
+        busy, zero = [1 / a + econ.tau_w] * 2 + [econ.tau_w] * 2, 0 * tau
+        self._head = np.repeat(np.stack([rho * econ.r, zero, tau, rho, zero, zero], 1)[..., None], N, 2)
+        self._trans = np.array([[[econ.r - econ.c_w, 0.0, b, 0.0, 1.0, 0.0] for b in busy],
+                                [[econ.r - econ.c_c, 0.0, 0.0, 0.0, 0.0, 1.0]] * 4])[..., None]
+        self._fail, self._d = np.empty((S, 4, N)), np.zeros((2, 4, N))   # per (Q, A)
+        self._T, self._cont = np.empty((S - 1, 4, 6, N)), np.empty((S - 1, 4, 1, N), dtype=bool)
+        self.actions = np.full(np.shape(actions), -1, dtype=np.int8)
+        self.set_actions(slice(None), actions)
 
-def measure_rows(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """The rows `cycle_performance` carries next to W and D, which do not
-    depend on q: busy, resolve, warm and cold of each attempt's own part
-    (S, 4) and of a warm / cold transfer per (Q, A) (4, 2, 4)."""
-    tau_w, a = inst.econ.tau_w, inst.traffic.a
-    head = [[tau_x, rho_x, 0.0, 0.0] for tau_x, rho_x in zip(inst.profile.tau, inst.profile.rho)]
-    trans = [[[1 / a + tau_w] * 2 + [tau_w] * 2, [0.0] * 4], [[0.0] * 4] * 2,
-             [[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]]
-    return np.array(head)[..., None], np.array(trans)[..., None]
+    def set_actions(self, lanes, actions: np.ndarray) -> None:
+        """Give the lanes `lanes` the (n, S-1, 4) actions `actions`."""
+        if not np.array_equal(self.actions[lanes], actions):
+            self.actions[lanes] = actions
+            act = self.actions[lanes].transpose(1, 2, 0)[:, :, None]
+            self._cont[..., lanes] = act == Action.CONTINUE
+            self._T[..., lanes] = np.where(act == Action.WARM, self._trans[0], self._trans[1])
 
+    def keep(self, lanes: np.ndarray) -> None:
+        """Keep only the lanes `lanes`, in their order."""
+        self._T, self._cont = self._T.take(lanes, axis=-1), self._cont.take(lanes, axis=-1)
+        self.actions = self.actions.take(lanes, axis=0)
 
-def lane_performance(t: RenewalTerms, rows: tuple[np.ndarray, np.ndarray], q: np.ndarray,
-                     actions: np.ndarray) -> tuple[np.ndarray, PerformanceMeasures]:
-    """`cycle_performance` from the lanes' renewal terms t (`lane_terms` at q)
-    and the instance's `measure_rows`."""
-    (S, N), (head, trans) = t.head.shape[::2], rows
-    W, D, busy, res, warm, cold = _policy_pass(
-        np.concatenate([t.head, np.broadcast_to(head, (S, 4, N))], axis=1),
-        t.fail,
-        np.concatenate([t.trans, np.broadcast_to(trans, (4, 2, 4, N))]),
-        actions,
-    )
-    return W / D, PerformanceMeasures(throughput=1 / D, p_admit=1 / (q * D), p_resolve=res,
-                                      p_warm=warm, p_cold=cold, t_channel=busy)
+    def at(self, q: np.ndarray) -> LaneEvaluator:
+        """The q terms of a pass, lane i at q[i], which must lie in (0, 1]."""
+        q = self._q = np.asarray(q, dtype=float)
+        if not 0.0 < q.min(initial=1.0) <= q.max(initial=1.0) <= 1.0:
+            raise ValueError("invalid instance: q must lie in (0, 1]")
+        n, idle = len(q), (1 - q) / q
+        head, fail, d = self._head[..., :n], self._fail[..., :n], self._d[..., :n]
+        np.add(self._tau, np.multiply(self._rho, idle, out=head[:, 1]), out=head[:, 1])
+        np.multiply(1 - self._rho[:, None], congestion_probs(q, self._a), out=fail)
+        np.add(self._trans[0, :, 2], idle, out=d[0])
+        d[1, 0::2] = 1 / q   # a cold transfer waits for the next arrival if Q = 0
+        self._pass = head, fail, d
+        return self
+
+    def terms(self, lanes: np.ndarray) -> RenewalTerms:
+        """`block_terms` of the lanes `lanes` at this pass's q."""
+        head, fail, d = (a.take(lanes, axis=-1) for a in (self._pass[0][:, :2], *self._pass[1:]))
+        d_never = np.zeros(len(lanes))
+        for d_x, rho_x in zip(head[::-1, 1], self._rho[::-1]):
+            d_never = d_x + (1 - rho_x) * d_never
+        trans = np.stack([np.broadcast_to(self._trans[:, :, 0], d.shape), d])
+        return RenewalTerms(self._r / d_never, head, fail, trans)
+
+    def measures(self) -> tuple[np.ndarray, PerformanceMeasures]:
+        """Each lane's average reward and measures at this pass's q, by the
+        steps of `renewal_step` over (Q, A)-major arrays."""
+        (head, fail, d), T = self._pass, self._T
+        T[:, :, 1] = np.where(T[:, :, 4] == 1.0, d[0], d[1])   # warm or cold
+        out = head[-1]
+        for x in range(len(T) - 1, -1, -1):
+            v = np.where(self._cont[x], out, T[x])
+            v *= fail[x, :, None]
+            out = head[x] + (((v[0] + v[1]) + v[2]) + v[3])
+        W, D, busy, res, warm, cold = out
+        return W / D, PerformanceMeasures(throughput=1 / D, p_admit=1 / (self._q * D), p_resolve=res,
+                                          p_warm=warm, p_cold=cold, t_channel=busy)
 
 
 def average_reward(inst: ProblemInstance, pol: StationaryPolicy) -> float:

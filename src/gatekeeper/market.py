@@ -12,8 +12,8 @@ the measures, so only an "OPT" policy switch can leave a jump with no fixed
 point; the cell then reports its lower end.  The design optimizer scans the
 full (staffing x policy x training) grid and reports the profit surface; all
 its cells bisect together as arrays.  The announced measures come from the
-renewal recursion (`evaluate.cycle_performance`), not from the embedded
-chain, which stays the independent oracle in the tests.
+renewal recursion, one `evaluate.LaneEvaluator` per solve, not from the
+embedded chain, which stays the independent oracle in the tests.
 
 The chatbot resolves a request with probability p_succ bought through a
 convex per-period training cost a_bot * (100 p_succ)^b_bot; failures are
@@ -23,13 +23,14 @@ never congested.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .evaluate import PerformanceMeasures, lane_performance, lane_terms, measure_rows
+from .evaluate import LaneEvaluator, PerformanceMeasures
 # evaluate_policy is not called here: the benchmark harness's tracing
 # self-test installs and removes a span on `market.evaluate_policy`.
 from .evaluate import evaluate_policy  # noqa: F401
@@ -118,6 +119,9 @@ class CustomerPrefs:
             object.__setattr__(self, f.name, read(getattr(self, f.name), f.name))
         if self.v_max <= 0:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
+        if not sys.float_info.min <= self.v_max * self.v_max <= sys.float_info.max:   # V**2 scales the shares
+            raise ValueError("v_max must have a finite normal square (about 1.5e-154 to 1.3e154), "
+                             f"got {self.v_max}")
         for name in ("tau_exp_warm", "tau_exp_cold"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -188,8 +192,8 @@ def _lane_shares(b: np.ndarray, cost: np.ndarray, p_admit: np.ndarray,
                                                  out=np.full_like(p_admit, np.inf),
                                                  where=p_admit > 0), V)
     s, w = np.maximum(b, 0.0), np.maximum(x0, 0.0)   # v_b < s: x = x0; v_b > s: bot beats u0
-    fallback = H(V - x0 + b - s) - H(b - x0)   # agent area over v_b > s
-    bot = H(V - b + x0) - H(s - b + x0)        # bot area over v_b > s
+    h = H(np.stack([V - x0 + b - s, b - x0, V - b + x0, s - b + x0]))
+    fallback, bot = h[0] - h[1], h[2] - h[3]   # agent and bot areas over v_b > s
     agent = s * (V - w) + fallback
     return (agent / V**2, bot / V**2, s * w / V**2,
             np.divide(fallback, agent, out=np.zeros_like(agent), where=agent > 0))
@@ -355,11 +359,13 @@ def solve_designs(
     lane's midpoint at once, and the lanes that stop leave the block.
     Uniform-rule lanes carry their rule's actions, "OPT" lanes take theirs
     from `dinkelbach` at the midpoint, and the measures come from the renewal
-    recursion (`lane_performance`), not the chain; one `lane_terms` call per
-    pass serves both.  Lane j carries its bot's threshold, so one
-    `_lane_shares` call gives every lane's shares.  An unstaffed lane admits
-    nobody and needs no bisection.  Every step is elementwise over lanes, so
-    a cell's result does not depend on which other cells share the block.
+    recursion, not the chain: one `LaneEvaluator` builds the q-free rows
+    once, and each pass's q terms serve both.  The lane arrays are compacted
+    only in the passes where some lanes stop.  Lane j carries its bot's
+    threshold, so one `_lane_shares` call gives every lane's shares.  An
+    unstaffed lane admits nobody and needs no bisection.  Every step is
+    elementwise over lanes, so a cell's result does not depend on which
+    other cells share the block.
 
     The solve reads the template's attempts, fees and expert availability,
     and the bot only through its time in channel tau_bot: neither the wage
@@ -369,10 +375,8 @@ def solve_designs(
     k = np.array([d.k_agent for d in designs], dtype=float)
     p = np.array([d.p_succ for d in designs])
     b = np.where(p != 0, _bot_threshold(p, tau_bot, prefs), np.inf)
-    acts = np.zeros((n, S - 1, 4), dtype=np.int8)   # "OPT" lanes: set per pass
-    for j, d in enumerate(designs):
-        if d.policy in table:
-            acts[j] = table[d.policy].actions
+    rules = [table[d.policy].actions if d.policy in table else (0,) * 4 for d in designs]   # "OPT": per pass
+    acts = np.repeat(np.array(rules, dtype=np.int8).reshape(n, 1, 4), S - 1, axis=1)
 
     # The reported evaluation of each lane: the converged midpoint, or else
     # the lower end lo of the collapsed bracket, the last midpoint with g > 0.
@@ -383,32 +387,34 @@ def solve_designs(
     rep = np.zeros((13, n))   # q, R, g, the six measures, the four shares
     rep[9:] = _lane_shares(b, 0 * k, 0 * k, prefs)
     rep_acts = acts.copy()
-    rows = measure_rows(template)
-    # the active lanes' state, compacted as lanes leave
+    # the active lanes' state, compacted in the passes where lanes leave
     lanes = np.flatnonzero(~converged)
     lo, hi = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size)
     is_opt = np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
-    b, k, acts = b[lanes], k[lanes], acts[lanes]
+    b, k, q, opt = b[lanes], k[lanes], 0.5 * (lo + hi), np.flatnonzero(is_opt)
+    lane_eval = LaneEvaluator(template, acts[lanes])
     while lanes.size:
-        q = 0.5 * (lo + hi)
         iters[lanes] += 1
-        t = lane_terms(template, q)
-        opt = np.flatnonzero(is_opt)
+        lane_eval.at(q)
         if opt.size:
-            acts[opt] = dinkelbach(t._make(a.take(opt, axis=-1) for a in t))[1]
-        R, perf = lane_performance(t, rows, q, acts)
+            lane_eval.set_actions(opt, dinkelbach(lane_eval.terms(opt))[1])
+        R, perf = lane_eval.measures()
         shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
         g = np.minimum(np.maximum(market.lam * shares[0] / k, _Q_FLOOR), 1.0) - q
         done, up = np.abs(g) < _FP_TOL, g > 0
         keep = np.flatnonzero(done | up)
         measures = [getattr(perf, f.name) for f in fields(perf)]
         rep[:, lanes[keep]] = np.vstack([q, R, g, *measures, *shares])[:, keep]
-        rep_acts[lanes[keep]] = acts[keep]
+        rep_acts[lanes[keep]] = lane_eval.actions[keep]
         converged[lanes[done]] = True
         lo, hi = np.where(up, q, lo), np.where(up, hi, q)
-        mid = 0.5 * (lo + hi)
-        stay = ~done & (lo < mid) & (mid < hi)
-        lanes, lo, hi, b, k, acts, is_opt = (a[stay] for a in (lanes, lo, hi, b, k, acts, is_opt))
+        q = 0.5 * (lo + hi)
+        stay = ~done & (lo < q) & (q < hi)
+        if not stay.all():
+            stay = np.flatnonzero(stay)
+            lanes, lo, hi, q, b, k, is_opt = (a.take(stay) for a in (lanes, lo, hi, q, b, k, is_opt))
+            opt = np.flatnonzero(is_opt)
+            lane_eval.keep(stay)
 
     measures, shares = rep[3:9], rep[9:]
     (agent, bot_direct, _, fallback), p_admit = shares, measures[1]

@@ -1,5 +1,12 @@
-"""One design cell's EquilibriumResult assembled from scalars, the oracle
-for the column pricing of `gatekeeper.market`.
+"""Oracles of the design layer of `gatekeeper.market`.
+
+`solve_grid` is the demand fixed point by the per-pass route: every
+bisection pass builds each lane's renewal terms from scratch
+(`lane_terms`, over `block_terms`), concatenates the q-free measure rows
+onto them (`measure_rows`) and runs the recursion on the whole stack
+(`lane_performance`).  `solve_designs`, which builds the q-free rows once
+per solve (`evaluate.LaneEvaluator`), must equal it, column for column and
+bit for bit.
 
 `equilibrium_result` reads cell j of a solved grid (a `DesignGrid`) as
 Python floats, prices it with the scalar profit formula and converts its
@@ -7,19 +14,113 @@ actions to a policy on its own, so the lazily built results of the priced
 ranking (a `DesignSearch`, from `DesignGrid.price`) must equal it, bit for
 bit.
 """
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
-from gatekeeper.evaluate import PerformanceMeasures
+import numpy as np
+
+from gatekeeper.evaluate import PerformanceMeasures, RenewalTerms, _policy_pass, block_terms
 from gatekeeper.market import (
+    _FP_TOL,
+    _Q_FLOOR,
     BotChannel,
+    CustomerPrefs,
     DesignGrid,
+    DesignPoint,
     EquilibriumResult,
     MarketParams,
     Shares,
+    _bot_threshold,
+    _lane_shares,
+    agent_service_cost,
     bot_training_cost,
 )
-from gatekeeper.model import EconomicParams, policy_from_actions
+from gatekeeper.model import EconomicParams, ProblemInstance, policy_from_actions, rules_table
+from gatekeeper.solve import dinkelbach
+
+
+def lane_terms(inst: ProblemInstance, q: np.ndarray) -> RenewalTerms:
+    """Renewal terms of `inst` at each arrival probability in q."""
+    lane = np.ones_like(q)
+    tau, rho = (np.array(v, dtype=float)[:, None] * lane for v in (inst.profile.tau, inst.profile.rho))
+    econ = inst.econ
+    return block_terms(tau, rho, *(v * lane for v in (econ.r, econ.c_w, econ.c_c, econ.tau_w)),
+                       q, inst.traffic.a * lane)
+
+
+def measure_rows(inst: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The q-free rows carried next to W and D: busy, resolve, warm and cold
+    of each attempt's own part (S, 4) and of a warm / cold transfer per
+    (Q, A) (4, 2, 4)."""
+    tau_w, a = inst.econ.tau_w, inst.traffic.a
+    head = [[tau_x, rho_x, 0.0, 0.0] for tau_x, rho_x in zip(inst.profile.tau, inst.profile.rho)]
+    trans = [[[1 / a + tau_w] * 2 + [tau_w] * 2, [0.0] * 4], [[0.0] * 4] * 2,
+             [[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]]
+    return np.array(head)[..., None], np.array(trans)[..., None]
+
+
+def lane_performance(t: RenewalTerms, rows: tuple[np.ndarray, np.ndarray], q: np.ndarray,
+                     actions: np.ndarray) -> tuple[np.ndarray, PerformanceMeasures]:
+    """Average reward and measures per lane from the lanes' renewal terms t
+    (`lane_terms` at q) and the instance's `measure_rows`."""
+    (S, N), (head, trans) = t.head.shape[::2], rows
+    W, D, busy, res, warm, cold = _policy_pass(
+        np.concatenate([t.head, np.broadcast_to(head, (S, 4, N))], axis=1),
+        t.fail,
+        np.concatenate([t.trans, np.broadcast_to(trans, (4, 2, 4, N))]),
+        actions,
+    )
+    return W / D, PerformanceMeasures(throughput=1 / D, p_admit=1 / (q * D), p_resolve=res,
+                                      p_warm=warm, p_cold=cold, t_channel=busy)
+
+
+def solve_grid(template: ProblemInstance, designs: list[DesignPoint], market: MarketParams,
+               prefs: CustomerPrefs, tau_bot: float) -> DesignGrid:
+    """`market.solve_designs`, every pass evaluated from scratch."""
+    S, table, n, econ = template.S, rules_table(), len(designs), template.econ
+    k = np.array([d.k_agent for d in designs], dtype=float)
+    p = np.array([d.p_succ for d in designs])
+    b = np.where(p != 0, _bot_threshold(p, tau_bot, prefs), np.inf)
+    acts = np.zeros((n, S - 1, 4), dtype=np.int8)
+    for j, d in enumerate(designs):
+        if d.policy in table:
+            acts[j] = table[d.policy].actions
+    iters = np.zeros(n, dtype=int)
+    converged = k == 0
+    rep = np.zeros((13, n))   # q, R, g, the six measures, the four shares
+    rep[9:] = _lane_shares(b, 0 * k, 0 * k, prefs)
+    rep_acts = acts.copy()
+    rows = measure_rows(template)
+    lanes = np.flatnonzero(~converged)
+    lo, hi = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size)
+    is_opt = np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
+    b, k, acts = b[lanes], k[lanes], acts[lanes]
+    while lanes.size:
+        q = 0.5 * (lo + hi)
+        iters[lanes] += 1
+        t = lane_terms(template, q)
+        opt = np.flatnonzero(is_opt)
+        if opt.size:
+            acts[opt] = dinkelbach(t._make(a.take(opt, axis=-1) for a in t))[1]
+        R, perf = lane_performance(t, rows, q, acts)
+        shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
+        g = np.minimum(np.maximum(market.lam * shares[0] / k, _Q_FLOOR), 1.0) - q
+        done, up = np.abs(g) < _FP_TOL, g > 0
+        keep = np.flatnonzero(done | up)
+        measures = [getattr(perf, f.name) for f in fields(perf)]
+        rep[:, lanes[keep]] = np.vstack([q, R, g, *measures, *shares])[:, keep]
+        rep_acts[lanes[keep]] = acts[keep]
+        converged[lanes[done]] = True
+        lo, hi = np.where(up, q, lo), np.where(up, hi, q)
+        mid = 0.5 * (lo + hi)
+        stay = ~done & (lo < mid) & (mid < hi)
+        lanes, lo, hi, b, k, acts, is_opt = (a[stay] for a in (lanes, lo, hi, b, k, acts, is_opt))
+    measures, shares = rep[3:9], rep[9:]
+    (agent, bot_direct, _, fallback), p_admit = shares, measures[1]
+    q_bot = market.lam * (bot_direct + agent * (1 - p_admit) * fallback)
+    margin = np.where(p != 0, q_bot * (econ.r - (1 - p) * econ.c_c), 0.0)
+    return DesignGrid(tau_bot, tuple(designs), rep[0], rep[1], rep[2], measures, shares,
+                      rep_acts.transpose(1, 2, 0), iters, converged, q_bot, margin)
 
 
 def profit(

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -200,6 +201,20 @@ def test_csv_columns_print_as_fmt_prints_each_value(tmp_path):
         ",".join(fmt(v) for v in row) for row in rows]
     with pytest.raises(ValueError):
         write_csv(tmp_path / "y.csv", "ab", [(1, 2), (3,)])
+
+
+def test_csv_row_format_prints_as_fmt_prints_each_value(tmp_path):
+    from gatekeeper.artifacts import write_columns
+
+    floats = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1e16,
+              0.1, 1 / 3, 123456789012.5, -2.5e-300, 1.7976931348623157e308]
+    n = len(floats)
+    columns = [floats, [True, False] * 6 + [True], list(range(-6, 7)), [0, 10**30] + [-1] * 11,
+               ["a", "", "%s", "%d", "x y"] * 2 + ["%%", "%.12g", "-"], [7, "s"] * 6 + [8],
+               [1, 2.5, True, None, "q"] * 2 + [0.1, 3, False]]
+    path = write_columns(tmp_path / "x.csv", [str(i) for i in range(len(columns))], columns)
+    assert path.read_text().splitlines()[1:] == [
+        ",".join(fmt(col[i]) for col in columns) for i in range(n)]
 
 
 def test_artifacts_embed_config_hash(tmp_path):
@@ -545,6 +560,23 @@ def test_simulate_horizon_too_long_to_hold_exits_2_naming_it(tmp_path, capsys):
     assert not (out / "sim.csv").exists()
 
 
+@pytest.mark.parametrize("T", [2**62, 2**63, 10**30])
+def test_stationarity_horizon_past_the_array_limit_exits_2_naming_T(tmp_path, capsys, T):
+    # numpy refuses these shapes before allocating anything
+    code, out = run_cli(tmp_path, "stationarity", {"instance": valid_instance(), "T": T})
+    assert code == EXIT_VALIDATION
+    assert f"T = {T} is too long a horizon" in capsys.readouterr().err
+    assert not (out / "argmax.csv").exists()
+
+
+@pytest.mark.parametrize("horizon", [2**60, 10**30])
+def test_simulate_horizon_past_the_array_limit_exits_2_naming_it(tmp_path, capsys, horizon):
+    code, out = run_cli(tmp_path, "simulate", {**SIMULATE_ONE, "horizon": horizon})
+    assert code == EXIT_VALIDATION
+    assert f"horizon = {horizon} is too long" in capsys.readouterr().err
+    assert not (out / "sim.csv").exists()
+
+
 @pytest.mark.parametrize("a_bot, bot_cells", [(0.0, "7.524"), (9e-05, "-inf")])
 def test_design_steep_training_curve_runs(tmp_path, capsys, a_bot, bot_cells):
     # 9e-05 * 50^400 is past the float range: its cells cost +inf and rank
@@ -596,6 +628,11 @@ def with_section(section, **values):
     # numbers of the right type outside their range
     ("design", {"prefs": {"v_max": 0}}, "v_max must be positive, got 0.0"),
     ("design", {"prefs": {"v_max": -5}}, "v_max must be positive, got -5.0"),
+    # its square underflows to 0 (NaN shares) or overflows (no shares at all)
+    ("design", {"market": {"k_max": 1, "p_grid": [0.5]}, "prefs": {"v_max": 1e-200}},
+     "v_max must have a finite normal square (about 1.5e-154 to 1.3e154), got 1e-200"),
+    ("design", {"market": {"k_max": 1, "p_grid": [0.5]}, "prefs": {"v_max": 1e200}},
+     "v_max must have a finite normal square (about 1.5e-154 to 1.3e154), got 1e+200"),
     ("design", {"prefs": {"tau_exp_warm": -1}}, "tau_exp_warm must be nonnegative, got -1"),
     ("design", {"prefs": {"tau_exp_cold": -2}}, "tau_exp_cold must be nonnegative, got -2"),
     ("design", {"bot": {"tau_bot": -0.5}}, "tau_bot must be nonnegative, got -0.5"),

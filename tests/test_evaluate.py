@@ -25,10 +25,10 @@ from gatekeeper.evaluate import (
     I1,
     W0,
     W1,
+    LaneEvaluator,
     average_reward_batch,
     c_index,
     cycle_performance,
-    lane_terms,
     policy_actions,
     renewal_step,
     renewal_terms,
@@ -38,6 +38,7 @@ from gatekeeper.solve import _MEMBER
 
 from conftest import instances, random_instance, random_policy
 from dense_queue import EXTENDED, gth_stationary, lu_relative_values
+from design_oracle import lane_performance, lane_terms, measure_rows
 
 
 class TestChainStructure:
@@ -249,19 +250,56 @@ def test_evaluation_export(saturated_two_attempt):
     assert rows[4][0] == "C(1,0,0)"
 
 
-def test_lane_terms_check_the_instance_and_every_q():
+def random_actions(seed: int, S: int, n: int) -> np.ndarray:
+    """n lanes of (S-1, 4) actions, every action vector allowed."""
+    return np.random.default_rng(seed).integers(0, 3, size=(n, S - 1, 4)).astype(np.int8)
+
+
+def test_lane_evaluator_checks_every_q_and_its_terms_equal_each_instance_alone():
     inst = random_instance(0, 3)
+    acts = random_actions(0, 3, 3)
     with pytest.raises(ValueError, match="c_c must exceed c_w"):
-        lane_terms(dataclasses.replace(inst, econ=dataclasses.replace(inst.econ, c_c=inst.econ.c_w)),
-                   np.array([0.5]))
-    with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
-        lane_terms(inst, np.array([0.5, 0.0]))
+        LaneEvaluator(dataclasses.replace(inst, econ=dataclasses.replace(inst.econ, c_c=inst.econ.c_w)), acts)
+    for bad in ([0.5, 0.0], [0.5, 1.5], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match=r"q must lie in \(0, 1\]"):
+            LaneEvaluator(inst, acts[:2]).at(np.array(bad))
     # the instance's own q plays no part; each lane equals its instance alone, bit for bit
     q = np.array([1e-8, 0.3, 1.0])
-    lanes = lane_terms(inst, q)
-    for i, q_i in enumerate(q):
-        for lane, one in zip(lanes, renewal_terms([inst.with_q(q_i)])):
-            assert np.array_equal(lane[..., i], one[..., 0])
+    lanes = LaneEvaluator(inst, acts).at(q)
+    for pick in (np.arange(3), np.array([2, 0])):
+        terms = lanes.terms(pick)
+        for j, i in enumerate(pick):
+            for lane, one in zip(terms, renewal_terms([inst.with_q(q[i])])):
+                assert lane[..., j].tobytes() == one[..., 0].tobytes()
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+def test_lane_evaluator_passes_equal_one_lane_evaluations(S):
+    """Passes that change some lanes' actions and drop lanes give each lane
+    the bits of `cycle_performance` of that lane alone and of the route that
+    builds every term from scratch."""
+    inst, rng = random_instance(S, S), np.random.default_rng(S)
+    acts = random_actions(S, S, 12)
+    lanes, ev = np.arange(12), LaneEvaluator(inst, acts)
+    for step in range(4):
+        q = rng.uniform(1e-6, 1.0, lanes.size)
+        ev.at(q)
+        change = rng.permutation(lanes.size)[:3]
+        acts[lanes[change]] = random_actions(step, S, change.size)
+        ev.set_actions(change, acts[lanes[change]])
+        R, perf = ev.measures()
+        assert np.array_equal(ev.actions, acts[lanes])
+        R_0, perf_0 = lane_performance(lane_terms(inst, q), measure_rows(inst), q, acts[lanes])
+        assert R.tobytes() == R_0.tobytes()
+        for i, lane in enumerate(lanes):
+            R_1, perf_1 = cycle_performance(inst, q[i:i + 1], acts[lane:lane + 1])
+            assert R[i].tobytes() == R_1.tobytes()
+            for field in PERF_FIELDS:
+                assert getattr(perf, field)[i].tobytes() == getattr(perf_1, field).tobytes(), field
+                assert getattr(perf, field)[i].tobytes() == getattr(perf_0, field)[i].tobytes(), field
+        stay = np.flatnonzero(rng.random(lanes.size) < 0.7)
+        lanes = lanes[stay]
+        ev.keep(stay)
 
 
 PERF_FIELDS = ("throughput", "p_admit", "p_resolve", "p_warm", "p_cold", "t_channel")

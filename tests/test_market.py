@@ -18,11 +18,11 @@ from gatekeeper import (
     solve_designs,
     solve_equilibrium,
 )
-from gatekeeper.evaluate import PerformanceMeasures, cycle_performance, evaluate_policy, lane_terms
+from gatekeeper.evaluate import LaneEvaluator, PerformanceMeasures, evaluate_policy
 from gatekeeper.model import EconomicParams, ProblemInstance, ResolutionProfile, TrafficParams
 from gatekeeper.solve import dinkelbach, solve_average_reward
 
-from design_oracle import equilibrium_result
+from design_oracle import equilibrium_result, solve_grid
 from lattice_shares import lattice_shares
 
 
@@ -191,8 +191,9 @@ class TestEquilibrium:
             if chain:
                 perf = evaluate_policy(inst.with_q(q), solve_average_reward(inst.with_q(q))[0]).perf
             else:   # the route the market takes
-                acts = dinkelbach(lane_terms(inst, np.array([q])))[1]
-                lanes = cycle_performance(inst, np.array([q]), acts)[1]
+                lane = LaneEvaluator(inst, np.zeros((1, 1, 4), dtype=np.int8)).at(np.array([q]))
+                lane.set_actions([0], dinkelbach(lane.terms([0]))[1])
+                lanes = lane.measures()[1]
                 perf = PerformanceMeasures(*(float(getattr(lanes, f.name)[0])
                                              for f in fields(lanes)))
             share = compute_demand_shares(perf, None, prefs, perf.p_admit).agent
@@ -299,6 +300,30 @@ class TestOptimizeDesign:
             for a, b in ((priced.parts, search.parts), (priced.profit, search.profit)):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert_same_bits(priced.best, search.best)
+
+    @pytest.mark.parametrize("lam", [0.175, 0.9, 6.0])
+    @pytest.mark.parametrize("template", [
+        ProblemInstance(ResolutionProfile((1,), (1.0,)), EconomicParams(r=20.0, c_w=1.0, c_c=2.0, tau_w=1),
+                        TrafficParams(q=0.5, a=0.5)),
+        jump_instance(),
+        ProblemInstance(ResolutionProfile((6, 15, 40), (0.7, 0.2, 1.0)),
+                        EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3), TrafficParams(q=0.5, a=0.5)),
+        ProblemInstance(ResolutionProfile((15, 1, 15, 1), (0.488, 0.733, 0.1, 1.0)),
+                        EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3), TrafficParams(q=0.838, a=0.5)),
+    ], ids=["S1", "jump", "S3", "S4"])
+    def test_solve_equals_the_per_pass_oracle(self, template, lam):
+        """Every column of the solve, which builds the q-free rows once, is
+        the bits of the oracle that builds every pass from scratch, at
+        S = 1..4; on the jump instance at lam = 0.175 and 0.9 an "OPT" cell
+        ends unconverged at a policy switch."""
+        market = MarketParams(lam=lam, k_max=7, p_grid=(0.2, 0.5, 0.9))
+        args = (template, design_points(market), market, CustomerPrefs(), 6.0)
+        grid, oracle = solve_designs(*args), solve_grid(*args)
+        assert grid[:2] == oracle[:2]
+        for name, a, b in zip(grid._fields[2:], grid[2:], oracle[2:]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        if template == jump_instance() and lam < 1:
+            assert "OPT" in {d.policy for d, ok in zip(grid.designs, grid.converged) if not ok}
 
     def test_pricing_at_another_bot_speed_raises(self):
         market = MarketParams(k_max=1, p_grid=(0.4,))

@@ -6,14 +6,15 @@ probability, transfer mix, expected time in channel) and pick the channel, or
 the outside option, maximizing expected utility.  The firm in turn picks
 staffing, a resolution policy, and a chatbot training level.  Demand and
 performance are reconciled by a fixed point on the per-agent arrival
-probability, found by bisection on [Q_FLOOR, 1]: the firm delivers exactly the
-service levels customers acted on.  The shares are exact areas, continuous in
-the measures, so only an "OPT" policy switch can leave a jump with no fixed
-point; the cell then reports its lower end.  The design optimizer scans the
-full (staffing x policy x training) grid and reports the profit surface; all
-its cells bisect together as arrays.  The announced measures come from the
-renewal recursion, one `evaluate.LaneEvaluator` per solve, not from the
-embedded chain, which stays the independent oracle in the tests.
+probability, found by the ITP bracketing method on [Q_FLOOR, 1]: the firm
+delivers exactly the service levels customers acted on.  The shares are exact
+areas, continuous in the measures, so only an "OPT" policy switch can leave a
+jump with no fixed point; the cell then reports its lower end.  The design
+optimizer scans the full (staffing x policy x training) grid and reports the
+profit surface; all its cells search together as arrays.  The announced
+measures come from the renewal recursion, one `evaluate.LaneEvaluator` per
+solve, not from the embedded chain, which stays the independent oracle in the
+tests.
 
 The chatbot resolves a request with probability p_succ bought through a
 convex per-period training cost a_bot * (100 p_succ)^b_bot; failures are
@@ -180,7 +181,9 @@ def _lane_shares(b: np.ndarray, cost: np.ndarray, p_admit: np.ndarray,
     the bot iff v_b > b, so each share is the area under a clipped linear
     function of v_b: a difference of H(y), the integral of clip(t, 0, v_max)
     over t < y.  Capping b and x0 at v_max moves no area and keeps every term
-    finite; p_admit = 0 gives x0 = v_max, and nobody picks the agent.
+    finite; p_admit = 0 gives x0 = v_max, and nobody picks the agent.  Where
+    b >= 0, b - s = 0 leaves the fallback area H(V - x0) - H(b - x0), exactly
+    0 once b is capped at v_max (no bot, or one nobody prefers to balking).
     """
     V = prefs.v_max
 
@@ -192,7 +195,7 @@ def _lane_shares(b: np.ndarray, cost: np.ndarray, p_admit: np.ndarray,
                                                  out=np.full_like(p_admit, np.inf),
                                                  where=p_admit > 0), V)
     s, w = np.maximum(b, 0.0), np.maximum(x0, 0.0)   # v_b < s: x = x0; v_b > s: bot beats u0
-    h = H(np.stack([V - x0 + b - s, b - x0, V - b + x0, s - b + x0]))
+    h = H(np.stack([V - x0 + (b - s), b - x0, V - b + x0, s - b + x0]))
     fallback, bot = h[0] - h[1], h[2] - h[3]   # agent and bot areas over v_b > s
     agent = s * (V - w) + fallback
     return (agent / V**2, bot / V**2, s * w / V**2,
@@ -345,6 +348,46 @@ class DesignSearch:
         raise KeyError((k, policy, p_succ))
 
 
+# The ITP step (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the regula-falsi
+# point, truncated toward the midpoint by K1 w^K2 and projected into a radius
+# that keeps every bracket within 2^N0 times bisection's width.
+_ITP_K1, _ITP_K2, _ITP_N0 = 0.01, 2.5, 1
+
+
+def _itp_point(lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray,
+               j: int) -> np.ndarray:
+    """ITP's next q in each bracket [lo, hi] with g(lo) > 0 > g(hi), j passes
+    after the end pass, or the midpoint where that q would not split it.
+
+    ITP's tolerance eps enters only as eps 2^n_half, the half width its
+    projection budgets for at the start; taking that to be bisection's,
+    (1 - Q_FLOOR) / 2, makes the radius at pass j 2^N0 times bisection's half
+    width after j halvings, less the bracket's own.  So no bracket is ever
+    wider than 2^N0 times bisection's after as many passes.
+    """
+    mid, w = 0.5 * (lo + hi), hi - lo
+    x_f = lo + w * g_lo / (g_lo - g_hi)                               # interpolate
+    sigma, delta = np.sign(mid - x_f), _ITP_K1 * w**_ITP_K2
+    x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)   # truncate
+    r = np.maximum((1 - _Q_FLOOR) * 2.0 ** (_ITP_N0 - 1 - j) - 0.5 * w, 0.0)
+    x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)         # project
+    return np.where((lo < x) & (x < hi), x, mid)
+
+
+def _fixed_point_pass(lane_eval: LaneEvaluator, q: np.ndarray, b: np.ndarray, k: np.ndarray,
+                      opt: np.ndarray, lam: float, prefs: CustomerPrefs) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of the solve, lane i at q[i]: g = F(q) - q, and the rows q, R,
+    g, the six measures and the four shares.  The "OPT" lanes `opt` take
+    their actions from `dinkelbach` at q."""
+    lane_eval.at(q)
+    if opt.size:
+        lane_eval.set_actions(opt, dinkelbach(lane_eval.terms(opt))[1])
+    R, perf = lane_eval.measures()
+    shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
+    g = np.minimum(np.maximum(lam * shares[0] / k, _Q_FLOOR), 1.0) - q
+    return g, np.vstack([q, R, g, *(getattr(perf, f.name) for f in fields(perf)), *shares])
+
+
 def solve_designs(
     template: ProblemInstance,
     designs: list[DesignPoint],
@@ -352,18 +395,24 @@ def solve_designs(
     prefs: CustomerPrefs,
     tau_bot: float,
 ) -> DesignGrid:
-    """Every design's demand fixed point; the staffed ones bisect in lockstep.
+    """Every design's demand fixed point; the staffed ones search in lockstep.
 
     Each design is a lane.  A staffed lane has its own bracket [lo, hi] and
-    stopping rule (see `solve_equilibrium`); one pass evaluates every active
-    lane's midpoint at once, and the lanes that stop leave the block.
+    stopping rule (see `solve_equilibrium`).  The first pass evaluates both
+    ends of every bracket; each later pass evaluates every active lane's ITP
+    point (`_itp_point`) at once, and the lanes that stop leave the block.
+    After the end pass a bracket is never wider than bisection's one halving
+    earlier, so no lane takes more than two passes beyond bisection's count
+    for the same bracket (up to rounding): at most about 74, since an ulp
+    above Q_FLOOR > 2^-20 is at least 2^-72.  A lane's `iterations` counts
+    its passes, the end pass once.
     Uniform-rule lanes carry their rule's actions, "OPT" lanes take theirs
-    from `dinkelbach` at the midpoint, and the measures come from the renewal
-    recursion, not the chain: one `LaneEvaluator` builds the q-free rows
-    once, and each pass's q terms serve both.  The lane arrays are compacted
+    from `dinkelbach` at each evaluated q, and the measures come from the
+    renewal recursion, not the chain: one `LaneEvaluator` builds the q-free
+    rows once, and each pass's q terms serve both.  The lane arrays are compacted
     only in the passes where some lanes stop.  Lane j carries its bot's
     threshold, so one `_lane_shares` call gives every lane's shares.  An
-    unstaffed lane admits nobody and needs no bisection.  Every step is
+    unstaffed lane admits nobody and needs no search.  Every step is
     elementwise over lanes, so a cell's result does not depend on which
     other cells share the block.
 
@@ -378,42 +427,50 @@ def solve_designs(
     rules = [table[d.policy].actions if d.policy in table else (0,) * 4 for d in designs]   # "OPT": per pass
     acts = np.repeat(np.array(rules, dtype=np.int8).reshape(n, 1, 4), S - 1, axis=1)
 
-    # The reported evaluation of each lane: the converged midpoint, or else
-    # the lower end lo of the collapsed bracket, the last midpoint with g > 0.
-    # A lane whose lo never left Q_FLOOR converges: g >= Q_FLOOR - q there.
+    # The reported evaluation of each lane: the converged q, or else the lower
+    # end lo of the collapsed bracket, the largest evaluated q with g > 0.
     # An unstaffed lane reports q = R = g = 0 and its shares at p_admit = 0.
     iters = np.zeros(n, dtype=int)
     converged = k == 0
     rep = np.zeros((13, n))   # q, R, g, the six measures, the four shares
     rep[9:] = _lane_shares(b, 0 * k, 0 * k, prefs)
     rep_acts = acts.copy()
-    # the active lanes' state, compacted in the passes where lanes leave
     lanes = np.flatnonzero(~converged)
-    lo, hi = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size)
-    is_opt = np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
-    b, k, q, opt = b[lanes], k[lanes], 0.5 * (lo + hi), np.flatnonzero(is_opt)
-    lane_eval = LaneEvaluator(template, acts[lanes])
+    m, is_opt = lanes.size, np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
+    b, k = b[lanes], k[lanes]
+    # The end pass: both ends of every bracket [Q_FLOOR, 1] as 2m lanes of one
+    # pass.  The clip gives g(Q_FLOOR) >= 0 >= g(1), so a lane reports its lo
+    # end unless only its hi end converged.
+    lane_eval = LaneEvaluator(template, np.tile(acts[lanes], (2, 1, 1)))
+    g, rows = _fixed_point_pass(lane_eval, np.repeat([_Q_FLOOR, 1.0], m), np.tile(b, 2),
+                                np.tile(k, 2), np.flatnonzero(np.tile(is_opt, 2)), market.lam, prefs)
+    near = np.abs(g) < _FP_TOL
+    at_hi = near[m:] & ~near[:m]
+    keep = np.flatnonzero(np.concatenate([~at_hi, at_hi]))
+    cols = np.tile(lanes, 2)[keep]
+    rep[:, cols], rep_acts[cols] = rows[:, keep], lane_eval.actions[keep]
+    iters[lanes], converged[lanes] = 1, near[:m] | near[m:]
+    stay = np.flatnonzero(~converged[lanes])
+    lanes, b, k, is_opt, g_lo, g_hi = (a.take(stay) for a in (lanes, b, k, is_opt, g[:m], g[m:]))
+    lo, hi, passes = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size), 0
+    lane_eval.keep(stay)
     while lanes.size:
+        q = _itp_point(lo, hi, g_lo, g_hi, passes)
         iters[lanes] += 1
-        lane_eval.at(q)
-        if opt.size:
-            lane_eval.set_actions(opt, dinkelbach(lane_eval.terms(opt))[1])
-        R, perf = lane_eval.measures()
-        shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
-        g = np.minimum(np.maximum(market.lam * shares[0] / k, _Q_FLOOR), 1.0) - q
+        passes += 1
+        g, rows = _fixed_point_pass(lane_eval, q, b, k, np.flatnonzero(is_opt), market.lam, prefs)
         done, up = np.abs(g) < _FP_TOL, g > 0
         keep = np.flatnonzero(done | up)
-        measures = [getattr(perf, f.name) for f in fields(perf)]
-        rep[:, lanes[keep]] = np.vstack([q, R, g, *measures, *shares])[:, keep]
-        rep_acts[lanes[keep]] = lane_eval.actions[keep]
+        rep[:, lanes[keep]], rep_acts[lanes[keep]] = rows[:, keep], lane_eval.actions[keep]
         converged[lanes[done]] = True
         lo, hi = np.where(up, q, lo), np.where(up, hi, q)
-        q = 0.5 * (lo + hi)
-        stay = ~done & (lo < q) & (q < hi)
+        g_lo, g_hi = np.where(up, g, g_lo), np.where(up, g_hi, g)
+        mid = 0.5 * (lo + hi)
+        stay = ~done & (lo < mid) & (mid < hi)
         if not stay.all():
             stay = np.flatnonzero(stay)
-            lanes, lo, hi, q, b, k, is_opt = (a.take(stay) for a in (lanes, lo, hi, q, b, k, is_opt))
-            opt = np.flatnonzero(is_opt)
+            lanes, lo, hi, g_lo, g_hi, b, k, is_opt = (
+                a.take(stay) for a in (lanes, lo, hi, g_lo, g_hi, b, k, is_opt))
             lane_eval.keep(stay)
 
     measures, shares = rep[3:9], rep[9:]
@@ -427,7 +484,8 @@ def solve_designs(
 def design_points(market: MarketParams) -> list[DesignPoint]:
     """The full staffing x policy x training grid: every decision rule applied
     uniformly across attempts plus "OPT", which re-solves the optimal policy
-    at each bisection midpoint; p_succ = 0 means the bot channel is absent."""
+    at each q the fixed-point search evaluates; p_succ = 0 means the bot
+    channel is absent."""
     policies: list[Optional[str]] = list(rules_table()) + ["OPT"]
     p_values = [0.0] + [p for p in market.p_grid if p > 0.0]
     return [DesignPoint(k_agent=k, policy=label, p_succ=p)
@@ -443,20 +501,22 @@ def solve_equilibrium(
     prefs: CustomerPrefs,
     bot_curve: BotChannel = BotChannel(p_succ=0.0),
 ) -> EquilibriumResult:
-    """Self-consistent demand split for one design, by bisection.
+    """Self-consistent demand split for one design, by the ITP method.
 
     At per-agent arrival probability q the announced performance sets demand
     F(q) = clip(lam * share_agent(q) / k, Q_FLOOR, 1).  The clip makes
-    g(q) = F(q) - q nonnegative at Q_FLOOR and nonpositive at 1, so bisection
-    on that bracket, keeping g(lo) >= 0 >= g(hi), always ends: converged at
-    the first midpoint with |g| < FP_TOL, or unconverged once the bracket can
-    no longer be halved.  The shares are continuous in the measures, so g can
-    only jump over zero where an "OPT" design's optimal policy switches.  Such
-    a cell is reported at the bracket's lower end lo, the largest evaluated q
-    with g > 0: its measures, shares, reward, profit and residual g(lo) are
-    those of that evaluation.  The bot's
-    effective demand adds blocked live-channel customers who still prefer the
-    bot over balking.  One cell of `optimize_design`'s lockstep block.
+    g(q) = F(q) - q nonnegative at Q_FLOOR and nonpositive at 1, so a
+    bracketing search from both ends, keeping g(lo) > 0 > g(hi), always ends:
+    converged at the first evaluated q with |g| < FP_TOL, or unconverged once
+    the bracket can no longer be halved, within about 74 passes (see
+    `solve_designs`).  Where g crosses zero more than once the cell reports
+    the crossing its search reaches.  The shares are continuous in the
+    measures, so g can only jump over zero where an "OPT" design's optimal
+    policy switches.  Such a cell is reported at the bracket's lower end lo,
+    the largest evaluated q with g > 0: its measures, shares, reward, profit
+    and residual g(lo) are those of that evaluation.  The bot's effective
+    demand adds blocked live-channel customers who still prefer the bot over
+    balking.  One cell of `optimize_design`'s lockstep block.
     """
     grid = solve_designs(template, [design], market, prefs, bot_curve.tau_bot)
     return grid.price(template.econ.c_wage, bot_curve).best

@@ -1,12 +1,18 @@
 """Oracles of the design layer of `gatekeeper.market`.
 
-`solve_grid` is the demand fixed point by the per-pass route: every
-bisection pass builds each lane's renewal terms from scratch
-(`lane_terms`, over `block_terms`), concatenates the q-free measure rows
-onto them (`measure_rows`) and runs the recursion on the whole stack
-(`lane_performance`).  `solve_designs`, which builds the q-free rows once
-per solve (`evaluate.LaneEvaluator`), must equal it, column for column and
-bit for bit.
+`solve_grid` is the demand fixed point by the per-pass route: every pass
+builds each lane's renewal terms from scratch (`lane_terms`, over
+`block_terms`), concatenates the q-free measure rows onto them
+(`measure_rows`) and runs the recursion on the whole stack
+(`lane_performance`).  It takes the same steps as `solve_designs`, an end
+pass and then ITP points (`market._itp_point`), so `solve_designs`, which
+builds the q-free rows once per solve (`evaluate.LaneEvaluator`), must
+equal it, column for column and bit for bit.
+
+`solve_grid(..., bisect=True)` is plain bisection on [Q_FLOOR, 1], the
+midpoint from the first pass on, with the same stopping and reporting
+rules.  The ITP solve must converge on the same cells, end unconverged
+cells at the same jump and take at most two passes more per cell.
 
 `equilibrium_result` reads cell j of a solved grid (a `DesignGrid`) as
 Python floats, prices it with the scalar profit formula and converts its
@@ -31,6 +37,7 @@ from gatekeeper.market import (
     MarketParams,
     Shares,
     _bot_threshold,
+    _itp_point,
     _lane_shares,
     agent_service_cost,
     bot_training_cost,
@@ -74,9 +81,27 @@ def lane_performance(t: RenewalTerms, rows: tuple[np.ndarray, np.ndarray], q: np
                                       p_warm=warm, p_cold=cold, t_channel=busy)
 
 
+def lane_pass(template: ProblemInstance, rows: tuple[np.ndarray, np.ndarray], q: np.ndarray,
+              b: np.ndarray, k: np.ndarray, acts: np.ndarray, is_opt: np.ndarray,
+              market: MarketParams, prefs: CustomerPrefs) -> tuple[np.ndarray, np.ndarray]:
+    """One pass from scratch, lane i at q[i]: g = F(q) - q and the rows q, R,
+    g, the six measures and the four shares.  The "OPT" lanes' actions in
+    `acts` are set from `dinkelbach` at q."""
+    t = lane_terms(template, q)
+    opt = np.flatnonzero(is_opt)
+    if opt.size:
+        acts[opt] = dinkelbach(t._make(a.take(opt, axis=-1) for a in t))[1]
+    R, perf = lane_performance(t, rows, q, acts)
+    shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
+    g = np.minimum(np.maximum(market.lam * shares[0] / k, _Q_FLOOR), 1.0) - q
+    return g, np.vstack([q, R, g, *(getattr(perf, f.name) for f in fields(perf)), *shares])
+
+
 def solve_grid(template: ProblemInstance, designs: list[DesignPoint], market: MarketParams,
-               prefs: CustomerPrefs, tau_bot: float) -> DesignGrid:
-    """`market.solve_designs`, every pass evaluated from scratch."""
+               prefs: CustomerPrefs, tau_bot: float, bisect: bool = False) -> DesignGrid:
+    """`market.solve_designs`, every pass evaluated from scratch.  With
+    `bisect` every pass evaluates the bracket's midpoint instead, from the
+    first on, and no end pass is taken."""
     S, table, n, econ = template.S, rules_table(), len(designs), template.econ
     k = np.array([d.k_agent for d in designs], dtype=float)
     p = np.array([d.p_succ for d in designs])
@@ -92,29 +117,44 @@ def solve_grid(template: ProblemInstance, designs: list[DesignPoint], market: Ma
     rep_acts = acts.copy()
     rows = measure_rows(template)
     lanes = np.flatnonzero(~converged)
-    lo, hi = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size)
     is_opt = np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
     b, k, acts = b[lanes], k[lanes], acts[lanes]
+    lo, hi = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size)
+    g_lo, g_hi = np.full(lanes.size, np.nan), np.full(lanes.size, np.nan)
+    if not bisect:
+        # the end pass: q = Q_FLOOR for each lane, then q = 1 for each lane
+        m, two = lanes.size, np.concatenate([lanes, lanes])
+        end_acts = np.concatenate([acts, acts])
+        g, out = lane_pass(template, rows, np.repeat([_Q_FLOOR, 1.0], m), np.concatenate([b, b]),
+                           np.concatenate([k, k]), end_acts, np.concatenate([is_opt, is_opt]),
+                           market, prefs)
+        iters[lanes] = 1
+        for i in range(2 * m):
+            j = two[i]
+            if abs(g[i]) < _FP_TOL or (i < m and not abs(g[i + m]) < _FP_TOL):
+                if not converged[j]:   # lo end first: a lane converged at both ends reports lo
+                    rep[:, j], rep_acts[j] = out[:, i], end_acts[i]
+                converged[j] |= abs(g[i]) < _FP_TOL
+        stay = ~converged[lanes]
+        g_lo, g_hi = g[:m][stay], g[m:][stay]
+        lanes, lo, hi, b, k, acts, is_opt = (a[stay] for a in (lanes, lo, hi, b, k, acts, is_opt))
+    passes = 0
     while lanes.size:
-        q = 0.5 * (lo + hi)
+        q = 0.5 * (lo + hi) if bisect else _itp_point(lo, hi, g_lo, g_hi, passes)
         iters[lanes] += 1
-        t = lane_terms(template, q)
-        opt = np.flatnonzero(is_opt)
-        if opt.size:
-            acts[opt] = dinkelbach(t._make(a.take(opt, axis=-1) for a in t))[1]
-        R, perf = lane_performance(t, rows, q, acts)
-        shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
-        g = np.minimum(np.maximum(market.lam * shares[0] / k, _Q_FLOOR), 1.0) - q
+        passes += 1
+        g, out = lane_pass(template, rows, q, b, k, acts, is_opt, market, prefs)
         done, up = np.abs(g) < _FP_TOL, g > 0
         keep = np.flatnonzero(done | up)
-        measures = [getattr(perf, f.name) for f in fields(perf)]
-        rep[:, lanes[keep]] = np.vstack([q, R, g, *measures, *shares])[:, keep]
+        rep[:, lanes[keep]] = out[:, keep]
         rep_acts[lanes[keep]] = acts[keep]
         converged[lanes[done]] = True
         lo, hi = np.where(up, q, lo), np.where(up, hi, q)
+        g_lo, g_hi = np.where(up, g, g_lo), np.where(up, g_hi, g)
         mid = 0.5 * (lo + hi)
         stay = ~done & (lo < mid) & (mid < hi)
-        lanes, lo, hi, b, k, acts, is_opt = (a[stay] for a in (lanes, lo, hi, b, k, acts, is_opt))
+        lanes, lo, hi, g_lo, g_hi, b, k, acts, is_opt = (
+            a[stay] for a in (lanes, lo, hi, g_lo, g_hi, b, k, acts, is_opt))
     measures, shares = rep[3:9], rep[9:]
     (agent, bot_direct, _, fallback), p_admit = shares, measures[1]
     q_bot = market.lam * (bot_direct + agent * (1 - p_admit) * fallback)

@@ -19,7 +19,14 @@ from gatekeeper import (
     solve_equilibrium,
 )
 from gatekeeper.evaluate import LaneEvaluator, PerformanceMeasures, evaluate_policy
-from gatekeeper.model import EconomicParams, ProblemInstance, ResolutionProfile, TrafficParams
+from gatekeeper.market import _FP_TOL, _Q_FLOOR, _itp_point
+from gatekeeper.model import (
+    EconomicParams,
+    ProblemInstance,
+    ResolutionProfile,
+    TrafficParams,
+    policy_from_actions,
+)
 from gatekeeper.solve import dinkelbach, solve_average_reward
 
 from design_oracle import equilibrium_result, solve_grid
@@ -56,6 +63,32 @@ def jump_instance():
         econ=EconomicParams(r=20.0, c_w=2.0, c_c=4.2, tau_w=2),
         traffic=TrafficParams(q=0.5, a=0.59),
     )
+
+
+# templates at S = 1..4, one with "OPT" cells that end at a policy switch
+ORACLE_TEMPLATES = [
+    ProblemInstance(ResolutionProfile((1,), (1.0,)), EconomicParams(r=20.0, c_w=1.0, c_c=2.0, tau_w=1),
+                    TrafficParams(q=0.5, a=0.5)),
+    jump_instance(),
+    ProblemInstance(ResolutionProfile((6, 15, 40), (0.7, 0.2, 1.0)),
+                    EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3), TrafficParams(q=0.5, a=0.5)),
+    ProblemInstance(ResolutionProfile((15, 1, 15, 1), (0.488, 0.733, 0.1, 1.0)),
+                    EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3), TrafficParams(q=0.838, a=0.5)),
+]
+ORACLE_IDS, ORACLE_LAMS = ["S1", "jump", "S3", "S4"], [0.175, 0.9, 6.0]
+# the benchmark's design call
+BENCH_MARKET = MarketParams(lam=0.9, k_max=7, p_grid=tuple(round(0.1 * i, 1) for i in range(1, 10)))
+
+
+def chain_g(inst, design, q, market, prefs, policy=None):
+    """F(q) - q of one staffed cell, its bot at the default tau_bot, by the
+    chain route: the embedded chain's measures at q under `policy`, or under
+    the chain solver's optimal policy."""
+    at = inst.with_q(q)
+    perf = evaluate_policy(at, policy or solve_average_reward(at)[0]).perf
+    bot = BotChannel(design.p_succ) if design.p_succ else None
+    share = compute_demand_shares(perf, bot, prefs, perf.p_admit).agent
+    return min(max(market.lam * share / design.k_agent, _Q_FLOOR), 1.0) - q
 
 
 def assert_same_bits(a, b, path="result"):
@@ -141,6 +174,13 @@ class TestDemandShares:
     def test_prefs_hold_no_grid(self):
         with pytest.raises(TypeError):
             CustomerPrefs(grid_n=1000)
+
+    def test_no_bot_or_an_unwanted_one_leaves_no_fallback(self):
+        perf = PerformanceMeasures(0.1, 0.7, 0.6, 0.2, 0.2, 7.1)
+        for bot in (None, BotChannel(0.5, 200.0)):   # kappa past v_max: nobody prefers the bot
+            shares = compute_demand_shares(perf, bot, CustomerPrefs(), perf.p_admit)
+            assert shares.fallback_fraction == 0.0 and shares.bot_direct == 0.0
+            assert shares.agent > 0.0
 
     def test_blocked_never_choose_agent(self):
         shares = compute_demand_shares(perfect_agent_perf(), BotChannel(0.5, 6.0),
@@ -301,16 +341,8 @@ class TestOptimizeDesign:
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert_same_bits(priced.best, search.best)
 
-    @pytest.mark.parametrize("lam", [0.175, 0.9, 6.0])
-    @pytest.mark.parametrize("template", [
-        ProblemInstance(ResolutionProfile((1,), (1.0,)), EconomicParams(r=20.0, c_w=1.0, c_c=2.0, tau_w=1),
-                        TrafficParams(q=0.5, a=0.5)),
-        jump_instance(),
-        ProblemInstance(ResolutionProfile((6, 15, 40), (0.7, 0.2, 1.0)),
-                        EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3), TrafficParams(q=0.5, a=0.5)),
-        ProblemInstance(ResolutionProfile((15, 1, 15, 1), (0.488, 0.733, 0.1, 1.0)),
-                        EconomicParams(r=20.0, c_w=2.0, c_c=5.0, tau_w=3), TrafficParams(q=0.838, a=0.5)),
-    ], ids=["S1", "jump", "S3", "S4"])
+    @pytest.mark.parametrize("lam", ORACLE_LAMS)
+    @pytest.mark.parametrize("template", ORACLE_TEMPLATES, ids=ORACLE_IDS)
     def test_solve_equals_the_per_pass_oracle(self, template, lam):
         """Every column of the solve, which builds the q-free rows once, is
         the bits of the oracle that builds every pass from scratch, at
@@ -324,6 +356,75 @@ class TestOptimizeDesign:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         if template == jump_instance() and lam < 1:
             assert "OPT" in {d.policy for d, ok in zip(grid.designs, grid.converged) if not ok}
+
+    @pytest.mark.parametrize("case", [f"{t}-{lam}" for t in ORACLE_IDS for lam in ORACLE_LAMS] + ["bench"])
+    def test_itp_ends_where_bisection_does(self, case):
+        """Against bisection from Q_FLOOR to 1: the same cells converge, each
+        converged cell is a fixed point by the chain route, each unconverged
+        one sits at bisection's jump, and no lane takes more than two passes
+        beyond bisection's midpoints (the end pass, and the projection's
+        slack of one halving)."""
+        prefs = CustomerPrefs()
+        if case == "bench":
+            template, market = default_design_instance(), BENCH_MARKET
+        else:
+            name, lam = case.split("-")
+            template = ORACLE_TEMPLATES[ORACLE_IDS.index(name)]
+            market = MarketParams(lam=float(lam), k_max=7, p_grid=(0.2, 0.5, 0.9))
+        args = (template, design_points(market), market, prefs, 6.0)
+        grid, bisected = solve_designs(*args), solve_grid(*args, bisect=True)
+        assert np.array_equal(grid.converged, bisected.converged)
+        assert (grid.iterations <= bisected.iterations + 2).all()
+        for j, d in enumerate(grid.designs):
+            if d.k_agent == 0:
+                continue
+            q = float(grid.q[j])
+            if grid.converged[j]:
+                policy = policy_from_actions(grid.actions[..., j])
+                assert abs(chain_g(template, d, q, market, prefs, policy)) < _FP_TOL
+            else:
+                assert abs(q - bisected.q[j]) <= 1e-12
+                assert chain_g(template, d, q, market, prefs) > 0 > chain_g(template, d, q + 1e-9, market, prefs)
+        if case == "bench":
+            assert grid.converged.all() and grid.iterations.max() <= 8
+
+    def test_itp_point_falls_back_to_the_midpoint(self):
+        # a regula-falsi point that rounds onto lo would not split the bracket
+        lo, hi = np.array([0.1]), np.array([0.1 + 1e-12])
+        q = _itp_point(lo, hi, np.array([1e-20]), np.array([-1.0]), 0)
+        assert q == 0.5 * (lo + hi) and lo < q < hi
+        # one pass after the end pass the whole bracket has no slack left
+        lo, hi = np.array([_Q_FLOOR]), np.array([1.0])
+        assert _itp_point(lo, hi, np.array([1.0]), np.array([-1e-9]), 1) == 0.5 * (lo + hi)
+
+    def test_a_cell_with_two_fixed_points_reports_the_one_its_search_reaches(self):
+        # On the jump template at lam = 0.175 the "OPT" cell (6, OPT, 0.9) has
+        # two fixed points, each under the policy that is optimal there; ITP
+        # and bisection converge to different ones.
+        inst, prefs = jump_instance(), CustomerPrefs()
+        market = MarketParams(lam=0.175, k_max=7, p_grid=(0.2, 0.5, 0.9))
+        args = (inst, design_points(market), market, prefs, 6.0)
+        cell = DesignPoint(6, "OPT", 0.9)
+        j = design_points(market).index(cell)
+        found = []
+        for grid, q_at, acts in ((solve_designs(*args), 0.0142927, [0, 2, 1, 2]),
+                                 (solve_grid(*args, bisect=True), 0.0134936, [0, 2, 0, 2])):
+            q, policy = float(grid.q[j]), policy_from_actions(grid.actions[..., j])
+            assert grid.converged[j] and q == pytest.approx(q_at, abs=1e-7)
+            assert grid.actions[..., j].ravel().tolist() == acts
+            assert solve_average_reward(inst.with_q(q))[0] == policy
+            assert abs(chain_g(inst, cell, q, market, prefs, policy)) < _FP_TOL
+            found.append(q)
+        assert found[0] - found[1] > 5e-4
+
+    def test_no_bot_cells_have_no_bot_demand(self):
+        # the bot threshold capped at v_max leaves a fallback area of exactly 0
+        for inst, market in ((default_design_instance(), BENCH_MARKET),
+                             (jump_instance(), MarketParams(lam=0.175, k_max=2, p_grid=(0.1, 0.5, 0.6)))):
+            grid = solve_designs(inst, design_points(market), market, CustomerPrefs(), 6.0)
+            no_bot = np.array([d.p_succ == 0.0 for d in grid.designs])
+            assert (grid.q_bot[no_bot] == 0.0).all()
+            assert (grid.shares[3][no_bot] == 0.0).all()
 
     def test_pricing_at_another_bot_speed_raises(self):
         market = MarketParams(k_max=1, p_grid=(0.4,))

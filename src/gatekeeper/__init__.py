@@ -64,6 +64,7 @@ from .structure import (
     TransferThresholds,
     WsptCheck,
     check_wspt,
+    check_wspt_block,
     classify_case,
     compute_thresholds,
     is_threshold_policy,

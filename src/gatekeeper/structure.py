@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .model import (
     Action,
     CONGESTION_STATES,
     GeneratorConfig,
+    InstanceBlock,
     ProblemInstance,
     StationaryPolicy,
     as_seed,
@@ -34,7 +35,7 @@ from .model import (
 )
 from .solve import dinkelbach
 
-GAP_TOL = 1e-9  # relative gap below which the heuristic counts as optimal
+GAP_TOL = 1e-9  # relative gap below which an uncertified lane counts as threshold-optimal
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,16 @@ class WsptCheck:
         return f"holds-{self.condition}" if self.holds else "fails"
 
 
-def check_wspt(inst: ProblemInstance) -> WsptCheck:
-    """Sufficient condition for a threshold policy to be optimal.
+class WsptBlock(NamedTuple):
+    """`WsptCheck` per lane of a block, with first_violation 0 where it holds."""
+
+    condition: np.ndarray
+    holds: np.ndarray
+    first_violation: np.ndarray
+
+
+def check_wspt_block(b: InstanceBlock) -> WsptBlock:
+    """Sufficient condition for a threshold policy to be optimal, per lane.
 
     Requires the risk-adjusted processing times tau_X/rho_X to be
     nondecreasing in X, with each step bounded above:
@@ -139,18 +148,20 @@ def check_wspt(inst: ProblemInstance) -> WsptCheck:
     too much worse than the congestion-adjusted slack allows.  The weights
     depend on uncertainty only through conditional probabilities.
     """
-    q, a = inst.traffic.q, inst.traffic.a
-    tau, rho = inst.profile.tau, inst.profile.rho
-    if 1 / a > 1 / q:
-        cond, p = "a", a
-    else:
-        cond, p = "q", q
-    for x in range(2, inst.S + 1):
-        step = tau[x - 1] / rho[x - 1] - tau[x - 2] / rho[x - 2]
-        slack = (1 / p) / rho[x - 1] + ((1 - p) / p) * (1 - rho[x - 2]) / rho[x - 2]
-        if not 0.0 <= step <= slack:
-            return WsptCheck(condition=cond, holds=False, first_violation=x)
-    return WsptCheck(condition=cond, holds=True, first_violation=None)
+    on_a = 1 / b.a > 1 / b.q
+    p = np.where(on_a, b.a, b.q)
+    ratio = b.tau / b.rho
+    step = ratio[1:] - ratio[:-1]
+    slack = (1 / p) / b.rho[1:] + ((1 - p) / p) * (1 - b.rho[:-1]) / b.rho[:-1]
+    passed = np.logical_and.accumulate((step >= 0.0) & (step <= slack), axis=0)
+    holds = passed.all(axis=0)
+    return WsptBlock(np.where(on_a, "a", "q"), holds, np.where(holds, 0, 2 + passed.sum(axis=0)))
+
+
+def check_wspt(inst: ProblemInstance) -> WsptCheck:
+    """`check_wspt_block` on a block of one instance."""
+    (cond,), (holds,), (first,) = check_wspt_block(InstanceBlock.of([inst]))
+    return WsptCheck(condition=str(cond), holds=bool(holds), first_violation=int(first) or None)
 
 
 def is_threshold_policy(pol: StationaryPolicy) -> bool:
@@ -171,12 +182,32 @@ def search_threshold_policies(inst: ProblemInstance) -> tuple[StationaryPolicy, 
     return policy_from_actions(acts[0].tolist()), float(R[0])
 
 
+def _certified(acts: np.ndarray) -> np.ndarray:
+    """Per lane of (N, S-1, 4) unrestricted optimal actions, True where they
+    match a threshold policy at every attempt the policy reaches: no state
+    continues after it transferred at an earlier attempt.  Attempt x + 1 is
+    reached iff some state continues at every attempt up to x; W and D never
+    read the actions of an unreached attempt, and the free pass gives each
+    state one transfer mode, so a certified optimum is worth a threshold
+    policy's R and the lane's gap is 0."""
+    cont = acts == 0
+    reached = np.logical_and.accumulate(cont.any(axis=2), axis=1)[:, :-1, None]
+    transferred = np.logical_or.accumulate(~cont, axis=1)[:, :-1]
+    return ~(cont[:, 1:] & transferred & reached).any(axis=(1, 2))
+
+
 def _study_gaps(terms: RenewalTerms) -> np.ndarray:
     """Relative gap of the best threshold policy to the optimum, per instance
-    of a block; within GAP_TOL it is 0 (the two maximizations round apart)."""
-    (r_opt, _), (r_thr, _) = dinkelbach(terms), dinkelbach(terms, nested=True)
-    gap = (r_opt - r_thr) / r_opt
-    return np.where(gap <= GAP_TOL, 0.0, gap)
+    of a block: 0 on the lanes `_certified` proves threshold-optimal, and on
+    the rest the nested search's gap, 0 within GAP_TOL (the two maximizations
+    round apart)."""
+    r_opt, acts = dinkelbach(terms)
+    gaps, todo = np.zeros(len(r_opt)), np.flatnonzero(~_certified(acts))
+    if len(todo):
+        r_thr, _ = dinkelbach(terms._make(a.take(todo, axis=-1) for a in terms), nested=True)
+        gap = (r_opt[todo] - r_thr) / r_opt[todo]
+        gaps[todo] = np.where(gap <= GAP_TOL, 0.0, gap)
+    return gaps
 
 
 def _study_one(inst: ProblemInstance) -> tuple[bool, float]:

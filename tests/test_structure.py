@@ -23,11 +23,27 @@ from gatekeeper import (
     solve_average_reward,
     uniform_policy,
 )
-from gatekeeper.evaluate import I0, I1, W0, W1
-from gatekeeper.solve import optimal_policy
+from gatekeeper import structure
+from gatekeeper.evaluate import I0, I1, W0, W1, block_terms, renewal_terms
+from gatekeeper.model import generate_block, policy_from_actions
+from gatekeeper.solve import dinkelbach, optimal_policy
+from gatekeeper.structure import _certified, _study_gaps, _study_one, check_wspt_block
 
 from conftest import instances, random_instance
+from structure_oracle import study_gaps, wspt_loop
 from threshold_grid import threshold_grid
+
+# The bench's `study` blocks at seed 0 and criterion 7's, as (S, first seed, lanes)
+BENCH_BLOCKS = [(3, 0, 300), (4, 300, 300), (5, 600, 300)]
+CRITERION_7_BLOCKS = [(3, 70_000, 10_000), (4, 80_000, 10_000), (5, 90_000, 10_000)]
+
+
+def study_block(S, seed_lo, n):
+    return block_terms(*generate_block(GeneratorConfig(seed=0, S=S), range(seed_lo, seed_lo + n)))
+
+
+def is_certified(inst):
+    return bool(_certified(dinkelbach(renewal_terms([inst]))[1])[0])
 
 
 def reference_instance(q=0.5, a=0.8, tau_w=3, c_w=2.0, c_c=5.0):
@@ -178,6 +194,22 @@ class TestWspt:
         assert a_side.condition == "a"
         assert q_side.condition == "q"
 
+    def test_block_form_equals_the_per_instance_loop_on_criterion_6_draws(self):
+        # Criterion 6 draws seed 60_000 + i at S = 3 + i % 3 until its 500th
+        # certified instance, lane 66,063; every lane it draws, by three blocks.
+        n = 66_064
+        holds = 0
+        for k in range(3):
+            b = generate_block(GeneratorConfig(seed=0, S=3 + k), range(60_000 + k, 60_000 + n, 3))
+            got = check_wspt_block(b)
+            lanes = zip(b.tau.T.tolist(), b.rho.T.tolist(), b.q.tolist(), b.a.tolist())
+            want = [wspt_loop(*lane) for lane in lanes]
+            assert [(c, bool(h), int(f) or None) for c, h, f in zip(*got)] == want
+            holds += int(got.holds.sum())
+            if k == (n - 1) % 3:
+                assert got.holds[-1]
+        assert holds == 500
+
 
 class TestThresholdSearch:
     def test_never_beats_unrestricted_optimum(self):
@@ -272,7 +304,6 @@ class TestStudy:
         # Chain evaluation of all 81^2 rule pairs is independent of the renewal
         # DP behind the threshold search and the study.
         from gatekeeper.model import all_decision_rules
-        from gatekeeper.structure import _study_one
 
         def flat(actions):
             return tuple(int(v) for v in np.ravel(actions))
@@ -301,6 +332,7 @@ class TestStudy:
         pol, r_thr = search_threshold_policies(inst)
         assert pol == best_thr[1] == uniform_policy("T5", 3)
         assert r_thr == pytest.approx(best_thr[0], rel=1e-12)
+        assert not is_certified(inst)
         opt, study_gap = _study_one(inst)
         assert not opt
         assert study_gap == pytest.approx(gap, rel=1e-12)
@@ -311,7 +343,6 @@ class TestStudy:
         # the optimum (H2 then C) transfers early and continues late.  Chain
         # evaluation of all 81^2 rule pairs, as for seed 77010.
         from gatekeeper.model import all_decision_rules
-        from gatekeeper.structure import _study_one
 
         inst = ProblemInstance(
             profile=ResolutionProfile((1, 4, 1), (0.1, 0.1, 1.0)),
@@ -344,4 +375,52 @@ class TestStudy:
         pol, r_thr = search_threshold_policies(inst)
         assert pol == best_thr[1]
         assert r_thr == pytest.approx(best_thr[0], rel=1e-12)
+        assert not is_certified(inst)
         assert _study_one(inst)[1] == pytest.approx(gap, rel=1e-12)
+
+    @pytest.mark.parametrize("S, seed_lo, n", [(S, 0, 400) for S in range(1, 9)]
+                             + BENCH_BLOCKS + CRITERION_7_BLOCKS)
+    def test_study_gaps_equal_the_two_search_oracle_bits(self, S, seed_lo, n):
+        terms = study_block(S, seed_lo, n)
+        assert np.array_equal(_study_gaps(terms).view(np.uint64), study_gaps(terms).view(np.uint64))
+
+    def test_breaks_at_unreached_attempts_are_certified(self):
+        # Lanes of the bench's S=3 block whose optimal actions continue after a
+        # transfer, but only at attempt 2 after every state transferred at
+        # attempt 1, so no call reaches it.  Filling the unreached attempt with
+        # each state's transfer mode gives a threshold policy whose chain
+        # evaluation is the optimum.
+        terms = study_block(*BENCH_BLOCKS[0])
+        r_opt, acts = dinkelbach(terms)
+        shaped = np.array([is_threshold_policy(policy_from_actions(a.tolist())) for a in acts])
+        certified = _certified(acts)
+        assert not (shaped & ~certified).any()
+        lanes = np.flatnonzero(~shaped & certified)
+        assert len(lanes) == 54 and (~certified).sum() == 14
+        assert (study_gaps(terms)[lanes] == 0.0).all()
+        b = generate_block(GeneratorConfig(seed=0, S=3), range(300))
+        for i in lanes:
+            assert (acts[i, 0] != 0).all()   # attempt 2 is unreached
+            pol = policy_from_actions([acts[i, 0].tolist()] * 2)
+            assert is_threshold_policy(pol)
+            assert evaluate_policy(b.instance(i), pol).R == pytest.approx(r_opt[i], rel=1e-12)
+
+    def test_only_uncertified_lanes_reach_the_nested_search(self, monkeypatch):
+        # At S = 1 and 2 no attempt follows a decision, so every lane is certified.
+        sent = {}   # S -> lanes sent to the nested search
+
+        def spy(terms, nested=False):
+            if nested:
+                sent[len(terms.head)] = len(terms.r_never)
+            return dinkelbach(terms, nested)
+
+        monkeypatch.setattr(structure, "dinkelbach", spy)
+        report = run_heuristic_study(GeneratorConfig(seed=11), 200, [1, 2, 8])
+        monkeypatch.undo()
+        assert list(sent) == [8]
+        for row in report.rows:
+            gaps = study_gaps(study_block(row.S, row.seed_lo, 200))
+            assert sent.get(row.S, 0) == np.count_nonzero(gaps)
+            assert row.frac_threshold_opt == np.count_nonzero(gaps == 0.0) / 200
+            assert row.max_gap_pct == 100.0 * gaps.max()
+        assert report.row_for(1).max_gap_pct == report.row_for(2).max_gap_pct == 0.0

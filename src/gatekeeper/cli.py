@@ -296,10 +296,9 @@ def _run_design(cfg: RunConfig) -> list[str]:
                   ("k", "policy", "p_succ", "profit", "q_agent", "q_bot",
                    "share_agent", "share_bot", "share_balk", "converged",
                    "iterations", "residual"),
-                  [[d.k_agent for d in grid.designs], [d.policy or "" for d in grid.designs],
-                   [d.p_succ for d in grid.designs],
-                   *(a.tolist() for a in (search.profit, grid.q, grid.q_bot, *grid.shares[:3],
-                                          grid.converged, grid.iterations, abs(grid.g)))],
+                  [a.tolist() for a in (grid.k, grid.policy, grid.p_succ, search.profit, grid.q,
+                                        grid.q_bot, *grid.shares[:3], grid.converged,
+                                        grid.iterations, abs(grid.g))],
                   _comments(cfg))
     best = search.best
     print(

@@ -168,7 +168,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PerformanceMeasures:
     """Customer-facing measures of a policy, per the embedded chain (floats)
-    or per lane of the renewal recursion (arrays, see `cycle_performance`)."""
+    or per lane of the renewal recursion (arrays, see `LaneEvaluator`)."""
 
     throughput: float   # admitted customers per period
     p_admit: float      # fraction of arrivals admitted
@@ -271,7 +271,7 @@ def evaluate_policy(inst: ProblemInstance, pol: StationaryPolicy) -> PolicyEvalu
 # starting attempt X earns expected reward W_X in expected time D_X until the
 # next admission.  R = W_1 / D_1 exactly equals the chain ratio above; it
 # serves the optimisers, bulk enumeration and, with the performance measures
-# carried along (`cycle_performance`), the design layer, where chains would
+# carried along (`LaneEvaluator`), the design layer, where chains would
 # be slow.
 # ---------------------------------------------------------------------------
 
@@ -335,14 +335,6 @@ def average_reward_batch(inst: ProblemInstance, actions: np.ndarray) -> np.ndarr
     t = renewal_terms([inst])
     W, D = _policy_pass(t.head, t.fail, t.trans, actions)
     return W / D
-
-
-def cycle_performance(inst: ProblemInstance, q: np.ndarray,
-                      actions: np.ndarray) -> tuple[np.ndarray, PerformanceMeasures]:
-    """Average reward and performance measures per lane, without a chain:
-    lane i runs `inst` at arrival probability q[i] under the (S-1, 4)
-    actions actions[i].  One pass of a `LaneEvaluator`."""
-    return LaneEvaluator(inst, actions).at(q).measures()
 
 
 class LaneEvaluator:

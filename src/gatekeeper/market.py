@@ -260,11 +260,14 @@ _PARTS = ("agent_revenue", "wages", "bot_margin", "bot_training")
 
 
 class DesignGrid(NamedTuple):
-    """Solved design cells as columns: cell j is designs[j], on the last axis
-    of every array.  No wage or training cost enters; `price` adds them."""
+    """Solved design cells as columns: cell j is (k[j], policy[j], p_succ[j]),
+    on the last axis of every array.  No wage or training cost enters;
+    `price` adds them."""
 
     tau_bot: float           # the bot's time in channel the cells were solved at
-    designs: tuple[DesignPoint, ...]
+    k: np.ndarray            # agents staffed (int)
+    policy: np.ndarray       # rule label, "OPT", or "" when k = 0 (str)
+    p_succ: np.ndarray       # chatbot training level, 0 = no bot
     q: np.ndarray            # reported per-agent arrival probability (0 unstaffed)
     R: np.ndarray            # agent reward per agent per period there
     g: np.ndarray            # F(q) - q there
@@ -277,8 +280,7 @@ class DesignGrid(NamedTuple):
     bot_margin: np.ndarray   # q_bot (r - (1 - p) c_c), 0 where p_succ = 0 (no bot)
 
     def take(self, cells) -> DesignGrid:
-        return DesignGrid(self.tau_bot, tuple(self.designs[j] for j in cells),
-                          *(a.take(cells, axis=-1) for a in self[2:]))
+        return DesignGrid(self.tau_bot, *(a.take(cells, axis=-1) for a in self[1:]))
 
     def price(self, wage: float, bot_curve: BotChannel) -> DesignSearch:
         """The cells priced at a wage and a training-cost curve, ranked by
@@ -291,19 +293,18 @@ class DesignGrid(NamedTuple):
         """
         if bot_curve.tau_bot != self.tau_bot:
             raise ValueError(f"the grid was solved at tau_bot = {self.tau_bot}, not {bot_curve.tau_bot}")
-        k = np.array([d.k_agent for d in self.designs], dtype=float)
-        p, at = np.unique([d.p_succ for d in self.designs], return_inverse=True)
+        p, at = np.unique(self.p_succ, return_inverse=True)
         training = [_training_cost(x, bot_curve.a_bot, bot_curve.b_bot) for x in p.tolist()]
-        parts = np.array([k * self.R, k * wage, self.bot_margin, np.take(training, at)])
+        parts = np.array([self.k * self.R, self.k * wage, self.bot_margin, np.take(training, at)])
         profit = ((parts[0] - parts[1]) + parts[2]) - parts[3]
-        order = np.lexsort((p[at], [d.policy or "" for d in self.designs], k, -profit))
+        order = np.lexsort((self.p_succ, self.policy, self.k, -profit))
         return DesignSearch(self.take(order), parts[:, order], profit[order])
 
 
 @dataclass(frozen=True, eq=False)
 class DesignSearch:
     """A priced design grid ranked by profit descending, as columns; a cell's
-    EquilibriumResult is built when it is read."""
+    EquilibriumResult, and its DesignPoint, are built when it is read."""
 
     grid: DesignGrid         # the solved cells, in rank order
     parts: np.ndarray        # (4, n): the profit parts, in _PARTS order
@@ -313,20 +314,22 @@ class DesignSearch:
         """The given cells' EquilibriumResults; `policy_from_actions` runs once
         per distinct action row."""
         sub = self.grid.take(cells)
-        q, R, g, iters, converged, q_bot, profit = (a.tolist() for a in (
-            sub.q, sub.R, sub.g, sub.iterations, sub.converged, sub.q_bot, self.profit.take(cells)))
+        k, label, p, q, R, g, iters, converged, q_bot, profit = (a.tolist() for a in (
+            sub.k, sub.policy, sub.p_succ, sub.q, sub.R, sub.g, sub.iterations, sub.converged,
+            sub.q_bot, self.profit.take(cells)))
         measures, shares, parts = (a.T.tolist() for a in (
             sub.measures, sub.shares, self.parts.take(cells, axis=-1)))
         policies, results = {}, []
-        for j, d in enumerate(sub.designs):
-            staffed, policy = d.k_agent > 0, None
+        for j, k_j in enumerate(k):
+            staffed, policy = k_j > 0, None
             if staffed:
                 key = sub.actions[..., j].tobytes()
                 if key not in policies:
                     policies[key] = policy_from_actions(sub.actions[..., j])
                 policy = policies[key]
             results.append(EquilibriumResult(
-                design=d, q_per_agent=q[j], q_bot_effective=q_bot[j], shares=Shares(*shares[j]),
+                design=DesignPoint(k_j, label[j] or None, p[j]), q_per_agent=q[j],
+                q_bot_effective=q_bot[j], shares=Shares(*shares[j]),
                 perf=PerformanceMeasures(*measures[j]) if staffed else None, policy=policy,
                 agent_reward=R[j], profit=profit[j], profit_parts=dict(zip(_PARTS, parts[j])),
                 converged=converged[j], iterations=iters[j], residual=abs(g[j]),
@@ -342,10 +345,12 @@ class DesignSearch:
         return tuple(self._results(range(len(self.profit))))
 
     def cell(self, k: int, policy: Optional[str], p_succ: float) -> EquilibriumResult:
-        for j, d in enumerate(self.grid.designs):
-            if d.k_agent == k and d.policy == policy and abs(d.p_succ - p_succ) < 1e-12:
-                return self._results([j])[0]
-        raise KeyError((k, policy, p_succ))
+        g = self.grid
+        at = np.flatnonzero((g.k == k) & (g.policy == (policy or ""))
+                            & (abs(g.p_succ - p_succ) < 1e-12))
+        if not at.size:
+            raise KeyError((k, policy, p_succ))
+        return self._results(at[:1])[0]
 
 
 # The ITP step (Oliveira & Takahashi, ACM TOMS 47(1), 2020): the regula-falsi
@@ -380,8 +385,7 @@ def _fixed_point_pass(lane_eval: LaneEvaluator, q: np.ndarray, b: np.ndarray, k:
     g, the six measures and the four shares.  The "OPT" lanes `opt` take
     their actions from `dinkelbach` at q."""
     lane_eval.at(q)
-    if opt.size:
-        lane_eval.set_actions(opt, dinkelbach(lane_eval.terms(opt))[1])
+    lane_eval.set_actions(opt, dinkelbach(lane_eval.terms(opt))[1])
     R, perf = lane_eval.measures()
     shares = _lane_shares(b, agent_service_cost(perf, prefs), perf.p_admit, prefs)
     g = np.minimum(np.maximum(lam * shares[0] / k, _Q_FLOOR), 1.0) - q
@@ -390,14 +394,15 @@ def _fixed_point_pass(lane_eval: LaneEvaluator, q: np.ndarray, b: np.ndarray, k:
 
 def solve_designs(
     template: ProblemInstance,
-    designs: list[DesignPoint],
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray],
     market: MarketParams,
     prefs: CustomerPrefs,
     tau_bot: float,
 ) -> DesignGrid:
-    """Every design's demand fixed point; the staffed ones search in lockstep.
+    """Every design cell's demand fixed point; the staffed ones search in lockstep.
 
-    Each design is a lane.  A staffed lane has its own bracket [lo, hi] and
+    The cells are the columns (k, policy, p_succ) of `design_points`, and
+    each cell is a lane.  A staffed lane has its own bracket [lo, hi] and
     stopping rule (see `solve_equilibrium`).  The first pass evaluates both
     ends of every bracket; each later pass evaluates every active lane's ITP
     point (`_itp_point`) at once, and the lanes that stop leave the block.
@@ -420,12 +425,13 @@ def solve_designs(
     and the bot only through its time in channel tau_bot: neither the wage
     nor the training-cost curve enters, and `DesignGrid.price` adds both.
     """
-    S, table, n, econ = template.S, rules_table(), len(designs), template.econ
-    k = np.array([d.k_agent for d in designs], dtype=float)
-    p = np.array([d.p_succ for d in designs])
+    k_col, policy, p = cells
+    S, table, n, econ = template.S, rules_table(), len(k_col), template.econ
+    k = k_col.astype(float)
     b = np.where(p != 0, _bot_threshold(p, tau_bot, prefs), np.inf)
-    rules = [table[d.policy].actions if d.policy in table else (0,) * 4 for d in designs]   # "OPT": per pass
-    acts = np.repeat(np.array(rules, dtype=np.int8).reshape(n, 1, 4), S - 1, axis=1)
+    labels, at = np.unique(policy, return_inverse=True)
+    rules = [table[x].actions if x in table else (0,) * 4 for x in labels.tolist()]   # "OPT": per pass
+    acts = np.repeat(np.array(rules, dtype=np.int8)[at].reshape(n, 1, 4), S - 1, axis=1)
 
     # The reported evaluation of each lane: the converged q, or else the lower
     # end lo of the collapsed bracket, the largest evaluated q with g > 0.
@@ -436,7 +442,7 @@ def solve_designs(
     rep[9:] = _lane_shares(b, 0 * k, 0 * k, prefs)
     rep_acts = acts.copy()
     lanes = np.flatnonzero(~converged)
-    m, is_opt = lanes.size, np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
+    m, is_opt = lanes.size, policy[lanes] == "OPT"
     b, k = b[lanes], k[lanes]
     # The end pass: both ends of every bracket [Q_FLOOR, 1] as 2m lanes of one
     # pass.  The clip gives g(Q_FLOOR) >= 0 >= g(1), so a lane reports its lo
@@ -477,21 +483,21 @@ def solve_designs(
     (agent, bot_direct, _, fallback), p_admit = shares, measures[1]
     q_bot = market.lam * (bot_direct + agent * (1 - p_admit) * fallback)
     margin = np.where(p != 0, q_bot * (econ.r - (1 - p) * econ.c_c), 0.0)
-    return DesignGrid(tau_bot, tuple(designs), rep[0], rep[1], rep[2], measures, shares,
+    return DesignGrid(tau_bot, k_col, policy, p, rep[0], rep[1], rep[2], measures, shares,
                       rep_acts.transpose(1, 2, 0), iters, converged, q_bot, margin)
 
 
-def design_points(market: MarketParams) -> list[DesignPoint]:
-    """The full staffing x policy x training grid: every decision rule applied
-    uniformly across attempts plus "OPT", which re-solves the optimal policy
-    at each q the fixed-point search evaluates; p_succ = 0 means the bot
-    channel is absent."""
-    policies: list[Optional[str]] = list(rules_table()) + ["OPT"]
+def design_points(market: MarketParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full staffing x policy x training grid as columns (k, policy,
+    p_succ), k-major: every decision rule applied uniformly across attempts
+    plus "OPT", which re-solves the optimal policy at each q the fixed-point
+    search evaluates, "" when k = 0; p_succ = 0 means the bot channel is
+    absent."""
+    labels = list(rules_table()) + ["OPT"]
     p_values = [0.0] + [p for p in market.p_grid if p > 0.0]
-    return [DesignPoint(k_agent=k, policy=label, p_succ=p)
-            for k in range(0, market.k_max + 1)
-            for label in ([None] if k == 0 else policies)
-            for p in p_values]
+    k = np.repeat(np.arange(market.k_max + 1), [1] + [len(labels)] * market.k_max)   # per (k, label)
+    policy = np.array([""] + labels * market.k_max)
+    return np.repeat(k, len(p_values)), np.repeat(policy, len(p_values)), np.tile(p_values, len(k))
 
 
 def solve_equilibrium(
@@ -518,7 +524,8 @@ def solve_equilibrium(
     demand adds blocked live-channel customers who still prefer the bot over
     balking.  One cell of `optimize_design`'s lockstep block.
     """
-    grid = solve_designs(template, [design], market, prefs, bot_curve.tau_bot)
+    cell = (np.array([design.k_agent]), np.array([design.policy or ""]), np.array([design.p_succ]))
+    grid = solve_designs(template, cell, market, prefs, bot_curve.tau_bot)
     return grid.price(template.econ.c_wage, bot_curve).best
 
 

@@ -70,7 +70,7 @@ def _free_pass(t: RenewalTerms, R, value, trans):
     for head, fail in zip(t.head[-2::-1], t.fail[-2::-1]):
         cont.append(WD[0] - R * WD[1] >= value)
         WD = renewal_step(head, fail, cont[-1], WD, trans)
-    return WD, np.array(cont[::-1]).reshape(-1, *value.shape)
+    return WD, np.array(cont[::-1], dtype=bool).reshape(len(t.head) - 1, *value.shape)
 
 
 def _nested_pass(t: RenewalTerms, R, value, trans):
@@ -85,7 +85,7 @@ def _nested_pass(t: RenewalTerms, R, value, trans):
     for arg in reversed(args):
         C = arg[C, lanes]
         cont.append(_MEMBER[:, C])
-    return WD[:, -1], np.array(cont).reshape(-1, *value.shape)
+    return WD[:, -1], np.array(cont, dtype=bool).reshape(len(t.head) - 1, *value.shape)
 
 
 def dinkelbach(t: RenewalTerms, nested: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -203,17 +203,10 @@ def _study_gaps(terms: RenewalTerms) -> np.ndarray:
     round apart)."""
     r_opt, acts = dinkelbach(terms)
     gaps, todo = np.zeros(len(r_opt)), np.flatnonzero(~_certified(acts))
-    if len(todo):
-        r_thr, _ = dinkelbach(terms._make(a.take(todo, axis=-1) for a in terms), nested=True)
-        gap = (r_opt[todo] - r_thr) / r_opt[todo]
-        gaps[todo] = np.where(gap <= GAP_TOL, 0.0, gap)
+    r_thr, _ = dinkelbach(terms._make(a.take(todo, axis=-1) for a in terms), nested=True)
+    gap = (r_opt[todo] - r_thr) / r_opt[todo]
+    gaps[todo] = np.where(gap <= GAP_TOL, 0.0, gap)
     return gaps
-
-
-def _study_one(inst: ProblemInstance) -> tuple[bool, float]:
-    """(threshold-optimal?, relative gap) of one instance, as in the study."""
-    gap = float(_study_gaps(renewal_terms([inst]))[0])
-    return gap == 0.0, gap
 
 
 @dataclass(frozen=True)

@@ -97,19 +97,20 @@ def lane_pass(template: ProblemInstance, rows: tuple[np.ndarray, np.ndarray], q:
     return g, np.vstack([q, R, g, *(getattr(perf, f.name) for f in fields(perf)), *shares])
 
 
-def solve_grid(template: ProblemInstance, designs: list[DesignPoint], market: MarketParams,
-               prefs: CustomerPrefs, tau_bot: float, bisect: bool = False) -> DesignGrid:
+def solve_grid(template: ProblemInstance, cells: tuple[np.ndarray, np.ndarray, np.ndarray],
+               market: MarketParams, prefs: CustomerPrefs, tau_bot: float,
+               bisect: bool = False) -> DesignGrid:
     """`market.solve_designs`, every pass evaluated from scratch.  With
     `bisect` every pass evaluates the bracket's midpoint instead, from the
     first on, and no end pass is taken."""
-    S, table, n, econ = template.S, rules_table(), len(designs), template.econ
-    k = np.array([d.k_agent for d in designs], dtype=float)
-    p = np.array([d.p_succ for d in designs])
+    k_col, policy, p = cells
+    S, table, n, econ = template.S, rules_table(), len(k_col), template.econ
+    k = k_col.astype(float)
     b = np.where(p != 0, _bot_threshold(p, tau_bot, prefs), np.inf)
     acts = np.zeros((n, S - 1, 4), dtype=np.int8)
-    for j, d in enumerate(designs):
-        if d.policy in table:
-            acts[j] = table[d.policy].actions
+    for j, label in enumerate(policy.tolist()):
+        if label in table:
+            acts[j] = table[label].actions
     iters = np.zeros(n, dtype=int)
     converged = k == 0
     rep = np.zeros((13, n))   # q, R, g, the six measures, the four shares
@@ -117,7 +118,7 @@ def solve_grid(template: ProblemInstance, designs: list[DesignPoint], market: Ma
     rep_acts = acts.copy()
     rows = measure_rows(template)
     lanes = np.flatnonzero(~converged)
-    is_opt = np.array([designs[j].policy == "OPT" for j in lanes], dtype=bool)
+    is_opt = policy[lanes] == "OPT"
     b, k, acts = b[lanes], k[lanes], acts[lanes]
     lo, hi = np.full(lanes.size, _Q_FLOOR), np.ones(lanes.size)
     g_lo, g_hi = np.full(lanes.size, np.nan), np.full(lanes.size, np.nan)
@@ -159,7 +160,7 @@ def solve_grid(template: ProblemInstance, designs: list[DesignPoint], market: Ma
     (agent, bot_direct, _, fallback), p_admit = shares, measures[1]
     q_bot = market.lam * (bot_direct + agent * (1 - p_admit) * fallback)
     margin = np.where(p != 0, q_bot * (econ.r - (1 - p) * econ.c_c), 0.0)
-    return DesignGrid(tau_bot, tuple(designs), rep[0], rep[1], rep[2], measures, shares,
+    return DesignGrid(tau_bot, k_col, policy, p, rep[0], rep[1], rep[2], measures, shares,
                       rep_acts.transpose(1, 2, 0), iters, converged, q_bot, margin)
 
 
@@ -182,7 +183,8 @@ def profit(
 
 def equilibrium_result(grid: DesignGrid, j: int, market: MarketParams, econ: EconomicParams,
                        bot_curve: BotChannel) -> EquilibriumResult:
-    d = grid.designs[j]
+    k, label, p_succ = (a[j].item() for a in (grid.k, grid.policy, grid.p_succ))
+    d = DesignPoint(k, label or None, p_succ)
     q, R, g = (float(a[j]) for a in (grid.q, grid.R, grid.g))
     perf = PerformanceMeasures(*(float(v) for v in grid.measures[:, j]))
     shares = Shares(*(float(v) for v in grid.shares[:, j]))

@@ -104,3 +104,12 @@ def test_lanes_retire_once_their_ratio_stops_rising(monkeypatch, nested):
     assert sum(counts) < len(counts) * 300
     assert R.tobytes() == R_all.tobytes()
     assert acts.dtype == acts_all.dtype and np.array_equal(acts, acts_all)
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+def test_a_block_of_no_lanes_gives_empty_answers(S, nested):
+    t = renewal_terms([random_instance(S, S)])
+    R, acts = dinkelbach(t._make(a.take([], axis=-1) for a in t), nested=nested)
+    assert (R.dtype, R.shape) == (np.float64, (0,))
+    assert (acts.dtype, acts.shape) == (np.int8, (0, S - 1, 4))

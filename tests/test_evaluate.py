@@ -28,7 +28,6 @@ from gatekeeper.evaluate import (
     LaneEvaluator,
     average_reward_batch,
     c_index,
-    cycle_performance,
     policy_actions,
     renewal_step,
     renewal_terms,
@@ -276,7 +275,7 @@ def test_lane_evaluator_checks_every_q_and_its_terms_equal_each_instance_alone()
 @pytest.mark.parametrize("S", [1, 2, 3, 4])
 def test_lane_evaluator_passes_equal_one_lane_evaluations(S):
     """Passes that change some lanes' actions and drop lanes give each lane
-    the bits of `cycle_performance` of that lane alone and of the route that
+    the bits of a one-lane `LaneEvaluator` of that lane alone and of the route that
     builds every term from scratch."""
     inst, rng = random_instance(S, S), np.random.default_rng(S)
     acts = random_actions(S, S, 12)
@@ -292,7 +291,7 @@ def test_lane_evaluator_passes_equal_one_lane_evaluations(S):
         R_0, perf_0 = lane_performance(lane_terms(inst, q), measure_rows(inst), q, acts[lanes])
         assert R.tobytes() == R_0.tobytes()
         for i, lane in enumerate(lanes):
-            R_1, perf_1 = cycle_performance(inst, q[i:i + 1], acts[lane:lane + 1])
+            R_1, perf_1 = LaneEvaluator(inst, acts[lane:lane + 1]).at(q[i:i + 1]).measures()
             assert R[i].tobytes() == R_1.tobytes()
             for field in PERF_FIELDS:
                 assert getattr(perf, field)[i].tobytes() == getattr(perf_1, field).tobytes(), field
@@ -329,7 +328,8 @@ def test_cycle_measures_match_chain(case):
     inst, names = case
     pol = policy_from_names(names)
     ev = evaluate_policy(inst, pol)
-    R, perf = cycle_performance(inst, np.array([inst.traffic.q]), policy_actions(pol).reshape(1, -1, 4))
+    lane = LaneEvaluator(inst, policy_actions(pol).reshape(1, -1, 4))
+    R, perf = lane.at(np.array([inst.traffic.q])).measures()
     assert R[0] == pytest.approx(ev.R, rel=1e-12, abs=0.0)
     for field in PERF_FIELDS:
         assert getattr(perf, field)[0] == pytest.approx(getattr(ev.perf, field), rel=1e-12, abs=0.0), field

@@ -1,6 +1,9 @@
 """Every import in the package's modules is used, unless its line carries
 `# noqa: F401`.  No linter ships with the project, so this stands in for
-pyflakes' F401 check; `__init__.py` re-exports by design and is skipped."""
+pyflakes' F401 check; `__init__.py` re-exports by design and is skipped.
+Every module-level function and class is referenced by package code or
+re-exported from `__init__.py`, so no definition lives on for tests alone;
+methods are the API of their classes and are not checked."""
 import ast
 from pathlib import Path
 
@@ -38,7 +41,42 @@ def test_package_has_no_unused_imports():
     assert {name: bad for name, bad in found.items() if bad} == {}
 
 
+def orphan_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level defs and classes of the modules (name -> source) that no
+    module names, by a name, an attribute or an import; `__init__.py`'s
+    imports are the re-exports."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+
+
+def test_package_has_no_orphan_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert orphan_definitions(sources) == []
+
+
 def test_checker_flags_an_unused_import_and_honours_noqa():
     source = ("import os\nimport sys  # noqa: F401\nfrom typing import (\n    Any,\n    Optional,\n)\n"
               "def f(x: Optional[int]) -> 'Any':\n    return x\n")
     assert unused_imports(source) == ["line 1: os"]
+
+
+def test_checker_flags_an_orphan_and_honours_reexports_and_uses():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("class Exported:\n    def method(self):\n        pass\n"
+                 "def exported():\n    return helper()\n"
+                 "def helper():\n    return b.attr_use\n"
+                 "def orphan():\n    return helper()\n"),
+        "b.py": "from .a import Exported\ndef attr_use():\n    pass\n",
+    }
+    assert orphan_definitions(sources) == ["a.py: orphan"]

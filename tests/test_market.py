@@ -26,6 +26,7 @@ from gatekeeper.model import (
     ResolutionProfile,
     TrafficParams,
     policy_from_actions,
+    rules_table,
 )
 from gatekeeper.solve import dinkelbach, solve_average_reward
 
@@ -80,15 +81,15 @@ ORACLE_IDS, ORACLE_LAMS = ["S1", "jump", "S3", "S4"], [0.175, 0.9, 6.0]
 BENCH_MARKET = MarketParams(lam=0.9, k_max=7, p_grid=tuple(round(0.1 * i, 1) for i in range(1, 10)))
 
 
-def chain_g(inst, design, q, market, prefs, policy=None):
-    """F(q) - q of one staffed cell, its bot at the default tau_bot, by the
-    chain route: the embedded chain's measures at q under `policy`, or under
-    the chain solver's optimal policy."""
+def chain_g(inst, k, p_succ, q, market, prefs, policy=None):
+    """F(q) - q of one staffed cell (k agents, bot level p_succ), its bot at
+    the default tau_bot, by the chain route: the embedded chain's measures at
+    q under `policy`, or under the chain solver's optimal policy."""
     at = inst.with_q(q)
     perf = evaluate_policy(at, policy or solve_average_reward(at)[0]).perf
-    bot = BotChannel(design.p_succ) if design.p_succ else None
+    bot = BotChannel(p_succ) if p_succ else None
     share = compute_demand_shares(perf, bot, prefs, perf.p_admit).agent
-    return min(max(market.lam * share / design.k_agent, _Q_FLOOR), 1.0) - q
+    return min(max(market.lam * share / k, _Q_FLOOR), 1.0) - q
 
 
 def assert_same_bits(a, b, path="result"):
@@ -265,7 +266,13 @@ class TestOptimizeDesign:
         market = MarketParams(k_max=2, p_grid=(0.3, 0.6))
         search = optimize_design(default_design_instance(), market, CustomerPrefs(),
                                  BotChannel(0.0, 6.0, 9e-5, 2.6))
-        # k=0: 3 p-values; k=1,2: 12 policies x 3 p-values
+        # k=0: 3 p-values; k=1,2: 12 policies x 3 p-values, k-major, p fastest
+        k, policy, p = design_points(market)
+        assert (k.dtype.kind, policy.dtype.kind, p.dtype) == ("i", "U", np.float64)
+        labels = list(rules_table()) + ["OPT"]
+        assert list(zip(k.tolist(), policy.tolist(), p.tolist())) == (
+            [(0, "", x) for x in (0.0, 0.3, 0.6)]
+            + [(n, label, x) for n in (1, 2) for label in labels for x in (0.0, 0.3, 0.6)])
         assert len(search.results) == 3 + 2 * 12 * 3
         profits = [r.profit for r in search.results]
         assert profits == sorted(profits, reverse=True)
@@ -314,7 +321,8 @@ class TestOptimizeDesign:
         search = optimize_design(inst, market, prefs, curve)
         results = search.results
         assert len(results) == (1 + 2 * 12) * (1 + len(market.p_grid))
-        assert [r.design for r in results] == list(search.grid.designs)
+        cols = (a.tolist() for a in (search.grid.k, search.grid.policy, search.grid.p_succ))
+        assert [astuple(r.design) for r in results] == [(k, label or None, p) for k, label, p in zip(*cols)]
         for j, res in enumerate(results):
             assert_same_bits(res, equilibrium_result(search.grid, j, market, inst.econ, curve))
         keys = [(-r.profit, r.design.k_agent, r.design.policy or "", r.design.p_succ) for r in results]
@@ -333,9 +341,9 @@ class TestOptimizeDesign:
             priced = grid.price(sc.wage, sc.bot_curve)
             search = optimize_design(default_design_instance(wage=sc.wage), market, prefs,
                                      sc.bot_curve)
-            assert priced.grid.designs == search.grid.designs   # the rank
             assert priced.grid.tau_bot == search.grid.tau_bot
-            for name, a, b in zip(search.grid._fields[2:], priced.grid[2:], search.grid[2:]):
+            # the key columns k, policy, p_succ first: the rank
+            for name, a, b in zip(search.grid._fields[1:], priced.grid[1:], search.grid[1:]):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             for a, b in ((priced.parts, search.parts), (priced.profit, search.profit)):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -351,11 +359,11 @@ class TestOptimizeDesign:
         market = MarketParams(lam=lam, k_max=7, p_grid=(0.2, 0.5, 0.9))
         args = (template, design_points(market), market, CustomerPrefs(), 6.0)
         grid, oracle = solve_designs(*args), solve_grid(*args)
-        assert grid[:2] == oracle[:2]
-        for name, a, b in zip(grid._fields[2:], grid[2:], oracle[2:]):
+        assert grid.tau_bot == oracle.tau_bot
+        for name, a, b in zip(grid._fields[1:], grid[1:], oracle[1:]):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         if template == jump_instance() and lam < 1:
-            assert "OPT" in {d.policy for d, ok in zip(grid.designs, grid.converged) if not ok}
+            assert "OPT" in grid.policy[~grid.converged]
 
     @pytest.mark.parametrize("case", [f"{t}-{lam}" for t in ORACLE_IDS for lam in ORACLE_LAMS] + ["bench"])
     def test_itp_ends_where_bisection_does(self, case):
@@ -375,16 +383,14 @@ class TestOptimizeDesign:
         grid, bisected = solve_designs(*args), solve_grid(*args, bisect=True)
         assert np.array_equal(grid.converged, bisected.converged)
         assert (grid.iterations <= bisected.iterations + 2).all()
-        for j, d in enumerate(grid.designs):
-            if d.k_agent == 0:
-                continue
-            q = float(grid.q[j])
+        for j in np.flatnonzero(grid.k):
+            cell, q = (int(grid.k[j]), float(grid.p_succ[j])), float(grid.q[j])
             if grid.converged[j]:
                 policy = policy_from_actions(grid.actions[..., j])
-                assert abs(chain_g(template, d, q, market, prefs, policy)) < _FP_TOL
+                assert abs(chain_g(template, *cell, q, market, prefs, policy)) < _FP_TOL
             else:
                 assert abs(q - bisected.q[j]) <= 1e-12
-                assert chain_g(template, d, q, market, prefs) > 0 > chain_g(template, d, q + 1e-9, market, prefs)
+                assert chain_g(template, *cell, q, market, prefs) > 0 > chain_g(template, *cell, q + 1e-9, market, prefs)
         if case == "bench":
             assert grid.converged.all() and grid.iterations.max() <= 8
 
@@ -404,8 +410,8 @@ class TestOptimizeDesign:
         inst, prefs = jump_instance(), CustomerPrefs()
         market = MarketParams(lam=0.175, k_max=7, p_grid=(0.2, 0.5, 0.9))
         args = (inst, design_points(market), market, prefs, 6.0)
-        cell = DesignPoint(6, "OPT", 0.9)
-        j = design_points(market).index(cell)
+        k, policy, p = design_points(market)
+        j, = np.flatnonzero((k == 6) & (policy == "OPT") & (p == 0.9))
         found = []
         for grid, q_at, acts in ((solve_designs(*args), 0.0142927, [0, 2, 1, 2]),
                                  (solve_grid(*args, bisect=True), 0.0134936, [0, 2, 0, 2])):
@@ -413,7 +419,7 @@ class TestOptimizeDesign:
             assert grid.converged[j] and q == pytest.approx(q_at, abs=1e-7)
             assert grid.actions[..., j].ravel().tolist() == acts
             assert solve_average_reward(inst.with_q(q))[0] == policy
-            assert abs(chain_g(inst, cell, q, market, prefs, policy)) < _FP_TOL
+            assert abs(chain_g(inst, 6, 0.9, q, market, prefs, policy)) < _FP_TOL
             found.append(q)
         assert found[0] - found[1] > 5e-4
 
@@ -422,7 +428,7 @@ class TestOptimizeDesign:
         for inst, market in ((default_design_instance(), BENCH_MARKET),
                              (jump_instance(), MarketParams(lam=0.175, k_max=2, p_grid=(0.1, 0.5, 0.6)))):
             grid = solve_designs(inst, design_points(market), market, CustomerPrefs(), 6.0)
-            no_bot = np.array([d.p_succ == 0.0 for d in grid.designs])
+            no_bot = grid.p_succ == 0.0
             assert (grid.q_bot[no_bot] == 0.0).all()
             assert (grid.shares[3][no_bot] == 0.0).all()
 

@@ -27,7 +27,7 @@ from gatekeeper import structure
 from gatekeeper.evaluate import I0, I1, W0, W1, block_terms, renewal_terms
 from gatekeeper.model import generate_block, policy_from_actions
 from gatekeeper.solve import dinkelbach, optimal_policy
-from gatekeeper.structure import _certified, _study_gaps, _study_one, check_wspt_block
+from gatekeeper.structure import _certified, _study_gaps, check_wspt_block
 
 from conftest import instances, random_instance
 from structure_oracle import study_gaps, wspt_loop
@@ -333,8 +333,7 @@ class TestStudy:
         assert pol == best_thr[1] == uniform_policy("T5", 3)
         assert r_thr == pytest.approx(best_thr[0], rel=1e-12)
         assert not is_certified(inst)
-        opt, study_gap = _study_one(inst)
-        assert not opt
+        study_gap, = _study_gaps(renewal_terms([inst]))
         assert study_gap == pytest.approx(gap, rel=1e-12)
 
     def test_worst_known_gap_inside_the_generator_box(self):
@@ -376,7 +375,7 @@ class TestStudy:
         assert pol == best_thr[1]
         assert r_thr == pytest.approx(best_thr[0], rel=1e-12)
         assert not is_certified(inst)
-        assert _study_one(inst)[1] == pytest.approx(gap, rel=1e-12)
+        assert _study_gaps(renewal_terms([inst]))[0] == pytest.approx(gap, rel=1e-12)
 
     @pytest.mark.parametrize("S, seed_lo, n", [(S, 0, 400) for S in range(1, 9)]
                              + BENCH_BLOCKS + CRITERION_7_BLOCKS)
@@ -406,7 +405,8 @@ class TestStudy:
             assert evaluate_policy(b.instance(i), pol).R == pytest.approx(r_opt[i], rel=1e-12)
 
     def test_only_uncertified_lanes_reach_the_nested_search(self, monkeypatch):
-        # At S = 1 and 2 no attempt follows a decision, so every lane is certified.
+        # At S = 1 and 2 no attempt follows a decision, so every lane is
+        # certified and the nested search gets a block of no lanes.
         sent = {}   # S -> lanes sent to the nested search
 
         def spy(terms, nested=False):
@@ -417,7 +417,7 @@ class TestStudy:
         monkeypatch.setattr(structure, "dinkelbach", spy)
         report = run_heuristic_study(GeneratorConfig(seed=11), 200, [1, 2, 8])
         monkeypatch.undo()
-        assert list(sent) == [8]
+        assert sent[1] == sent[2] == 0 < sent[8]
         for row in report.rows:
             gaps = study_gaps(study_block(row.S, row.seed_lo, 200))
             assert sent.get(row.S, 0) == np.count_nonzero(gaps)

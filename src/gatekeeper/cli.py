@@ -1,13 +1,13 @@
 """Command-line entry point: every experiment as a subcommand over JSON configs.
 
 Each run reads one JSON config, writes CSV artifacts plus a run manifest into
---out, and exits 0 on success, 2 on validation failure, 3 on non-convergence,
-64 on an unknown subcommand.  Identical config and seed produce byte-identical
-artifacts.
+--out, and exits 0 on success, 2 on validation failure or a malformed command
+line, 3 on non-convergence, 64 on an unknown subcommand.  A flag is given as
+`--flag value` or `--flag=value`, never abbreviated; `-h` or `--help` anywhere
+prints the usage.  Identical config and seed produce byte-identical artifacts.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -413,25 +413,45 @@ def run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _parse_flags(args: list[str]) -> dict:
+    """The flags after the subcommand, each `--flag value` or `--flag=value`,
+    the value taken whatever it looks like; --set repeats, else the last wins."""
+    opts = {"--out": "out", "--seed": None, "--set": []}
+    tokens = iter(args)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in ("--config", "--out", "--seed", "--set"):
+            raise ValidationFailure(f"unknown argument {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValidationFailure(f"{flag} needs a value")
+        opts[flag] = [*opts[flag], value] if flag == "--set" else value
+    if "--config" not in opts:
+        raise ValidationFailure("--config PATH is required")
+    try:
+        opts["--seed"] = None if opts["--seed"] is None else int(opts["--seed"])
+    except ValueError:
+        raise ValidationFailure(f"--seed must be an integer, got {opts['--seed']!r}") from None
+    return opts
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
+    if not argv or "-h" in argv or "--help" in argv:
         print(usage())
         return EXIT_OK
     sub = argv[0]
     if sub not in SUBCOMMANDS:
         print(usage(), file=sys.stderr)
         return EXIT_USAGE
+    try:
+        opts = _parse_flags(argv[1:])
+    except ValidationFailure as exc:
+        print(f"{usage()}\nerror: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
-    parser = argparse.ArgumentParser(prog=f"gatekeeper {sub}", add_help=True)
-    parser.add_argument("--config", required=True, help="path to the JSON run config")
-    parser.add_argument("--out", default="out", help="output directory for artifacts")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a config entry (dotted keys)")
-    args = parser.parse_args(argv[1:])
-
-    config_path = Path(args.config)
+    config_path = Path(opts["--config"])
     if not config_path.exists():
         print(f"validation failure: config file {config_path} does not exist", file=sys.stderr)
         return EXIT_VALIDATION
@@ -439,18 +459,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = json.loads(config_path.read_text(encoding="utf-8"))
         if not isinstance(config, dict):
             raise ValidationFailure("the config must be a JSON object")
-        config = _apply_overrides(config, args.overrides)
+        config = _apply_overrides(config, opts["--set"])
     except (json.JSONDecodeError, ValidationFailure) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    cfg = RunConfig(
-        subcommand=sub,
-        config=config,
-        out_dir=Path(args.out),
-        seed=args.seed,
-    )
-    return run(cfg)
+    return run(RunConfig(sub, config, Path(opts["--out"]), opts["--seed"]))
 
 
 if __name__ == "__main__":

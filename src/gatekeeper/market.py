@@ -236,8 +236,11 @@ class DesignPoint:
             raise ValueError("k_agent must be nonnegative")
         if self.k_agent == 0 and self.policy is not None:
             raise ValueError("a design without agents has no resolution policy")
-        if self.k_agent > 0 and self.policy is None:
-            raise ValueError("a staffed design needs a resolution policy")
+        if self.k_agent > 0 and self.policy != "OPT" and self.policy not in rules_table():
+            raise ValueError("a staffed design needs a resolution policy, a rule label or 'OPT', "
+                             f"got {self.policy!r}")
+        if not 0.0 <= self.p_succ < 1.0:
+            raise ValueError(f"p_succ must lie in [0, 1), got {self.p_succ}")
 
 
 @dataclass(frozen=True)

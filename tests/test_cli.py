@@ -40,6 +40,66 @@ def test_help_exits_zero(capsys):
     assert "subcommands" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args", [["solve", "-h"], ["wspt", "--config", "nope.json", "--help"],
+                                  ["design", "--conf", "-h"]])
+def test_help_after_a_subcommand_exits_zero_and_prints_usage(tmp_path, capsys, args):
+    assert main([*args, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: gatekeeper SUBCOMMAND --config PATH")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--out", "OUT"], "--config PATH is required"),
+    (["--config", "CFG", "--frob", "1"], "unknown argument '--frob'"),
+    (["--conf", "CFG"], "unknown argument '--conf'"),
+    (["--config=CFG", "--out=OUT", "x=1"], "unknown argument 'x=1'"),
+    (["--config", "CFG", "--out"], "--out needs a value"),
+    (["--config", "CFG", "--set"], "--set needs a value"),
+    (["--config", "CFG", "--seed", "abc"], "--seed must be an integer, got 'abc'"),
+    (["--config", "CFG", "--seed=1.5"], "--seed must be an integer, got '1.5'"),
+])
+def test_malformed_command_line_exits_2_naming_the_flag(tmp_path, capsys, args, message):
+    cfg = write_config(tmp_path, {"instance": valid_instance()})
+    out = tmp_path / "out"
+    args = [a.replace("CFG", str(cfg)).replace("OUT", str(out)) for a in args]
+    assert main(["solve", *args]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("usage: gatekeeper") and f"error: {message}" in err
+    assert not out.exists()
+
+
+def test_flag_with_equals_gives_the_same_artifacts_as_flag_then_value(tmp_path):
+    cfg = write_config(tmp_path, {"instance": valid_instance()})
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(["solve", "--config", str(cfg), "--out", str(spaced), "--seed", "7",
+                 "--set", "instance.traffic.q=0.3"]) == EXIT_OK
+    assert main(["solve", f"--config={cfg}", f"--out={joined}", "--seed=7",
+                 "--set=instance.traffic.q=0.3"]) == EXIT_OK
+    names = sorted(p.name for p in spaced.iterdir())
+    assert names == sorted(p.name for p in joined.iterdir())
+    for name in names:
+        assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+
+def test_set_overrides_apply_in_order_and_other_flags_take_the_last(tmp_path):
+    cfg = write_config(tmp_path, {"instance": valid_instance()})
+
+    def run(name, *extra):
+        out = tmp_path / name
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x"), "--out", str(out),
+                     *extra]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    once = run("once", "--set", "instance.traffic.q=0.9", "--seed", "7")
+    twice = run("twice", "--set", "instance.traffic.q=0.1", "--set", "instance.traffic.q=0.9",
+                "--seed", "3", "--seed", "7")
+    swapped = run("swapped", "--set", "instance.traffic.q=0.9", "--set", "instance.traffic.q=0.1",
+                  "--seed", "7")
+    assert twice == once
+    assert swapped["evaluation.csv"] != once["evaluation.csv"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_config_is_validation_failure(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
 

@@ -3,8 +3,13 @@
 pyflakes' F401 check; `__init__.py` re-exports by design and is skipped.
 Every module-level function and class is referenced by package code or
 re-exported from `__init__.py`, so no definition lives on for tests alone;
-methods are the API of their classes and are not checked."""
+methods are the API of their classes and are not checked.  A CLI call
+imports neither argparse nor the gettext and locale modules it pulls in."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gatekeeper"
@@ -80,3 +85,18 @@ def test_checker_flags_an_orphan_and_honours_reexports_and_uses():
         "b.py": "from .a import Exported\ndef attr_use():\n    pass\n",
     }
     assert orphan_definitions(sources) == ["a.py: orphan"]
+
+
+def test_a_cli_call_imports_no_argparse_gettext_or_locale(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"instance": {
+        "profile": {"S": 2, "tau": [6, 15], "rho": [0.7, 1.0]},
+        "econ": {"r": 20.0, "c_w": 2.0, "c_c": 5.0, "tau_w": 3},
+        "traffic": {"q": 0.5, "a": 0.8}}}), encoding="utf-8")
+    out = tmp_path / "out"
+    script = ("import sys\nfrom gatekeeper import cli\n"
+              f"code = cli.main(['wspt', '--config', {str(config)!r}, '--out', {str(out)!r}])\n"
+              "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -252,6 +252,12 @@ class TestEquilibrium:
             DesignPoint(0, "C", 0.3)
         with pytest.raises(ValueError):
             DesignPoint(2, None, 0.3)
+        with pytest.raises(ValueError, match="a rule label or 'OPT', got 'XYZ'"):
+            DesignPoint(2, "XYZ", 0.3)
+        for p in (1.5, 1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match=r"p_succ must lie in \[0, 1\), got"):
+                DesignPoint(2, "C", p)
+        assert DesignPoint(2, "OPT", 0.0).policy == "OPT"
 
 
 class TestOptimizeDesign:

@@ -452,14 +452,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDATION
 
     config_path = Path(opts["--config"])
-    if not config_path.exists():
-        print(f"validation failure: config file {config_path} does not exist", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         config = json.loads(config_path.read_text(encoding="utf-8"))
         if not isinstance(config, dict):
             raise ValidationFailure("the config must be a JSON object")
         config = _apply_overrides(config, opts["--set"])
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"validation failure: cannot read config file {config_path}: {reason}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     except (json.JSONDecodeError, ValidationFailure) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,7 +10,10 @@ every arrival's cycle as if admitted, to the period the agent is free again
 and the arrival it admits next, and Python only walks from one admission to
 the next.  A cycle that runs past the chunk is carried into the next as its
 state, never as its draws, so memory stays within a chunk whatever q, a and
-tau are.  The waiting-room simulator visits only admissions and attempt ends.
+tau are.  The waiting-room simulator steps from decision to decision, except
+while its room stays full: a service that starts as the agent takes the head
+of a full room is fixed by the draws as an admitted customer's cycle is, so
+numpy runs one from every period and Python walks from one to the next.
 Both count idle runs, services, warm waits and the room filling during a
 service from segment lengths, so every report equals, bit for bit, that of a
 loop over every period.  Runs start with a short uncounted warm-up so the
@@ -33,6 +36,9 @@ from .waiting_room import QueueModel, QueuePolicy, evaluate_queue_policy
 N_BATCHES = 32
 WARMUP = 1024  # periods run before counting, to shed the empty-system start
 _CHUNK = 1 << 15
+# a chunk walks full-room services once it and the last chunk have met this
+# many; with fewer, building the row costs more than the walk saves
+_ROW_PAYS = _CHUNK >> 5
 
 # what the waiting-room agent waits for from period `due` on
 _FREE, _PEND, _PEND2 = range(3)
@@ -54,9 +60,12 @@ class SimReport:
 
 
 def _batch_se(per_period: np.ndarray) -> tuple[float, int]:
-    batches = np.array_split(per_period, N_BATCHES)
-    means = np.array([b.mean() for b in batches])
-    return float(means.std(ddof=1) / np.sqrt(len(means))), len(means)
+    # the batches of np.array_split: the first r of k + 1 periods, then k
+    k, r = divmod(len(per_period), N_BATCHES)
+    cut = r * (k + 1)
+    means = np.concatenate([per_period[:cut].reshape(r, k + 1).mean(1),
+                            per_period[cut:].reshape(N_BATCHES - r, k).mean(1)])
+    return float(means.std(ddof=1) / np.sqrt(N_BATCHES)), N_BATCHES
 
 
 def _report(rewards: np.ndarray, seed: int, counts: dict[str, int],
@@ -199,6 +208,44 @@ def simulate_policy(
     return _report(rewards, seed, counts, perf)
 
 
+def _full_room_row(codes: np.ndarray, count: np.ndarray, firsts: np.ndarray, N: int,
+                   tau1: int, tau2: int, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run a full-room service from every period of a chunk.
+
+    A full-room service starts with N - 1 waiting, as the agent takes the head
+    of a full room (for N = 0: as it admits an arrival).  Its first decision
+    sees N waiting if an arrival came in its first tau1 periods and N - 1 if
+    not, so its outcome and its end are fixed by the draws.  The next service
+    is full-room again iff an arrival came during it (N = 0: it is the first
+    arrival from its end on).  Returns each start's key, 4 * (an arrival in
+    the first tau1 periods) + the decision's code, whose entry in `cont` says
+    whether attempt 2 runs, and the next full-room start, or m (the chunk's
+    length) where the room stops being full or the chunk ends first.
+    """
+    m = len(codes)
+    n = max(m - tau1, 0)  # starts whose first decision falls in the chunk
+    n2 = max(n - tau2, 0)  # ... and whose second one does
+    key = np.full(m, 4, dtype=np.uint8)  # N = 0: the admitted arrival
+    if N:
+        np.greater(count[tau1:m], count[:n], out=key[:n])
+        key[:n] *= 4
+    key[:n] += codes[tau1:]
+    second = cont.take(key)
+    if N:  # the service ends at its last decision, the next one starts there
+        first = np.arange(m, dtype=np.int32)
+    else:  # the first arrival at or after each period, m if none
+        first = firsts.take(count[:m])
+    nxt = np.full(m, m, dtype=np.int32)
+    nxt[:n] = first[tau1:m]
+    np.copyto(nxt[:n2], first[tau1 + tau2:m], where=second[:n2])
+    np.copyto(nxt[n2:n], m, where=second[n2:n])
+    if N:  # unless no arrival came: in the first tau1 periods or in attempt 2
+        grew = key >= 4
+        grew[:n2] |= second[:n2] & (count[tau1 + tau2:m] > count[tau1:tau1 + n2])
+        np.copyto(nxt, m, where=~grew)
+    return key, nxt
+
+
 def simulate_queue(
     model: QueueModel, pol: QueuePolicy, horizon: int, seed: int,
     stream: int = 0,
@@ -210,26 +257,36 @@ def simulate_queue(
     q, r, c_c = model.q, model.econ.r, model.econ.c_c
     rho1, tau1, tau2, N = model.rho1, model.tau1, model.tau2, model.N
     transfers = [pol.transfers(k) for k in range(N + 2)]
+    # by the key of a full-room service: whether it transfers after attempt 1
+    # fails, and whether attempt 2 runs (N = 0 has only keys 4 to 7)
+    xfer = np.array([c < 2 and transfers[max(N - 1 + f + c, 0)]
+                     for f in (0, 1) for c in range(4)])
+    cont = np.array([c < 2 for c in range(4)] * 2) & ~xfer
 
     rng = rng_stream(seed, stream)
     rewards = np.zeros(horizon)
     arrivals = admitted = blocked = resolved = transferred = max_queue = 0
     wait, due, n = _FREE, -WARMUP, 0
     grown = -WARMUP  # every arrival before this period has joined or been blocked
+    top = N - 1  # waiting as a full-room service starts
+    met = 0  # full-room services met or walked in the last chunk
 
     t = -WARMUP
     while t < horizon:
         m = min(_CHUNK, horizon - t)
         end = t + m
+        lo = max(0, -t)  # the chunk's first counted period
         u = rng.random((m, 2))
         arrival = u[:, 0] < q
-        code = memoryview(arrival.view(np.int8) + 2 * (u[:, 1] < rho1).view(np.int8))
+        codes = arrival.view(np.uint8) + 2 * (u[:, 1] < rho1).view(np.uint8)
         del u
-        arrivals += int(np.count_nonzero(arrival[max(0, -t):]))
-        at = memoryview(np.append(np.flatnonzero(arrival), m))  # arrival periods, then m
-        arrived = np.zeros(m + 1, dtype=np.int32)  # arrivals before each period
-        np.cumsum(arrival, out=arrived[1:])
-        arrived = memoryview(arrived)
+        arrivals += int(np.count_nonzero(arrival[lo:]))
+        firsts = np.append(np.flatnonzero(arrival), m)  # arrival periods, then m
+        count = np.zeros(m + 1, dtype=np.int32)  # arrivals before each period
+        np.cumsum(arrival, out=count[1:])
+        code, at, arrived = memoryview(codes), memoryview(firsts), memoryview(count)
+        wanted, met, walked = _ROW_PAYS - met, 0, []
+        key = nxt = walk = None  # the full-room row, built once it pays
         while True:
             # While the agent serves, the room only grows: arrivals join it
             # until it is full and are blocked after.
@@ -256,24 +313,60 @@ def simulate_queue(
                     continue
                 admitted += j >= 0
                 due, grown, wait = j + tau1, j + 1, _PEND
-                continue
-            if wait == _PEND and code[i] < 2:  # attempt 1 failed
-                if not transfers[n + code[i]]:
-                    due, wait = due + tau2, _PEND2
+                if N:
                     continue
-                if due >= 0:
-                    rewards[due] = r - c_c
-                    transferred += 1
-            elif due >= 0:
-                rewards[due] = r
-                resolved += 1
-            if n:  # the freed agent takes the head of the room
-                n -= 1
-                due, wait = due + tau1, _PEND
             else:
-                wait = _FREE
+                if wait == _PEND and code[i] < 2:  # attempt 1 failed
+                    if not transfers[n + code[i]]:
+                        due, wait = due + tau2, _PEND2
+                        continue
+                    if due >= 0:
+                        rewards[due] = r - c_c
+                        transferred += 1
+                elif due >= 0:
+                    rewards[due] = r
+                    resolved += 1
+                if not n:
+                    wait = _FREE
+                    continue
+                n -= 1  # the freed agent takes the head of the room
+                due, wait = due + tau1, _PEND
+                if n < top:
+                    continue
+            # A full-room service starts.  Once the row pays, walk from it
+            # while each successor is full-room too; the last service, which
+            # leaves the full room or the chunk, runs decision by decision.
+            if walk is None:
+                met += 1
+                if met < wanted:
+                    continue
+                key, nxt = _full_room_row(codes, count, firsts, N, tau1, tau2, cont)
+                walk = memoryview(nxt)
+            i = due - tau1 - t
+            if i < lo:
+                continue
+            k, j = i, walk[i]
+            while j < m:
+                walked.append(k)
+                k, j = j, walk[j]
+            due, grown = t + k + tau1, t + k + (not N)
+
+        if walked:  # each walked service admits one arrival and blocks the rest
+            w = np.array(walked, dtype=np.int32)
+            kw = key[w]
+            x = xfer[kw]
+            rewards[t + tau1 + w + tau2 * cont[kw]] = np.where(x, r - c_c, r)
+            nx = int(np.count_nonzero(x))
+            transferred += nx
+            resolved += len(w) - nx
+            admitted += len(w)
+            blocked += int((count[nxt[w]] - count[w]).sum()) - len(w)
+            max_queue = max(max_queue, N)
+            met += len(w)
+            del w, kw, x
         t = end
-        del arrival, code, at, arrived
+        # drop the chunk's arrays before the next draw, so no two chunks' coexist
+        del arrival, codes, firsts, count, code, at, arrived, key, nxt, walk, walked
 
     counts = {
         "arrivals": arrivals,

@@ -104,6 +104,21 @@ def test_missing_config_is_validation_failure(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.json")]) == EXIT_VALIDATION
 
 
+def test_config_path_naming_a_directory_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the empty path reads as the working directory
+    assert main(["solve", "--config", "", "--out", "out"]) == EXIT_VALIDATION
+    assert "cannot read config file .: Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b"\xff\xfe")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert f"cannot read config file {cfg}: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_happy_path(tmp_path):
     code, out = run_cli(tmp_path, "solve", {"instance": valid_instance()})
     assert code == EXIT_OK

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gatekeeper import (
@@ -19,7 +20,7 @@ from gatekeeper import (
     simulate_queue,
     uniform_policy,
 )
-from gatekeeper.simulate import _CHUNK
+from gatekeeper.simulate import _CHUNK, _batch_se
 
 from conftest import random_instance, random_policy
 from period_sim import simulate_policy_periods, simulate_queue_periods
@@ -75,6 +76,13 @@ def test_degenerate_instance_has_zero_standard_error():
     rep = simulate_policy(inst, StationaryPolicy(()), 64_000, seed=0)
     assert rep.se == 0.0
     assert rep.mean == 7.0
+
+
+@pytest.mark.parametrize("horizon", [32, 33, 63, 1025, 250_000])
+def test_batch_se_equals_array_split_batches(horizon):
+    rewards = np.random.default_rng(horizon).random(horizon) * 20.0
+    means = np.array([b.mean() for b in np.array_split(rewards, 32)])
+    assert _batch_se(rewards) == (float(means.std(ddof=1) / np.sqrt(32)), 32)
 
 
 def test_batch_count_at_least_thirty():
@@ -152,6 +160,15 @@ def test_memory_is_bounded_by_a_chunk_when_a_wait_outlasts_the_run():
         tracemalloc.stop()
     assert rep.counts["warm"] > 0
     assert peak - 8 * horizon < 4_000_000  # beyond the rewards array
+    # the waiting room walks full rooms over rows of one chunk too
+    tracemalloc.start()
+    try:
+        rep = simulate_queue(default_queue_model(N=0, q=0.9), QueuePolicy.never(), horizon, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.counts["blocked"] > rep.counts["admitted"] > 0
+    assert peak - 8 * horizon < 4_000_000
 
 
 def test_degenerate_instance_equals_period_oracle():
@@ -166,15 +183,40 @@ def test_degenerate_instance_equals_period_oracle():
         assert rep.se == 0.0
 
 
+def queue_model(N, q, tau=(6, 15), rho1=0.7):
+    return replace(default_queue_model(N=N, q=q), profile=ResolutionProfile(tau, (rho1, 1.0)))
+
+
+def queue_cases(N):
+    """(model, policies or None for all, horizons) to hold against the oracle."""
+    cases = [
+        (queue_model(N, 0.3 + 0.1 * N), None, HORIZONS),
+        (queue_model(N, 1.0, (1, 1)), None, HORIZONS),
+        # a full room carried across chunk boundaries, services of random length
+        (queue_model(N, 0.9), [QueuePolicy.never()], (LONG,)),
+        (queue_model(N, 0.6, (1, 4)), [QueuePolicy.never(), QueuePolicy.always()], HORIZONS[-1:]),
+        (queue_model(N, 0.5, rho1=1e-3), [QueuePolicy.always(), QueuePolicy(N)], HORIZONS[-1:]),
+        (queue_model(N, 0.5, rho1=1 - 1e-3), [QueuePolicy(N // 2)], HORIZONS[-1:]),
+        # loads at which the room fills only now and then
+        (queue_model(N, 0.171), [QueuePolicy.always()], (LONG,)),
+        (queue_model(N, 0.061), [QueuePolicy(N)], HORIZONS[-1:]),
+    ]
+    if N == 0:
+        cases.append((queue_model(0, 0.999), None, (LONG,)))
+    return cases
+
+
 @pytest.mark.parametrize("N", range(7))
-def test_queue_equals_period_oracle(N):
-    for tau, q in (((6, 15), 0.3 + 0.1 * N), ((1, 1), 1.0)):
-        model = replace(default_queue_model(N=N, q=q),
-                        profile=ResolutionProfile(tau, (0.7, 1.0)))
-        for pol in admissible_queue_policies(model):
-            for horizon in HORIZONS:
-                assert (simulate_queue(model, pol, horizon, seed=N, stream=1)
-                        == simulate_queue_periods(model, pol, horizon, seed=N, stream=1))
+def test_queue_equals_period_oracle(N, monkeypatch):
+    for model, pols, horizons in queue_cases(N):
+        for pol in pols or admissible_queue_policies(model):
+            for horizon in horizons:
+                want = simulate_queue_periods(model, pol, horizon, seed=N, stream=1)
+                assert simulate_queue(model, pol, horizon, seed=N, stream=1) == want
+                # and with full-room services walked from the first one on
+                with monkeypatch.context() as patch:
+                    patch.setattr("gatekeeper.simulate._ROW_PAYS", 0)
+                    assert simulate_queue(model, pol, horizon, seed=N, stream=1) == want
 
 
 def test_queue_full_from_warm_up_records_no_live_join():

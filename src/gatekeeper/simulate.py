@@ -36,8 +36,12 @@ from .waiting_room import QueueModel, QueuePolicy, evaluate_queue_policy
 N_BATCHES = 32
 WARMUP = 1024  # periods run before counting, to shed the empty-system start
 _CHUNK = 1 << 15
-# a chunk walks full-room services once it and the last chunk have met this
-# many; with fewer, building the row costs more than the walk saves
+# A chunk walks full-room services once it and the last chunk have met this
+# many.  On a 2-core x86 VM the row costs 0.14-0.29 ms a chunk and a walked
+# service saves about 0.38 us of stepping, so the row pays from some 400-800
+# walked services a chunk; built at a chunk's first full-room service, it made
+# criterion 9's lightest rooms (50-130 full-room services a chunk) 8-11 %
+# slower than stepping them (BENCH_33.json, "row_threshold").
 _ROW_PAYS = _CHUNK >> 5
 
 # what the waiting-room agent waits for from period `due` on
@@ -209,7 +213,7 @@ def simulate_policy(
 
 
 def _full_room_row(codes: np.ndarray, count: np.ndarray, firsts: np.ndarray, N: int,
-                   tau1: int, tau2: int, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   tau1: int, tau2: int, runs2: int) -> tuple[np.ndarray, ...]:
     """Run a full-room service from every period of a chunk.
 
     A full-room service starts with N - 1 waiting, as the agent takes the head
@@ -218,32 +222,27 @@ def _full_room_row(codes: np.ndarray, count: np.ndarray, firsts: np.ndarray, N: 
     not, so its outcome and its end are fixed by the draws.  The next service
     is full-room again iff an arrival came during it (N = 0: it is the first
     arrival from its end on).  Returns each start's key, 4 * (an arrival in
-    the first tau1 periods) + the decision's code, whose entry in `cont` says
-    whether attempt 2 runs, and the next full-room start, or m (the chunk's
-    length) where the room stops being full or the chunk ends first.
+    the first tau1 periods) + the decision's code, whose bit in `runs2` says
+    whether attempt 2 runs; its last decision period, or m (the chunk's
+    length) if that falls past the chunk; and the next full-room start, or m
+    where the room stops being full or the chunk ends first.
     """
     m = len(codes)
     n = max(m - tau1, 0)  # starts whose first decision falls in the chunk
-    n2 = max(n - tau2, 0)  # ... and whose second one does
     key = np.full(m, 4, dtype=np.uint8)  # N = 0: the admitted arrival
     if N:
         np.greater(count[tau1:m], count[:n], out=key[:n])
         key[:n] *= 4
     key[:n] += codes[tau1:]
-    second = cont.take(key)
-    if N:  # the service ends at its last decision, the next one starts there
-        first = np.arange(m, dtype=np.int32)
-    else:  # the first arrival at or after each period, m if none
-        first = firsts.take(count[:m])
-    nxt = np.full(m, m, dtype=np.int32)
-    nxt[:n] = first[tau1:m]
-    np.copyto(nxt[:n2], first[tau1 + tau2:m], where=second[:n2])
-    np.copyto(nxt[n2:n], m, where=second[n2:n])
-    if N:  # unless no arrival came: in the first tau1 periods or in attempt 2
-        grew = key >= 4
-        grew[:n2] |= second[:n2] & (count[tau1 + tau2:m] > count[tau1:tau1 + n2])
-        np.copyto(nxt, m, where=~grew)
-    return key, nxt
+    last = np.arange(tau1, m + tau1, dtype=np.int32)
+    last += np.int32(tau2) * (np.right_shift(np.uint8(runs2), key) & 1)
+    np.minimum(last, m, out=last)
+    seen = count.take(last)  # arrivals before the last decision
+    if N:  # the service ends at its last decision, unless no arrival came in it
+        nxt = np.where(seen > count[:m], last, m)
+    else:  # the first arrival at or after its last decision, m if none
+        nxt = firsts.take(seen)
+    return key, last, nxt
 
 
 def simulate_queue(
@@ -251,17 +250,24 @@ def simulate_queue(
     stream: int = 0,
 ) -> SimReport:
     """Simulate the waiting-room channel over its per-period draws."""
+    return _simulate_queue(model, pol, horizon, seed, stream, _ROW_PAYS)
+
+
+def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int,
+                    stream: int, row_pays: int) -> SimReport:
+    """`simulate_queue`, walking full rooms once `row_pays` full-room services pay for the row."""
     if horizon < N_BATCHES:
         raise ValueError(f"horizon must be at least {N_BATCHES}")
 
     q, r, c_c = model.q, model.econ.r, model.econ.c_c
     rho1, tau1, tau2, N = model.rho1, model.tau1, model.tau2, model.N
     transfers = [pol.transfers(k) for k in range(N + 2)]
-    # by the key of a full-room service: whether it transfers after attempt 1
-    # fails, and whether attempt 2 runs (N = 0 has only keys 4 to 7)
+    # by the key k of a full-room service: whether it transfers after attempt
+    # 1 fails, and bit k of runs2: whether attempt 2 runs (N = 0 has only keys
+    # 4 to 7)
     xfer = np.array([c < 2 and transfers[max(N - 1 + f + c, 0)]
                      for f in (0, 1) for c in range(4)])
-    cont = np.array([c < 2 for c in range(4)] * 2) & ~xfer
+    runs2 = sum(1 << k for k in range(8) if k % 4 < 2 and not xfer[k])
 
     rng = rng_stream(seed, stream)
     rewards = np.zeros(horizon)
@@ -281,12 +287,12 @@ def simulate_queue(
         codes = arrival.view(np.uint8) + 2 * (u[:, 1] < rho1).view(np.uint8)
         del u
         arrivals += int(np.count_nonzero(arrival[lo:]))
-        firsts = np.append(np.flatnonzero(arrival), m)  # arrival periods, then m
+        firsts = np.append(np.flatnonzero(arrival), m).astype(np.int32)  # arrivals, then m
         count = np.zeros(m + 1, dtype=np.int32)  # arrivals before each period
         np.cumsum(arrival, out=count[1:])
         code, at, arrived = memoryview(codes), memoryview(firsts), memoryview(count)
-        wanted, met, walked = _ROW_PAYS - met, 0, []
-        key = nxt = walk = None  # the full-room row, built once it pays
+        wanted, met, walked = row_pays - met, 0, []
+        key = last = nxt = walk = None  # the full-room row, built once it pays
         while True:
             # While the agent serves, the room only grows: arrivals join it
             # until it is full and are blocked after.
@@ -333,14 +339,14 @@ def simulate_queue(
                 due, wait = due + tau1, _PEND
                 if n < top:
                     continue
-            # A full-room service starts.  Once the row pays, walk from it
-            # while each successor is full-room too; the last service, which
-            # leaves the full room or the chunk, runs decision by decision.
+            # A full-room service starts: walk from it while each successor
+            # is full-room too; the last service, which leaves the full room
+            # or the chunk, runs decision by decision.
             if walk is None:
                 met += 1
                 if met < wanted:
                     continue
-                key, nxt = _full_room_row(codes, count, firsts, N, tau1, tau2, cont)
+                key, last, nxt = _full_room_row(codes, count, firsts, N, tau1, tau2, runs2)
                 walk = memoryview(nxt)
             i = due - tau1 - t
             if i < lo:
@@ -353,20 +359,19 @@ def simulate_queue(
 
         if walked:  # each walked service admits one arrival and blocks the rest
             w = np.array(walked, dtype=np.int32)
-            kw = key[w]
-            x = xfer[kw]
-            rewards[t + tau1 + w + tau2 * cont[kw]] = np.where(x, r - c_c, r)
+            x = xfer[key[w]]
+            rewards[t + last[w]] = np.where(x, r - c_c, r)
             nx = int(np.count_nonzero(x))
             transferred += nx
             resolved += len(w) - nx
             admitted += len(w)
-            blocked += int((count[nxt[w]] - count[w]).sum()) - len(w)
+            blocked += int((count[last[w]] - count[w]).sum()) - len(w)
             max_queue = max(max_queue, N)
             met += len(w)
-            del w, kw, x
+            del w, x
         t = end
         # drop the chunk's arrays before the next draw, so no two chunks' coexist
-        del arrival, codes, firsts, count, code, at, arrived, key, nxt, walk, walked
+        del arrival, codes, firsts, count, code, at, arrived, key, last, nxt, walk, walked
 
     counts = {
         "arrivals": arrivals,

@@ -20,7 +20,7 @@ from gatekeeper import (
     simulate_queue,
     uniform_policy,
 )
-from gatekeeper.simulate import _CHUNK, _batch_se
+from gatekeeper.simulate import _CHUNK, _batch_se, _simulate_queue
 
 from conftest import random_instance, random_policy
 from period_sim import simulate_policy_periods, simulate_queue_periods
@@ -207,16 +207,14 @@ def queue_cases(N):
 
 
 @pytest.mark.parametrize("N", range(7))
-def test_queue_equals_period_oracle(N, monkeypatch):
+def test_queue_equals_period_oracle(N):
     for model, pols, horizons in queue_cases(N):
         for pol in pols or admissible_queue_policies(model):
             for horizon in horizons:
                 want = simulate_queue_periods(model, pol, horizon, seed=N, stream=1)
                 assert simulate_queue(model, pol, horizon, seed=N, stream=1) == want
                 # and with full-room services walked from the first one on
-                with monkeypatch.context() as patch:
-                    patch.setattr("gatekeeper.simulate._ROW_PAYS", 0)
-                    assert simulate_queue(model, pol, horizon, seed=N, stream=1) == want
+                assert _simulate_queue(model, pol, horizon, N, 1, row_pays=0) == want
 
 
 def test_queue_full_from_warm_up_records_no_live_join():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -34,7 +35,7 @@ from .model import (
     instance_from_json,
     policy_from_names,
 )
-from .simulate import cross_validate
+from .simulate import WARMUP, validate_target
 from .solve import (
     EnumerationCapError,
     backward_induction,
@@ -56,6 +57,18 @@ class ValidationFailure(Exception):
 
 class ConvergenceFailure(Exception):
     pass
+
+
+@contextmanager
+def _fit(what: str, n_floats: int):
+    """Run work that holds at least `n_floats` floats.  Past any float array,
+    or out of memory, it fails validation: "{what} do not fit in memory"."""
+    try:
+        if n_floats > sys.maxsize // 8:
+            raise MemoryError
+        yield
+    except MemoryError:
+        raise ValidationFailure(f"{what} do not fit in memory") from None
 
 
 @dataclass
@@ -148,12 +161,8 @@ def _run_stationarity(cfg: RunConfig) -> list[str]:
         raise ValidationFailure(f"write_values must be true or false, got {write_values!r}")
     terms = (zero_terminals(inst) if terminals == "zero"
              else stationary_terminals(solve_average_reward(inst)[1]))
-    try:
-        if 2 * (T + 1) * n_states(inst.S) > sys.maxsize // 8:
-            raise MemoryError   # up to 2 (T + 1) rows of values: past any float array
+    with _fit(f"T = {T} is too long a horizon: its values", 2 * (T + 1) * n_states(inst.S)):
         sol, = backward_induction([inst], T, [terms])
-    except MemoryError:
-        raise ValidationFailure(f"T = {T} is too long a horizon: its values do not fit in memory") from None
     stationary, first = verify_stationarity(sol)
 
     acts = np.array(("continue", "warm", "cold"))[sol.argmax[1:].ravel()]
@@ -205,7 +214,9 @@ def _run_threshold_study(cfg: RunConfig) -> list[str]:
     if not s_list:
         raise ValidationFailure("S_list must list at least one S")
     s_list = [as_int(s, "S_list entry") for s in s_list]
-    report = structure.run_heuristic_study(gen_cfg, n, s_list)
+    # a block of n instances, 2 S + 6 floats each
+    with _fit(f"n_instances = {n} is too large: its instances", n * (2 * max(s_list) + 6)):
+        report = structure.run_heuristic_study(gen_cfg, n, s_list)
     rows = [
         (row.S, row.n_instances, row.frac_threshold_opt, row.mean_gap_pct,
          row.max_gap_pct, row.seed_lo, row.seed_hi)
@@ -249,27 +260,32 @@ def _q_grid(config: dict) -> list[float]:
     if isinstance(grid, list):
         if not grid:
             raise ValidationFailure("q_grid must list at least one q")
-        values = [as_real(v, "q_grid entry") for v in grid]
-    else:
-        check_keys(grid, "q_grid", _Q_GRID)
-        start, stop, step = (as_real(grid.get(k, v), f"q_grid.{k}") for k, v in _Q_GRID.items())
-        if step <= 0:
-            raise ValidationFailure(f"q_grid.step must be positive, got {step}")
-        if start > stop:
-            raise ValidationFailure(f"q_grid.start {start} exceeds q_grid.stop {stop}")
-        # start + i step up to stop, which round-off may put a hair past a step
-        n = math.floor((stop - start) / step + 1e-9) + 1
-        values = [round(start + i * step, 10) for i in range(n)]
-    bad = [v for v in values if not 0.0 < v <= 1.0]
-    if bad:
-        raise ValidationFailure(f"q_grid values must lie in (0, 1], got {bad[0]}")
-    return values
+        return [as_real(v, "q_grid entry") for v in grid]
+    check_keys(grid, "q_grid", _Q_GRID)
+    start, stop, step = (as_real(grid.get(k, v), f"q_grid.{k}") for k, v in _Q_GRID.items())
+    if step <= 0:
+        raise ValidationFailure(f"q_grid.step must be positive, got {step}")
+    if start > stop:
+        raise ValidationFailure(f"q_grid.start {start} exceeds q_grid.stop {stop}")
+    # start + i step up to stop, which round-off may put a hair past a step
+    n = math.floor((stop - start) / step + 1e-9) + 1
+    return [round(start + i * step, 10) for i in range(n)]
+
+
+def _room(model: waiting_room.QueueModel, lanes: int) -> tuple[str, int]:
+    """The waiting room by its N and tau, and at least the floats of its solve
+    over `lanes` (policy, q) lanes: level blocks and a π each, of tau1 + tau2 + 1 phases a level."""
+    m = model.tau1 + model.tau2 + 1
+    return (f"the waiting room of N = {model.N} and tau = {list(model.profile.tau)}",
+            (model.N + 1) * m * (6 * (m + 1) + lanes))
 
 
 def _run_queue_sweep(cfg: RunConfig) -> list[str]:
     model = _load_queue_model(cfg.config)
     grid = _q_grid(cfg.config)
-    sweep = waiting_room.sweep_queue_policies(model, grid)
+    room, floats = _room(model, (model.N + 2) * len(grid))
+    with _fit(f"{room} is too large: its chains over {len(grid)} q", floats):
+        sweep = waiting_room.sweep_queue_policies(model, grid)
     comments = _comments(cfg) + [
         f"policies={len(sweep.policies)} q_points={len(sweep.q_grid)}"
     ]
@@ -290,7 +306,9 @@ def _run_design(cfg: RunConfig) -> list[str]:
                                                  fixed="p_succ"))
     if cfg.config.get("wage") is not None:
         inst = replace(inst, econ=replace(inst.econ, c_wage=as_real(cfg.config["wage"], "wage")))
-    search = mkt.optimize_design(inst, market, prefs, bot)
+    cells = market.k_max * len(market.p_grid)   # at least; each a row of design.csv, 12 columns
+    with _fit(f"k_max = {market.k_max} is too large: its design cells", 12 * cells):
+        search = mkt.optimize_design(inst, market, prefs, bot)
     grid = search.grid
     write_columns(cfg.out_dir / "design.csv",
                   ("k", "policy", "p_succ", "profit", "q_agent", "q_bot",
@@ -338,21 +356,20 @@ def _run_simulate(cfg: RunConfig) -> list[str]:
             targets.append((_load_queue_model(spec), waiting_room.queue_policy_from_label(policy)))
     if not targets:
         raise ValidationFailure("config must list at least one target")
-    try:
-        if horizon > sys.maxsize // 8:
-            raise MemoryError   # past any float array
-        reports = cross_validate(targets, horizon, seed)
-    except MemoryError:
-        raise ValidationFailure(f"horizon = {horizon} is too long: its rewards do not fit in memory") from None
-    rows = [
-        (rep.index, rep.kind, rep.analytic, rep.mean, rep.se, rep.passed)
-        for rep in reports
-    ]
+    rows = []
+    for i, (subject, pol) in enumerate(targets):
+        # a target holds its rewards and, for a waiting room, its chain: name the larger
+        room, floats = _room(subject, 1) if isinstance(subject, waiting_room.QueueModel) else ("", 0)
+        what = (f"horizon = {horizon} is too long: its rewards" if WARMUP + horizon >= floats
+                else f"target {i}, {room}, is too large: its chain's arrays")
+        with _fit(what, max(WARMUP + horizon, floats)):
+            rep = validate_target(i, (subject, pol), horizon, seed)
+        rows.append((i, rep.kind, rep.analytic, rep.mean, rep.se, rep.passed))
     write_csv(cfg.out_dir / "sim.csv",
               ("target", "kind", "analytic", "mean", "se", "pass_3sigma"),
               rows, _comments(cfg))
-    n_pass = sum(rep.passed for rep in reports)
-    print(f"cross-validation: {n_pass}/{len(reports)} targets within 3 sigma")
+    n_pass = sum(row[-1] for row in rows)
+    print(f"cross-validation: {n_pass}/{len(rows)} targets within 3 sigma")
     return ["sim.csv"]
 
 

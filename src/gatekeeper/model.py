@@ -398,6 +398,8 @@ class GeneratorConfig:
             object.__setattr__(self, name, pair)
             if lo > hi:
                 raise ValueError(f"{name} is empty: {lo} > {hi}")
+            if read is as_int and hi >= 2**63:   # drawn as int64
+                raise ValueError(f"{name} bounds must lie below 2**63, got {hi}")
         if self.tau_range[0] < 1 or self.tau_w_range[0] < 1:
             raise ValueError("processing times must be >= 1")
         if not (0.0 < self.rho_range[0] and self.rho_range[1] <= 1.0):
@@ -512,16 +514,16 @@ def _draw_block(cfg: GeneratorConfig, seeds: Sequence[int]) -> InstanceBlock:
     """The lanes of `seeds` as drawn, their invariants unchecked (see
     `generate_block`); the seeds' range is checked once for the block."""
     S, n = cfg.S, len(seeds)
+    # numpy's wider routes fill these: held before the seeds' scan, a block past memory fails at once
+    tau, u, tau_w = np.empty((n, S), np.int64), np.empty((n, S + 4)), np.empty(n, np.int64)
+    redo = np.ones(n, bool)
     if n:
         as_seed(min(seeds))
         as_seed(max(seeds))
     bits = np.random.Philox(0)
     (t_lo, t_hi), (w_lo, w_hi) = cfg.tau_range, cfg.tau_w_range
-    if max(t_hi - t_lo, w_hi - w_lo) < 2**32 - 1 and max(t_hi, w_hi) < 2**63:
+    if max(t_hi - t_lo, w_hi - w_lo) < 2**32 - 1:
         tau, u, tau_w, redo = _draw_words(bits, cfg, seeds)
-    else:   # numpy's wider routes, and bounds beyond int64 that it rejects
-        tau, u, tau_w = np.empty((n, S), np.int64), np.empty((n, S + 4)), np.empty(n, np.int64)
-        redo = np.ones(n, bool)
     gen = np.random.Generator(bits)
     for i in np.flatnonzero(redo).tolist():
         bits.state = _philox_state(seeds[i])

@@ -16,11 +16,11 @@ of a full room is fixed by the draws as an admitted customer's cycle is, so
 numpy runs one from every period and Python walks from one to the next.
 Both count idle runs, services, warm waits and the room filling during a
 service from segment lengths, so every report equals, bit for bit, that of a
-loop over every period.  Runs start with a short uncounted warm-up so the
-empty-system start does not bias the estimates; standard errors come from
-batch means over at least 30 equal batches.  All randomness flows through the
-shared counter-based RNG family keyed by (seed, stream), so seeds are portable
-across modules and parallel targets never collide.
+loop over every period.  Runs start with a warm-up, drawn as the first chunk
+and its counts and rewards dropped, so the empty-system start does not bias
+the estimates; standard errors come from batch means over at least 30 equal
+batches.  All randomness comes from the counter-based RNG family keyed by
+(seed, stream) that every module shares, so parallel targets never collide.
 """
 from __future__ import annotations
 
@@ -108,19 +108,19 @@ def simulate_policy(
     ], dtype=np.int8)
 
     rng = rng_stream(seed, stream)
-    rewards = np.zeros(horizon)
-    tally = np.zeros(4, dtype=np.int64)  # live decision periods by outcome
-    arrivals = admitted = occupied = 0
+    rewards = np.zeros(WARMUP + horizon)
     # The customer carried into a chunk, by the code of its last outcome: in
     # service, with attempt x's decision in period `due` (0, continue); held
     # for an expert, its warm outcome recorded (1); or gone, the agent free
     # from `due` on (2).
-    o, x, due = 2, 0, -WARMUP
+    o, x, due = 2, 0, 0
 
-    t = -WARMUP
-    while t < horizon:
-        m = min(_CHUNK, horizon - t)
-        lo = max(0, -t)  # the chunk's first counted period
+    t = 0
+    while t < len(rewards):
+        if t in (0, WARMUP):  # the counts start, and start again after the warm-up
+            tally = np.zeros(4, dtype=np.int64)  # decision periods by outcome
+            arrivals = admitted = occupied = 0
+        m = min(_CHUNK, len(rewards) - t) if t else WARMUP
         u = rng.random((m, 3))
         arrival = u[:, 0] < q
         avail = u[:, 1] < a
@@ -130,7 +130,7 @@ def simulate_policy(
         for level in levels[:-1]:
             code += resolution >= level
         code = 4 * code + 2 * avail.view(np.uint8) + arrival
-        arrivals += int(np.count_nonzero(arrival[lo:]))
+        arrivals += int(np.count_nonzero(arrival))
         J = np.flatnonzero(arrival)
         arrived = np.zeros(m + 1, dtype=np.intp)  # arrivals before each period
         np.cumsum(arrival, out=arrived[1:])
@@ -171,12 +171,10 @@ def simulate_policy(
 
         # the agent is busy from each admission (lane 0: the chunk's start) to F
         starts = J[path[1:] - 1]
-        admitted += int(np.count_nonzero(starts >= lo))
-        occupied += int(np.maximum(np.minimum(F[path], m), lo).sum()
-                        - np.maximum(starts, lo).sum() - lo)
+        admitted += len(starts)
+        occupied += int(np.minimum(F[path], m).sum() - starts.sum())
         # a carried outcome was recorded in its own chunk
         ended = path[O[path] != 0][1 if o else 0:]
-        ended = ended[D[ended] >= lo]
         rewards[t + D[ended]] = pay[O[ended]]
         tally += np.bincount(O[ended], minlength=4)
 
@@ -209,7 +207,7 @@ def simulate_policy(
         "cold": cold,
         "occupied_periods": occupied,
     }
-    return _report(rewards, seed, counts, perf)
+    return _report(rewards[WARMUP:], seed, counts, perf)
 
 
 def _full_room_row(codes: np.ndarray, count: np.ndarray, firsts: np.ndarray, N: int,
@@ -270,23 +268,23 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
     runs2 = sum(1 << k for k in range(8) if k % 4 < 2 and not xfer[k])
 
     rng = rng_stream(seed, stream)
-    rewards = np.zeros(horizon)
-    arrivals = admitted = blocked = resolved = transferred = max_queue = 0
-    wait, due, n = _FREE, -WARMUP, 0
-    grown = -WARMUP  # every arrival before this period has joined or been blocked
+    rewards = np.zeros(WARMUP + horizon)
+    wait, due, n = _FREE, 0, 0
+    grown = 0  # every arrival before this period has joined or been blocked
     top = N - 1  # waiting as a full-room service starts
     met = 0  # full-room services met or walked in the last chunk
 
-    t = -WARMUP
-    while t < horizon:
-        m = min(_CHUNK, horizon - t)
+    t = 0
+    while t < len(rewards):
+        if t in (0, WARMUP):  # the counts start, and start again after the warm-up
+            arrivals = admitted = resolved = transferred = max_queue = 0
+        m = min(_CHUNK, len(rewards) - t) if t else WARMUP
         end = t + m
-        lo = max(0, -t)  # the chunk's first counted period
         u = rng.random((m, 2))
         arrival = u[:, 0] < q
         codes = arrival.view(np.uint8) + 2 * (u[:, 1] < rho1).view(np.uint8)
         del u
-        arrivals += int(np.count_nonzero(arrival[lo:]))
+        arrivals += int(np.count_nonzero(arrival))
         firsts = np.append(np.flatnonzero(arrival), m).astype(np.int32)  # arrivals, then m
         count = np.zeros(m + 1, dtype=np.int32)  # arrivals before each period
         np.cumsum(arrival, out=count[1:])
@@ -297,18 +295,15 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
             # While the agent serves, the room only grows: arrivals join it
             # until it is full and are blocked after.
             stop = due if due < end else end
-            while grown < stop:
-                cut = 0 if grown < 0 < stop else stop  # counting starts at 0
-                joining = arrived[cut - t] - arrived[grown - t]
+            if grown < stop:
+                joining = arrived[stop - t] - arrived[grown - t]
                 if joining:
                     room = n + joining if n + joining < N else N
-                    if grown >= 0:
-                        admitted += room - n
-                        blocked += n + joining - room
-                        if room > n and room > max_queue:
-                            max_queue = room
+                    admitted += room - n
+                    if room > n and room > max_queue:
+                        max_queue = room
                     n = room
-                grown = cut
+                grown = stop
             if due >= end:
                 break
             i = due - t
@@ -317,7 +312,7 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
                 if j == end:
                     due = grown = end
                     continue
-                admitted += j >= 0
+                admitted += 1
                 due, grown, wait = j + tau1, j + 1, _PEND
                 if N:
                     continue
@@ -326,10 +321,9 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
                     if not transfers[n + code[i]]:
                         due, wait = due + tau2, _PEND2
                         continue
-                    if due >= 0:
-                        rewards[due] = r - c_c
-                        transferred += 1
-                elif due >= 0:
+                    rewards[due] = r - c_c
+                    transferred += 1
+                else:
                     rewards[due] = r
                     resolved += 1
                 if not n:
@@ -349,7 +343,7 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
                 key, last, nxt = _full_room_row(codes, count, firsts, N, tau1, tau2, runs2)
                 walk = memoryview(nxt)
             i = due - tau1 - t
-            if i < lo:
+            if i < 0:  # the service began in the last chunk
                 continue
             k, j = i, walk[i]
             while j < m:
@@ -357,7 +351,7 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
                 k, j = j, walk[j]
             due, grown = t + k + tau1, t + k + (not N)
 
-        if walked:  # each walked service admits one arrival and blocks the rest
+        if walked:  # each walked service admits one arrival
             w = np.array(walked, dtype=np.int32)
             x = xfer[key[w]]
             rewards[t + last[w]] = np.where(x, r - c_c, r)
@@ -365,7 +359,6 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
             transferred += nx
             resolved += len(w) - nx
             admitted += len(w)
-            blocked += int((count[last[w]] - count[w]).sum()) - len(w)
             max_queue = max(max_queue, N)
             met += len(w)
             del w, x
@@ -376,12 +369,12 @@ def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int
     counts = {
         "arrivals": arrivals,
         "admitted": admitted,
-        "blocked": blocked,
+        "blocked": arrivals - admitted,
         "resolved": resolved,
         "transferred": transferred,
         "max_queue": max_queue,
     }
-    return _report(rewards, seed, counts)
+    return _report(rewards[WARMUP:], seed, counts)
 
 
 Target = Union[
@@ -403,26 +396,24 @@ class CrossValidation:
 def cross_validate(
     targets: Sequence[Target], horizon: int, seed: int
 ) -> list[CrossValidation]:
-    """Check each analytic rate against its simulator at three sigma.
+    """Check each analytic rate against its simulator at three sigma, target
+    i on the independent stream (seed, i): `validate_target`."""
+    return [validate_target(i, target, horizon, seed) for i, target in enumerate(targets)]
 
-    Target i simulates on the independent stream (seed, i).  A target with
-    zero standard error passes only on exact agreement.
-    """
-    out = []
-    for i, (subject, pol) in enumerate(targets):
-        if isinstance(subject, ProblemInstance):
-            analytic = evaluate_policy(subject, pol).R
-            rep = simulate_policy(subject, pol, horizon, seed, stream=i)
-            kind = "channel"
-        elif isinstance(subject, QueueModel):
-            analytic = evaluate_queue_policy(subject, pol).profit
-            rep = simulate_queue(subject, pol, horizon, seed, stream=i)
-            kind = "queue"
-        else:
-            raise TypeError(f"unsupported target type {type(subject)!r}")
-        passed = abs(analytic - rep.mean) <= 3.0 * rep.se
-        out.append(
-            CrossValidation(index=i, kind=kind, analytic=analytic,
-                            mean=rep.mean, se=rep.se, passed=passed)
-        )
-    return out
+
+def validate_target(index: int, target: Target, horizon: int, seed: int) -> CrossValidation:
+    """Target `index` of `cross_validate`, simulated on the stream (seed,
+    index).  A target with zero standard error passes only on exact agreement."""
+    subject, pol = target
+    if isinstance(subject, ProblemInstance):
+        analytic = evaluate_policy(subject, pol).R
+        rep = simulate_policy(subject, pol, horizon, seed, stream=index)
+        kind = "channel"
+    elif isinstance(subject, QueueModel):
+        analytic = evaluate_queue_policy(subject, pol).profit
+        rep = simulate_queue(subject, pol, horizon, seed, stream=index)
+        kind = "queue"
+    else:
+        raise TypeError(f"unsupported target type {type(subject)!r}")
+    return CrossValidation(index=index, kind=kind, analytic=analytic, mean=rep.mean, se=rep.se,
+                           passed=abs(analytic - rep.mean) <= 3.0 * rep.se)

@@ -388,8 +388,8 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
     in the rates, where it transfers at Q = w + b, and the continuing one
     elsewhere.  Only a policy's `transfers` and `label` are read, so any set
     of Q will do.  Every interior q of every policy is a lane of one solve.
-    The rate rows are weighted by q once per block of q for all policies,
-    and each policy puts in its own row j1 before its product with π."""
+    The rate rows are weighted by every q at once for all policies, and each
+    policy puts in its own row j1 before its product with π."""
     phases, A, rates = _level_blocks(model)
     L, m, j1 = model.N + 1, len(phases), model.tau1 - 1
     transfers = np.array([[[pol.transfers(w + b) for b in (0, 1)] for w in range(L)] for pol in pols])
@@ -407,15 +407,13 @@ def _evaluate_on_grid(model: QueueModel, pols: list[QueuePolicy],
     out = np.empty((len(pols), len(grid), 5))
     # each policy's ("pend", 1) rate rows, (n_policies, 2, 5, L): row m where it transfers
     own = np.where(transfers.transpose(0, 2, 1)[:, :, None], rates[:, :, m], rates[:, :, j1])
-    block = max(1, len(grid) // 5)   # q at a time, so the weighted rate rows are no bigger than a π
-    for lo in range(0, len(grid), block):
-        q = grid[lo:lo + block, None, None, None]
-        # (n_block, 5, m, L), the rows every policy shares, and (n_block, n_policies, 5, L), row j1
-        weighted = q * rates[1, :, :m] + (1.0 - q) * rates[0, :, :m]
-        weighted_own = q * own[:, 1] + (1.0 - q) * own[:, 0]
-        for p in range(len(pols)):
-            weighted[:, :, j1] = weighted_own[:, p]
-            out[p, lo:lo + block] = np.matmul(weighted.reshape(-1, 5, m * L), pi[p, lo:lo + block, :, None])[..., 0]
+    q = grid[:, None, None, None]
+    # (n_q, 5, m, L), the rows every policy shares, and (n_q, n_policies, 5, L), row j1
+    weighted = q * rates[1, :, :m] + (1.0 - q) * rates[0, :, :m]
+    weighted_own = q * own[:, 1] + (1.0 - q) * own[:, 0]
+    for p in range(len(pols)):
+        weighted[:, :, j1] = weighted_own[:, p]
+        out[p] = np.matmul(weighted.reshape(-1, 5, m * L), pi[p, :, :, None])[..., 0]
     return states, pi, out
 
 
@@ -448,10 +446,10 @@ class SweepResult:
 def sweep_queue_policies(model: QueueModel, q_grid: Iterable[float]) -> SweepResult:
     """Evaluate every admissible policy across an arrival-intensity grid."""
     grid = tuple(float(v) for v in q_grid)
-    if any(not 0.0 < v <= 1.0 for v in grid):
-        raise ValueError("q_grid values must lie in (0, 1]")
     seen = set()
     for v in grid:
+        if not 0.0 < v <= 1.0:
+            raise ValueError(f"q_grid values must lie in (0, 1], got {v}")
         if v in seen:
             raise ValueError(f"q_grid lists {v} twice")
         seen.add(v)

@@ -516,6 +516,7 @@ def test_threshold_study_S_list_must_be_a_list_of_integers(tmp_path, capsys, S_l
     ({"S": 2.5}, "S must be an integer, got 2.5"),
     ({"r_range": [None, 5]}, "r_range bound must be a finite number, got None"),
     ({"q_range": ["0.1", "0.5"]}, "q_range bound must be a finite number, got '0.1'"),
+    ({"tau_range": [1, 2**70]}, f"tau_range bounds must lie below 2**63, got {2**70}"),
 ])
 def test_threshold_study_bad_generator_values_exit_2_naming_the_field(tmp_path, capsys, generator, message):
     code, out = run_cli(tmp_path, "threshold-study", {"generator": generator, "n_instances": 2})
@@ -644,12 +645,42 @@ def test_stationarity_horizon_past_the_array_limit_exits_2_naming_T(tmp_path, ca
     assert not (out / "argmax.csv").exists()
 
 
-@pytest.mark.parametrize("horizon", [2**60, 10**30])
+# 2**60 - 1 periods pass the limit only with the warm-up's, which the rewards hold too
+@pytest.mark.parametrize("horizon", [2**60, 10**30, 2**60 - 1])
 def test_simulate_horizon_past_the_array_limit_exits_2_naming_it(tmp_path, capsys, horizon):
     code, out = run_cli(tmp_path, "simulate", {**SIMULATE_ONE, "horizon": horizon})
     assert code == EXIT_VALIDATION
     assert f"horizon = {horizon} is too long" in capsys.readouterr().err
     assert not (out / "sim.csv").exists()
+
+
+def test_simulate_waiting_room_too_large_exits_2_naming_its_target(tmp_path, capsys):
+    # its chain, not the short horizon, is past any array
+    targets = [SIMULATE_ONE["targets"][0], {"queue": {"N": 10**17}, "policy": "never"}]
+    code, out = run_cli(tmp_path, "simulate", {"horizon": 1000, "targets": targets})
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"target 1, the waiting room of N = {10**17} and tau = [6, 15], is too large" in err
+    assert "horizon" not in err
+    assert not (out / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("sub, payload, message", [
+    ("queue-sweep", {"queue": {"N": 10**12}, "q_grid": [0.5]},
+     f"the waiting room of N = {10**12} and tau = [6, 15] is too large"),
+    ("queue-sweep", {"queue": {"tau": [10**12, 2]}, "q_grid": [0.5]},
+     f"the waiting room of N = 6 and tau = [{10**12}, 2] is too large"),
+    ("design", {"market": {"k_max": 10**17}}, f"k_max = {10**17} is too large"),
+    ("threshold-study", {"n_instances": 10**18}, f"n_instances = {10**18} is too large"),
+])
+def test_config_past_any_array_exits_2_naming_its_field(tmp_path, capsys, sub, payload, message):
+    # each size is refused before the work that grows with it: nothing is allocated
+    code, out = run_cli(tmp_path, sub, payload)
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert message in err and "do not fit in memory" in err
+    assert "Traceback" not in err
+    assert not (out / "run_manifest.json").exists()
 
 
 @pytest.mark.parametrize("a_bot, bot_cells", [(0.0, "7.524"), (9e-05, "-inf")])

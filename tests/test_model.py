@@ -192,6 +192,11 @@ class TestGenerator:
             assert np.array_equal(got.random(7), want.random(7))
             assert got.integers(1, 6) == want.integers(1, 6)
 
+    def test_a_block_past_any_array_fails_before_its_seeds_are_scanned(self):
+        # a scan of 2**62 seeds would not end; the block's arrays are refused first
+        with pytest.raises((ValueError, MemoryError)):
+            generate_block(GeneratorConfig(seed=0), range(2**62))
+
     def test_an_invalid_draw_names_its_seed(self):
         cfg = GeneratorConfig(seed=0, c_w_range=(0.0, 0.0))
         with pytest.raises(ValueError, match=r"^invalid instance: c_c must exceed c_w$"):

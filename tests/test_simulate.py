@@ -30,6 +30,9 @@ from period_sim import simulate_policy_periods, simulate_queue_periods
 HORIZONS = (32, 1023, 1025, 2 * _CHUNK + 4_000)
 # the customer carried at the end of a chunk may be carried through several
 LONG = 5 * _CHUNK + 17
+# after the warm-up chunk, chunks end at counted periods k * _CHUNK: this run's
+# last chunk is a single period
+ONE_PAST = _CHUNK + 1
 
 
 def test_deterministic_trajectory(single_attempt):
@@ -115,7 +118,7 @@ def test_channel_equals_period_oracle(S, q, a):
         (unit, policy_from_names(["H2", "T1", "T5", "C"][: S - 1])),
     ]
     for inst, pol in cases:
-        for horizon in HORIZONS:
+        for horizon in HORIZONS + (ONE_PAST,):
             assert (simulate_policy(inst, pol, horizon, seed=S, stream=2)
                     == simulate_policy_periods(inst, pol, horizon, seed=S, stream=2))
 
@@ -194,7 +197,7 @@ def queue_cases(N):
         (queue_model(N, 1.0, (1, 1)), None, HORIZONS),
         # a full room carried across chunk boundaries, services of random length
         (queue_model(N, 0.9), [QueuePolicy.never()], (LONG,)),
-        (queue_model(N, 0.6, (1, 4)), [QueuePolicy.never(), QueuePolicy.always()], HORIZONS[-1:]),
+        (queue_model(N, 0.6, (1, 4)), [QueuePolicy.never(), QueuePolicy.always()], HORIZONS[-1:] + (ONE_PAST,)),
         (queue_model(N, 0.5, rho1=1e-3), [QueuePolicy.always(), QueuePolicy(N)], HORIZONS[-1:]),
         (queue_model(N, 0.5, rho1=1 - 1e-3), [QueuePolicy(N // 2)], HORIZONS[-1:]),
         # loads at which the room fills only now and then

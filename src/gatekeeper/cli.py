@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -255,12 +255,15 @@ def _load_queue_model(config: dict) -> waiting_room.QueueModel:
 _Q_GRID = {"start": 0.01, "stop": 1.0, "step": 0.01}
 
 
-def _q_grid(config: dict) -> list[float]:
+def _q_grid(config: dict) -> tuple[int, Callable[[], list[float]]]:
+    """The count of the config's q values and their builder, so that a range's
+    chains can be checked to fit before its points are built."""
     grid = config.get("q_grid", _Q_GRID)
     if isinstance(grid, list):
         if not grid:
             raise ValidationFailure("q_grid must list at least one q")
-        return [as_real(v, "q_grid entry") for v in grid]
+        values = [as_real(v, "q_grid entry") for v in grid]
+        return len(values), lambda: values
     check_keys(grid, "q_grid", _Q_GRID)
     start, stop, step = (as_real(grid.get(k, v), f"q_grid.{k}") for k, v in _Q_GRID.items())
     if step <= 0:
@@ -269,7 +272,8 @@ def _q_grid(config: dict) -> list[float]:
         raise ValidationFailure(f"q_grid.start {start} exceeds q_grid.stop {stop}")
     # start + i step up to stop, which round-off may put a hair past a step
     n = math.floor((stop - start) / step + 1e-9) + 1
-    return [round(start + i * step, 10) for i in range(n)]
+    # the points' array is held before they are rounded: a grid past memory fails at once
+    return n, lambda: [round(v, 10) for v in (start + step * np.arange(n)).tolist()]
 
 
 def _room(model: waiting_room.QueueModel, lanes: int) -> tuple[str, int]:
@@ -282,10 +286,10 @@ def _room(model: waiting_room.QueueModel, lanes: int) -> tuple[str, int]:
 
 def _run_queue_sweep(cfg: RunConfig) -> list[str]:
     model = _load_queue_model(cfg.config)
-    grid = _q_grid(cfg.config)
-    room, floats = _room(model, (model.N + 2) * len(grid))
-    with _fit(f"{room} is too large: its chains over {len(grid)} q", floats):
-        sweep = waiting_room.sweep_queue_policies(model, grid)
+    n, points = _q_grid(cfg.config)
+    room, floats = _room(model, (model.N + 2) * n)
+    with _fit(f"{room} is too large: its chains over q_grid's {n} points", floats):
+        sweep = waiting_room.sweep_queue_policies(model, points())
     comments = _comments(cfg) + [
         f"policies={len(sweep.policies)} q_points={len(sweep.q_grid)}"
     ]

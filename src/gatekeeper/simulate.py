@@ -1,29 +1,30 @@
 """Monte Carlo oracles for the analytic evaluators.
 
-Both simulators draw what the per-period narrative draws (an arrival and a
-resolution uniform every period, and for the channel an expert-availability
-one; integer service clocks; instantaneous decisions) rather than sampling the
-embedded chains, so they exercise the model semantics independently of the
-linear-algebra evaluators.  An admitted channel customer's cycle is fixed by
-the draws at its own decision periods, so for each chunk of draws numpy runs
-every arrival's cycle as if admitted, to the period the agent is free again
-and the arrival it admits next, and Python only walks from one admission to
-the next.  A cycle that runs past the chunk is carried into the next as its
-state, never as its draws, so memory stays within a chunk whatever q, a and
-tau are.  The waiting-room simulator steps from decision to decision, except
-while its room stays full: a service that starts as the agent takes the head
-of a full room is fixed by the draws as an admitted customer's cycle is, so
-numpy runs one from every period and Python walks from one to the next.
-Both count idle runs, services, warm waits and the room filling during a
-service from segment lengths, so every report equals, bit for bit, that of a
-loop over every period.  Runs start with a warm-up, drawn as the first chunk
-and its counts and rewards dropped, so the empty-system start does not bias
-the estimates; standard errors come from batch means over at least 30 equal
-batches.  All randomness comes from the counter-based RNG family keyed by
-(seed, stream) that every module shares, so parallel targets never collide.
+Both simulators draw what the per-period narrative draws (arrival, expert and
+resolution uniforms; integer service clocks; instantaneous decisions) rather
+than sampling the embedded chains, so they exercise the model semantics
+independently of the linear-algebra evaluators.  The channel is regenerative:
+each admission starts a cycle fixed by the draws at its own decision periods.
+So the channel simulator draws a fixed-width row per cycle, each attempt's
+arrival, expert and resolution uniforms and two more that set the warm wait
+and the idle gap as geometric counts by inversion; a flag drawn at a decision
+is the first trial of the wait or gap that follows it.  A batch of rows is
+placed on the time line by one cumulative sum, its rewards written at their
+outcome periods and its counts clipped to the counted window; the arrivals
+blocked between decisions are one binomial draw a run.  The waiting-room
+simulator steps from decision to decision, except while its room stays full:
+a service that starts as the agent takes the head of a full room is fixed by
+the draws, so numpy runs one from every period of a chunk and Python walks
+from one to the next; its reports equal, bit for bit, those of a loop over
+every period.  Runs start with a warm-up whose counts and rewards are
+dropped, so the empty-system start does not bias the estimates; standard
+errors come from batch means over at least 30 equal batches.  All randomness
+comes from the counter-based RNG family keyed by (seed, stream) that every
+module shares, so parallel targets never collide.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -83,113 +84,106 @@ def simulate_policy(
     inst: ProblemInstance, pol: StationaryPolicy, horizon: int, seed: int,
     stream: int = 0,
 ) -> SimReport:
-    """Simulate the channel over its per-period draws and report the empirical rate.
+    """Simulate the channel one admission cycle at a time and report the empirical rate.
 
     Horizons of at least 10^4 periods are recommended; below 32 periods the
     batch-means estimate is undefined and the call is rejected.
     """
+    return _simulate_channel(inst, pol, horizon, seed, stream, 3 * _CHUNK // (3 * inst.S + 2))
+
+
+def _geometric(u, log_fail: float, cap: int):
+    """Failures before the first success of Bernoulli trials with log(1 - p)
+    = `log_fail`, by inversion of the uniforms `u`; past `cap` it reads cap
+    (at least cap - 1), so no quotient overflows, however small p."""
+    return np.floor(np.maximum(np.log1p(-u), cap * log_fail) / log_fail)
+
+
+def _simulate_channel(inst: ProblemInstance, pol: StationaryPolicy, horizon: int, seed: int,
+                      stream: int, rows: int) -> SimReport:
+    """`simulate_policy`, drawing at most `rows` cycles a batch."""
     check_policy(inst, pol)
     if horizon < N_BATCHES:
         raise ValueError(f"horizon must be at least {N_BATCHES}")
 
-    q, a = inst.traffic.q, inst.traffic.a
-    tau = np.array(inst.profile.tau)
-    r, c_w, c_c, tau_w = inst.econ.r, inst.econ.c_w, inst.econ.c_c, inst.econ.tau_w
+    q, a, S = inst.traffic.q, inst.traffic.a, inst.S
+    r, c_w, c_c = inst.econ.r, inst.econ.c_w, inst.econ.c_c
+    end = WARMUP + horizon
+    cap = 2 * end  # offsets past the run's end are clipped here, before any cast
+    T = np.cumsum([min(t, cap) for t in inst.profile.tau])  # attempt x's decision, from admission
+    tau_w = min(inst.econ.tau_w, cap)
+    log_q, log_a = (math.log1p(-p) if p < 1 else -math.inf for p in (q, a))  # log(1 - p)
     pay = np.array([0.0, r - c_w, r - c_c, r])  # reward by outcome
-    # A decision period's code is 4k + arrival + 2*avail, where k counts the
-    # distinct success probabilities at or below its resolution draw; attempt
-    # x resolves iff k is at most the rank of rho[x-1] (the top one is 1).
-    levels = sorted(set(inst.profile.rho))
-    small = np.min_scalar_type(4 * len(levels) - 1)  # holds every code
-    outcome = np.array([
-        [_RESOLVED if k <= levels.index(rho) else int(pol.rules[x].actions[qa])
-         for k in range(len(levels)) for qa in range(4)]
-        for x, rho in enumerate(inst.profile.rho)
-    ], dtype=np.int8)
+    # the outcome of attempt x's decision by its code, arrival + 2*avail +
+    # 4*resolved: the action taken, or resolution (the last attempt resolves);
+    # bit c of stops[x] says whether code c ends the cycle
+    outcome = np.array([[*map(int, rule.actions), *[_RESOLVED] * 4] for rule in pol.rules]
+                       + [[_RESOLVED] * 8], dtype=np.int8)
+    stops = np.array([sum(1 << c for c in range(8) if row[c]) for row in outcome], dtype=np.uint8)
+    attempt = np.arange(S)
 
     rng = rng_stream(seed, stream)
-    rewards = np.zeros(WARMUP + horizon)
-    # The customer carried into a chunk, by the code of its last outcome: in
-    # service, with attempt x's decision in period `due` (0, continue); held
-    # for an expert, its warm outcome recorded (1); or gone, the agent free
-    # from `due` on (2).
-    o, x, due = 2, 0, 0
+    # the arrivals blocked between decisions come from a stream of their own,
+    # one draw a run, so no batch boundary moves them
+    blocked_rng = np.random.Generator(rng.bit_generator.jumped())
+    rewards = np.zeros(end)
+    tally = np.zeros(4, dtype=np.int64)  # outcomes
+    admitted = occupied = decisions = flagged = cycles = 0
+    first = nxt = int(_geometric(rng.random(), log_q, cap))  # the first admission
+    while nxt < end:
+        # Size the batch to the cycles left, at the mean length so far or, at
+        # first, at a bound below it: the first service and the mean idle gap.
+        mean = (nxt - first) / cycles if cycles else T[0] + (1 - q) / q
+        b = min(rows, int((end - nxt) / mean * 1.05) + 32)
+        # A row is a cycle: each attempt's decision draws its arrival, expert
+        # and resolution uniforms; then the warm wait's and the idle gap's.
+        u = rng.random((b, 3 * S + 2))
+        arrival = u[:, :S] < q
+        code = np.left_shift(u[:, S:2 * S] < a, 1, dtype=np.uint8)
+        code |= arrival
+        code |= np.left_shift(u[:, 2 * S:3 * S] < inst.profile.rho, 2, dtype=np.uint8)
+        last = np.argmax(np.right_shift(stops, code) & 1, axis=1)
+        c = code[np.arange(b), last]
+        o = outcome[last, c]
+        warm = o == 1
+        # A flag drawn at a decision is the first trial of what follows it: a
+        # warm transfer's expert wait, and after resolution or a cold transfer
+        # the idle gap, whose success is the next admission.
+        d = T[last]
+        wait = np.where(c & 2, 0, 1 + _geometric(u[:, -2], log_a, cap).astype(np.int64))
+        gap = _geometric(u[:, -1], log_q, cap).astype(np.int64)
+        f = np.where(warm, d + wait + tau_w, d)  # the agent is free from f
+        n = np.where(warm, f + gap, np.where(c & 1, d, d + 1 + gap))  # the next admission
+        J = np.empty(b + 1, dtype=np.int64)
+        J[0] = nxt
+        np.cumsum(n, out=J[1:])
+        J[1:] += nxt
+        m = min(int(np.searchsorted(J, end)), b)  # cycles admitted within the run
+        nxt, cycles = int(J[m]), cycles + m
+        J, last, o, warm, arrival = J[:m], last[:m], o[:m], warm[:m], arrival[:m]
+        # admissions, outcomes and frees all rise with the row
+        D, F = J + d[:m], J + f[:m]
+        lo, hi = np.searchsorted(D, (WARMUP, end))
+        rewards[D[:hi]] = pay[o[:hi]]
+        tally += np.bincount(o[lo:hi], minlength=4)
+        admitted += m - int(np.searchsorted(J, WARMUP))
+        occupied += int(np.clip(F, WARMUP, end).sum() - np.clip(J, WARMUP, end).sum())
+        # decisions that blocked the arrival they drew: each before the last,
+        # and a warm last; only cycles begun in the warm-up or ending past the
+        # run meet the counting window's edges
+        blocking = attempt < (last + warm)[:, None]
+        cut = np.flatnonzero((J < WARMUP) | (F > end))
+        at = J[cut, None] + T
+        blocking[cut] &= (at >= WARMUP) & (at < end)
+        decisions += int(np.count_nonzero(blocking))
+        flagged += int(np.count_nonzero(blocking & arrival))
+        # drop the batch's arrays before the next draw, so no two batches' coexist
+        del u, arrival, code, last, c, o, warm, d, wait, gap, f, n, J, D, F, blocking, cut, at
 
-    t = 0
-    while t < len(rewards):
-        if t in (0, WARMUP):  # the counts start, and start again after the warm-up
-            tally = np.zeros(4, dtype=np.int64)  # decision periods by outcome
-            arrivals = admitted = occupied = 0
-        m = min(_CHUNK, len(rewards) - t) if t else WARMUP
-        u = rng.random((m, 3))
-        arrival = u[:, 0] < q
-        avail = u[:, 1] < a
-        resolution = u[:, 2].copy()
-        del u
-        code = np.zeros(m, dtype=small)
-        for level in levels[:-1]:
-            code += resolution >= level
-        code = 4 * code + 2 * avail.view(np.uint8) + arrival
-        arrivals += int(np.count_nonzero(arrival))
-        J = np.flatnonzero(arrival)
-        arrived = np.zeros(m + 1, dtype=np.intp)  # arrivals before each period
-        np.cumsum(arrival, out=arrived[1:])
-        experts = np.append(np.flatnonzero(avail), m)
-        freed = np.zeros(m + 1, dtype=np.intp)  # free experts before each period
-        np.cumsum(avail, out=freed[1:])
-
-        # Lane 0 is the carried customer, lane i + 1 the arrival at J[i] as if
-        # admitted.  Every lane runs attempt by attempt (X) to its outcome (O)
-        # in decision period D, or stops where its next decision (D) falls
-        # past the chunk (O = 0).
-        L = len(J) + 1
-        X = np.zeros(L, dtype=np.intp)
-        D = np.empty(L, dtype=np.intp)
-        O = np.zeros(L, dtype=np.int8)
-        X[0], D[0], O[0] = x, due - t, o
-        D[1:] = J + tau[0]
-        lanes = np.arange(1 if o else 0, L)
-        while lanes.size:
-            lanes = lanes[D[lanes] < m]
-            O[lanes] = outcome[X[lanes], code[D[lanes]]]
-            lanes = lanes[O[lanes] == 0]
-            X[lanes] += 1
-            D[lanes] += tau[X[lanes]]
-        # The agent is free from F on: at the outcome, or after the first free
-        # expert and the warm handoff.  Its next admission is the first
-        # arrival from F on, the lane the walk goes to.
-        F = D.copy()
-        held = np.flatnonzero(O == 1)
-        F[held] = experts[freed[D[held]]] + tau_w
-        F[O == 0] = m
-        nxt = memoryview(arrived[np.minimum(F, m)] + 1)
-        path, k = [], 0
-        while k < L:
-            path.append(k)
-            k = nxt[k]
-        path = np.fromiter(path, np.intp, len(path))
-
-        # the agent is busy from each admission (lane 0: the chunk's start) to F
-        starts = J[path[1:] - 1]
-        admitted += len(starts)
-        occupied += int(np.minimum(F[path], m).sum() - starts.sum())
-        # a carried outcome was recorded in its own chunk
-        ended = path[O[path] != 0][1 if o else 0:]
-        rewards[t + D[ended]] = pay[O[ended]]
-        tally += np.bincount(O[ended], minlength=4)
-
-        k = path[-1]
-        o, x, due = int(O[k]), int(X[k]), t + int(D[k])
-        if o == 1 and F[k] == m + tau_w:  # no expert free by the chunk's end
-            due = t + m
-        elif o:
-            o, due = 2, t + max(int(F[k]), m)
-        t += m
-        # drop the chunk's arrays before the next draw, so no two chunks' coexist
-        del arrival, avail, resolution, code, J, arrived, experts, freed
-        del X, D, O, F, nxt, path, starts, ended
-
+    # the other periods of a service each block an arrival with probability q
+    blocked = int(blocked_rng.binomial(occupied - admitted - decisions, q))
     _, warm, cold, resolved = tally.tolist()
+    arrivals = admitted + flagged + blocked
     outcomes = resolved + warm + cold
     perf = PerformanceMeasures(
         throughput=admitted / horizon,

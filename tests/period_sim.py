@@ -1,10 +1,13 @@
-"""Period-by-period simulators, the oracle for the event-driven ones.
+"""Period-by-period simulators: the oracles for what the simulators mean.
 
 These loops visit every period and replay the narrative literally: arrival
 and expert-availability draws, integer service clocks, instantaneous
-decisions.  They draw the same uniforms from the same (seed, stream) in the
-same chunks as `gatekeeper.simulate`, so the event-driven simulators must
-return a `SimReport` equal to theirs, bit for bit.
+decisions.  The waiting-room loop draws the same uniforms from the same
+(seed, stream) in the same chunks as `gatekeeper.simulate.simulate_queue`,
+which must return a `SimReport` equal to its own, bit for bit.  The channel
+loop is the semantics oracle for `simulate_policy`, which samples admission
+cycles and so draws other numbers: the two must agree in distribution, and
+`tests/cycle_sim.py` is the channel's bit-for-bit oracle.
 """
 import numpy as np
 

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import gatekeeper
 from gatekeeper import waiting_room
 from gatekeeper.artifacts import fmt
 from gatekeeper.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _load_queue_model, _q_grid, main
@@ -420,6 +424,20 @@ def test_q_grid_value_outside_the_unit_interval_exits_2_naming_it(tmp_path, caps
     assert not (out / "sweep.csv").exists()
 
 
+def test_q_grid_of_a_trillion_points_exits_2_naming_it_before_building_them(tmp_path):
+    # counted and refused before its points are built; run apart, so a hang
+    # or a memory blow-up stops at the timeout instead of taking the suite
+    config = write_config(tmp_path, {"queue": {"N": 2}, "q_grid": {"step": 1e-12}})
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "gatekeeper.cli", "queue-sweep", "--config", str(config),
+                           "--out", str(out)], capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": str(Path(gatekeeper.__file__).parents[1])})
+    assert done.returncode == EXIT_VALIDATION
+    assert "q_grid's 990000000001 points do not fit in memory" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (out / "sweep.csv").exists()
+
+
 def test_design_smoke(tmp_path, capsys):
     payload = {
         "market": {"lam": 0.9, "k_max": 1, "p_grid": [0.3]},
@@ -583,7 +601,7 @@ def test_sweep_csv_keeps_its_recorded_bytes(tmp_path, name, config):
     assert code == EXIT_OK
     assert (out / "sweep.csv").read_bytes() == (GOLDEN / name).read_bytes()
     # the rows are the sweep's rate array, policy by policy in grid order
-    sweep = waiting_room.sweep_queue_policies(_load_queue_model(config), _q_grid(config))
+    sweep = waiting_room.sweep_queue_policies(_load_queue_model(config), _q_grid(config)[1]())
     want = [",".join(map(fmt, (label, q, *rates[:4].tolist())))
             for label, by_q in zip(sweep.policies, sweep.rates) for q, rates in zip(sweep.q_grid, by_q)]
     lines = (out / "sweep.csv").read_text().splitlines()

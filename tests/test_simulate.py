@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,15 +22,17 @@ from gatekeeper import (
     simulate_queue,
     uniform_policy,
 )
-from gatekeeper.simulate import _CHUNK, _batch_se, _simulate_queue
+from gatekeeper.simulate import WARMUP, _CHUNK, _batch_se, _simulate_channel, _simulate_queue
 
 from conftest import random_instance, random_policy
+from cycle_sim import simulate_policy_cycles
 from period_sim import simulate_policy_periods, simulate_queue_periods
 
-# the warm-up and the shorter runs end inside services at q = 1, and the
-# longest run's services cross chunk boundaries
+# the warm-up and the shorter runs end inside services at q = 1; the longest
+# run's waiting-room services cross chunk boundaries, and its channel cycles
+# fill several batches
 HORIZONS = (32, 1023, 1025, 2 * _CHUNK + 4_000)
-# the customer carried at the end of a chunk may be carried through several
+# a waiting room's service at the end of a chunk may be carried through several
 LONG = 5 * _CHUNK + 17
 # after the warm-up chunk, chunks end at counted periods k * _CHUNK: this run's
 # last chunk is a single period
@@ -49,14 +53,20 @@ def test_single_attempt_matches_analytic(single_attempt):
 
 
 def test_outcome_counts_partition_exactly():
-    inst = random_instance(33, 3)
-    pol = random_policy(3, 3)
-    rep = simulate_policy(inst, pol, 50_000, seed=2)
-    total = rep.counts["resolved"] + rep.counts["warm"] + rep.counts["cold"]
-    assert rep.perf.p_resolve + rep.perf.p_warm + rep.perf.p_cold == pytest.approx(1.0)
-    # every admission eventually leaves by exactly one outcome; one customer
-    # may straddle either counting boundary (warm-up end, horizon end)
-    assert -1 <= rep.counts["admitted"] - total <= 1
+    cases = [
+        (random_instance(33, 3), random_policy(3, 3)),
+        # every wait and service crosses the window's edges, or none comes
+        (replace(random_instance(82, 2), traffic=TrafficParams(q=1.0, a=1e-3)), uniform_policy("T1", 2)),
+        (replace(random_instance(84, 4), traffic=TrafficParams(q=1e-3, a=1.0)), random_policy(84, 4)),
+        (_LONG_SERVICE, uniform_policy("H1", 2)),
+    ]
+    for inst, pol in cases:
+        rep = simulate_policy(inst, pol, 50_000, seed=2)
+        total = rep.counts["resolved"] + rep.counts["warm"] + rep.counts["cold"]
+        assert rep.perf.p_resolve + rep.perf.p_warm + rep.perf.p_cold == pytest.approx(1.0)
+        # every admission eventually leaves by exactly one outcome; one customer
+        # may straddle either counting boundary (warm-up end, horizon end)
+        assert -1 <= rep.counts["admitted"] - total <= 1
 
 
 def test_warm_transfer_waits_for_an_expert():
@@ -107,6 +117,8 @@ def test_perf_estimates_close_to_analytic():
 @pytest.mark.parametrize("q", (1e-3, 1.0))
 @pytest.mark.parametrize("a", (1e-3, 1.0))
 def test_channel_equals_period_oracle(S, q, a):
+    # bit for bit the loop over cycles (tests/cycle_sim.py); the loop over
+    # periods is checked against it in distribution below
     base = random_instance(60 + S, S)
     traffic = TrafficParams(q=q, a=a)
     unit = ProblemInstance(  # every attempt and handoff takes one period
@@ -120,12 +132,12 @@ def test_channel_equals_period_oracle(S, q, a):
     for inst, pol in cases:
         for horizon in HORIZONS + (ONE_PAST,):
             assert (simulate_policy(inst, pol, horizon, seed=S, stream=2)
-                    == simulate_policy_periods(inst, pol, horizon, seed=S, stream=2))
+                    == simulate_policy_cycles(inst, pol, horizon, seed=S, stream=2))
 
 
-# At a = 1e-5 a warm wait lasts about 10^5 periods: it crosses chunks, and the
-# last one before the horizon runs past it.  At tau = (20000, 30000) a cycle
-# spans one or two chunk boundaries, and a handoff of 40000 at least one.
+# At a = 1e-5 a warm wait lasts about 10^5 periods: one crosses the warm-up's
+# end, and the last one before the horizon runs past it.  At tau = (20000,
+# 30000) a cycle spans the warm-up's end, and a handoff of 40000 too.
 _WAIT_OVER_CHUNKS = TrafficParams(q=0.9, a=1e-5)
 _LONG_SERVICE = ProblemInstance(
     profile=ResolutionProfile((20_000, 30_000), (0.3, 1.0)),
@@ -145,9 +157,11 @@ def test_customer_carried_across_chunks_equals_period_oracle(inst, rule):
     pol = uniform_policy(rule, inst.S)
     for horizon in HORIZONS + (LONG,):
         rep = simulate_policy(inst, pol, horizon, seed=5, stream=3)
-        assert rep == simulate_policy_periods(inst, pol, horizon, seed=5, stream=3)
-    if rule == "T1":  # the case holds warm waits
-        assert rep.counts["warm"] > 1
+        assert rep == simulate_policy_cycles(inst, pol, horizon, seed=5, stream=3)
+    if rule == "T1":  # the case holds warm waits: counted, or one that fills the run
+        service = sum(inst.profile.tau) + inst.econ.tau_w  # the longest cycle without a wait
+        assert (rep.counts["warm"] > 1
+                or rep.counts["occupied_periods"] > service * (rep.counts["admitted"] + 1))
 
 
 def test_memory_is_bounded_by_a_chunk_when_a_wait_outlasts_the_run():
@@ -182,8 +196,100 @@ def test_degenerate_instance_equals_period_oracle():
     )
     for horizon in HORIZONS:
         rep = simulate_policy(inst, StationaryPolicy(()), horizon, seed=0)
+        assert rep == simulate_policy_cycles(inst, StationaryPolicy(()), horizon, seed=0)
+        # nothing is random here: the loop over periods gives the same report
         assert rep == simulate_policy_periods(inst, StationaryPolicy(()), horizon, seed=0)
         assert rep.se == 0.0
+
+
+# (instance, policy) pairs over S = 1..5 with warm waits, q and a at 1e-3 and 1
+_SEMANTICS = [
+    (replace(random_instance(91, 1), traffic=TrafficParams(q=1e-3, a=1.0)), StationaryPolicy(())),
+    (replace(random_instance(92, 2), traffic=TrafficParams(q=1.0, a=1e-3)), uniform_policy("T1", 2)),
+    (replace(random_instance(93, 2), traffic=TrafficParams(q=0.3, a=0.05)), uniform_policy("T1", 2)),
+    (replace(random_instance(94, 3), traffic=TrafficParams(q=1e-3, a=1e-3)), uniform_policy("T1", 3)),
+    (replace(random_instance(95, 3), traffic=TrafficParams(q=1.0, a=1.0)), random_policy(95, 3)),
+    (replace(random_instance(96, 4), traffic=TrafficParams(q=0.6, a=1e-3)), policy_from_names(["H1", "H2", "T5"])),
+    (replace(random_instance(97, 4), traffic=TrafficParams(q=1.0, a=0.4)), random_policy(97, 4)),
+    (replace(random_instance(98, 5), traffic=TrafficParams(q=0.2, a=1.0)), uniform_policy("H1", 5)),
+    (replace(random_instance(99, 5), traffic=TrafficParams(q=1.0, a=1e-3)), random_policy(99, 5)),
+    (random_instance(100, 5), random_policy(100, 5)),
+]
+
+
+def test_channel_agrees_with_period_loop_in_distribution():
+    # The cycle sampler and the loop over every period draw different numbers
+    # from the same model: over 10 runs each, mean, p_admit, p_warm and
+    # t_channel agree within 4 combined standard errors of their run means.
+    runs, horizon = 10, 20_000
+    for i, (inst, pol) in enumerate(_SEMANTICS):
+        stats = []
+        for sim, stream in ((simulate_policy, 0), (simulate_policy_periods, 1)):
+            reps = [sim(inst, pol, horizon, seed=300 + i, stream=2 * k + stream) for k in range(runs)]
+            stats.append(np.array([(rep.mean, rep.perf.p_admit, rep.perf.p_warm, rep.perf.t_channel)
+                                   for rep in reps]))
+        cycles, periods = stats
+        se = np.hypot(cycles.std(0, ddof=1), periods.std(0, ddof=1)) / np.sqrt(runs)
+        gap = np.abs(cycles.mean(0) - periods.mean(0))
+        assert (gap <= 4 * se).all(), (i, gap, se)
+
+
+@pytest.mark.parametrize("tau, rule, length, outcome", [
+    ((4,), None, 4, 3),     # resolved: the arrival at the decision is the next admission
+    ((3, 5), "T1", 5, 1),   # warm: a = 1 hands off (tau_w = 2) from the decision period
+    ((3, 5), "T5", 3, 2),   # cold: the arrival at the decision is the next admission
+])
+@pytest.mark.parametrize("horizon", [32, 1025, 4099])
+def test_cycles_at_q_and_a_one_follow_the_boundary_rules(tau, rule, length, outcome, horizon):
+    # At q = a = 1 with attempt 1 all but never resolving, every cycle takes
+    # `length` periods from period 0: the agent is never idle, every period
+    # brings an arrival, and each admission's arrival is admitted, not blocked.
+    rho = (1e-300,) * (len(tau) - 1) + (1.0,)
+    inst = ProblemInstance(profile=ResolutionProfile(tau, rho),
+                           econ=EconomicParams(r=7.0, c_w=1.0, c_c=2.0, tau_w=2),
+                           traffic=TrafficParams(q=1.0, a=1.0))
+    pol = uniform_policy(rule, len(tau)) if rule else StationaryPolicy(())
+    rep = simulate_policy(inst, pol, horizon, seed=1)
+    window = range(WARMUP, WARMUP + horizon)
+    starts = [t for t in window if t % length == 0]
+    ends = [t for t in window if t % length == tau[0] % length]
+    names = {1: "warm", 2: "cold", 3: "resolved"}
+    assert rep.counts == {"arrivals": horizon, "admitted": len(starts),
+                          **{name: len(ends) * (k == outcome) for k, name in names.items()},
+                          "occupied_periods": horizon}
+    pay = {1: 6.0, 2: 5.0, 3: 7.0}[outcome]
+    assert rep.mean == pytest.approx(pay * len(ends) / horizon, rel=1e-12)
+
+
+@pytest.mark.parametrize("inst", [
+    replace(random_instance(82, 2), traffic=TrafficParams(q=1e-300, a=1e-300)),
+    replace(random_instance(82, 2), traffic=TrafficParams(q=1.0, a=5e-324)),
+    ProblemInstance(profile=ResolutionProfile((2**62,), (1.0,)),
+                    econ=EconomicParams(r=7.0, c_w=1.0, c_c=2.0, tau_w=2**62),
+                    traffic=TrafficParams(q=0.5, a=0.5)),
+], ids=["q-a-1e-300", "a-5e-324", "tau-2^62"])
+def test_waits_past_the_run_are_clipped_without_overflow(inst):
+    pol = uniform_policy("T1", inst.S)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rep = simulate_policy(inst, pol, 1_000_000, seed=4)
+    assert time.perf_counter() - start < 1.0
+    assert rep.counts["admitted"] <= 1
+    assert rep == simulate_policy_cycles(inst, pol, 1_000_000, seed=4)
+
+
+@pytest.mark.parametrize("inst, rule", [
+    (random_instance(33, 3), "H2"),
+    (replace(random_instance(82, 2), traffic=_WAIT_OVER_CHUNKS), "T1"),
+    (replace(random_instance(84, 4), traffic=TrafficParams(q=1.0, a=0.2)), "T1"),
+])
+def test_report_does_not_depend_on_the_batch_size(inst, rule):
+    pol = uniform_policy(rule, inst.S)
+    want = simulate_policy(inst, pol, 6_000, seed=7, stream=1)
+    for rows in (1, 2, 7, 100):
+        assert _simulate_channel(inst, pol, 6_000, 7, 1, rows) == want
 
 
 def queue_model(N, q, tau=(6, 15), rho1=0.7):

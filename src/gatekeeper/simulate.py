@@ -12,15 +12,19 @@ is the first trial of the wait or gap that follows it.  A batch of rows is
 placed on the time line by one cumulative sum, its rewards written at their
 outcome periods and its counts clipped to the counted window; the arrivals
 blocked between decisions are one binomial draw a run.  The waiting-room
-simulator steps from decision to decision, except while its room stays full:
-a service that starts as the agent takes the head of a full room is fixed by
-the draws, so numpy runs one from every period of a chunk and Python walks
-from one to the next; its reports equal, bit for bit, those of a loop over
-every period.  Runs start with a warm-up whose counts and rewards are
-dropped, so the empty-system start does not bias the estimates; standard
-errors come from batch means over at least 30 equal batches.  All randomness
-comes from the counter-based RNG family keyed by (seed, stream) that every
-module shares, so parallel targets never collide.
+simulator samples one service at a time: within a service the room only
+grows, so a row of six uniforms fixes the service from its start level.  A
+batch tabulates every row's next level for every start level, walks the
+level through the tables and places the services with one cumulative sum;
+a service cut by an edge of the counted window splits its arrivals by
+hypergeometric draws from a stream of its own.  Each simulator's reports
+equal, bit for bit, those of a plain loop over its cycles or services, and
+agree in distribution with a loop over every period.  Runs start with a
+warm-up whose counts and rewards are dropped, so the empty-system start does
+not bias the estimates; standard errors come from batch means over at least
+30 equal batches.  All randomness comes from the counter-based RNG family
+keyed by (seed, stream) that every module shares, so parallel targets never
+collide.
 """
 from __future__ import annotations
 
@@ -37,16 +41,6 @@ from .waiting_room import QueueModel, QueuePolicy, evaluate_queue_policy
 N_BATCHES = 32
 WARMUP = 1024  # periods run before counting, to shed the empty-system start
 _CHUNK = 1 << 15
-# A chunk walks full-room services once it and the last chunk have met this
-# many.  On a 2-core x86 VM the row costs 0.14-0.29 ms a chunk and a walked
-# service saves about 0.38 us of stepping, so the row pays from some 400-800
-# walked services a chunk; built at a chunk's first full-room service, it made
-# criterion 9's lightest rooms (50-130 full-room services a chunk) 8-11 %
-# slower than stepping them (BENCH_33.json, "row_threshold").
-_ROW_PAYS = _CHUNK >> 5
-
-# what the waiting-room agent waits for from period `due` on
-_FREE, _PEND, _PEND2 = range(3)
 # outcome of a decision period: the action taken, or resolution
 _RESOLVED = 3
 
@@ -204,166 +198,170 @@ def _simulate_channel(inst: ProblemInstance, pol: StationaryPolicy, horizon: int
     return _report(rewards[WARMUP:], seed, counts, perf)
 
 
-def _full_room_row(codes: np.ndarray, count: np.ndarray, firsts: np.ndarray, N: int,
-                   tau1: int, tau2: int, runs2: int) -> tuple[np.ndarray, ...]:
-    """Run a full-room service from every period of a chunk.
+def _binomial_cdf(n: int, p: float) -> np.ndarray:
+    """P(X <= k) for k < n, X ~ Binomial(n, p): the n points a uniform is
+    inverted against (X = how many lie at or below it)."""
+    if p in (0.0, 1.0):  # all the mass at 0 or at n
+        return np.full(n, 1.0 - p)
+    k = np.arange(n)
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log((n - k[:-1]) / k[1:]))))[:n]
+    return np.cumsum(np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p)))
 
-    A full-room service starts with N - 1 waiting, as the agent takes the head
-    of a full room (for N = 0: as it admits an arrival).  Its first decision
-    sees N waiting if an arrival came in its first tau1 periods and N - 1 if
-    not, so its outcome and its end are fixed by the draws.  The next service
-    is full-room again iff an arrival came during it (N = 0: it is the first
-    arrival from its end on).  Returns each start's key, 4 * (an arrival in
-    the first tau1 periods) + the decision's code, whose bit in `runs2` says
-    whether attempt 2 runs; its last decision period, or m (the chunk's
-    length) if that falls past the chunk; and the next full-room start, or m
-    where the room stops being full or the chunk ends first.
-    """
-    m = len(codes)
-    n = max(m - tau1, 0)  # starts whose first decision falls in the chunk
-    key = np.full(m, 4, dtype=np.uint8)  # N = 0: the admitted arrival
-    if N:
-        np.greater(count[tau1:m], count[:n], out=key[:n])
-        key[:n] *= 4
-    key[:n] += codes[tau1:]
-    last = np.arange(tau1, m + tau1, dtype=np.int32)
-    last += np.int32(tau2) * (np.right_shift(np.uint8(runs2), key) & 1)
-    np.minimum(last, m, out=last)
-    seen = count.take(last)  # arrivals before the last decision
-    if N:  # the service ends at its last decision, unless no arrival came in it
-        nxt = np.where(seen > count[:m], last, m)
-    else:  # the first arrival at or after its last decision, m if none
-        nxt = firsts.take(seen)
-    return key, last, nxt
+
+def _cut_service(rng: np.random.Generator, spans: list[tuple[int, int, int]], room: int, N: int,
+                 lo: int, hi: int) -> tuple[int, int, int]:
+    """Arrivals, blocked arrivals and the highest room a join reaches, in the
+    periods [lo, hi), of a service whose arrivals come as `spans` (first
+    period, end, count) to `room` waiting (-1: the free agent admits the
+    first) and join until N wait; lo or hi splits a span hypergeometrically."""
+    def before(k, a, b, c):  # of k arrivals spread at random over [a, b), those before c
+        return 0 if c <= a else k if c >= b else int(rng.hypergeometric(k, b - a - k, c - a))
+
+    arrivals = blocked = peak = 0
+    for a, b, k in spans:
+        pre = before(k, a, b, lo)
+        live = before(k - pre, max(a, lo), b, hi)
+        early, joined = min(pre, N - room), min(pre + live, N - room)
+        arrivals += live
+        blocked += live - (joined - early)
+        if joined > early:
+            peak = max(peak, room + joined)
+        room += min(k, N - room)
+    return arrivals, blocked, peak
+
+
+def _walk(table: np.ndarray, x: int, L: int) -> tuple[np.ndarray, int]:
+    """The level each of a batch's services starts from (the first from x)
+    and the level after the last, where service i + 1 starts from table[y, i]
+    if service i starts from y.  Python steps through blocks of L services by
+    their composed tables; numpy then carries the level through all blocks."""
+    b = table.shape[1]
+    K = b // L
+    flat, blocks = table.ravel(), np.arange(0, b, L)
+    ends = table[:, ::L]  # ends[y, k]: the level after block k's first j + 1 services from y
+    for j in range(1, L):
+        ends = flat.take(ends * b + (blocks + j))
+    starts, step = [], memoryview(ends.ravel())
+    for k in range(K):
+        starts.append(x)
+        x = step[x * K + k]
+    y = np.empty((L, K), dtype=table.dtype)
+    y[0] = starts
+    for j in range(1, L):
+        flat.take(y[j - 1] * b + (blocks + j - 1), out=y[j])
+    return y.T.ravel(), x
 
 
 def simulate_queue(
     model: QueueModel, pol: QueuePolicy, horizon: int, seed: int,
     stream: int = 0,
 ) -> SimReport:
-    """Simulate the waiting-room channel over its per-period draws."""
-    return _simulate_queue(model, pol, horizon, seed, stream, _ROW_PAYS)
+    """Simulate the waiting-room channel one service at a time and report the empirical rate.
 
-
-def _simulate_queue(model: QueueModel, pol: QueuePolicy, horizon: int, seed: int,
-                    stream: int, row_pays: int) -> SimReport:
-    """`simulate_queue`, walking full rooms once `row_pays` full-room services pay for the row."""
+    A service starts as the agent takes the head of the room or admits an
+    arrival, and within it the room only grows.  So a row of six uniforms
+    fixes it from its start level: the arrivals strictly between its start
+    and its first decision (a binomial, by inversion), that period's arrival
+    flag and resolution uniform, attempt 2's arrivals and end-period flag, and
+    the idle gap that follows if the room is empty as it ends.  Horizons of at
+    least 10^4 periods are recommended; below 32 periods the batch-means
+    estimate is undefined and the call is rejected.
+    """
     if horizon < N_BATCHES:
         raise ValueError(f"horizon must be at least {N_BATCHES}")
 
-    q, r, c_c = model.q, model.econ.r, model.econ.c_c
-    rho1, tau1, tau2, N = model.rho1, model.tau1, model.tau2, model.N
-    transfers = [pol.transfers(k) for k in range(N + 2)]
-    # by the key k of a full-room service: whether it transfers after attempt
-    # 1 fails, and bit k of runs2: whether attempt 2 runs (N = 0 has only keys
-    # 4 to 7)
-    xfer = np.array([c < 2 and transfers[max(N - 1 + f + c, 0)]
-                     for f in (0, 1) for c in range(4)])
-    runs2 = sum(1 << k for k in range(8) if k % 4 < 2 and not xfer[k])
+    q, r, c_c, rho1, N = model.q, model.econ.r, model.econ.c_c, model.rho1, model.N
+    end = WARMUP + horizon
+    cap = 2 * end  # idle gaps past the run's end are clipped here, before any cast
+    # a decision past the run's end matters only through the arrivals before it
+    tau1, tau2 = min(model.tau1, end), min(model.tau2, end)
+    cdf1, cdf2 = _binomial_cdf(tau1 - 1, q), _binomial_cdf(tau2 - 1, q)
+    log_q = math.log1p(-q) if q < 1 else -math.inf
+    n = N + 2 if pol.n is None else min(pol.n, N + 2)  # transfer iff Q >= n: never at N + 2
+    level = np.arange(N + 1, dtype=np.int32)[:, None]
+    L = 8 if N < 32 else 1  # services a `_walk` step composes: it pays in narrow rooms
+    # a batch's draws and int32 table take at most 12 * _CHUNK bytes, and its
+    # row arrays about as much again
+    rows = max(3 * _CHUNK // (13 + N) // L, 1) * L
 
     rng = rng_stream(seed, stream)
-    rewards = np.zeros(WARMUP + horizon)
-    wait, due, n = _FREE, 0, 0
-    grown = 0  # every arrival before this period has joined or been blocked
-    top = N - 1  # waiting as a full-room service starts
-    met = 0  # full-room services met or walked in the last chunk
-
-    t = 0
-    while t < len(rewards):
-        if t in (0, WARMUP):  # the counts start, and start again after the warm-up
-            arrivals = admitted = resolved = transferred = max_queue = 0
-        m = min(_CHUNK, len(rewards) - t) if t else WARMUP
-        end = t + m
-        u = rng.random((m, 2))
-        arrival = u[:, 0] < q
-        codes = arrival.view(np.uint8) + 2 * (u[:, 1] < rho1).view(np.uint8)
-        del u
-        arrivals += int(np.count_nonzero(arrival))
-        firsts = np.append(np.flatnonzero(arrival), m).astype(np.int32)  # arrivals, then m
-        count = np.zeros(m + 1, dtype=np.int32)  # arrivals before each period
-        np.cumsum(arrival, out=count[1:])
-        code, at, arrived = memoryview(codes), memoryview(firsts), memoryview(count)
-        wanted, met, walked = row_pays - met, 0, []
-        key = last = nxt = walk = None  # the full-room row, built once it pays
-        while True:
-            # While the agent serves, the room only grows: arrivals join it
-            # until it is full and are blocked after.
-            stop = due if due < end else end
-            if grown < stop:
-                joining = arrived[stop - t] - arrived[grown - t]
-                if joining:
-                    room = n + joining if n + joining < N else N
-                    admitted += room - n
-                    if room > n and room > max_queue:
-                        max_queue = room
-                    n = room
-                grown = stop
-            if due >= end:
-                break
-            i = due - t
-            if wait == _FREE:  # the room is empty: admit the next arrival at once
-                j = t + at[arrived[i]]
-                if j == end:
-                    due = grown = end
-                    continue
-                admitted += 1
-                due, grown, wait = j + tau1, j + 1, _PEND
-                if N:
-                    continue
-            else:
-                if wait == _PEND and code[i] < 2:  # attempt 1 failed
-                    if not transfers[n + code[i]]:
-                        due, wait = due + tau2, _PEND2
-                        continue
-                    rewards[due] = r - c_c
-                    transferred += 1
-                else:
-                    rewards[due] = r
-                    resolved += 1
-                if not n:
-                    wait = _FREE
-                    continue
-                n -= 1  # the freed agent takes the head of the room
-                due, wait = due + tau1, _PEND
-                if n < top:
-                    continue
-            # A full-room service starts: walk from it while each successor
-            # is full-room too; the last service, which leaves the full room
-            # or the chunk, runs decision by decision.
-            if walk is None:
-                met += 1
-                if met < wanted:
-                    continue
-                key, last, nxt = _full_room_row(codes, count, firsts, N, tau1, tau2, runs2)
-                walk = memoryview(nxt)
-            i = due - tau1 - t
-            if i < 0:  # the service began in the last chunk
-                continue
-            k, j = i, walk[i]
-            while j < m:
-                walked.append(k)
-                k, j = j, walk[j]
-            due, grown = t + k + tau1, t + k + (not N)
-
-        if walked:  # each walked service admits one arrival
-            w = np.array(walked, dtype=np.int32)
-            x = xfer[key[w]]
-            rewards[t + last[w]] = np.where(x, r - c_c, r)
-            nx = int(np.count_nonzero(x))
-            transferred += nx
-            resolved += len(w) - nx
-            admitted += len(w)
-            max_queue = max(max_queue, N)
-            met += len(w)
-            del w, x
-        t = end
-        # drop the chunk's arrays before the next draw, so no two chunks' coexist
-        del arrival, codes, firsts, count, code, at, arrived, key, last, nxt, walk, walked
+    # a service cut by an edge of the counted window splits its arrivals by
+    # draws from a stream of their own, so no batch boundary moves them
+    split_rng = np.random.Generator(rng.bit_generator.jumped())
+    rewards = np.zeros(end)
+    arrivals = blocked = resolved = transferred = max_queue = services = x = 0
+    admits = True  # whether the next service's start period brings an arrival
+    first = nxt = int(_geometric(rng.random(), log_q, cap)) if q else end  # the first admission
+    while nxt < end:
+        mean = (nxt - first) / services if services else tau1 + (1 - q) / q
+        b = min(rows, -(-int((end - nxt) / mean * 1.05 + 32) // L) * L)
+        u = rng.random((b, 6))
+        A1 = np.searchsorted(cdf1, u[:, 0], "right")  # arrivals between start and decision
+        f1 = u[:, 1] < q  # the decision period's arrival
+        res = u[:, 2] < rho1
+        A2 = np.searchsorted(cdf2, u[:, 3], "right")  # attempt 2's, then its end period's
+        f2 = u[:, 4] < q
+        # From y waiting after its start period's arrival joined, a service
+        # ends at its first decision iff y >= h: attempt 1 resolves, or Q =
+        # min(N, y + A1) + f1 >= n.  It ends with e = min(N, y + arrivals)
+        # waiting; the freed agent takes the head before the end period's
+        # arrival g joins, so the next service starts from max(0, e - 1 + g).
+        h = np.where(res, 0, np.where(N + f1 >= n, n - f1 - A1, N + 1))
+        H, DS, DC, CS, CC = (np.clip(v, -1, N + 1).astype(np.int32) for v in (
+            h, A1 + f1 - 1, A1 + f1 + A2 + f2 - 1, N - 1 + f1, N - 1 + f2))
+        table = np.where(level >= H, np.minimum(level + DS, CS), np.minimum(level + DC, CC))
+        np.maximum(table, 0, out=table)
+        y, x = _walk(table, x, L)
+        stop = y >= h
+        n1 = np.minimum(y + A1, N)
+        e = np.where(stop, n1, np.minimum(n1 + f1 + A2, N))
+        g = np.where(stop, f1, f2)
+        dur = np.where(stop, tau1, tau1 + tau2)  # start to last decision
+        lengths = dur.copy()  # start to next start
+        idle = np.flatnonzero((e == 0) & ~g)  # ends empty and with no arrival: a gap follows
+        lengths[idle] += 1 + _geometric(u[idle, 5], log_q, cap).astype(np.int64)
+        S = np.cumsum(np.append(nxt, lengths))  # starts
+        m = min(int(np.searchsorted(S, end)), b)  # services started within the run
+        nxt, services = int(S[m]), services + m
+        y, A1, f1, res, A2, n1, e, g, stop = (v[:m] for v in (y, A1, f1, res, A2, n1, e, g, stop))
+        D = S[:m] + dur[:m]
+        xfer = stop & ~res
+        lo, hi = np.searchsorted(D, (WARMUP, end))
+        rewards[D[:hi]] = np.where(xfer[:hi], r - c_c, r)
+        nx = int(np.count_nonzero(xfer[lo:hi]))
+        transferred += nx
+        resolved += int(hi - lo) - nx
+        # A service's arrivals are those of its periods [start, D).  The start
+        # period brings one unless the agent took the head and none came; it
+        # joins iff the agent took the head (y counts it).  What would pass N
+        # before D is blocked.
+        a0 = np.append(admits, (g | (e == 0))[:m - 1])
+        admits = bool(g[m - 1] or e[m - 1] == 0)
+        arr = a0 + A1 + ~stop * (f1 + A2)
+        blk = np.maximum(y + A1 - N, 0) + ~stop * np.maximum(n1 + f1 + A2 - N, 0)
+        # the services wholly in the counted window in numpy, the (at most
+        # two) that its edges cut one by one
+        a, z = np.searchsorted(S[:m], WARMUP), np.searchsorted(D, end, "right")
+        arrivals += int(arr[a:z].sum())
+        blocked += int(blk[a:z].sum())
+        max_queue = max(max_queue, int(np.where(e > y - a0, e, 0)[a:z].max(initial=0)))
+        for i in sorted({a - 1, z}):
+            if 0 <= i < m and (S[i] < WARMUP < D[i] or S[i] < end < D[i]):
+                s, d = int(S[i]), int(S[i]) + tau1
+                spans = [(s, s + 1, int(a0[i])), (s + 1, d, int(A1[i]))]
+                if not stop[i]:
+                    spans += [(d, d + 1, int(f1[i])), (d + 1, d + tau2, int(A2[i]))]
+                cut = _cut_service(split_rng, spans, int(y[i] - a0[i]), N, WARMUP, end)
+                arrivals, blocked = arrivals + cut[0], blocked + cut[1]
+                max_queue = max(max_queue, cut[2])
+        # drop the batch's arrays before the next draw, so no two batches' coexist
+        del u, A1, f1, res, A2, f2, h, H, DS, DC, CS, CC, table, lengths, idle
+        del y, stop, n1, e, g, dur, S, D, xfer, a0, arr, blk
 
     counts = {
         "arrivals": arrivals,
-        "admitted": admitted,
-        "blocked": arrivals - admitted,
+        "admitted": arrivals - blocked,
+        "blocked": blocked,
         "resolved": resolved,
         "transferred": transferred,
         "max_queue": max_queue,

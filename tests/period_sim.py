@@ -2,12 +2,11 @@
 
 These loops visit every period and replay the narrative literally: arrival
 and expert-availability draws, integer service clocks, instantaneous
-decisions.  The waiting-room loop draws the same uniforms from the same
-(seed, stream) in the same chunks as `gatekeeper.simulate.simulate_queue`,
-which must return a `SimReport` equal to its own, bit for bit.  The channel
-loop is the semantics oracle for `simulate_policy`, which samples admission
-cycles and so draws other numbers: the two must agree in distribution, and
-`tests/cycle_sim.py` is the channel's bit-for-bit oracle.
+decisions.  Both simulators in `gatekeeper.simulate` sample whole cycles or
+services and so draw other numbers: the channel loop is the semantics oracle
+for `simulate_policy`, the waiting-room loop for `simulate_queue`, and each
+pair must agree in distribution.  `tests/cycle_sim.py` and
+`tests/service_sim.py` are their bit-for-bit oracles.
 """
 import numpy as np
 

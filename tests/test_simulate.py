@@ -22,17 +22,17 @@ from gatekeeper import (
     simulate_queue,
     uniform_policy,
 )
-from gatekeeper.simulate import WARMUP, _CHUNK, _batch_se, _simulate_channel, _simulate_queue
+from gatekeeper.simulate import WARMUP, _CHUNK, _batch_se, _simulate_channel
 
 from conftest import random_instance, random_policy
 from cycle_sim import simulate_policy_cycles
 from period_sim import simulate_policy_periods, simulate_queue_periods
+from service_sim import simulate_queue_services
 
 # the warm-up and the shorter runs end inside services at q = 1; the longest
-# run's waiting-room services cross chunk boundaries, and its channel cycles
-# fill several batches
+# run's waiting-room services and channel cycles fill several batches
 HORIZONS = (32, 1023, 1025, 2 * _CHUNK + 4_000)
-# a waiting room's service at the end of a chunk may be carried through several
+# more batches still, of services and cycles of any length
 LONG = 5 * _CHUNK + 17
 # after the warm-up chunk, chunks end at counted periods k * _CHUNK: this run's
 # last chunk is a single period
@@ -177,15 +177,19 @@ def test_memory_is_bounded_by_a_chunk_when_a_wait_outlasts_the_run():
         tracemalloc.stop()
     assert rep.counts["warm"] > 0
     assert peak - 8 * horizon < 4_000_000  # beyond the rewards array
-    # the waiting room walks full rooms over rows of one chunk too
-    tracemalloc.start()
-    try:
-        rep = simulate_queue(default_queue_model(N=0, q=0.9), QueuePolicy.never(), horizon, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rep.counts["blocked"] > rep.counts["admitted"] > 0
-    assert peak - 8 * horizon < 4_000_000
+    # the waiting room's batches, each with a table of next levels as wide as
+    # the room, fit in a chunk's budget too (the wide room's shorter run
+    # still takes some 100 batches)
+    for N, periods in ((0, horizon), (2_000, horizon // 10)):
+        tracemalloc.start()
+        try:
+            rep = simulate_queue(default_queue_model(N=N, q=0.9), QueuePolicy.never(), periods, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.counts["blocked"] > rep.counts["admitted"] > 0
+        assert rep.counts["max_queue"] == N
+        assert peak - 8 * periods < 4_000_000
 
 
 def test_degenerate_instance_equals_period_oracle():
@@ -301,7 +305,7 @@ def queue_cases(N):
     cases = [
         (queue_model(N, 0.3 + 0.1 * N), None, HORIZONS),
         (queue_model(N, 1.0, (1, 1)), None, HORIZONS),
-        # a full room carried across chunk boundaries, services of random length
+        # a full room over several batches, services of random length
         (queue_model(N, 0.9), [QueuePolicy.never()], (LONG,)),
         (queue_model(N, 0.6, (1, 4)), [QueuePolicy.never(), QueuePolicy.always()], HORIZONS[-1:] + (ONE_PAST,)),
         (queue_model(N, 0.5, rho1=1e-3), [QueuePolicy.always(), QueuePolicy(N)], HORIZONS[-1:]),
@@ -309,6 +313,9 @@ def queue_cases(N):
         # loads at which the room fills only now and then
         (queue_model(N, 0.171), [QueuePolicy.always()], (LONG,)),
         (queue_model(N, 0.061), [QueuePolicy(N)], HORIZONS[-1:]),
+        # no arrival ever comes, or the first one comes past the run
+        (queue_model(N, 0.0), None, HORIZONS),
+        (queue_model(N, 5e-324), None, HORIZONS),
     ]
     if N == 0:
         cases.append((queue_model(0, 0.999), None, (LONG,)))
@@ -317,23 +324,91 @@ def queue_cases(N):
 
 @pytest.mark.parametrize("N", range(7))
 def test_queue_equals_period_oracle(N):
+    # bit for bit the loop over services (tests/service_sim.py); the loop
+    # over periods is checked against it in distribution below
     for model, pols, horizons in queue_cases(N):
         for pol in pols or admissible_queue_policies(model):
             for horizon in horizons:
-                want = simulate_queue_periods(model, pol, horizon, seed=N, stream=1)
-                assert simulate_queue(model, pol, horizon, seed=N, stream=1) == want
-                # and with full-room services walked from the first one on
-                assert _simulate_queue(model, pol, horizon, N, 1, row_pays=0) == want
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with np.errstate(over="raise", divide="raise", invalid="raise"):
+                        rep = simulate_queue(model, pol, horizon, seed=N, stream=1)
+                assert rep == simulate_queue_services(model, pol, horizon, seed=N, stream=1)
+                if model.q < 1e-300:
+                    assert rep.counts == dict.fromkeys(rep.counts, 0) and rep.mean == 0.0
 
 
 def test_queue_full_from_warm_up_records_no_live_join():
     # the room fills during the warm-up and every counted arrival is blocked,
-    # so no counted arrival joins it and max_queue stays 0
+    # so no counted arrival joins it and max_queue stays 0 (seed 142 is the
+    # first from 52 on whose draws do this)
     model = default_queue_model(N=1, q=0.05)
-    rep = simulate_queue(model, QueuePolicy.never(), 32, seed=52)
-    assert rep == simulate_queue_periods(model, QueuePolicy.never(), 32, seed=52)
+    rep = simulate_queue(model, QueuePolicy.never(), 32, seed=142)
+    assert rep == simulate_queue_services(model, QueuePolicy.never(), 32, seed=142)
     assert rep.counts["blocked"] == rep.counts["arrivals"] > 0
     assert rep.counts["max_queue"] == 0
+
+
+@pytest.mark.parametrize("N", [0, 2])
+@pytest.mark.parametrize("rule", ["never", "always", "qge"])
+@pytest.mark.parametrize("horizon", [32, 1025, 4099])
+def test_rooms_at_q_one_follow_the_boundary_rules(N, rule, horizon):
+    # At q = 1 with attempt 1 all but never resolving, every service takes
+    # `length` periods from period 0 and admits one arrival, at its start;
+    # every other arrival finds the room full.  The decision's Q counts its
+    # own period's arrival, so qge(N + 1) transfers from a full room; the
+    # freed agent takes the head before that arrival joins, so the room
+    # never holds more than N.
+    pol = {"never": QueuePolicy.never(), "always": QueuePolicy.always(), "qge": QueuePolicy(N + 1)}[rule]
+    model = queue_model(N, 1.0, rho1=1e-300)
+    length = 21 if rule == "never" else 6
+    starts = sum(t % length == 0 for t in range(WARMUP, WARMUP + horizon))
+    rep = simulate_queue(model, pol, horizon, seed=1)
+    assert rep.counts == {"arrivals": horizon, "admitted": starts, "blocked": horizon - starts,
+                          "resolved": starts * (rule == "never"),
+                          "transferred": starts * (rule != "never"), "max_queue": N}
+    assert rep.mean == (20.0 if rule == "never" else 15.0) * starts / horizon
+    # nothing is random here: the loop over periods gives the same report
+    assert rep == simulate_queue_periods(model, pol, horizon, seed=1)
+
+
+# (model, policy) pairs over N = 0, 1, 5 and 40, near critical load and full
+_QUEUE_SEMANTICS = [
+    (queue_model(0, 0.5), QueuePolicy.never()),
+    (queue_model(0, 0.3), QueuePolicy(1)),
+    (queue_model(1, 0.3), QueuePolicy(1)),
+    (queue_model(1, 0.6, (1, 4)), QueuePolicy(2)),
+    (queue_model(5, 0.061), QueuePolicy.always()),
+    (queue_model(5, 0.171), QueuePolicy.always()),
+    (queue_model(5, 0.171), QueuePolicy(3)),
+    (queue_model(5, 0.9), QueuePolicy.never()),
+    (queue_model(40, 0.17), QueuePolicy.always()),
+    (queue_model(40, 0.12), QueuePolicy.never()),
+]
+
+
+@pytest.mark.parametrize("runs, horizon, cases", [
+    (10, 20_000, _QUEUE_SEMANTICS),
+    # short runs of long services: most services cross the warm-up's end or
+    # the run's, and their arrivals are split between the sides
+    (200, 40, [(queue_model(2, 0.3, (20, 30)), QueuePolicy(2)),
+               (queue_model(3, 0.8, (25, 9), rho1=0.4), QueuePolicy.never())]),
+], ids=["long", "edges"])
+def test_queue_agrees_with_period_loop_in_distribution(runs, horizon, cases):
+    # The service sampler and the loop over every period draw different
+    # numbers from the same model: over the runs, mean, admitted / arrivals
+    # and blocked / arrivals agree within 4 combined standard errors of
+    # their run means.
+    for i, (model, pol) in enumerate(cases):
+        stats = []
+        for sim, stream in ((simulate_queue, 0), (simulate_queue_periods, 1)):
+            reps = [sim(model, pol, horizon, seed=400 + i, stream=2 * k + stream) for k in range(runs)]
+            stats.append(np.array([(rep.mean, rep.counts["admitted"] / rep.counts["arrivals"],
+                                    rep.counts["blocked"] / rep.counts["arrivals"]) for rep in reps]))
+        services, periods = stats
+        se = np.hypot(services.std(0, ddof=1), periods.std(0, ddof=1)) / np.sqrt(runs)
+        gap = np.abs(services.mean(0) - periods.mean(0))
+        assert (gap <= 4 * se).all(), (i, gap, se)
 
 
 def test_rejects_undersized_horizon(single_attempt):

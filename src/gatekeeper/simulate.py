@@ -14,17 +14,16 @@ outcome periods and its counts clipped to the counted window; the arrivals
 blocked between decisions are one binomial draw a run.  The waiting-room
 simulator samples one service at a time: within a service the room only
 grows, so a row of six uniforms fixes the service from its start level.  A
-batch tabulates every row's next level for every start level, walks the
-level through the tables and places the services with one cumulative sum;
-a service cut by an edge of the counted window splits its arrivals by
-hypergeometric draws from a stream of its own.  Each simulator's reports
-equal, bit for bit, those of a plain loop over its cycles or services, and
-agree in distribution with a loop over every period.  Runs start with a
-warm-up whose counts and rewards are dropped, so the empty-system start does
-not bias the estimates; standard errors come from batch means over at least
-30 equal batches.  All randomness comes from the counter-based RNG family
-keyed by (seed, stream) that every module shares, so parallel targets never
-collide.
+batch walks the level from service to service and places the services with
+one cumulative sum; a service cut by an edge of the counted window splits
+its arrivals by hypergeometric draws from a stream of its own.  Each
+simulator's reports equal, bit for bit, those of a plain loop over its cycles
+or services, and agree in distribution with a loop over every period.  Runs
+start with a warm-up whose counts and rewards are dropped, so the
+empty-system start does not bias the estimates; standard errors come from
+batch means over at least 30 equal batches.  All randomness comes from the
+counter-based RNG family keyed by (seed, stream) that every module shares, so
+parallel targets never collide.
 """
 from __future__ import annotations
 
@@ -43,6 +42,7 @@ WARMUP = 1024  # periods run before counting, to shed the empty-system start
 _CHUNK = 1 << 15
 # outcome of a decision period: the action taken, or resolution
 _RESOLVED = 3
+_TABLE_N, _BLOCK = 16, 8  # rooms with N below _TABLE_N walk _BLOCK services a step: `_walk`
 
 
 @dataclass(frozen=True)
@@ -230,24 +230,35 @@ def _cut_service(rng: np.random.Generator, spans: list[tuple[int, int, int]], ro
     return arrivals, blocked, peak
 
 
-def _walk(table: np.ndarray, x: int, L: int) -> tuple[np.ndarray, int]:
-    """The level each of a batch's services starts from (the first from x)
-    and the level after the last, where service i + 1 starts from table[y, i]
-    if service i starts from y.  Python steps through blocks of L services by
-    their composed tables; numpy then carries the level through all blocks."""
-    b = table.shape[1]
-    K = b // L
-    flat, blocks = table.ravel(), np.arange(0, b, L)
-    ends = table[:, ::L]  # ends[y, k]: the level after block k's first j + 1 services from y
-    for j in range(1, L):
+def _walk(H, DS, DC, CS, CC, x: int, N: int) -> tuple[np.ndarray, int]:
+    """The level each of a batch's services starts from (the first from x) and
+    the level after the last: from y, service i goes to min(y + DS[i], CS[i])
+    if y >= H[i], else to min(y + DC[i], CC[i]), and to 0 below that.  Below
+    N = _TABLE_N Python steps through blocks of services by their composed
+    tables of next levels, and numpy through every block; a wider room's
+    tables cost more than they save, so Python steps one service at a time."""
+    if N >= _TABLE_N:
+        y = []
+        for h, ds, dc, cs, cc in zip(*(v.tolist() for v in (H, DS, DC, CS, CC))):
+            y.append(x)
+            x = (x + ds if x + ds < cs else cs) if x >= h else (x + dc if x + dc < cc else cc)
+            x = x if x > 0 else 0
+        return np.array(y), x
+    level = np.arange(N + 1, dtype=np.int32)[:, None]
+    table = np.where(level >= H, np.minimum(level + DS, CS), np.minimum(level + DC, CC))
+    np.maximum(table, 0, out=table)
+    b, K = len(H), len(H) // _BLOCK
+    flat, blocks = table.ravel(), np.arange(0, b, _BLOCK)
+    ends = table[:, ::_BLOCK]  # ends[y, k]: the level after block k's first j + 1 services from y
+    for j in range(1, _BLOCK):
         ends = flat.take(ends * b + (blocks + j))
     starts, step = [], memoryview(ends.ravel())
     for k in range(K):
         starts.append(x)
         x = step[x * K + k]
-    y = np.empty((L, K), dtype=table.dtype)
+    y = np.empty((_BLOCK, K), dtype=table.dtype)
     y[0] = starts
-    for j in range(1, L):
+    for j in range(1, _BLOCK):
         flat.take(y[j - 1] * b + (blocks + j - 1), out=y[j])
     return y.T.ravel(), x
 
@@ -278,11 +289,9 @@ def simulate_queue(
     cdf1, cdf2 = _binomial_cdf(tau1 - 1, q), _binomial_cdf(tau2 - 1, q)
     log_q = math.log1p(-q) if q < 1 else -math.inf
     n = N + 2 if pol.n is None else min(pol.n, N + 2)  # transfer iff Q >= n: never at N + 2
-    level = np.arange(N + 1, dtype=np.int32)[:, None]
-    L = 8 if N < 32 else 1  # services a `_walk` step composes: it pays in narrow rooms
-    # a batch's draws and int32 table take at most 12 * _CHUNK bytes, and its
-    # row arrays about as much again
-    rows = max(3 * _CHUNK // (13 + N) // L, 1) * L
+    # a batch's draws and int32 table take at most 12 * _CHUNK bytes; with its
+    # row arrays, or a wide room's Python lists, it peaks below 6 times that
+    rows = 3 * _CHUNK // (13 + min(N, _TABLE_N)) // _BLOCK * _BLOCK
 
     rng = rng_stream(seed, stream)
     # a service cut by an edge of the counted window splits its arrivals by
@@ -294,7 +303,7 @@ def simulate_queue(
     first = nxt = int(_geometric(rng.random(), log_q, cap)) if q else end  # the first admission
     while nxt < end:
         mean = (nxt - first) / services if services else tau1 + (1 - q) / q
-        b = min(rows, -(-int((end - nxt) / mean * 1.05 + 32) // L) * L)
+        b = min(rows, -(-int((end - nxt) / mean * 1.05 + 32) // _BLOCK) * _BLOCK)
         u = rng.random((b, 6))
         A1 = np.searchsorted(cdf1, u[:, 0], "right")  # arrivals between start and decision
         f1 = u[:, 1] < q  # the decision period's arrival
@@ -309,9 +318,7 @@ def simulate_queue(
         h = np.where(res, 0, np.where(N + f1 >= n, n - f1 - A1, N + 1))
         H, DS, DC, CS, CC = (np.clip(v, -1, N + 1).astype(np.int32) for v in (
             h, A1 + f1 - 1, A1 + f1 + A2 + f2 - 1, N - 1 + f1, N - 1 + f2))
-        table = np.where(level >= H, np.minimum(level + DS, CS), np.minimum(level + DC, CC))
-        np.maximum(table, 0, out=table)
-        y, x = _walk(table, x, L)
+        y, x = _walk(H, DS, DC, CS, CC, x, N)
         stop = y >= h
         n1 = np.minimum(y + A1, N)
         e = np.where(stop, n1, np.minimum(n1 + f1 + A2, N))
@@ -355,17 +362,11 @@ def simulate_queue(
                 arrivals, blocked = arrivals + cut[0], blocked + cut[1]
                 max_queue = max(max_queue, cut[2])
         # drop the batch's arrays before the next draw, so no two batches' coexist
-        del u, A1, f1, res, A2, f2, h, H, DS, DC, CS, CC, table, lengths, idle
+        del u, A1, f1, res, A2, f2, h, H, DS, DC, CS, CC, lengths, idle
         del y, stop, n1, e, g, dur, S, D, xfer, a0, arr, blk
 
-    counts = {
-        "arrivals": arrivals,
-        "admitted": arrivals - blocked,
-        "blocked": blocked,
-        "resolved": resolved,
-        "transferred": transferred,
-        "max_queue": max_queue,
-    }
+    counts = dict(arrivals=arrivals, admitted=arrivals - blocked, blocked=blocked,
+                  resolved=resolved, transferred=transferred, max_queue=max_queue)
     return _report(rewards[WARMUP:], seed, counts)
 
 

@@ -22,7 +22,7 @@ from gatekeeper import (
     simulate_queue,
     uniform_policy,
 )
-from gatekeeper.simulate import WARMUP, _CHUNK, _batch_se, _simulate_channel
+from gatekeeper.simulate import WARMUP, _CHUNK, _TABLE_N, _batch_se, _simulate_channel
 
 from conftest import random_instance, random_policy
 from cycle_sim import simulate_policy_cycles
@@ -177,9 +177,10 @@ def test_memory_is_bounded_by_a_chunk_when_a_wait_outlasts_the_run():
         tracemalloc.stop()
     assert rep.counts["warm"] > 0
     assert peak - 8 * horizon < 4_000_000  # beyond the rewards array
-    # the waiting room's batches, each with a table of next levels as wide as
-    # the room, fit in a chunk's budget too (the wide room's shorter run
-    # still takes some 100 batches)
+    # the waiting room's batches fit in a chunk's budget too, those of a
+    # narrow room with their tables of next levels and those of a wide room
+    # with the Python lists it steps through (its shorter run still takes
+    # some 10 batches)
     for N, periods in ((0, horizon), (2_000, horizon // 10)):
         tracemalloc.start()
         try:
@@ -303,7 +304,7 @@ def queue_model(N, q, tau=(6, 15), rho1=0.7):
 def queue_cases(N):
     """(model, policies or None for all, horizons) to hold against the oracle."""
     cases = [
-        (queue_model(N, 0.3 + 0.1 * N), None, HORIZONS),
+        (queue_model(N, min(0.3 + 0.1 * N, 0.9)), None, HORIZONS),
         (queue_model(N, 1.0, (1, 1)), None, HORIZONS),
         # a full room over several batches, services of random length
         (queue_model(N, 0.9), [QueuePolicy.never()], (LONG,)),
@@ -322,12 +323,14 @@ def queue_cases(N):
     return cases
 
 
-@pytest.mark.parametrize("N", range(7))
+@pytest.mark.parametrize("N", [*range(7), _TABLE_N - 1, _TABLE_N, 40])
 def test_queue_equals_period_oracle(N):
-    # bit for bit the loop over services (tests/service_sim.py); the loop
-    # over periods is checked against it in distribution below
+    # bit for bit the loop over services (tests/service_sim.py), both in the
+    # rooms that walk composed tables and in the wider ones that step one
+    # service at a time; the loop over periods is checked against it in
+    # distribution below
     for model, pols, horizons in queue_cases(N):
-        for pol in pols or admissible_queue_policies(model):
+        for pol in pols or admissible_queue_policies(model)[::1 if N < 7 else 4]:
             for horizon in horizons:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
@@ -384,6 +387,7 @@ _QUEUE_SEMANTICS = [
     (queue_model(5, 0.9), QueuePolicy.never()),
     (queue_model(40, 0.17), QueuePolicy.always()),
     (queue_model(40, 0.12), QueuePolicy.never()),
+    (queue_model(40, 0.171), QueuePolicy(20)),
 ]
 
 
@@ -396,15 +400,19 @@ _QUEUE_SEMANTICS = [
 ], ids=["long", "edges"])
 def test_queue_agrees_with_period_loop_in_distribution(runs, horizon, cases):
     # The service sampler and the loop over every period draw different
-    # numbers from the same model: over the runs, mean, admitted / arrivals
-    # and blocked / arrivals agree within 4 combined standard errors of
-    # their run means.
+    # numbers from the same model: over the runs, mean, admitted / arrivals,
+    # transferred / decisions and max_queue agree within 4 combined standard
+    # errors of their run means.
+    def stat(rep):
+        c = rep.counts
+        return (rep.mean, c["admitted"] / c["arrivals"],
+                c["transferred"] / max(c["resolved"] + c["transferred"], 1), c["max_queue"])
+
     for i, (model, pol) in enumerate(cases):
         stats = []
         for sim, stream in ((simulate_queue, 0), (simulate_queue_periods, 1)):
             reps = [sim(model, pol, horizon, seed=400 + i, stream=2 * k + stream) for k in range(runs)]
-            stats.append(np.array([(rep.mean, rep.counts["admitted"] / rep.counts["arrivals"],
-                                    rep.counts["blocked"] / rep.counts["arrivals"]) for rep in reps]))
+            stats.append(np.array([stat(rep) for rep in reps]))
         services, periods = stats
         se = np.hypot(services.std(0, ddof=1), periods.std(0, ddof=1)) / np.sqrt(runs)
         gap = np.abs(services.mean(0) - periods.mean(0))
